@@ -5,9 +5,15 @@
 //! [`Topology::remove_node`] takes a node offline and incrementally repairs
 //! every routing table that referenced it, and [`Topology::add_node`] brings
 //! it back (Swarm nodes keep their overlay address across sessions). Both
-//! operations are deterministic, preserve the structural invariants checked
-//! by [`Topology::validate`], and cost a small fraction of a full rebuild
-//! (see [`Topology::rebuilt_naive`] and the `churn` bench).
+//! operations are deterministic and preserve the structural invariants
+//! checked by [`Topology::validate`] — in particular the fullness
+//! invariant: every live bucket holds `min(capacity, live candidates)`
+//! entries. Neither scans the population. A departure costs one trie
+//! descent per table that listed the node (`O((bits + k) log k)` each), and
+//! a join costs its own table fill plus one live count per bucket, read off
+//! the joiner's trie path, and one insert per owner that learns of it —
+//! against `O(n²)` for a full rebuild (see [`Topology::rebuilt_naive`]
+//! and the `churn` bench).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -701,14 +707,18 @@ impl Topology {
 
     /// Takes `node` offline: removes it from the live set, the closest-node
     /// index, and every routing table that listed it, then incrementally
-    /// refills each affected bucket with the closest eligible live peer so
-    /// the "full whenever candidates exist" invariant survives.
+    /// refills each affected bucket with the closest live peer at that
+    /// proximity the bucket does not already hold, so the fullness
+    /// invariant (`len == min(capacity, live candidates)`, checked by
+    /// [`Topology::validate`]) survives.
     ///
-    /// Each refill is answered by a trie descent over the matching
-    /// exact-proximity subtree, so a departure costs
-    /// `O(holders × k × bits)` — the node's typical in-degree is a few
-    /// dozen — instead of the `O(n²)` of a full rebuild or the former
-    /// `O(holders × n)` candidate scan.
+    /// The `knowers` index names the holders, and a holder's refill
+    /// candidates for its bucket `b` are exactly the departed node's
+    /// depth-`b + 1` prefix subtree of the address trie — one node of the
+    /// departed node's trie path, found once for all holders. Each refill
+    /// is then one trie descent (`refill_candidate`), so a departure costs
+    /// `O(bits + holders × (bits + k) log k)`, with the in-degree
+    /// `holders` typically a few dozen.
     ///
     /// # Errors
     ///
@@ -730,12 +740,13 @@ impl Topology {
         }
         self.live[index] = false;
         self.live_count -= 1;
-        self.trie.set_live(self.addresses[index], false);
+        let departed_addr = self.addresses[index];
+        let path = self.trie.path(departed_addr);
+        self.trie.set_live(&path, false);
 
         // Drop the departed node from every table that listed it, refilling
         // the vacated bucket where candidates remain.
         let holders = std::mem::take(&mut self.knowers[index]);
-        let departed_addr = self.addresses[index];
         for owner in holders {
             let owner = owner as usize;
             let bucket = self
@@ -744,7 +755,7 @@ impl Topology {
                 .bucket_index();
             let removed = self.arena.remove(owner, bucket, index as u32);
             debug_assert!(removed, "knowers index out of sync");
-            if let Some(replacement) = self.refill_candidate(owner, bucket) {
+            if let Some(replacement) = self.refill_candidate(owner, bucket, path[bucket + 1]) {
                 let inserted = self.arena.insert(
                     owner,
                     bucket,
@@ -757,8 +768,7 @@ impl Topology {
         }
 
         // The departed node drops all of its own connections.
-        let peers: Vec<u32> = self.arena.node_peers(index).collect();
-        for peer in peers {
+        for peer in self.arena.node_peers(index) {
             knowers_remove(&mut self.knowers[peer as usize], index as u32);
         }
         self.arena.clear_node(index);
@@ -767,8 +777,20 @@ impl Topology {
 
     /// Brings an offline `node` back into the overlay at its original
     /// address: rebuilds its routing table from the live population
-    /// (closest-per-bucket selection) and inserts it into every live
-    /// bucket with spare capacity, restoring the fullness invariant.
+    /// (closest-per-bucket selection) and appends it to every live owner's
+    /// matching bucket that has room, restoring the fullness invariant.
+    ///
+    /// Finding those owners needs no population scan. The owners at
+    /// proximity `b` from the joiner are the joiner's sibling subtree at
+    /// depth `b`, and every one of them has the same live candidates for
+    /// its bucket `b`: the joiner's depth-`b + 1` prefix subtree. By the
+    /// fullness invariant (`len == min(capacity, live candidates)`, checked
+    /// by [`Topology::validate`]) either all of them have room or none
+    /// has, and they have room exactly when that subtree held fewer than
+    /// `capacity_b` live nodes before the join. So advertising the joiner
+    /// reads one live count per bucket off its trie path and visits only
+    /// the owners it inserts into — `O(bits + inserts)` — on top of the
+    /// `O(bits × k × bits)` fill of the joiner's own table.
     ///
     /// # Errors
     ///
@@ -785,66 +807,72 @@ impl Topology {
         self.live[index] = true;
         self.live_count += 1;
         let joiner_addr = self.addresses[index];
-        self.trie.set_live(joiner_addr, true);
+        let path = self.trie.path(joiner_addr);
+        self.trie.set_live(&path, true);
 
         // 1. Rebuild the joiner's own table from the live population.
-        Self::fill_table_closest(
-            &mut self.arena,
-            &self.trie,
-            &self.addresses,
-            self.space,
-            index,
-        );
-        let peers: Vec<u32> = self.arena.node_peers(index).collect();
-        for peer in peers {
+        Self::fill_table_closest(&mut self.arena, &self.trie, &self.addresses, index, &path);
+        for peer in self.arena.node_peers(index) {
             knowers_insert(&mut self.knowers[peer as usize], index as u32);
         }
 
-        // 2. Advertise the joiner to the rest of the overlay: every live
-        //    node with spare capacity in the matching bucket links to it.
-        for owner in 0..self.addresses.len() {
-            if owner == index || !self.live[owner] {
+        // 2. Advertise the joiner to the owners with room for it. The
+        //    joiner was offline, so no table listed it.
+        debug_assert!(self.knowers[index].is_empty());
+        let mut knowers = Vec::new();
+        for bucket in 0..self.space.bits() {
+            let Some(owners) = self.trie.sibling_on_path(&path, joiner_addr, bucket) else {
+                continue;
+            };
+            // Live candidates of those owners' bucket, the joiner excluded.
+            let candidates = self.trie.subtree_live(path[bucket as usize + 1]) as usize - 1;
+            if candidates >= self.capacities[bucket as usize] {
                 continue;
             }
-            let bucket = self
-                .space
-                .proximity(self.addresses[owner], joiner_addr)
-                .bucket_index();
-            if self
-                .arena
-                .insert(owner, bucket, index as u32, joiner_addr.raw())
-            {
-                knowers_insert(&mut self.knowers[index], owner as u32);
-            }
+            let arena = &mut self.arena;
+            self.trie
+                .visit_nearest_live(owners, bucket + 1, joiner_addr, &mut |owner: usize| {
+                    let inserted =
+                        arena.insert(owner, bucket as usize, index as u32, joiner_addr.raw());
+                    debug_assert!(inserted, "fullness invariant guarantees room");
+                    knowers.push(owner as u32);
+                    true
+                });
         }
+        knowers.sort_unstable();
+        self.knowers[index] = knowers;
         Ok(())
     }
 
     /// The closest eligible live peer for `owner`'s bucket `bucket`, if any:
     /// live, not the owner, proximity exactly `bucket`, not already listed.
+    /// `subtree` is the trie subtree holding the bucket's candidates.
     ///
-    /// Answered by descending the exact-proximity subtree of the address
-    /// trie in ascending XOR distance and returning the first peer the
-    /// bucket does not already hold — `O(k × bits)` against the former
-    /// whole-population scan.
-    fn refill_candidate(&self, owner: usize, bucket: usize) -> Option<usize> {
+    /// Every entry the bucket holds is a live leaf of that subtree, so the
+    /// answer is one [`AddressTrie::nearest_live_excluding`] descent past
+    /// the bucket's sorted XOR distances to the owner (at most `k` values,
+    /// on the stack for realistic `k`): `O((bits + k) log k)`.
+    fn refill_candidate(&self, owner: usize, bucket: usize, subtree: u32) -> Option<usize> {
         let owner_addr = self.addresses[owner];
-        let subtree = self.trie.sibling_subtree(owner_addr, bucket as u32)?;
-        let mut found = None;
-        self.trie.visit_nearest_live(
-            subtree,
-            bucket as u32 + 1,
-            owner_addr,
-            &mut |peer: usize| {
-                if self.arena.contains(owner, bucket, peer as u32) {
-                    true
-                } else {
-                    found = Some(peer);
-                    false
-                }
-            },
-        );
-        found
+        let (_, raws) = self.arena.bucket_entries(owner, bucket);
+        if self.trie.subtree_live(subtree) as usize <= raws.len() {
+            // The bucket already holds every live candidate.
+            return None;
+        }
+        let descend = |held: &mut [u64]| {
+            for (distance, &raw) in held.iter_mut().zip(raws) {
+                *distance = raw ^ owner_addr.raw();
+            }
+            held.sort_unstable();
+            self.trie
+                .nearest_live_excluding(subtree, bucket as u32 + 1, owner_addr, held)
+        };
+        const STACK_HELD: usize = 32;
+        if raws.len() <= STACK_HELD {
+            descend(&mut [0u64; STACK_HELD][..raws.len()])
+        } else {
+            descend(&mut vec![0u64; raws.len()])
+        }
     }
 
     /// Refills `owner`'s buckets in place from the current live
@@ -855,21 +883,22 @@ impl Topology {
     /// drift apart in selection policy.
     ///
     /// The candidates of bucket `b` live in one trie subtree (the owner's
-    /// sibling at depth `b`), which is walked in ascending XOR distance, so
-    /// filling a whole table costs `O(bits × k × bits)` instead of a full
-    /// population scan. An associated function over split borrows because
-    /// it writes the arena while walking the trie.
+    /// sibling at depth `b`, read off the owner's trie `path`), which is
+    /// walked in ascending XOR distance, so filling a whole table costs
+    /// `O(bits × k × bits)` instead of a full population scan. An
+    /// associated function over split borrows because it writes the arena
+    /// while walking the trie.
     fn fill_table_closest(
         arena: &mut TableArena,
         trie: &AddressTrie,
         addresses: &[OverlayAddress],
-        space: AddressSpace,
         owner: usize,
+        path: &[u32; 65],
     ) {
         arena.clear_node(owner);
         let owner_addr = addresses[owner];
-        for bucket in 0..space.bits() {
-            let Some(subtree) = trie.sibling_subtree(owner_addr, bucket) else {
+        for bucket in 0..owner_addr.bits() {
+            let Some(subtree) = trie.sibling_on_path(path, owner_addr, bucket) else {
                 continue;
             };
             // Reserved slots are min(capacity, all-time candidates), the
@@ -969,12 +998,13 @@ impl Topology {
         let mut rebuilt = self.clone();
         for owner in 0..self.addresses.len() {
             if self.live[owner] {
+                let path = self.trie.path(self.addresses[owner]);
                 Self::fill_table_closest(
                     &mut rebuilt.arena,
                     &self.trie,
                     &self.addresses,
-                    self.space,
                     owner,
+                    &path,
                 );
             } else {
                 rebuilt.arena.clear_node(owner);
@@ -1074,12 +1104,13 @@ impl Topology {
 ///
 /// Beyond global closest-node queries, the trie answers the routing-table
 /// maintenance queries that used to need population scans: the peers at
-/// proximity exactly `b` from an address are one subtree
-/// ([`AddressTrie::sibling_subtree`]), and
+/// proximity exactly `b` from an address are one subtree hanging off its
+/// root-to-leaf path ([`AddressTrie::path`]),
 /// [`AddressTrie::visit_nearest_live`] walks any subtree in ascending XOR
-/// distance. Trie nodes are a compact 16-byte representation (`u32` child
-/// indices with a sentinel) so million-node tries stay cache- and
-/// memory-friendly.
+/// distance, and [`AddressTrie::nearest_live_excluding`] finds the closest
+/// live leaf outside a given set in one descent. Trie nodes are a compact
+/// 16-byte representation (`u32` child indices with a sentinel) so
+/// million-node tries stay cache- and memory-friendly.
 #[derive(Debug, Clone)]
 struct AddressTrie {
     space: AddressSpace,
@@ -1188,47 +1219,72 @@ impl AddressTrie {
         );
     }
 
-    /// Marks the leaf at `addr` live or offline, updating subtree counts.
-    fn set_live(&mut self, addr: OverlayAddress, alive: bool) {
-        let bits = self.space.bits();
-        // Collect the root-to-leaf path first, then adjust counts. Depth is
-        // bounded by the 64-bit address-space cap, so the path lives on the
-        // stack.
-        let mut path = [0u32; 64];
-        let mut current = 0usize;
-        for depth in 0..bits {
-            path[depth as usize] = current as u32;
-            current = match &self.nodes[current] {
-                TrieNode::Branch { zero, one, .. } => {
-                    let child = if addr.bit(depth) { *one } else { *zero };
-                    debug_assert_ne!(child, NIL, "address was inserted at build time");
-                    child as usize
-                }
-                TrieNode::Leaf { .. } => unreachable!("leaves only exist at full depth"),
-            };
+    /// The trie nodes on `addr`'s root-to-leaf path: entry `d` is the
+    /// subtree holding every stored address that shares `addr`'s first
+    /// `d` bits, and entry `bits` is `addr`'s own leaf. Depth is bounded by
+    /// the 64-bit address-space cap, so the path lives on the stack.
+    ///
+    /// The maintenance queries all hang off this path: the candidates at
+    /// proximity `b` from any address `x` that shares `addr`'s first `b`
+    /// bits but not bit `b` are exactly `path[b + 1]`, and the peers at
+    /// proximity `b` from `addr` itself are the other child of `path[b]`.
+    fn path(&self, addr: OverlayAddress) -> [u32; 65] {
+        let mut path = [NIL; 65];
+        let mut current = 0u32;
+        for depth in 0..self.space.bits() {
+            path[depth as usize] = current;
+            current = self.child(current, addr.bit(depth));
+            debug_assert_ne!(current, NIL, "address was inserted at build time");
         }
-        let delta: i64 = match &mut self.nodes[current] {
-            TrieNode::Leaf { live, .. } => {
-                if *live == alive {
-                    0
+        path[self.space.bits() as usize] = current;
+        path
+    }
+
+    /// The child of branch `index` on side `bit` ([`NIL`] when absent).
+    #[inline]
+    fn child(&self, index: u32, bit: bool) -> u32 {
+        match &self.nodes[index as usize] {
+            TrieNode::Branch { zero, one, .. } => {
+                if bit {
+                    *one
                 } else {
-                    *live = alive;
-                    if alive {
-                        1
-                    } else {
-                        -1
-                    }
+                    *zero
                 }
             }
-            TrieNode::Branch { .. } => unreachable!("walked past all bits"),
-        };
-        if delta == 0 {
-            return;
+            TrieNode::Leaf { .. } => unreachable!("leaves only exist at full depth"),
         }
-        for &index in &path[..bits as usize] {
+    }
+
+    /// The subtree holding exactly the stored addresses at proximity
+    /// `bucket` from the address whose [`AddressTrie::path`] is `path`:
+    /// the opposite-bit child of `path[bucket]`. `None` when no stored
+    /// address diverges from it at that depth.
+    fn sibling_on_path(&self, path: &[u32; 65], addr: OverlayAddress, bucket: u32) -> Option<u32> {
+        let child = self.child(path[bucket as usize], !addr.bit(bucket));
+        (child != NIL).then_some(child)
+    }
+
+    /// Marks the leaf at the end of `path` (see [`AddressTrie::path`])
+    /// live or offline, updating the subtree counts along the path.
+    fn set_live(&mut self, path: &[u32; 65], alive: bool) {
+        let bits = self.space.bits() as usize;
+        match &mut self.nodes[path[bits] as usize] {
+            TrieNode::Leaf { live, .. } => {
+                if *live == alive {
+                    return;
+                }
+                *live = alive;
+            }
+            TrieNode::Branch { .. } => unreachable!("walked past all bits"),
+        }
+        for &index in &path[..bits] {
             match &mut self.nodes[index as usize] {
                 TrieNode::Branch { live, .. } => {
-                    *live = (i64::from(*live) + delta) as u32;
+                    if alive {
+                        *live += 1;
+                    } else {
+                        *live -= 1;
+                    }
                 }
                 TrieNode::Leaf { .. } => unreachable!(),
             }
@@ -1299,33 +1355,52 @@ impl AddressTrie {
         Some(current)
     }
 
-    /// The subtree holding exactly the stored addresses at proximity
-    /// `bucket` from `addr`: follow `addr`'s bits for `bucket` levels, then
-    /// take the opposite-bit child. `None` when no stored address diverges
-    /// from `addr` at that depth.
-    fn sibling_subtree(&self, addr: OverlayAddress, bucket: u32) -> Option<u32> {
-        let mut current = 0usize;
-        for depth in 0..bucket {
-            current = match &self.nodes[current] {
-                TrieNode::Branch { zero, one, .. } => {
-                    let child = if addr.bit(depth) { *one } else { *zero };
-                    if child == NIL {
-                        return None;
-                    }
-                    child as usize
-                }
-                TrieNode::Leaf { .. } => unreachable!("leaves only exist at full depth"),
-            };
+    /// The live node under `subtree` (whose root sits at `depth`) closest
+    /// in XOR distance to `target`, skipping the leaves whose distances to
+    /// `target` appear in `held` — which must be sorted ascending, and
+    /// every one of which must be a live leaf of `subtree`. `None` when
+    /// `held` covers every live leaf.
+    ///
+    /// One descent: at each level the preferred (nearer) child is entered
+    /// only if it holds more live leaves than held distances. The held
+    /// leaves of a child are a contiguous run of the sorted slice, because
+    /// they share every higher distance bit, so one `partition_point`
+    /// splits them off: `O(bits × log |held|)` in all.
+    fn nearest_live_excluding(
+        &self,
+        subtree: u32,
+        depth: u32,
+        target: OverlayAddress,
+        held: &[u64],
+    ) -> Option<usize> {
+        if self.subtree_live(subtree) as usize <= held.len() {
+            return None;
         }
-        match &self.nodes[current] {
-            TrieNode::Branch { zero, one, .. } => {
-                // The opposite bit: addresses diverging from `addr` exactly
-                // at depth `bucket` share its first `bucket` bits and differ
-                // in the next one.
-                let child = if addr.bit(bucket) { *zero } else { *one };
-                (child != NIL).then_some(child)
+        let bits = self.space.bits();
+        let (mut current, mut held) = (subtree, held);
+        for depth in depth..bits {
+            let bit = target.bit(depth);
+            let (preferred, fallback) = (self.child(current, bit), self.child(current, !bit));
+            // Held leaves on the preferred side have distance bit `depth`
+            // clear; they sort first among leaves sharing the higher bits.
+            let shift = bits - 1 - depth;
+            let (near, far) = held.split_at(held.partition_point(|&d| (d >> shift) & 1 == 0));
+            (current, held) =
+                if preferred != NIL && self.subtree_live(preferred) as usize > near.len() {
+                    (preferred, near)
+                } else {
+                    (fallback, far)
+                };
+        }
+        match &self.nodes[current as usize] {
+            TrieNode::Leaf { node, live } => {
+                debug_assert!(
+                    *live && held.is_empty(),
+                    "descent must end on a free live leaf"
+                );
+                Some(*node as usize)
             }
-            TrieNode::Leaf { .. } => unreachable!("leaves only exist at full depth"),
+            TrieNode::Branch { .. } => unreachable!("walked past all bits"),
         }
     }
 

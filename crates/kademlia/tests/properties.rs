@@ -1,7 +1,8 @@
 //! Property-based tests for the overlay substrate.
 
 use fairswap_kademlia::{
-    AddressSpace, Distance, NodeId, Proximity, RouteOutcome, Router, TopologyBuilder,
+    AddressSpace, BucketSizing, Distance, NodeId, Proximity, RouteOutcome, Router, Topology,
+    TopologyBuilder,
 };
 use proptest::prelude::*;
 
@@ -239,6 +240,159 @@ proptest! {
         seen.insert(NodeId(0));
         for &hop in route.hops() {
             prop_assert!(seen.insert(hop), "revisited {hop}");
+        }
+    }
+}
+
+/// Brute-force model of the documented membership rules, applied by
+/// linear scans over the whole population:
+///
+/// * a departure drops the node from every table that lists it and refills
+///   each vacated bucket with the closest live peer at that proximity that
+///   the bucket does not already hold;
+/// * a join fills the joiner's own table with the closest `capacity` live
+///   peers per bucket (nearest first), then appends the joiner to every
+///   live owner's matching bucket that has room.
+struct MembershipModel {
+    space: AddressSpace,
+    raws: Vec<u64>,
+    live: Vec<bool>,
+    capacities: Vec<usize>,
+    /// `tables[owner][bucket]`: peer ids in bucket order.
+    tables: Vec<Vec<Vec<usize>>>,
+}
+
+impl MembershipModel {
+    fn of(t: &Topology, capacities: Vec<usize>) -> Self {
+        Self {
+            space: t.space(),
+            raws: t.node_ids().map(|n| t.address(n).raw()).collect(),
+            live: t.node_ids().map(|n| t.is_live(n)).collect(),
+            capacities,
+            tables: model_tables(t),
+        }
+    }
+
+    fn bucket(&self, a: usize, b: usize) -> usize {
+        let space = self.space;
+        let addr = |i: usize| space.address(self.raws[i]).unwrap();
+        space.proximity(addr(a), addr(b)).bucket_index()
+    }
+
+    /// Live peers of `owner` at proximity `bucket`, nearest first.
+    fn candidates(&self, owner: usize, bucket: usize) -> Vec<usize> {
+        let mut peers: Vec<usize> = (0..self.raws.len())
+            .filter(|&p| p != owner && self.live[p] && self.bucket(owner, p) == bucket)
+            .collect();
+        peers.sort_by_key(|&p| self.raws[p] ^ self.raws[owner]);
+        peers
+    }
+
+    /// Applies a departure; `false` when the topology must refuse it.
+    fn remove(&mut self, node: usize) -> bool {
+        let live = self.live.iter().filter(|&&l| l).count();
+        if !self.live[node] || live <= 2 {
+            return false;
+        }
+        self.live[node] = false;
+        for owner in 0..self.raws.len() {
+            if !self.live[owner] {
+                continue;
+            }
+            let bucket = self.bucket(owner, node);
+            let Some(pos) = self.tables[owner][bucket].iter().position(|&p| p == node) else {
+                continue;
+            };
+            self.tables[owner][bucket].remove(pos);
+            let held = &self.tables[owner][bucket];
+            let refill = self
+                .candidates(owner, bucket)
+                .into_iter()
+                .find(|p| !held.contains(p));
+            if let Some(peer) = refill {
+                self.tables[owner][bucket].push(peer);
+            }
+        }
+        self.tables[node].iter_mut().for_each(Vec::clear);
+        true
+    }
+
+    /// Applies a join; `false` when the topology must refuse it.
+    fn add(&mut self, node: usize) -> bool {
+        if self.live[node] {
+            return false;
+        }
+        self.live[node] = true;
+        for bucket in 0..self.capacities.len() {
+            let mut closest = self.candidates(node, bucket);
+            closest.truncate(self.capacities[bucket]);
+            self.tables[node][bucket] = closest;
+        }
+        for owner in 0..self.raws.len() {
+            if owner == node || !self.live[owner] {
+                continue;
+            }
+            let bucket = self.bucket(owner, node);
+            if self.tables[owner][bucket].len() < self.capacities[bucket] {
+                self.tables[owner][bucket].push(node);
+            }
+        }
+        true
+    }
+}
+
+/// Every table of `t`, bucket by bucket, entries in bucket order.
+fn model_tables(t: &Topology) -> Vec<Vec<Vec<usize>>> {
+    t.tables()
+        .map(|table| {
+            table
+                .buckets()
+                .map(|bucket| bucket.iter().map(|(peer, _)| peer.index()).collect())
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    /// Incremental membership maintenance picks exactly the peers the
+    /// documented rules pick: after every departure and join, every bucket
+    /// of every table equals the brute-force model's, entry for entry and
+    /// in order, and the structural invariants (including the reverse
+    /// `knowers` index, which `validate` rebuilds from the tables) hold.
+    /// The bucket override can exceed every candidate count, so buckets
+    /// that can never fill are covered too.
+    #[test]
+    fn membership_matches_reference_model(
+        bits in 2u32..=12,
+        nodes in 2usize..80,
+        k in 1usize..6,
+        over in (any::<bool>(), 0u32..12, 1usize..64),
+        seed in any::<u64>(),
+        ops in prop::collection::vec((any::<u16>(), any::<bool>()), 0..40),
+    ) {
+        let space = AddressSpace::new(bits).unwrap();
+        let nodes = nodes.min(1 << bits);
+        let mut sizing = BucketSizing::uniform(k);
+        if let (true, bucket, cap) = over {
+            sizing = sizing.with_override(bucket, cap);
+        }
+        let mut t = TopologyBuilder::new(space)
+            .nodes(nodes)
+            .bucket_sizing(sizing.clone())
+            .seed(seed)
+            .build()
+            .unwrap();
+        let mut model = MembershipModel::of(&t, sizing.capacities(bits));
+        for (pick, join) in ops {
+            let node = pick as usize % nodes;
+            let accepted = if join {
+                (t.add_node(NodeId(node)).is_ok(), model.add(node))
+            } else {
+                (t.remove_node(NodeId(node)).is_ok(), model.remove(node))
+            };
+            prop_assert_eq!(accepted.0, accepted.1, "join {} node {}", join, node);
+            prop_assert_eq!(&model_tables(&t), &model.tables, "after join {} node {}", join, node);
+            prop_assert_eq!(t.validate(), Ok(()));
         }
     }
 }

@@ -125,6 +125,19 @@ impl MetricsRegistry {
         self.metrics.len() - 1
     }
 
+    /// Every registered metric as `(name, kind)` in registration (and
+    /// flush) order, with kind `counter`, `gauge` or `histogram`.
+    pub fn registered(&self) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
+        self.names.iter().zip(&self.metrics).map(|(&name, metric)| {
+            let kind = match metric {
+                Metric::Counter(_) => "counter",
+                Metric::Gauge(_) => "gauge",
+                Metric::Histogram(_) => "histogram",
+            };
+            (name, kind)
+        })
+    }
+
     /// Sets a counter to its new cumulative value (monotonicity asserted).
     pub fn set_counter(&mut self, handle: usize, value: u64) {
         match &mut self.metrics[handle] {

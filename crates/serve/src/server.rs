@@ -219,10 +219,11 @@ fn handle_connection(
     }
 }
 
+/// `{"error": message}` as one JSON line. Messages can echo the request
+/// target or a spec parse error, so the string goes through JSON escaping.
 fn error_body(message: &dyn std::fmt::Display) -> String {
-    // The service controls every message below; none contain quotes, so
-    // plain formatting is JSON-safe.
-    format!("{{\"error\":\"{message}\"}}\n")
+    let message = serde_json::to_string(&message.to_string()).expect("strings always serialize");
+    format!("{{\"error\":{message}}}\n")
 }
 
 fn job_body(job: &Job) -> String {

@@ -184,3 +184,27 @@ fn invalid_and_unknown_requests_get_structured_errors() {
     assert_eq!(summary.jobs, 0);
     assert_eq!(summary.rejected, 0);
 }
+
+#[test]
+fn hostile_targets_get_json_error_bodies() {
+    let server = TestServer::start(1, 4);
+    let mut client = Client::new(server.addr);
+
+    // Quotes and backslashes in the target are echoed in the message, so
+    // the body only parses if the service escapes them.
+    for target in [
+        "/status/1\"x",
+        "/result/7\\u0041",
+        "/stream/\\\"",
+        "/no\"such\\endpoint",
+    ] {
+        let response = client.request("GET", target, b"").expect("request");
+        assert_eq!(response.status, 404, "{target}");
+        let message = response
+            .json_str("error")
+            .unwrap_or_else(|| panic!("{target}: body is not a JSON error: {}", response.text()));
+        assert!(message.contains(target), "{target}: {message}");
+    }
+
+    server.stop();
+}

@@ -188,3 +188,35 @@ fn profile_only_observation_times_phases_without_collecting() {
     assert_eq!(stats.events, 0);
     assert_eq!(obs.metrics_csv().lines().count(), 1, "header only");
 }
+
+#[test]
+fn metric_table_matches_registered_metrics() {
+    // The metric table of docs/OBSERVABILITY.md: rows of the form
+    // "| `name` | kind | meaning |" under the "Metrics format" heading.
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let section = doc
+        .split("## Metrics format")
+        .nth(1)
+        .expect("doc has a Metrics format section");
+    let section = section.split("\n## ").next().unwrap();
+    let documented: Vec<(String, String)> = section
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let name = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((name.to_string(), cells.get(2)?.to_string()))
+        })
+        .collect();
+
+    let collector = fairswap::core::obs::ObsCollector::new(0, 0, everything());
+    let registered: Vec<(String, String)> = collector
+        .registry()
+        .registered()
+        .map(|(name, kind)| (name.to_string(), kind.to_string()))
+        .collect();
+    assert!(!registered.is_empty());
+    assert_eq!(
+        documented, registered,
+        "docs/OBSERVABILITY.md metric table (left) vs ObsCollector::new (right)"
+    );
+}
