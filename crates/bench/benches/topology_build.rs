@@ -4,9 +4,7 @@
 //!
 //! The interesting numbers are the growth rates: build time should scale
 //! ~n·log n across the 1k → 100k rows (the quadratic baseline became
-//! impractical around 30k nodes), and the `threads` rows document the
-//! multi-core headroom of the per-owner derived-RNG design (expect no
-//! speedup on single-core CI runners).
+//! impractical around 30k nodes).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fairswap_kademlia::{AddressSpace, TopologyBuilder};
@@ -51,30 +49,5 @@ fn bench_build_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_build_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("topology_build_threads");
-    group.sample_size(10);
-    for threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("k4_100k", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(
-                        TopologyBuilder::new(AddressSpace::new(BITS).expect("valid width"))
-                            .nodes(100_000)
-                            .bucket_size(4)
-                            .seed(0xFA12)
-                            .threads(threads)
-                            .build()
-                            .expect("valid topology"),
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_build_scaling, bench_build_threads);
+criterion_group!(benches, bench_build_scaling);
 criterion_main!(benches);

@@ -67,6 +67,6 @@ pub use spec::{
 
 pub use fairswap_churn::{ChurnConfig, LifetimeDist};
 pub use fairswap_kademlia::BucketSizing;
-pub use fairswap_obs::{validate_jsonl, Phase, PhaseTimes, TraceStats};
+pub use fairswap_obs::{validate_jsonl, Phase, PhaseTimes, TraceStats, KNOWN_KINDS};
 pub use fairswap_simcore::Executor;
 pub use fairswap_storage::{CachePolicy, RepairSource, RoutePolicy};

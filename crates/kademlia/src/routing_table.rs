@@ -24,10 +24,6 @@ use crate::address::{AddressSpace, OverlayAddress, Proximity};
 use crate::bucket::BucketRef;
 use crate::topology::NodeId;
 
-/// Per-topology storage for all routing tables.
-///
-/// See the module docs for the layout. All indices are dense: node `i`'s
-/// bucket `b` is slot `i * bits + b`.
 /// Slot range of one bucket: start offset into the entry arrays plus
 /// current occupancy, packed into 8 bytes so a hop's bucket lookup costs
 /// one cache line (the reserved size is the next span's offset minus this
@@ -38,6 +34,10 @@ struct BucketSpan {
     len: u32,
 }
 
+/// Per-topology storage for all routing tables.
+///
+/// See the module docs for the layout. All indices are dense: node `i`'s
+/// bucket `b` is slot `i * bits + b`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TableArena {
     bits: u32,
@@ -52,96 +52,51 @@ pub(crate) struct TableArena {
     spans: Vec<BucketSpan>,
 }
 
-/// Freshly sampled tables for one contiguous owner range, produced by the
-/// (possibly threaded) topology builder and concatenated into the arena
-/// by [`TableArena::assemble`]. Initial buckets are exactly full
-/// (`len == reserved`), so per-bucket lengths double as the reserved slot
-/// sizes. Batching whole worker ranges into three vectors — instead of
-/// three per owner — keeps build-time allocation counts flat in `n`.
-#[derive(Debug)]
-pub(crate) struct OwnerFill {
-    /// Entries per bucket, `bits` values per owner, owners in range order.
-    pub lens: Vec<u32>,
-    /// Peer ids, owners and buckets concatenated shallow-to-deep.
-    pub ids: Vec<u32>,
-    /// Raw peer addresses, parallel to `ids`.
-    pub raws: Vec<u64>,
-}
-
-impl OwnerFill {
-    pub(crate) fn new() -> Self {
-        Self {
-            lens: Vec::new(),
-            ids: Vec::new(),
-            raws: Vec::new(),
-        }
-    }
-}
-
 impl TableArena {
-    /// Concatenates range fills (in node order) into one arena. A
-    /// single-range build (the serial path) moves its three vectors into
-    /// place instead of copying — at 10⁵ nodes with `k = 20` that skips
-    /// re-copying hundreds of megabytes.
+    /// An arena whose bucket slot `s` (node-major, `bits` slots per node)
+    /// is exactly full with `lens[s]` zeroed placeholder entries, for the
+    /// topology builder to overwrite through [`TableArena::node_entries_mut`].
+    /// Initial buckets are exactly full (`len == reserved`), so one length
+    /// per bucket fixes the whole layout and the entry arrays are
+    /// allocated once, at their final size.
     ///
     /// # Panics
     ///
     /// Panics if the total entry count overflows the `u32` offset space
     /// (≈ 4 × 10⁹ connections, far beyond simulated scales).
-    pub(crate) fn assemble(bits: u32, mut fills: Vec<OwnerFill>) -> Self {
-        fn spans_of(bucket_lens: impl Iterator<Item = u32>, buckets: usize) -> Vec<BucketSpan> {
-            let mut spans = Vec::with_capacity(buckets + 1);
-            let mut cursor = 0u64;
-            for len in bucket_lens {
-                assert!(u32::try_from(cursor).is_ok(), "arena offset overflow");
-                spans.push(BucketSpan {
-                    offset: cursor as u32,
-                    len,
-                });
-                cursor += u64::from(len);
-            }
+    pub(crate) fn with_full_buckets(bits: u32, lens: &[u32]) -> Self {
+        debug_assert_eq!(lens.len() % bits as usize, 0);
+        let mut spans = Vec::with_capacity(lens.len() + 1);
+        let mut cursor = 0u64;
+        for &len in lens {
             assert!(u32::try_from(cursor).is_ok(), "arena offset overflow");
             spans.push(BucketSpan {
                 offset: cursor as u32,
-                len: 0,
+                len,
             });
-            spans
+            cursor += u64::from(len);
         }
-
-        if fills.len() == 1 {
-            let fill = fills.pop().expect("one fill");
-            debug_assert_eq!(fill.lens.len() % bits as usize, 0);
-            let spans = spans_of(fill.lens.iter().copied(), fill.lens.len());
-            debug_assert_eq!(
-                spans.last().expect("never empty").offset as usize,
-                fill.ids.len()
-            );
-            return Self {
-                bits,
-                ids: fill.ids,
-                raws: fill.raws,
-                spans,
-            };
-        }
-
-        let buckets: usize = fills.iter().map(|f| f.lens.len()).sum();
-        let total: usize = fills.iter().map(|f| f.ids.len()).sum();
-        assert!(u32::try_from(total).is_ok(), "arena offset overflow");
-        let mut ids = Vec::with_capacity(total);
-        let mut raws = Vec::with_capacity(total);
-        for fill in &fills {
-            debug_assert_eq!(fill.lens.len() % bits as usize, 0);
-            ids.extend_from_slice(&fill.ids);
-            raws.extend_from_slice(&fill.raws);
-        }
-        let spans = spans_of(fills.iter().flat_map(|f| f.lens.iter().copied()), buckets);
-        debug_assert_eq!(spans.last().expect("never empty").offset as usize, total);
+        assert!(u32::try_from(cursor).is_ok(), "arena offset overflow");
+        spans.push(BucketSpan {
+            offset: cursor as u32,
+            len: 0,
+        });
         Self {
             bits,
-            ids,
-            raws,
+            ids: vec![0; cursor as usize],
+            raws: vec![0; cursor as usize],
             spans,
         }
+    }
+
+    /// Every reserved slot of `node`, buckets concatenated shallow to deep,
+    /// as mutable `(ids, raws)` slices: one node's buckets are adjacent in
+    /// the arena.
+    pub(crate) fn node_entries_mut(&mut self, node: usize) -> (&mut [u32], &mut [u64]) {
+        let base = node * self.bits as usize;
+        let start = self.spans[base].offset as usize;
+        let end = self.spans[base + self.bits as usize].offset as usize;
+        (&mut self.ids[start..end], &mut self.raws[start..end])
     }
 
     /// An arena for a single table whose bucket `b` reserves
@@ -149,26 +104,9 @@ impl TableArena {
     #[cfg(test)]
     pub(crate) fn single(bits: u32, reserved: &[u32]) -> Self {
         assert_eq!(reserved.len(), bits as usize);
-        let total: u32 = reserved.iter().sum();
-        let mut spans = Vec::with_capacity(reserved.len() + 1);
-        let mut cursor = 0u32;
-        for &r in reserved {
-            spans.push(BucketSpan {
-                offset: cursor,
-                len: 0,
-            });
-            cursor += r;
-        }
-        spans.push(BucketSpan {
-            offset: cursor,
-            len: 0,
-        });
-        Self {
-            bits,
-            ids: vec![0; total as usize],
-            raws: vec![0; total as usize],
-            spans,
-        }
+        let mut arena = Self::with_full_buckets(bits, reserved);
+        arena.clear_node(0);
+        arena
     }
 
     #[inline]

@@ -12,22 +12,22 @@
 //! descent per table that listed the node (`O((bits + k) log k)` each), and
 //! a join costs its own table fill plus one live count per bucket, read off
 //! the joiner's trie path, and one insert per owner that learns of it —
-//! against `O(n²)` for a full rebuild (see [`Topology::rebuilt_naive`]
-//! and the `churn` bench).
+//! against refilling every table for a full rebuild (see
+//! [`Topology::rebuilt_naive`] and the `churn` bench).
 
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 
 use fairswap_simcore::rng::{domain, sub_seed};
-use fairswap_simcore::{derive_rng, Executor, SimRng};
+use fairswap_simcore::{derive_rng, SimRng};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::address::{AddressSpace, OverlayAddress};
 use crate::error::KademliaError;
-use crate::routing_table::{OwnerFill, TableArena, TableRef};
+use crate::routing_table::{TableArena, TableRef};
 
 /// Index of a node in a [`Topology`].
 ///
@@ -126,13 +126,11 @@ pub struct TopologyBuilder {
     explicit_addresses: Option<Vec<u64>>,
     sizing: BucketSizing,
     seed: u64,
-    threads: usize,
 }
 
 impl TopologyBuilder {
     /// Starts a builder over the given address space with the paper's
-    /// defaults: 1000 nodes, uniform `k = 4`, seed `0xFA12`, single-threaded
-    /// construction.
+    /// defaults: 1000 nodes, uniform `k = 4`, seed `0xFA12`.
     pub fn new(space: AddressSpace) -> Self {
         Self {
             space,
@@ -140,7 +138,6 @@ impl TopologyBuilder {
             explicit_addresses: None,
             sizing: BucketSizing::uniform(4),
             seed: 0xFA12,
-            threads: 1,
         }
     }
 
@@ -181,26 +178,26 @@ impl TopologyBuilder {
         self
     }
 
-    /// Worker threads used to fill routing tables (`0` = one per CPU core).
-    ///
-    /// Every node's buckets are sampled from its own seed-derived RNG
-    /// stream, so the built topology is identical for any thread count —
-    /// this knob only trades wall-clock for cores on large-`N` builds.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Builds the topology: sample addresses, then fill every node's buckets
-    /// by choosing `min(k_i, |candidates|)` peers uniformly without
+    /// by choosing `min(k_b, |candidates_b|)` peers uniformly without
     /// replacement from the exact-prefix candidate set.
     ///
-    /// Candidate sets are located through a sorted-address index (the peers
-    /// at proximity exactly `b` from an owner are the set difference of two
-    /// contiguous prefix ranges), so construction costs
-    /// `O(n · bits · log n)` instead of the quadratic all-pairs scan — the
-    /// difference between minutes and milliseconds at 10⁵ nodes.
+    /// The candidates at proximity exactly `b` from an owner are one
+    /// contiguous range of the sorted address index: the sibling half of
+    /// the owner's depth-`b` prefix range. The build walks the index
+    /// depth-first in address order, one `partition_point` per trie
+    /// branch, so at each owner every bucket's candidate range is already
+    /// on the walk's stack. Two walks fill the tables: the first writes
+    /// each bucket's length, which fixes the arena layout, and the second
+    /// samples every owner's buckets straight into their arena slots. The
+    /// walks cost `O(n · bits · log n)` and sampling `O(k)` per table
+    /// entry, against the quadratic all-pairs scan of a naive build.
+    ///
+    /// The visiting order does not show in the output: each owner draws
+    /// from its own stream, `derive_rng(sub_seed(seed, TOPOLOGY), owner, 0)`,
+    /// over a candidate range in address order. The reverse index of
+    /// which owners list each node is left to the first membership change
+    /// ([`Topology::remove_node`] / [`Topology::add_node`]) to build.
     ///
     /// # Errors
     ///
@@ -237,55 +234,34 @@ impl TopologyBuilder {
         let capacities = self.sizing.capacities(self.space.bits());
         let n = addresses.len();
 
-        let index = SortedAddressIndex::new(&addresses);
-        // Each owner samples its buckets from its own derived stream, so
-        // neither construction order nor thread count can influence the
-        // result.
-        let table_seed = sub_seed(self.seed, domain::TOPOLOGY);
-        let executor = Executor::new(self.threads);
-        // Hand each worker a contiguous owner range; results concatenate in
-        // owner order, keeping node i's buckets at arena slot i. A serial
-        // build takes one range, which the arena adopts without a copy.
-        let chunk = if executor.threads() == 1 {
-            n
-        } else {
-            n.div_ceil(executor.threads() * 8).max(64)
-        };
-        let owner_ranges: Vec<Range<usize>> = (0..n)
-            .step_by(chunk)
-            .map(|start| start..(start + chunk).min(n))
-            .collect();
-        // Expected entries per owner, for one up-front reservation per
-        // range buffer: bucket b sees ~n/2^(b+1) candidates.
-        let est_per_owner: usize = capacities
-            .iter()
-            .enumerate()
-            .map(|(b, &cap)| cap.min(n >> ((b + 1).min(63))))
-            .sum();
         let bits = self.space.bits() as usize;
-        let fills: Vec<OwnerFill> = executor.run(owner_ranges, |_, owners| {
-            let mut fill = OwnerFill::new();
-            fill.lens.reserve(owners.len() * bits);
-            let entries = owners.len() * est_per_owner;
-            fill.ids.reserve(entries + entries / 8 + 64);
-            fill.raws.reserve(entries + entries / 8 + 64);
-            for owner in owners {
-                let mut owner_rng = derive_rng(table_seed, owner, 0);
-                fill_table_sampled(
-                    &addresses,
-                    &index,
-                    &capacities,
-                    owner,
-                    &mut owner_rng,
-                    &mut fill,
-                );
+        let index = SortedAddressIndex::new(&addresses);
+        // Walk 1: every bucket's length, min(capacity, candidates), in
+        // arena slot order. Initial buckets are exactly full, so the lengths
+        // fix the layout.
+        let mut lens = vec![0u32; n * bits];
+        index.for_each_owner(bits, |pos, siblings| {
+            let owner = index.node_at(pos);
+            for ((len, sibling), &capacity) in lens[owner * bits..(owner + 1) * bits]
+                .iter_mut()
+                .zip(siblings)
+                .zip(&capacities)
+            {
+                *len = capacity.min(sibling.len()) as u32;
             }
-            fill
         });
-        let arena = TableArena::assemble(self.space.bits(), fills);
+        let mut arena = TableArena::with_full_buckets(self.space.bits(), &lens);
+        drop(lens);
+        // Walk 2: sample each owner's buckets into its arena slots.
+        let table_seed = sub_seed(self.seed, domain::TOPOLOGY);
+        index.for_each_owner(bits, |pos, siblings| {
+            let owner = index.node_at(pos);
+            let mut owner_rng = derive_rng(table_seed, owner, 0);
+            let (ids, raws) = arena.node_entries_mut(owner);
+            sample_table(&index, siblings, &capacities, &mut owner_rng, ids, raws);
+        });
 
         let trie = AddressTrie::build(self.space, &addresses);
-        let knowers = build_knowers(&arena, n);
         Ok(Topology {
             space: self.space,
             live: vec![true; n],
@@ -294,7 +270,7 @@ impl TopologyBuilder {
             arena,
             capacities,
             trie,
-            knowers,
+            knowers: Vec::new(),
             sizing: self.sizing.clone(),
             seed: self.seed,
         })
@@ -323,11 +299,10 @@ fn sample_distinct_addresses(
     Ok(out)
 }
 
-/// Node slots sorted by raw address, supporting binary-search prefix
-/// narrowing: the addresses sharing a given `p`-bit prefix occupy one
-/// contiguous range, so the candidates at proximity exactly `b` from an
-/// owner are `range(b) \ range(b + 1)` — two contiguous pieces found in
-/// `O(log n)` instead of scanning all `n` addresses.
+/// Node slots sorted by raw address. The addresses sharing a given
+/// `p`-bit prefix occupy one contiguous range, so the candidates at
+/// proximity exactly `b` from an owner are one contiguous range too: the
+/// half of the owner's depth-`b` prefix range that differs in bit `b`.
 struct SortedAddressIndex {
     /// Node indices in ascending address order.
     nodes: Vec<u32>,
@@ -348,82 +323,99 @@ impl SortedAddressIndex {
         self.nodes[pos] as usize
     }
 
-    /// Splits `range` — all sorted positions sharing the first `depth`
-    /// bits with `addr` — on bit `depth`: returns `(same, sibling)` where
-    /// `same` continues `addr`'s prefix and `sibling` holds exactly the
-    /// positions at proximity `depth` from `addr`. One `partition_point`
-    /// per level (the shared prefix makes the bit split a contiguous cut),
-    /// and the sibling side comes out as a single ascending range.
-    fn split(
+    /// Calls `visit(pos, siblings)` for every sorted position in address
+    /// order, where `siblings[b]` holds the positions at proximity exactly
+    /// `b` from the address at `pos` (`bits` ranges, empty past the depth
+    /// where the address is alone under its prefix).
+    ///
+    /// A depth-first walk of the implicit address trie: each branch splits
+    /// its prefix range on the next bit with one `partition_point` (the
+    /// shared prefix makes the split a contiguous cut), and a stack of the
+    /// split-off halves is every owner's sibling ranges.
+    fn for_each_owner(&self, bits: usize, mut visit: impl FnMut(usize, &[Range<usize>])) {
+        let mut siblings: [Range<usize>; 64] = std::array::from_fn(|_| 0..0);
+        self.descend(0, 0..self.raws.len(), &mut siblings[..bits], &mut visit);
+    }
+
+    fn descend<F: FnMut(usize, &[Range<usize>])>(
         &self,
-        range: &Range<usize>,
-        addr: OverlayAddress,
-        depth: u32,
-    ) -> (Range<usize>, Range<usize>) {
-        debug_assert!(depth < addr.bits());
-        let shift = addr.bits() - 1 - depth;
-        let slice = &self.raws[range.clone()];
-        let cut = range.start + slice.partition_point(|&raw| (raw >> shift) & 1 == 0);
-        let zeros = range.start..cut;
-        let ones = cut..range.end;
-        if (addr.raw() >> shift) & 1 == 0 {
-            (zeros, ones)
-        } else {
-            (ones, zeros)
+        depth: usize,
+        range: Range<usize>,
+        siblings: &mut [Range<usize>],
+        visit: &mut F,
+    ) {
+        if range.len() == 1 {
+            // Alone under this prefix: no peer at any deeper proximity.
+            siblings[depth..].fill(0..0);
+            visit(range.start, siblings);
+            return;
+        }
+        debug_assert!(
+            depth < siblings.len(),
+            "distinct addresses split by the last bit"
+        );
+        let shift = siblings.len() - 1 - depth;
+        let cut =
+            range.start + self.raws[range.clone()].partition_point(|&raw| (raw >> shift) & 1 == 0);
+        let (zeros, ones) = (range.start..cut, cut..range.end);
+        for (side, other) in [(zeros.clone(), ones.clone()), (ones, zeros)] {
+            if !side.is_empty() {
+                siblings[depth] = other;
+                self.descend(depth + 1, side, siblings, visit);
+            }
         }
     }
 }
 
-/// Fills one owner's routing table, sampling `min(k_b, |candidates_b|)`
-/// peers uniformly without replacement from each exact-prefix candidate
-/// range of the sorted index, appending into the worker's shared range
-/// fill. The per-bucket count doubles as the bucket's arena reservation:
-/// `min(k_b, |candidates_b|)` is the most entries the bucket can ever
-/// hold, under any later churn, so every initial bucket is exactly full.
-fn fill_table_sampled(
-    addresses: &[OverlayAddress],
+/// Samples one owner's routing table into its arena slots `ids`/`raws`:
+/// per bucket, `min(k_b, |candidates_b|)` peers uniformly without
+/// replacement from the candidate range `siblings[b]` of the sorted index.
+/// That count is also the bucket's reserved size — the most entries it
+/// can ever hold, under any later churn — so every initial bucket is
+/// exactly full.
+///
+/// A partial Fisher–Yates shuffle over the candidate positions, kept
+/// sparse: `swaps` records only the displaced positions (at most `k`), so
+/// sampling never touches `O(candidates)` memory.
+fn sample_table(
     index: &SortedAddressIndex,
+    siblings: &[Range<usize>],
     capacities: &[usize],
-    owner: usize,
     rng: &mut SimRng,
-    fill: &mut OwnerFill,
+    ids: &mut [u32],
+    raws: &mut [u64],
 ) {
-    let owner_addr = addresses[owner];
-    // Sparse partial Fisher–Yates state, reused across buckets: at most
-    // `k` swap records, so sampling never allocates O(candidates).
     let mut swaps: Vec<(usize, usize)> = Vec::new();
-    let lookup = |swaps: &[(usize, usize)], i: usize| {
-        swaps
-            .iter()
-            .find(|&&(at, _)| at == i)
-            .map_or(i, |&(_, value)| value)
-    };
-    // `range` holds the sorted positions sharing the first `bucket` bits
-    // with the owner; it narrows monotonically and ends at the owner alone.
-    let mut range = 0..addresses.len();
-    for (bucket, &capacity) in capacities.iter().enumerate() {
-        // Proximity exactly `bucket`: the sibling side of the bit split.
-        let (same, sibling) = index.split(&range, owner_addr, bucket as u32);
+    let mut slot = 0;
+    for (sibling, &capacity) in siblings.iter().zip(capacities) {
         let candidates = sibling.len();
-        let take = capacity.min(candidates);
         swaps.clear();
-        for i in 0..take {
+        for i in 0..capacity.min(candidates) {
             let j = rng.gen_range(i..candidates);
-            let pick = lookup(&swaps, j);
-            let displaced = lookup(&swaps, i);
-            if let Some(entry) = swaps.iter_mut().find(|(at, _)| *at == j) {
-                entry.1 = displaced;
-            } else {
-                swaps.push((j, displaced));
+            // One pass finds the record at `j` and the value at `i`.
+            let (mut record_j, mut displaced) = (None, i);
+            for (r, &(at, value)) in swaps.iter().enumerate() {
+                if at == j {
+                    record_j = Some(r);
+                }
+                if at == i {
+                    displaced = value;
+                }
             }
-            let peer = index.node_at(sibling.start + pick);
-            fill.ids.push(peer as u32);
-            fill.raws.push(addresses[peer].raw());
+            let pick = match record_j {
+                Some(r) => std::mem::replace(&mut swaps[r].1, displaced),
+                None => {
+                    swaps.push((j, displaced));
+                    j
+                }
+            };
+            let pos = sibling.start + pick;
+            ids[slot] = index.nodes[pos];
+            raws[slot] = index.raws[pos];
+            slot += 1;
         }
-        fill.lens.push(take as u32);
-        range = same;
     }
-    debug_assert_eq!(range.len(), 1, "final range must be the owner itself");
+    debug_assert_eq!(slot, ids.len(), "every reserved slot sampled");
 }
 
 /// Reverse index: for each node, which owners currently list it.
@@ -485,7 +477,10 @@ pub struct Topology {
     capacities: Vec<usize>,
     trie: AddressTrie,
     /// `knowers[i]`: owners whose routing table currently lists node `i`
-    /// (kept sorted). Makes departures O(holders) instead of O(n).
+    /// (kept sorted). Makes departures O(holders) instead of O(n). Empty
+    /// until the first membership change builds it
+    /// ([`Topology::ensure_knowers`]): static runs never read it, and at
+    /// 10⁵ nodes with `k = 20` it holds 26 M entries.
     knowers: Vec<Vec<u32>>,
     sizing: BucketSizing,
     seed: u64,
@@ -738,6 +733,7 @@ impl Topology {
                 live: self.live_count,
             });
         }
+        self.ensure_knowers();
         self.live[index] = false;
         self.live_count -= 1;
         let departed_addr = self.addresses[index];
@@ -804,6 +800,7 @@ impl Topology {
         if self.live[index] {
             return Err(KademliaError::NodeAlreadyLive { index });
         }
+        self.ensure_knowers();
         self.live[index] = true;
         self.live_count += 1;
         let joiner_addr = self.addresses[index];
@@ -842,6 +839,14 @@ impl Topology {
         knowers.sort_unstable();
         self.knowers[index] = knowers;
         Ok(())
+    }
+
+    /// Builds the `knowers` reverse index from the tables if this is the
+    /// topology's first membership change.
+    fn ensure_knowers(&mut self) {
+        if self.knowers.is_empty() {
+            self.knowers = build_knowers(&self.arena, self.addresses.len());
+        }
     }
 
     /// The closest eligible live peer for `owner`'s bucket `bucket`, if any:
@@ -990,10 +995,12 @@ impl Topology {
     }
 
     /// Rebuilds every routing table from scratch over the current live set
-    /// (deterministic closest-per-bucket selection) — the naive `O(n²)`
+    /// (deterministic closest-per-bucket selection) — the from-scratch
     /// alternative to the incremental maintenance done by
-    /// [`Topology::remove_node`] / [`Topology::add_node`]. Used by benches
-    /// and tests as a correctness / cost baseline.
+    /// [`Topology::remove_node`] / [`Topology::add_node`]. Each live table
+    /// is refilled by trie walk, `O(bits × k × bits)` per owner, so the
+    /// rebuild pays for every table where a departure pays only for its
+    /// holders. Used by benches and tests as a correctness / cost baseline.
     pub fn rebuilt_naive(&self) -> Topology {
         let mut rebuilt = self.clone();
         for owner in 0..self.addresses.len() {
@@ -1010,7 +1017,9 @@ impl Topology {
                 rebuilt.arena.clear_node(owner);
             }
         }
-        rebuilt.knowers = build_knowers(&rebuilt.arena, rebuilt.addresses.len());
+        // The copied reverse index is stale; the rebuilt topology's first
+        // membership change rebuilds it.
+        rebuilt.knowers = Vec::new();
         rebuilt
     }
 
@@ -1021,7 +1030,7 @@ impl Topology {
     /// every entry is live and sits in the bucket matching its proximity
     /// order; no bucket exceeds its capacity; every bucket whose live
     /// candidate set is at least its capacity is full; the reverse
-    /// (`knowers`) index matches the tables.
+    /// (`knowers`) index, once built, matches the tables.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = HashSet::new();
         for addr in &self.addresses {
@@ -1091,7 +1100,7 @@ impl Topology {
         for list in &mut knowers_check {
             list.sort_unstable();
         }
-        if knowers_check != self.knowers {
+        if !self.knowers.is_empty() && knowers_check != self.knowers {
             return Err("knowers reverse index out of sync with tables".into());
         }
         Ok(())
@@ -1489,23 +1498,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_build_matches_serial_build() {
-        let build = |threads| {
-            TopologyBuilder::new(space(16))
-                .nodes(400)
-                .bucket_size(4)
-                .seed(9)
-                .threads(threads)
-                .build()
-                .unwrap()
-        };
-        let serial = build(1);
-        let parallel = build(8);
-        assert!(serial.tables().eq(parallel.tables()));
-        parallel.validate().unwrap();
-    }
-
-    #[test]
     fn build_scales_past_the_16_bit_space() {
         // 3000 nodes in a 20-bit space: impossible under 16 bits, cheap
         // under the sorted-index builder.
@@ -1513,7 +1505,6 @@ mod tests {
             .nodes(3000)
             .bucket_size(4)
             .seed(2)
-            .threads(2)
             .build()
             .unwrap();
         assert_eq!(t.len(), 3000);

@@ -4,7 +4,10 @@ use fairswap_kademlia::{
     AddressSpace, BucketSizing, Distance, NodeId, Proximity, RouteOutcome, Router, Topology,
     TopologyBuilder,
 };
+use fairswap_simcore::derive_rng;
+use fairswap_simcore::rng::{domain, sub_seed};
 use proptest::prelude::*;
+use rand::Rng;
 
 fn arb_bits() -> impl Strategy<Value = u32> {
     1u32..=64
@@ -395,6 +398,100 @@ proptest! {
             prop_assert_eq!(t.validate(), Ok(()));
         }
     }
+}
+
+/// The tables the builder is specified to sample, by the plainest means:
+/// for every owner and bucket `b`, the peers at proximity `b` sorted by
+/// address, shuffled by a full partial Fisher–Yates pass
+/// (`swap(i, rng.gen_range(i..len))` for the first `min(k_b, len)`
+/// positions) drawing from the owner's own stream.
+fn reference_tables(t: &Topology, capacities: &[usize]) -> Vec<Vec<Vec<usize>>> {
+    let space = t.space();
+    let table_seed = sub_seed(t.seed(), domain::TOPOLOGY);
+    let mut by_address: Vec<NodeId> = t.node_ids().collect();
+    by_address.sort_by_key(|&n| t.address(n).raw());
+    t.node_ids()
+        .map(|owner| {
+            let mut rng = derive_rng(table_seed, owner.index(), 0);
+            let owner_addr = t.address(owner);
+            capacities
+                .iter()
+                .enumerate()
+                .map(|(bucket, &capacity)| {
+                    let mut candidates: Vec<usize> = by_address
+                        .iter()
+                        .filter(|&&peer| {
+                            peer != owner
+                                && space.proximity(owner_addr, t.address(peer)).bucket_index()
+                                    == bucket
+                        })
+                        .map(|peer| peer.index())
+                        .collect();
+                    let take = capacity.min(candidates.len());
+                    for i in 0..take {
+                        let j = rng.gen_range(i..candidates.len());
+                        candidates.swap(i, j);
+                    }
+                    candidates.truncate(take);
+                    candidates
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    /// The builder samples exactly the specified peers: every bucket of
+    /// every freshly built table equals the reference shuffle's, entry for
+    /// entry and in order, for any width, population, bucket sizing and
+    /// seed. `validate` only pins the tables' structure and seed-equality
+    /// tests only their reproducibility; this pins which peers are drawn.
+    #[test]
+    fn builder_matches_reference_sampler(
+        bits in 1u32..=14,
+        nodes in 2usize..300,
+        k in 1usize..24,
+        over in (any::<bool>(), 0u32..14, 1usize..64),
+        seed in any::<u64>(),
+    ) {
+        let space = AddressSpace::new(bits).unwrap();
+        let nodes = nodes.min(1 << bits);
+        let mut sizing = BucketSizing::uniform(k);
+        if let (true, bucket, cap) = over {
+            sizing = sizing.with_override(bucket, cap);
+        }
+        let t = TopologyBuilder::new(space)
+            .nodes(nodes)
+            .bucket_sizing(sizing.clone())
+            .seed(seed)
+            .build()
+            .unwrap();
+        prop_assert_eq!(model_tables(&t), reference_tables(&t, &sizing.capacities(bits)));
+    }
+}
+
+/// A clone taken before any membership change shares no reverse-index
+/// state with its source: mutating the clone leaves both topologies valid.
+#[test]
+fn fresh_clone_mutates_independently() {
+    let fresh = TopologyBuilder::new(AddressSpace::new(12).unwrap())
+        .nodes(200)
+        .bucket_size(4)
+        .seed(61)
+        .build()
+        .unwrap();
+    let mut churned = fresh.clone();
+    for node in [3usize, 50, 120] {
+        churned.remove_node(NodeId(node)).unwrap();
+    }
+    churned.add_node(NodeId(50)).unwrap();
+    assert_eq!(churned.validate(), Ok(()));
+    assert_eq!(fresh.validate(), Ok(()));
+    assert_eq!(fresh.live_count(), 200);
+    // The source still accepts its own first membership change.
+    let mut source = fresh;
+    source.remove_node(NodeId(3)).unwrap();
+    assert_eq!(source.validate(), Ok(()));
 }
 
 #[test]

@@ -42,4 +42,4 @@ pub use metrics::{LogHistogram, MetricsRegistry, METRICS_CSV_HEADER};
 pub use profile::{Phase, PhaseTimes, PHASES};
 pub use progress::ProgressMeter;
 pub use ring::EventRing;
-pub use trace::{validate_jsonl, write_jsonl, TraceStats};
+pub use trace::{validate_jsonl, write_jsonl, TraceStats, KNOWN_KINDS};

@@ -45,7 +45,9 @@ pub struct TraceStats {
     pub dropped: u64,
 }
 
-const KNOWN_KINDS: &[&str] = &[
+/// Every `kind` tag [`validate_jsonl`] accepts, in the order
+/// `docs/OBSERVABILITY.md` documents them.
+pub const KNOWN_KINDS: &[&str] = &[
     "start",
     "join",
     "leave",

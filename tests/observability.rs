@@ -190,6 +190,30 @@ fn profile_only_observation_times_phases_without_collecting() {
 }
 
 #[test]
+fn trace_kind_table_matches_known_kinds() {
+    // The event table of docs/OBSERVABILITY.md: rows of the form
+    // "| `kind` | payload | meaning |" under the "Trace format" heading.
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let section = doc
+        .split("## Trace format")
+        .nth(1)
+        .expect("doc has a Trace format section");
+    let section = section.split("\n## ").next().unwrap();
+    let documented: Vec<&str> = section
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            cells.get(1)?.strip_prefix('`')?.strip_suffix('`')
+        })
+        .collect();
+    assert_eq!(
+        documented,
+        fairswap::core::KNOWN_KINDS,
+        "docs/OBSERVABILITY.md trace kind table (left) vs KNOWN_KINDS (right)"
+    );
+}
+
+#[test]
 fn metric_table_matches_registered_metrics() {
     // The metric table of docs/OBSERVABILITY.md: rows of the form
     // "| `name` | kind | meaning |" under the "Metrics format" heading.
