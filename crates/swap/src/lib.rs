@@ -16,7 +16,7 @@
 //! * proximity-based request [`Pricing`] (closer chunks are cheaper),
 //! * pairwise [`Channel`]s with payment/disconnect thresholds,
 //! * [`Amortization`] of balances toward zero,
-//! * a [`Chequebook`]/[`SettlementLedger`] recording BZZ settlements and
+//! * a [`Chequebook`]/[`SettlementLedger`] totalling BZZ settlements and
 //!   their per-transaction cost (used by the paper's §V overhead analysis),
 //! * and a [`SwapNetwork`] managing every channel of an overlay.
 //!

@@ -83,7 +83,8 @@ impl SwapNetwork {
 
     /// Creates a SWAP network with an explicit settlement ledger (e.g. with
     /// a non-zero per-transaction cost for §V overhead experiments).
-    pub fn with_ledger(nodes: usize, config: ChannelConfig, ledger: SettlementLedger) -> Self {
+    pub fn with_ledger(nodes: usize, config: ChannelConfig, mut ledger: SettlementLedger) -> Self {
+        ledger.size_for(nodes);
         Self {
             nodes,
             config,

@@ -1,7 +1,10 @@
 //! Property-based tests for SWAP accounting invariants.
 
 use fairswap_kademlia::NodeId;
-use fairswap_swap::{AccountingUnits, Amortization, Bzz, ChannelConfig, SwapError, SwapNetwork};
+use fairswap_swap::{
+    AccountingUnits, Amortization, Bzz, ChannelConfig, Cheque, Chequebook, SettlementLedger,
+    SwapError, SwapNetwork,
+};
 use proptest::prelude::*;
 
 /// A random sequence of service events between a handful of nodes.
@@ -156,6 +159,77 @@ proptest! {
         let net_positions: AccountingUnits = net.net_positions().iter().copied().sum();
         prop_assert_eq!(net_positions, AccountingUnits::ZERO);
         prop_assert_eq!(net.active_channels(), 0);
+    }
+
+    /// The ledger's running totals equal a fold over the explicit list of
+    /// settlements they replace. Transaction costs reach above many of the
+    /// rewards, so below-cost settlements that net to zero are common.
+    #[test]
+    fn ledger_matches_reference_model(
+        records in prop::collection::vec((0usize..8, 0usize..12, -400i64..400), 0..200),
+        tx_cost in 0u64..50,
+    ) {
+        let tx_cost = Bzz(tx_cost);
+        let mut ledger = SettlementLedger::with_tx_cost(tx_cost);
+        // (payee, amount) of every settlement.
+        let mut list: Vec<(usize, Bzz)> = Vec::new();
+        for &(payer, payee, units) in &records {
+            let s = ledger.record(NodeId(payer), NodeId(payee), AccountingUnits(units));
+            prop_assert_eq!(s.amount, Bzz(units.unsigned_abs()));
+            prop_assert_eq!(s.tx_cost, tx_cost);
+            list.push((payee, s.amount));
+        }
+        prop_assert_eq!(ledger.transaction_count(), list.len());
+        prop_assert_eq!(ledger.total_volume(), list.iter().map(|&(_, a)| a).sum::<Bzz>());
+        prop_assert_eq!(ledger.total_tx_cost(), Bzz(tx_cost.raw() * list.len() as u64));
+        let largest = list.iter().map(|&(payee, _)| payee).max().unwrap_or(0);
+        for nodes in 0..=largest + 2 {
+            let mut gross = vec![Bzz::ZERO; nodes];
+            let mut net = vec![Bzz::ZERO; nodes];
+            for &(payee, amount) in list.iter().filter(|&&(payee, _)| payee < nodes) {
+                gross[payee] += amount;
+                net[payee] += amount.saturating_sub(tx_cost);
+            }
+            prop_assert_eq!(ledger.gross_income(nodes), gross);
+            prop_assert_eq!(ledger.net_income(nodes), net);
+        }
+    }
+
+    /// The sorted chequebook issues the same cheques as a linear-scan book
+    /// kept in first-payment order.
+    #[test]
+    fn chequebook_matches_linear_reference(
+        payments in prop::collection::vec((0usize..40, 0u64..1_000), 0..300),
+    ) {
+        let issuer = NodeId(99);
+        let mut book = Chequebook::new();
+        let mut reference: Vec<(NodeId, Bzz, u64)> = Vec::new();
+        for &(beneficiary, amount) in &payments {
+            let (beneficiary, amount) = (NodeId(beneficiary), Bzz(amount));
+            let (cumulative, serial) =
+                match reference.iter_mut().find(|(peer, _, _)| *peer == beneficiary) {
+                    Some((_, cumulative, serial)) => {
+                        *cumulative += amount;
+                        *serial += 1;
+                        (*cumulative, *serial)
+                    }
+                    None => {
+                        reference.push((beneficiary, amount, 1));
+                        (amount, 1)
+                    }
+                };
+            let expected = Cheque { issuer, beneficiary, cumulative, serial };
+            prop_assert_eq!(book.issue(issuer, beneficiary, amount), expected);
+        }
+        for peer in 0..42 {
+            let expected = reference
+                .iter()
+                .find(|(p, _, _)| *p == NodeId(peer))
+                .map_or(Bzz::ZERO, |&(_, cumulative, _)| cumulative);
+            prop_assert_eq!(book.cumulative_to(NodeId(peer)), expected);
+        }
+        prop_assert_eq!(book.beneficiary_count(), reference.len());
+        prop_assert_eq!(book.total_issued(), reference.iter().map(|&(_, c, _)| c).sum::<Bzz>());
     }
 }
 
