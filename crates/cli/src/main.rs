@@ -186,24 +186,10 @@ const COMMANDS: &[CommandSpec] = &[
     },
 ];
 
-/// Commands whose dispatch is wired through a `run_observed` variant and
-/// can therefore honor `--trace` / `--metrics` / `--profile`. The sweep
-/// and extension presets keep their plain paths; asking to observe them
-/// is rejected up front rather than silently producing empty artifacts.
-const OBSERVABLE: &[&str] = &[
-    "table1",
-    "fig4",
-    "fig5",
-    "fig6",
-    "churn",
-    "durability",
-    "scenarios",
-    "routing",
-    "cache-churn",
-    "large-scale",
-    "run",
-    "fuzzed",
-];
+/// Commands that run no preset grid and so have nothing for `--trace` /
+/// `--metrics` / `--profile` to observe; asking to observe them is rejected
+/// up front rather than silently producing empty artifacts.
+const UNOBSERVED: &[&str] = &["serve", "fuzz", "bench", "trace-check"];
 
 struct Options {
     command: String,
@@ -527,10 +513,10 @@ fn run_command(opts: &Options) -> Result<(), String> {
         opts.trace.clone()
     };
     let observing = trace_out.is_some() || opts.metrics.is_some() || opts.profile;
-    if observing && !OBSERVABLE.contains(&opts.command.as_str()) {
+    if observing && UNOBSERVED.contains(&opts.command.as_str()) {
         return Err(format!(
-            "--trace/--metrics/--profile are only supported for: {}",
-            OBSERVABLE.join(", ")
+            "--trace/--metrics/--profile are not supported for: {}",
+            UNOBSERVED.join(", ")
         ));
     }
     let mut obs = GridObservation::new(ObsOptions {
@@ -566,7 +552,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
         );
         match command {
             "table1" => {
-                let table = table1::run_observed(scale, &executor, &mut obs).map_err(err)?;
+                let table = table1::run(scale, &executor, &mut obs).map_err(err)?;
                 for row in &table.rows {
                     println!(
                         "  k={:<2} originators={:>4}%  mean_forwarded={:>10.1}",
@@ -579,7 +565,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
             }
             "fig4" => {
                 let bin = (scale.files as f64 / 2.0).max(10.0);
-                let fig = fig4::run_observed(scale, bin, &executor, &mut obs).map_err(err)?;
+                let fig = fig4::run(scale, bin, &executor, &mut obs).map_err(err)?;
                 for fraction in [0.2, 1.0] {
                     if let Some(ratio) = fig.area_ratio(fraction) {
                         println!(
@@ -591,7 +577,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "fig4.csv", &fig.to_csv())?;
             }
             "fig5" => {
-                let fig = fig5::run_observed(scale, &executor, &mut obs).map_err(err)?;
+                let fig = fig5::run(scale, &executor, &mut obs).map_err(err)?;
                 for s in &fig.series {
                     println!(
                         "  k={:<2} originators={:>4}%  F2 gini={:.4}",
@@ -603,7 +589,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "fig5.csv", &fig.to_csv())?;
             }
             "fig6" => {
-                let fig = fig6::run_observed(scale, &executor, &mut obs).map_err(err)?;
+                let fig = fig6::run(scale, &executor, &mut obs).map_err(err)?;
                 for s in &fig.series {
                     println!(
                         "  k={:<2} originators={:>4}%  F1 gini={:.4} (paid nodes: {})",
@@ -616,9 +602,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "fig6.csv", &fig.to_csv())?;
             }
             "sweep-files" => {
-                let cells = [(4usize, 1.0f64)];
-                let results =
-                    sweeps::files_convergence_grid(scale, &cells, 20, &executor).map_err(err)?;
+                let results = sweeps::files_convergence(scale, &[(4, 1.0)], &executor, &mut obs)
+                    .map_err(err)?;
                 let result = &results[0];
                 for s in &result.trajectory {
                     println!("  files={:<6} F2 gini={:.4}", s.timestep, s.f2_gini);
@@ -626,9 +611,9 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "sweep_files.csv", &result.to_csv())?;
             }
             "overhead" => {
+                let ks = [4, 8, 12, 16, 20, 32];
                 let sweep =
-                    sweeps::overhead_vs_k_with(scale, &[4, 8, 12, 16, 20, 32], 1.0, 2, &executor)
-                        .map_err(err)?;
+                    sweeps::overhead_vs_k(scale, &ks, 1.0, 2, &executor, &mut obs).map_err(err)?;
                 for r in &sweep.rows {
                     println!(
                         "  k={:<2} connections/node={:>6.1} settlements={:>8} mean_payment={:>7.2}",
@@ -638,7 +623,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "overhead.csv", &sweep.to_csv())?;
             }
             "bucket0" => {
-                let result = extensions::bucket_zero_with(scale, 0.2, &executor).map_err(err)?;
+                let result =
+                    extensions::bucket_zero(scale, 0.2, &executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  {:<16} connections/node={:>6.1} F2={:.4} F1={:.4}",
@@ -648,11 +634,12 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "bucket0.csv", &result.to_csv())?;
             }
             "freeride" => {
-                let result = extensions::free_riding_with(
+                let result = extensions::free_riding(
                     scale,
                     4,
                     &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
                     &executor,
+                    &mut obs,
                 )
                 .map_err(err)?;
                 for r in &result.rows {
@@ -667,7 +654,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "freeride.csv", &result.to_csv())?;
             }
             "caching" => {
-                let result = extensions::caching_with(scale, 4, 1024, &executor).map_err(err)?;
+                let result =
+                    extensions::caching(scale, 4, 1024, &executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  workload={:<8} cache={:<5} mean_forwarded={:>9.1} hits={:>8}",
@@ -677,7 +665,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "caching.csv", &result.to_csv())?;
             }
             "mechanisms" => {
-                let result = extensions::mechanisms_with(scale, 4, 1.0, &executor).map_err(err)?;
+                let result =
+                    extensions::mechanisms(scale, 4, 1.0, &executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  {:<20} F2={:.4} F1(income)={:.4} earning={:>5.1}%",
@@ -690,8 +679,9 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "mechanisms.csv", &result.to_csv())?;
             }
             "metric-robustness" => {
-                let result = extensions::metric_robustness_with(scale, &[4, 20], 0.2, &executor)
-                    .map_err(err)?;
+                let result =
+                    extensions::metric_robustness(scale, &[4, 20], 0.2, &executor, &mut obs)
+                        .map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  k={:<2} gini={:.4} theil={:.4} atkinson(0.5)={:.4} hoover={:.4}",
@@ -709,8 +699,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                     Some(name) => vec![name.as_str()],
                     None => scenarios::SCENARIO_NAMES.to_vec(),
                 };
-                let result =
-                    scenarios::run_observed(scale, &names, &executor, &mut obs).map_err(err)?;
+                let result = scenarios::run(scale, &names, &executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  {:<18} k={:<2} F2={:.4} (pre-shock {:.4}) F1={:.4} leaves={:>5} targeted={:>3} blocked={:>6} live={:>4}",
@@ -746,7 +735,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 )?;
             }
             "routing" => {
-                let result = routing::run_observed(scale, &executor, &mut obs).map_err(err)?;
+                let result = routing::run(scale, &executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  {:<16} k={:<2} delivered={:>5.1}% blocked={:>6} detoured={:>6} hops={:.2} F2={:.4}",
@@ -770,13 +759,9 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "routing.csv", &result.to_csv())?;
             }
             "cache-churn" => {
-                let result = cache_churn::run_observed(
-                    scale,
-                    &cache_churn::DEFAULT_RATES,
-                    &executor,
-                    &mut obs,
-                )
-                .map_err(err)?;
+                let result =
+                    cache_churn::run(scale, &cache_churn::DEFAULT_RATES, &executor, &mut obs)
+                        .map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  cache={:<5} churn={:>4.0}%  served={:>7} hits={:>7} mean_forwarded={:>9.1} F2={:.4}",
@@ -962,7 +947,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "fuzz.csv", &csv)?;
             }
             "fuzzed" => {
-                let result = fuzzed::run_observed(&executor, &mut obs).map_err(err)?;
+                let result = fuzzed::run(&executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  {:<22} {:<18} gini_k4={:.4} gini_k20={:.4} inversion={:+.4} drop={:.3} hops={:.2}",
@@ -978,8 +963,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "fuzzed.csv", &result.to_csv())?;
             }
             "churn" => {
-                let result = churn::run_observed(scale, &churn::DEFAULT_RATES, &executor, &mut obs)
-                    .map_err(err)?;
+                let result =
+                    churn::run(scale, &churn::DEFAULT_RATES, &executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  k={:<2} churn={:>4.0}%  F1={:.4} F2={:.4} leaves={:>5} live={:>4} stuck={:>6}",
@@ -996,13 +981,9 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 write_csv(&mut obs, out, "churn_timeline.csv", &result.timeline_csv())?;
             }
             "durability" => {
-                let result = durability::run_observed(
-                    scale,
-                    &durability::DEFAULT_RATES,
-                    &executor,
-                    &mut obs,
-                )
-                .map_err(err)?;
+                let result =
+                    durability::run(scale, &durability::DEFAULT_RATES, &executor, &mut obs)
+                        .map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  {:<14} k={:<2} churn={:>4.0}%  repaired={:>5} ttr={:>5.1} unreachable={:>4} recovered={:>5} F2={:.4}",
@@ -1039,8 +1020,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                     big.nodes, big.files, opts.bits
                 );
                 let result =
-                    large_scale::run_observed(big, opts.bits, &[4, 20], &executor, &mut obs)
-                        .map_err(err)?;
+                    large_scale::run(big, opts.bits, &[4, 20], &executor, &mut obs).map_err(err)?;
                 for r in &result.rows {
                     println!(
                         "  k={:<2} F2={:.4} F1={:.4} mean_forwarded={:>9.1} hops={:.2} conn/node={:>6.1} stuck={}",
@@ -1527,13 +1507,41 @@ mod tests {
     }
 
     #[test]
-    fn observability_flags_rejected_for_unwired_commands() {
-        for command in ["sweep-files", "mechanisms", "bench", "all"] {
-            let mut opts = quick_opts(command, 60, 10, PathBuf::from("/tmp"));
+    fn observability_flags_work_on_every_preset() {
+        let dir = std::env::temp_dir().join("fairswap_cli_observe_every_preset");
+        let _ = std::fs::remove_dir_all(&dir);
+        for (command, csv) in [
+            ("sweep-files", "sweep_files.csv"),
+            ("overhead", "overhead.csv"),
+            ("bucket0", "bucket0.csv"),
+            ("freeride", "freeride.csv"),
+            ("caching", "caching.csv"),
+            ("mechanisms", "mechanisms.csv"),
+            ("metric-robustness", "metric_robustness.csv"),
+        ] {
+            let plain_dir = dir.join(command).join("plain");
+            let traced_dir = dir.join(command).join("traced");
+            let trace = dir.join(command).join("trace.jsonl");
+            run_command(&quick_opts(command, 60, 10, plain_dir.clone())).unwrap();
+            let mut opts = quick_opts(command, 60, 10, traced_dir.clone());
+            opts.trace = Some(trace.clone());
+            opts.metrics = Some(dir.join(command).join("metrics.csv"));
+            run_command(&opts).unwrap();
+            let plain = std::fs::read(plain_dir.join(csv)).unwrap();
+            let traced = std::fs::read(traced_dir.join(csv)).unwrap();
+            assert_eq!(plain, traced, "{command}: tracing must not perturb results");
+            let mut check = quick_opts("trace-check", 60, 10, dir.clone());
+            check.trace = Some(trace);
+            run_command(&check).unwrap_or_else(|e| panic!("{command}: {e}"));
+        }
+        // Commands that run no preset grid still refuse the flags.
+        for command in ["serve", "fuzz", "bench"] {
+            let mut opts = quick_opts(command, 60, 10, dir.clone());
             opts.profile = true;
             let e = run_command(&opts).unwrap_err();
-            assert!(e.contains("only supported for"), "{command}: {e}");
+            assert!(e.contains("not supported for"), "{command}: {e}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

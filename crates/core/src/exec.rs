@@ -1,9 +1,10 @@
 //! Parallel execution of experiment grids.
 //!
 //! Every experiment preset expresses its sweep as a `Vec<SimJob>` — one
-//! fully-specified [`SimConfig`] per cell — and hands it to [`run_jobs`],
-//! which fans the cells out over a [`fairswap_simcore::Executor`] worker
-//! pool and returns the [`SimReport`]s **in cell order**. Because every
+//! fully-specified [`SimConfig`] per cell — and hands it to
+//! [`run_jobs_observed`], which fans the cells out over a
+//! [`fairswap_simcore::Executor`] worker pool and returns the
+//! [`SimReport`]s **in cell order**. Because every
 //! cell's randomness is derived from its own config seed (topology,
 //! workload, churn and free-rider streams are all forked per cell, never
 //! shared), the merged output is bit-identical for any thread count: a
@@ -18,7 +19,7 @@ use fairswap_simcore::Executor;
 
 use crate::config::{SimConfig, SimulationBuilder};
 use crate::error::CoreError;
-use crate::obs::{GridObservation, ObsCollector, StepObserver};
+use crate::obs::{GridObservation, NullObserver, ObsCollector, StepObserver};
 use crate::report::SimReport;
 
 /// One cell of an experiment grid: a complete simulation configuration.
@@ -43,17 +44,11 @@ impl SimJob {
         self.config.files
     }
 
-    /// Builds and runs the cell, reporting each completed timestep through
-    /// `on_step`.
-    fn run(self, mut on_step: impl FnMut()) -> Result<SimReport, CoreError> {
-        let sim = SimulationBuilder::from_config(self.config).build()?;
-        Ok(sim.run_with_progress(|_, _| on_step()))
-    }
-
-    /// [`SimJob::run`] with an observer: topology build time is attributed
-    /// to the [`Phase::TopologyBuild`] phase, then the simulation runs with
-    /// the observer wired into its step loop.
-    fn run_observed<O: StepObserver>(
+    /// Builds and runs the cell with `obs` wired into its step loop,
+    /// reporting each completed timestep through `on_step`. When the
+    /// observer profiles, topology build time is attributed to the
+    /// [`Phase::TopologyBuild`] phase.
+    fn run<O: StepObserver>(
         self,
         obs: &mut O,
         mut on_step: impl FnMut(),
@@ -74,7 +69,7 @@ impl From<SimConfig> for SimJob {
 }
 
 /// Runs a grid of cells on the executor and merges the reports in stable
-/// cell order.
+/// cell order — [`run_jobs_observed`] with observation off.
 ///
 /// # Errors
 ///
@@ -82,39 +77,17 @@ impl From<SimConfig> for SimJob {
 /// [`CoreError`] (in cell order) is returned; other cells may still have
 /// run.
 pub fn run_jobs(executor: &Executor, jobs: Vec<SimJob>) -> Result<Vec<SimReport>, CoreError> {
-    run_jobs_with_progress(executor, jobs, |_, _| {})
+    run_jobs_observed(executor, jobs, &mut GridObservation::disabled())
 }
 
-/// [`run_jobs`] with aggregated live progress: `notify(done, total)` is
-/// invoked after every completed simulation timestep of any cell, possibly
-/// from several worker threads at once.
-///
-/// # Errors
-///
-/// See [`run_jobs`].
-pub fn run_jobs_with_progress(
-    executor: &Executor,
-    jobs: Vec<SimJob>,
-    notify: impl Fn(u64, u64) + Sync,
-) -> Result<Vec<SimReport>, CoreError> {
-    let total_steps: u64 = jobs.iter().map(SimJob::steps).sum();
-    executor
-        .run_with_progress(jobs, total_steps, notify, |_, job, progress| {
-            job.run(|| progress.advance(1))
-        })
-        .into_iter()
-        .collect()
-}
-
-/// [`run_jobs`] under a [`GridObservation`]: progress flows to the
+/// Runs a grid under a [`GridObservation`]: progress flows to the
 /// observation's meter, and — when any collection is enabled — each cell
 /// runs with its own [`ObsCollector`], merged back **in stable cell order**
 /// regardless of which worker thread ran it. That stable merge is what
 /// makes a rendered trace byte-identical for any `--threads N`.
 ///
-/// With collection disabled this is exactly [`run_jobs_with_progress`]:
-/// cells run with the `NullObserver` monomorphization, i.e. the plain hot
-/// path.
+/// With collection disabled, cells run with the `NullObserver`
+/// monomorphization, i.e. the plain hot path.
 ///
 /// # Errors
 ///
@@ -125,38 +98,72 @@ pub fn run_jobs_observed(
     jobs: Vec<SimJob>,
     obs: &mut GridObservation,
 ) -> Result<Vec<SimReport>, CoreError> {
+    if obs.opts().collecting() {
+        return run_jobs_observing(
+            executor,
+            jobs,
+            obs,
+            |collector| collector.expect("collection is on"),
+            |report, collector| (report, Some(collector)),
+        );
+    }
+    let total_steps: u64 = jobs.iter().map(SimJob::steps).sum();
+    obs.next_grid();
+    let meter = obs.meter();
+    executor
+        .run_with_progress(
+            jobs,
+            total_steps,
+            |done, total| meter.notify(done, total),
+            |_, job, progress| job.run(&mut NullObserver, || progress.advance(1)),
+        )
+        .into_iter()
+        .collect()
+}
+
+/// The grid runner behind [`run_jobs_observed`] for callers that need
+/// their own per-cell observer: `observer` wraps the cell's
+/// [`ObsCollector`] (`None` when collection is off), and `finish` turns
+/// the cell's report and observer into its result plus the collector to
+/// merge. Collectors merge in stable cell order, as in
+/// [`run_jobs_observed`].
+pub(crate) fn run_jobs_observing<O, T>(
+    executor: &Executor,
+    jobs: Vec<SimJob>,
+    obs: &mut GridObservation,
+    observer: impl Fn(Option<ObsCollector>) -> O + Sync,
+    finish: impl Fn(SimReport, O) -> (T, Option<ObsCollector>) + Sync,
+) -> Result<Vec<T>, CoreError>
+where
+    O: StepObserver,
+    T: Send,
+{
     let total_steps: u64 = jobs.iter().map(SimJob::steps).sum();
     let opts = obs.opts();
     let grid = obs.next_grid();
     let meter = obs.meter();
-    if !opts.collecting() {
-        return executor
-            .run_with_progress(
-                jobs,
-                total_steps,
-                |done, total| meter.notify(done, total),
-                |_, job, progress| job.run(|| progress.advance(1)),
-            )
-            .into_iter()
-            .collect();
-    }
-    let results: Vec<Result<(SimReport, ObsCollector), CoreError>> = executor.run_with_progress(
+    let results: Vec<Result<(T, Option<ObsCollector>), CoreError>> = executor.run_with_progress(
         jobs,
         total_steps,
         |done, total| meter.notify(done, total),
         |index, job, progress| {
-            let mut collector = ObsCollector::new(grid, index as u32, opts);
-            job.run_observed(&mut collector, || progress.advance(1))
-                .map(|report| (report, collector))
+            let collector = opts
+                .collecting()
+                .then(|| ObsCollector::new(grid, index as u32, opts));
+            let mut cell_observer = observer(collector);
+            job.run(&mut cell_observer, || progress.advance(1))
+                .map(|report| finish(report, cell_observer))
         },
     );
-    let mut reports = Vec::with_capacity(results.len());
+    let mut outputs = Vec::with_capacity(results.len());
     let mut first_error = None;
     for result in results {
         match result {
-            Ok((report, collector)) => {
-                obs.push_collector(collector);
-                reports.push(report);
+            Ok((output, collector)) => {
+                if let Some(collector) = collector {
+                    obs.push_collector(collector);
+                }
+                outputs.push(output);
             }
             Err(error) => {
                 first_error.get_or_insert(error);
@@ -165,7 +172,7 @@ pub fn run_jobs_observed(
     }
     match first_error {
         Some(error) => Err(error),
-        None => Ok(reports),
+        None => Ok(outputs),
     }
 }
 
@@ -213,12 +220,16 @@ mod tests {
         let jobs = grid();
         let total: u64 = jobs.iter().map(SimJob::steps).sum();
         let seen = AtomicU64::new(0);
-        run_jobs_with_progress(&Executor::new(2), jobs, |done, grid_total| {
-            assert_eq!(grid_total, total);
-            assert!(done <= grid_total);
-            seen.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
+        Executor::new(2).run_with_progress(
+            jobs,
+            total,
+            |done, grid_total| {
+                assert_eq!(grid_total, total);
+                assert!(done <= grid_total);
+                seen.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, job, progress| job.run(&mut NullObserver, || progress.advance(1)).unwrap(),
+        );
         assert_eq!(seen.load(Ordering::Relaxed), total);
     }
 

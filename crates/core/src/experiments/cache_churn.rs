@@ -123,35 +123,16 @@ impl CacheChurnExperiment {
     }
 }
 
-/// Runs the caching × churn sweep serially.
+/// Runs the caching × churn sweep.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`].
-pub fn run(scale: ExperimentScale, rates: &[f64]) -> Result<CacheChurnExperiment, CoreError> {
-    run_with(scale, rates, &Executor::serial())
-}
-
-/// [`run`] with the `(cache, rate)` cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(
-    scale: ExperimentScale,
-    rates: &[f64],
-    executor: &Executor,
-) -> Result<CacheChurnExperiment, CoreError> {
-    run_observed(scale, rates, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     rates: &[f64],
     executor: &Executor,
@@ -192,7 +173,7 @@ fn grid(rates: &[f64]) -> Vec<(CachePolicy, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s — shared by [`run_with`] and the
+/// The sweep grid's [`SimJob`]s — shared by [`run`] and the
 /// benchmark runner ([`crate::benchrun`]).
 ///
 /// # Errors
@@ -227,7 +208,13 @@ mod tests {
 
     #[test]
     fn caches_serve_and_churn_erodes_them() {
-        let result = run(scale(), &[0.0, 0.1]).unwrap();
+        let result = run(
+            scale(),
+            &[0.0, 0.1],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 8);
         let none = result.row("none", 0.0).unwrap();
         assert_eq!(none.cache_hits, 0);
@@ -246,13 +233,31 @@ mod tests {
 
     #[test]
     fn deterministic_and_parallel_safe() {
-        let a = run(scale(), &[0.05]).unwrap();
-        let b = run_with(scale(), &[0.05], &Executor::new(4)).unwrap();
+        let a = run(
+            scale(),
+            &[0.05],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let b = run(
+            scale(),
+            &[0.05],
+            &Executor::new(4),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn invalid_rates_error() {
-        assert!(run(scale(), &[-1.0]).is_err());
+        assert!(run(
+            scale(),
+            &[-1.0],
+            &Executor::serial(),
+            &mut GridObservation::disabled()
+        )
+        .is_err());
     }
 }

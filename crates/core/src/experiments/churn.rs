@@ -121,33 +121,14 @@ impl ChurnExperiment {
 /// Runs the churn sweep for `k ∈ {4, 20}` over the given rates (0 = the
 /// paper's static overlay, included as the baseline).
 ///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run(scale: ExperimentScale, rates: &[f64]) -> Result<ChurnExperiment, CoreError> {
-    run_with(scale, rates, &Executor::serial())
-}
-
-/// [`run`] with the `(k, rate)` cells fanned out over `executor`.
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`].
-pub fn run_with(
-    scale: ExperimentScale,
-    rates: &[f64],
-    executor: &Executor,
-) -> Result<ChurnExperiment, CoreError> {
-    run_observed(scale, rates, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     rates: &[f64],
     executor: &Executor,
@@ -193,7 +174,7 @@ fn churn_config(rate: f64) -> Result<ChurnConfig, CoreError> {
 }
 
 /// The `(k, rate)` cells in `PAPER_KS` × `rates` order — the single
-/// source of cell order for both [`run_with`]'s row labels and the job
+/// source of cell order for both [`run`]'s row labels and the job
 /// list, so the pairing can never drift.
 fn grid(rates: &[f64]) -> Vec<(usize, f64)> {
     PAPER_KS
@@ -202,7 +183,7 @@ fn grid(rates: &[f64]) -> Vec<(usize, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s — shared by [`run_with`] and the
+/// The sweep grid's [`SimJob`]s — shared by [`run`] and the
 /// benchmark runner ([`crate::benchrun`]).
 ///
 /// # Errors
@@ -235,7 +216,13 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_stays_bounded() {
-        let result = run(scale(), &[0.0, 0.1]).unwrap();
+        let result = run(
+            scale(),
+            &[0.0, 0.1],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 4);
         for row in &result.rows {
             assert!((0.0..=1.0).contains(&row.f1_gini), "{row:?}");
@@ -252,13 +239,31 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(scale(), &[0.05]).unwrap();
-        let b = run(scale(), &[0.05]).unwrap();
+        let a = run(
+            scale(),
+            &[0.05],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let b = run(
+            scale(),
+            &[0.05],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn invalid_rates_error() {
-        assert!(run(scale(), &[-0.5]).is_err());
+        assert!(run(
+            scale(),
+            &[-0.5],
+            &Executor::serial(),
+            &mut GridObservation::disabled()
+        )
+        .is_err());
     }
 }

@@ -221,35 +221,16 @@ fn mode_policy(mode: &str, eager: u32) -> (RepairPolicy, RepairSource) {
     }
 }
 
-/// Runs the durability sweep serially over the given churn rates.
+/// Runs the durability sweep over the given churn rates.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`].
-pub fn run(scale: ExperimentScale, rates: &[f64]) -> Result<DurabilityExperiment, CoreError> {
-    run_with(scale, rates, &Executor::serial())
-}
-
-/// [`run`] with the `(mode, k, rate)` cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_with(
-    scale: ExperimentScale,
-    rates: &[f64],
-    executor: &Executor,
-) -> Result<DurabilityExperiment, CoreError> {
-    run_observed(scale, rates, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     rates: &[f64],
     executor: &Executor,
@@ -307,7 +288,7 @@ fn grid(rates: &[f64]) -> Vec<(&'static str, usize, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s — shared by [`run_with`] and the
+/// The sweep grid's [`SimJob`]s — shared by [`run`] and the
 /// benchmark runner ([`crate::benchrun`]).
 ///
 /// # Errors
@@ -350,7 +331,13 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_repair_converges() {
-        let result = run(scale(), &[0.05]).unwrap();
+        let result = run(
+            scale(),
+            &[0.05],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), MODES.len() * PAPER_KS.len());
         assert_eq!(result.timelines.len(), result.rows.len());
 
@@ -401,8 +388,20 @@ mod tests {
 
     #[test]
     fn deterministic_and_parallel_matches_serial() {
-        let a = run(scale(), &[0.05]).unwrap();
-        let b = run_with(scale(), &[0.05], &Executor::new(2)).unwrap();
+        let a = run(
+            scale(),
+            &[0.05],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let b = run(
+            scale(),
+            &[0.05],
+            &Executor::new(2),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
@@ -440,6 +439,12 @@ mod tests {
 
     #[test]
     fn invalid_rates_error() {
-        assert!(run(scale(), &[-0.5]).is_err());
+        assert!(run(
+            scale(),
+            &[-0.5],
+            &Executor::serial(),
+            &mut GridObservation::disabled()
+        )
+        .is_err());
     }
 }

@@ -12,8 +12,9 @@ use fairswap_workload::ChunkDist;
 use crate::config::MechanismKind;
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs, SimJob};
+use crate::exec::{run_jobs_observed, SimJob};
 use crate::experiments::scale::ExperimentScale;
+use crate::obs::GridObservation;
 
 /// One configuration of the bucket-zero experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,6 +67,7 @@ impl BucketZero {
 /// to 20. Zero-bucket peers are the ones serving paid first-hop requests,
 /// so the hybrid captures most of the fairness win at a fraction of the
 /// connection cost.
+/// The sizing variants fan out over `executor`.
 ///
 /// # Errors
 ///
@@ -73,19 +75,8 @@ impl BucketZero {
 pub fn bucket_zero(
     scale: ExperimentScale,
     originator_fraction: f64,
-) -> Result<BucketZero, CoreError> {
-    bucket_zero_with(scale, originator_fraction, &Executor::serial())
-}
-
-/// [`bucket_zero`] with the sizing variants fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn bucket_zero_with(
-    scale: ExperimentScale,
-    originator_fraction: f64,
     executor: &Executor,
+    obs: &mut GridObservation,
 ) -> Result<BucketZero, CoreError> {
     let variants: [(&str, BucketSizing); 3] = [
         ("uniform-k4", BucketSizing::uniform(4)),
@@ -103,7 +94,7 @@ pub fn bucket_zero_with(
             SimJob::new(config)
         })
         .collect();
-    let reports = run_jobs(executor, jobs)?;
+    let reports = run_jobs_observed(executor, jobs, obs)?;
     let rows = variants
         .iter()
         .zip(reports)
@@ -166,6 +157,7 @@ impl FreeRiding {
 
 /// §V: "What happens to F1 and F2 properties?" when a growing fraction of
 /// peers never pays the zero-proximity node.
+/// The fraction cells fan out over `executor`.
 ///
 /// # Errors
 ///
@@ -174,20 +166,8 @@ pub fn free_riding(
     scale: ExperimentScale,
     k: usize,
     fractions: &[f64],
-) -> Result<FreeRiding, CoreError> {
-    free_riding_with(scale, k, fractions, &Executor::serial())
-}
-
-/// [`free_riding`] with the fraction cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn free_riding_with(
-    scale: ExperimentScale,
-    k: usize,
-    fractions: &[f64],
     executor: &Executor,
+    obs: &mut GridObservation,
 ) -> Result<FreeRiding, CoreError> {
     let jobs: Vec<SimJob> = fractions
         .iter()
@@ -197,7 +177,7 @@ pub fn free_riding_with(
             SimJob::new(config)
         })
         .collect();
-    let reports = run_jobs(executor, jobs)?;
+    let reports = run_jobs_observed(executor, jobs, obs)?;
     let rows = fractions
         .iter()
         .zip(reports)
@@ -271,6 +251,7 @@ impl Caching {
 /// §V: "adding content popularity and caching policies can also have an
 /// impact on time-based amortization due to the reduced number of forwarded
 /// requests." Crosses uniform vs Zipf popularity with no-cache vs LRU.
+/// The `(workload, cache)` cells fan out over `executor`.
 ///
 /// # Errors
 ///
@@ -279,21 +260,8 @@ pub fn caching(
     scale: ExperimentScale,
     k: usize,
     cache_capacity: usize,
-) -> Result<Caching, CoreError> {
-    caching_with(scale, k, cache_capacity, &Executor::serial())
-}
-
-/// [`caching`] with the `(workload, cache)` cells fanned out over
-/// `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn caching_with(
-    scale: ExperimentScale,
-    k: usize,
-    cache_capacity: usize,
     executor: &Executor,
+    obs: &mut GridObservation,
 ) -> Result<Caching, CoreError> {
     let workloads: [(&str, ChunkDist); 2] = [
         ("uniform", ChunkDist::Uniform),
@@ -325,7 +293,7 @@ pub fn caching_with(
             jobs.push(SimJob::new(config));
         }
     }
-    let reports = run_jobs(executor, jobs)?;
+    let reports = run_jobs_observed(executor, jobs, obs)?;
     let rows = labels
         .into_iter()
         .zip(reports)
@@ -394,6 +362,7 @@ impl Mechanisms {
 /// Compares Swarm's incentive against the §I/§II baselines on the same
 /// workload: tit-for-tat (BitTorrent), effort-based (Rahman), pay-all-hops
 /// and proof-of-bandwidth (TorCoin).
+/// The mechanism cells fan out over `executor`.
 ///
 /// # Errors
 ///
@@ -402,20 +371,8 @@ pub fn mechanisms(
     scale: ExperimentScale,
     k: usize,
     originator_fraction: f64,
-) -> Result<Mechanisms, CoreError> {
-    mechanisms_with(scale, k, originator_fraction, &Executor::serial())
-}
-
-/// [`mechanisms`] with the mechanism cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn mechanisms_with(
-    scale: ExperimentScale,
-    k: usize,
-    originator_fraction: f64,
     executor: &Executor,
+    obs: &mut GridObservation,
 ) -> Result<Mechanisms, CoreError> {
     let kinds = [
         MechanismKind::Swarm,
@@ -434,7 +391,7 @@ pub fn mechanisms_with(
             SimJob::new(config)
         })
         .collect();
-    let reports = run_jobs(executor, jobs)?;
+    let reports = run_jobs_observed(executor, jobs, obs)?;
     let rows = kinds
         .iter()
         .zip(reports)
@@ -466,7 +423,13 @@ mod tests {
 
     #[test]
     fn bucket_zero_hybrid_sits_between_uniform_sizings() {
-        let result = bucket_zero(scale(), 0.2).unwrap();
+        let result = bucket_zero(
+            scale(),
+            0.2,
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 3);
         let k4 = &result.rows[0];
         let k20 = &result.rows[1];
@@ -481,7 +444,14 @@ mod tests {
 
     #[test]
     fn free_riding_starves_income() {
-        let result = free_riding(scale(), 4, &[0.0, 0.5]).unwrap();
+        let result = free_riding(
+            scale(),
+            4,
+            &[0.0, 0.5],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         let honest = &result.rows[0];
         let half = &result.rows[1];
         // Half the originators not paying cuts total income.
@@ -493,7 +463,14 @@ mod tests {
 
     #[test]
     fn caching_cuts_forwarding_under_zipf() {
-        let result = caching(scale(), 4, 256).unwrap();
+        let result = caching(
+            scale(),
+            4,
+            256,
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 4);
         let zipf_none = result.row("zipf", "none").unwrap();
         let zipf_lru = result.row("zipf", "lru").unwrap();
@@ -507,7 +484,14 @@ mod tests {
 
     #[test]
     fn mechanism_comparison_orders_f2() {
-        let result = mechanisms(scale(), 4, 1.0).unwrap();
+        let result = mechanisms(
+            scale(),
+            4,
+            1.0,
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 5);
         // Effort-based is F2-perfect (equal payout by construction).
         let effort = result.row("effort-based").unwrap();
@@ -582,6 +566,7 @@ impl MetricRobustness {
 /// re-evaluates the k = 4 vs k = 20 F2 comparison under Theil, Atkinson
 /// and Hoover indices. The paper's conclusion is metric-robust iff every
 /// index orders the two configurations the same way.
+/// The `k` cells fan out over `executor`.
 ///
 /// # Errors
 ///
@@ -590,26 +575,14 @@ pub fn metric_robustness(
     scale: ExperimentScale,
     ks: &[usize],
     originator_fraction: f64,
-) -> Result<MetricRobustness, CoreError> {
-    metric_robustness_with(scale, ks, originator_fraction, &Executor::serial())
-}
-
-/// [`metric_robustness`] with the `k` cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn metric_robustness_with(
-    scale: ExperimentScale,
-    ks: &[usize],
-    originator_fraction: f64,
     executor: &Executor,
+    obs: &mut GridObservation,
 ) -> Result<MetricRobustness, CoreError> {
     let jobs: Vec<SimJob> = ks
         .iter()
         .map(|&k| SimJob::new(scale.cell_config(k, originator_fraction)))
         .collect();
-    let reports = run_jobs(executor, jobs)?;
+    let reports = run_jobs_observed(executor, jobs, obs)?;
     let rows = ks
         .iter()
         .zip(reports)
@@ -641,6 +614,8 @@ mod metric_tests {
             },
             &[4, 20],
             0.2,
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
         )
         .unwrap();
         assert_eq!(result.rows.len(), 2);
@@ -650,229 +625,5 @@ mod metric_tests {
             result.rows
         );
         assert!(!result.to_csv().is_empty());
-    }
-}
-
-/// One row of the churn experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChurnRow {
-    /// Fraction of nodes that departed before this measurement.
-    pub departed_fraction: f64,
-    /// Surviving nodes.
-    pub nodes: usize,
-    /// F2 income Gini among survivors.
-    pub f2_gini: f64,
-    /// F1 contribution Gini among survivors.
-    pub f1_gini: f64,
-    /// Mean forwarded chunks per surviving node.
-    pub mean_forwarded: f64,
-    /// Mean hops per delivered chunk (routes lengthen as peers vanish?).
-    pub mean_hops: f64,
-    /// Stuck-route count (delivery failures caused by the thinner overlay).
-    pub stuck: u64,
-}
-
-/// Result of the churn experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Churn {
-    /// One row per departure fraction, ascending.
-    pub rows: Vec<ChurnRow>,
-}
-
-impl Churn {
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "departed_fraction",
-            "nodes",
-            "f2_gini",
-            "f1_gini",
-            "mean_forwarded",
-            "mean_hops",
-            "stuck",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                CsvTable::fmt_float(r.departed_fraction),
-                r.nodes.to_string(),
-                CsvTable::fmt_float(r.f2_gini),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.mean_forwarded),
-                CsvTable::fmt_float(r.mean_hops),
-                r.stuck.to_string(),
-            ]);
-        }
-        csv
-    }
-}
-
-/// Churn extension (the paper's §I notes that decentralized storage systems
-/// "still face the same challenges, such as mitigating free-riding and
-/// coping with the network churn", but its simulation keeps tables static).
-///
-/// Models a coarse churn epoch: a fraction of nodes departs, the survivors
-/// rebuild their routing tables (Swarm nodes maintain connectivity
-/// continuously, so post-epoch tables are fresh), and the same workload
-/// profile replays over the thinner overlay. Reported per departure
-/// fraction: fairness among survivors, traffic load, and route health.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn churn(
-    scale: ExperimentScale,
-    k: usize,
-    departed_fractions: &[f64],
-) -> Result<Churn, CoreError> {
-    churn_with(scale, k, departed_fractions, &Executor::serial())
-}
-
-/// [`churn`] with the departure-fraction epochs fanned out over `executor`
-/// — each epoch rebuilds its own survivor overlay and replays the workload
-/// independently, so epochs are grid cells like any other.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn churn_with(
-    scale: ExperimentScale,
-    k: usize,
-    departed_fractions: &[f64],
-    executor: &Executor,
-) -> Result<Churn, CoreError> {
-    use fairswap_incentives::{BandwidthIncentive, RewardState, SwarmIncentive};
-    use fairswap_kademlia::{AddressSpace, TopologyBuilder};
-    use fairswap_simcore::rng::{domain, sub_rng, sub_seed};
-    use fairswap_storage::DownloadSim;
-    use fairswap_workload::WorkloadBuilder;
-    use rand::seq::SliceRandom;
-
-    let space = AddressSpace::new(16)?;
-    // One fixed full-population address set; departures remove a random
-    // prefix of a seeded permutation so fractions are nested (the 10%
-    // departures are a subset of the 20% departures).
-    let full = TopologyBuilder::new(space)
-        .nodes(scale.nodes)
-        .bucket_size(k)
-        .seed(scale.seed)
-        .build()?;
-    let mut order: Vec<usize> = (0..scale.nodes).collect();
-    let mut rng = sub_rng(scale.seed, domain::DEPARTURES);
-    order.shuffle(&mut rng);
-
-    for &fraction in departed_fractions {
-        if !(0.0..1.0).contains(&fraction) {
-            return Err(CoreError::InvalidConfig {
-                message: format!("departed fraction must be in [0, 1), got {fraction}"),
-            });
-        }
-    }
-
-    executor
-        .run(departed_fractions.to_vec(), |_, fraction| {
-            let departed = (scale.nodes as f64 * fraction).round() as usize;
-            let survivors: Vec<u64> = order[departed..]
-                .iter()
-                .map(|&i| full.address(fairswap_kademlia::NodeId(i)).raw())
-                .collect();
-            let nodes = survivors.len();
-            // Survivors rebuild their tables over the remaining population.
-            let topology = TopologyBuilder::new(space)
-                .explicit_addresses(survivors)
-                .bucket_size(k)
-                .seed(scale.seed.wrapping_add(departed as u64))
-                .build()?;
-            let mut workload = WorkloadBuilder::new(space, nodes)
-                .originator_fraction(1.0)
-                .seed(sub_seed(scale.seed, domain::WORKLOAD))
-                .build()?;
-            let mut mechanism = SwarmIncentive::new();
-            let mut state =
-                RewardState::new(nodes, crate::config::SimConfig::paper_defaults().channel);
-            let mut download =
-                DownloadSim::new(topology.clone(), fairswap_storage::CachePolicy::None);
-            let mut hop_total = 0u64;
-            let mut delivered = 0u64;
-            for _ in 0..scale.files {
-                let file = workload.next_download();
-                download.download_file_with(file.originator, &file.chunks, |d| {
-                    if d.delivered() {
-                        hop_total += d.hops.len() as u64;
-                        delivered += 1;
-                    }
-                    mechanism.on_delivery(&topology, d, &mut state);
-                });
-                mechanism.on_tick(&topology, &mut state);
-            }
-            let incomes = state.incomes_f64();
-            let stats = download.stats();
-            Ok(ChurnRow {
-                departed_fraction: fraction,
-                nodes,
-                f2_gini: fairswap_fairness::gini(&incomes).unwrap_or(0.0),
-                f1_gini: fairswap_fairness::f1_contribution_gini(
-                    &stats.forwarded_f64(),
-                    &stats.served_first_hop_f64(),
-                )
-                .unwrap_or(0.0),
-                mean_forwarded: stats.mean_forwarded(),
-                mean_hops: if delivered > 0 {
-                    hop_total as f64 / delivered as f64
-                } else {
-                    0.0
-                },
-                stuck: stats.stuck_requests(),
-            })
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, CoreError>>()
-        .map(|rows| Churn { rows })
-}
-
-#[cfg(test)]
-mod churn_tests {
-    use super::*;
-
-    #[test]
-    fn churn_keeps_routing_healthy_and_shifts_load() {
-        let result = churn(
-            ExperimentScale {
-                nodes: 300,
-                files: 60,
-                seed: 0xFA12,
-            },
-            4,
-            &[0.0, 0.3],
-        )
-        .unwrap();
-        assert_eq!(result.rows.len(), 2);
-        let before = &result.rows[0];
-        let after = &result.rows[1];
-        assert_eq!(before.nodes, 300);
-        assert_eq!(after.nodes, 210);
-        // Rebuilt tables keep delivery healthy: stuck routes stay rare.
-        let total_files = 60.0;
-        assert!((after.stuck as f64) < total_files * 10.0);
-        // The same file workload over fewer nodes raises per-node load.
-        assert!(after.mean_forwarded > before.mean_forwarded * 0.9);
-        // Fairness metrics remain well-defined.
-        assert!((0.0..=1.0).contains(&after.f2_gini));
-        assert!((0.0..=1.0).contains(&after.f1_gini));
-        assert!(!result.to_csv().is_empty());
-    }
-
-    #[test]
-    fn churn_rejects_bad_fraction() {
-        let err = churn(
-            ExperimentScale {
-                nodes: 100,
-                files: 5,
-                seed: 1,
-            },
-            4,
-            &[1.0],
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidConfig { .. }));
     }
 }

@@ -76,37 +76,18 @@ impl Fig4 {
     }
 }
 
-/// Runs the four-cell grid serially and regenerates Fig. 4 with the given
+/// Runs the four-cell grid and regenerates Fig. 4 with the given
 /// histogram bin width (the paper bins on the order of a few hundred chunks
 /// at full scale; pass a smaller width for reduced scales).
 ///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run(scale: ExperimentScale, bin_width: f64) -> Result<Fig4, CoreError> {
-    run_with(scale, bin_width, &Executor::serial())
-}
-
-/// [`run`] with the grid cells fanned out over `executor`.
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`].
-pub fn run_with(
-    scale: ExperimentScale,
-    bin_width: f64,
-    executor: &Executor,
-) -> Result<Fig4, CoreError> {
-    run_observed(scale, bin_width, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     bin_width: f64,
     executor: &Executor,
@@ -132,7 +113,7 @@ pub fn run_observed(
 }
 
 /// The four-cell grid behind this figure, one [`SimJob`] per
-/// `(k, originator fraction)` cell — shared by [`run_with`] and the
+/// `(k, originator fraction)` cell — shared by [`run`] and the
 /// benchmark runner ([`crate::benchrun`]) so both always time the same
 /// work.
 pub fn jobs(scale: ExperimentScale) -> Vec<SimJob> {
@@ -155,6 +136,8 @@ mod tests {
                 seed: 0xFA12,
             },
             25.0,
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
         )
         .unwrap();
         assert_eq!(fig.series.len(), 4);

@@ -76,31 +76,16 @@ impl Fig5 {
     }
 }
 
-/// Runs the four-cell grid serially and regenerates Fig. 5.
+/// Runs the four-cell grid and regenerates Fig. 5.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`].
-pub fn run(scale: ExperimentScale) -> Result<Fig5, CoreError> {
-    run_with(scale, &Executor::serial())
-}
-
-/// [`run`] with the grid cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_with(scale: ExperimentScale, executor: &Executor) -> Result<Fig5, CoreError> {
-    run_observed(scale, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     executor: &Executor,
     obs: &mut GridObservation,
@@ -138,11 +123,15 @@ mod tests {
 
     #[test]
     fn reproduces_fig5_shape() {
-        let fig = run(ExperimentScale {
-            nodes: 250,
-            files: 150,
-            seed: 0xFA12,
-        })
+        let fig = run(
+            ExperimentScale {
+                nodes: 250,
+                files: 150,
+                seed: 0xFA12,
+            },
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
         .unwrap();
 
         // k = 20 is fairer (lower Gini) in both workload scenarios.

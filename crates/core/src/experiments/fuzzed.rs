@@ -155,34 +155,16 @@ pub fn specs() -> Result<Vec<(&'static str, SimSpec)>, CoreError> {
         .collect()
 }
 
-/// Replays the gallery serially.
+/// Replays the gallery.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates gallery-parse and engine failures as [`CoreError`].
-pub fn run() -> Result<FuzzedExperiment, CoreError> {
-    run_with(&Executor::serial())
-}
-
-/// [`run`] with the replays fanned out over `executor`.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(executor: &Executor) -> Result<FuzzedExperiment, CoreError> {
-    run_observed(executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_observed(
-    executor: &Executor,
-    obs: &mut GridObservation,
-) -> Result<FuzzedExperiment, CoreError> {
+pub fn run(executor: &Executor, obs: &mut GridObservation) -> Result<FuzzedExperiment, CoreError> {
     let specs = specs()?;
     // Per entry: the spec at its own bucket size (job `base`), then one
     // twin per missing `k` — mirroring the campaign's dedup, a twin
@@ -255,7 +237,7 @@ mod tests {
 
     #[test]
     fn every_entry_reproduces_its_anomaly() {
-        let result = run().unwrap();
+        let result = run(&Executor::serial(), &mut GridObservation::disabled()).unwrap();
         assert_eq!(result.rows.len(), GALLERY.len());
         // The four inversion entries: the campaign's oracle threshold,
         // k = 20 measurably less fair than k = 4.
@@ -331,8 +313,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let serial = run().unwrap();
-        let threaded = run_with(&Executor::new(4)).unwrap();
+        let serial = run(&Executor::serial(), &mut GridObservation::disabled()).unwrap();
+        let threaded = run(&Executor::new(4), &mut GridObservation::disabled()).unwrap();
         assert_eq!(serial, threaded);
     }
 }

@@ -14,10 +14,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, run_jobs_with_progress, SimJob};
+use crate::exec::{run_jobs_observed, SimJob};
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
-use crate::report::SimReport;
 
 /// Default address width for large-scale runs: room for 4M addresses,
 /// an occupancy (10⁵ of 2²²) comparable to the paper's 1000 of 2¹⁶.
@@ -110,42 +109,18 @@ impl LargeScale {
     }
 }
 
-/// Runs the large-scale comparison serially.
+/// Runs the large-scale comparison.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`] — in particular
 /// [`fairswap_kademlia::KademliaError::SpaceExhausted`] when `bits` cannot
 /// hold `scale.nodes` distinct addresses.
-pub fn run(scale: ExperimentScale, bits: u32, ks: &[usize]) -> Result<LargeScale, CoreError> {
-    run_with(scale, bits, ks, &Executor::serial(), |_, _| {})
-}
-
-/// [`run`] with the `k` cells fanned out over `executor` and live progress
-/// (`notify(done_steps, total_steps)` across all cells).
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(
-    scale: ExperimentScale,
-    bits: u32,
-    ks: &[usize],
-    executor: &Executor,
-    notify: impl Fn(u64, u64) + Sync,
-) -> Result<LargeScale, CoreError> {
-    let reports = run_jobs_with_progress(executor, jobs(scale, bits, ks), notify)?;
-    Ok(assemble(scale, bits, ks, reports))
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path. Live progress flows through
-/// the observation's meter instead of a `notify` callback.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     bits: u32,
     ks: &[usize],
@@ -153,17 +128,6 @@ pub fn run_observed(
     obs: &mut GridObservation,
 ) -> Result<LargeScale, CoreError> {
     let reports = run_jobs_observed(executor, jobs(scale, bits, ks), obs)?;
-    Ok(assemble(scale, bits, ks, reports))
-}
-
-/// Folds per-cell reports into the comparison's rows — shared by both run
-/// paths so the observed variant can never drift from the plain one.
-fn assemble(
-    scale: ExperimentScale,
-    bits: u32,
-    ks: &[usize],
-    reports: Vec<SimReport>,
-) -> LargeScale {
     let rows = ks
         .iter()
         .zip(reports)
@@ -180,11 +144,11 @@ fn assemble(
             stuck_requests: report.traffic().stuck_requests(),
         })
         .collect();
-    LargeScale { rows }
+    Ok(LargeScale { rows })
 }
 
 /// The per-`k` grid at `bits` address width, one [`SimJob`] per cell —
-/// shared by [`run_with`] and the benchmark runner ([`crate::benchrun`]).
+/// shared by [`run`] and the benchmark runner ([`crate::benchrun`]).
 pub fn jobs(scale: ExperimentScale, bits: u32, ks: &[usize]) -> Vec<SimJob> {
     ks.iter()
         .map(|&k| {
@@ -211,6 +175,8 @@ mod tests {
             },
             18,
             &[4, 20],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
         )
         .unwrap();
         assert_eq!(result.rows.len(), 2);
@@ -234,8 +200,22 @@ mod tests {
             files: 30,
             seed: 0xFA12,
         };
-        let serial = run(scale, 18, &[4, 20]).unwrap();
-        let parallel = run_with(scale, 18, &[4, 20], &Executor::new(4), |_, _| {}).unwrap();
+        let serial = run(
+            scale,
+            18,
+            &[4, 20],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let parallel = run(
+            scale,
+            18,
+            &[4, 20],
+            &Executor::new(4),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -249,6 +229,8 @@ mod tests {
             },
             16,
             &[4],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::Topology(_)), "{err:?}");

@@ -23,11 +23,13 @@
 //! | [`fuzzed::run`] | fuzzer gallery: machine-found fairness inversions, replayed verbatim |
 //!
 //! Every preset takes an [`ExperimentScale`] so the full paper-scale run
-//! (1000 nodes, 10k files) and a laptop-quick run share one code path, and
-//! every preset has a `run_with` variant that fans its grid cells out over
-//! a [`fairswap_simcore::Executor`] worker pool — with bit-identical
-//! output for any thread count, since each cell forks all of its RNG
-//! streams from its own config seed (see [`crate::exec`]).
+//! (1000 nodes, 10k files) and a laptop-quick run share one code path.
+//! Every preset is one function that fans its grid cells out over a
+//! [`fairswap_simcore::Executor`] worker pool — with bit-identical output
+//! for any thread count, since each cell forks all of its RNG streams from
+//! its own config seed (see [`crate::exec`]) — under a
+//! [`crate::GridObservation`], which is [`crate::GridObservation::disabled`]
+//! for a plain run.
 
 pub mod cache_churn;
 pub mod churn;

@@ -131,34 +131,16 @@ impl RoutingExperiment {
     }
 }
 
-/// Runs the drop-vs-detour sweep serially.
+/// Runs the drop-vs-detour sweep.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`].
-pub fn run(scale: ExperimentScale) -> Result<RoutingExperiment, CoreError> {
-    run_with(scale, &Executor::serial())
-}
-
-/// [`run`] with the `(route, k)` cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(
-    scale: ExperimentScale,
-    executor: &Executor,
-) -> Result<RoutingExperiment, CoreError> {
-    run_observed(scale, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     executor: &Executor,
     obs: &mut GridObservation,
@@ -193,7 +175,7 @@ fn grid() -> Vec<(RoutePolicy, usize)> {
         .collect()
 }
 
-/// The grid's [`SimJob`]s — shared by [`run_with`] and the benchmark
+/// The grid's [`SimJob`]s — shared by [`run`] and the benchmark
 /// runner ([`crate::benchrun`]).
 pub fn jobs(scale: ExperimentScale) -> Vec<SimJob> {
     grid()
@@ -221,7 +203,12 @@ mod tests {
 
     #[test]
     fn detour_recovers_drops_at_extra_hop_cost() {
-        let result = run(scale()).unwrap();
+        let result = run(
+            scale(),
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 4);
         for k in PAPER_KS {
             let greedy = result.row("greedy", k).unwrap();
@@ -244,15 +231,30 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(scale()).unwrap();
-        let b = run(scale()).unwrap();
+        let a = run(
+            scale(),
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let b = run(
+            scale(),
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_matches_serial() {
-        let serial = run(scale()).unwrap();
-        let threaded = run_with(scale(), &Executor::new(4)).unwrap();
+        let serial = run(
+            scale(),
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let threaded = run(scale(), &Executor::new(4), &mut GridObservation::disabled()).unwrap();
         assert_eq!(serial, threaded);
     }
 }

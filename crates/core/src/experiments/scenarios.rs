@@ -189,36 +189,17 @@ impl ScenarioExperiment {
     }
 }
 
-/// Runs the named scenarios for `k ∈ {4, 20}` serially.
+/// Runs the named scenarios for `k ∈ {4, 20}`.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidConfig`] for unknown scenario names; otherwise any
 /// configuration error of a cell.
-pub fn run(scale: ExperimentScale, names: &[&str]) -> Result<ScenarioExperiment, CoreError> {
-    run_with(scale, names, &Executor::serial())
-}
-
-/// [`run`] with the `(scenario, k)` cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_with(
-    scale: ExperimentScale,
-    names: &[&str],
-    executor: &Executor,
-) -> Result<ScenarioExperiment, CoreError> {
-    run_observed(scale, names, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// See [`run`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     names: &[&str],
     executor: &Executor,
@@ -270,7 +251,7 @@ pub fn run_observed(
 }
 
 /// The `(scenario, k, spec)` cells in `names` × `PAPER_KS` order — the
-/// single source of cell order, so [`run_with`]'s row labels and the job
+/// single source of cell order, so [`run`]'s row labels and the job
 /// list can never pair up differently.
 ///
 /// # Errors
@@ -303,7 +284,7 @@ fn cell_job(scale: ExperimentScale, k: usize, spec: ScenarioKind) -> Result<SimJ
     Ok(SimJob::new(config))
 }
 
-/// The grid's [`SimJob`]s — shared by [`run_with`] and the benchmark
+/// The grid's [`SimJob`]s — shared by [`run`] and the benchmark
 /// runner ([`crate::benchrun`]).
 ///
 /// # Errors
@@ -340,14 +321,26 @@ mod tests {
 
     #[test]
     fn unknown_scenario_name_errors() {
-        let err = run(scale(), &["no-such-scenario"]).unwrap_err();
+        let err = run(
+            scale(),
+            &["no-such-scenario"],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { .. }));
         assert!(err.to_string().contains("no-such-scenario"));
     }
 
     #[test]
     fn targeted_departure_removes_top_earners() {
-        let result = run(scale(), &["targeted-departure"]).unwrap();
+        let result = run(
+            scale(),
+            &["targeted-departure"],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(result.rows.len(), 2);
         for row in &result.rows {
             assert!(row.targeted_removals >= 1, "{row:?}");
@@ -361,7 +354,13 @@ mod tests {
 
     #[test]
     fn flash_crowd_grows_the_live_population_at_the_shock() {
-        let result = run(scale(), &["flash-crowd"]).unwrap();
+        let result = run(
+            scale(),
+            &["flash-crowd"],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         let row = result.row("flash-crowd", 4).unwrap();
         // The cohort (20% of 150) joined at the shock on top of background
         // churn joins.
@@ -388,7 +387,13 @@ mod tests {
 
     #[test]
     fn heterogeneity_blocks_capacity_limited_requests() {
-        let result = run(scale(), &["heterogeneity"]).unwrap();
+        let result = run(
+            scale(),
+            &["heterogeneity"],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         for row in &result.rows {
             assert!(row.capacity_blocked > 0, "{row:?}");
             assert!(row.capacity_blocked <= row.stuck_requests);
@@ -401,8 +406,20 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(scale(), &["regional-outage"]).unwrap();
-        let b = run(scale(), &["regional-outage"]).unwrap();
+        let a = run(
+            scale(),
+            &["regional-outage"],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let b = run(
+            scale(),
+            &["regional-outage"],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 }

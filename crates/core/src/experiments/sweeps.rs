@@ -1,14 +1,26 @@
 //! Parameter sweeps: file-count convergence (§IV-B) and overhead vs `k`
 //! (§V).
 
+use fairswap_kademlia::NodeId;
+use fairswap_obs::Phase;
 use fairswap_simcore::Executor;
+use fairswap_storage::ChunkDelivery;
 use serde::{Deserialize, Serialize};
 
-use crate::cadcad::{CadcadAdapter, GiniTrajectory};
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs, SimJob};
+use crate::exec::{run_jobs_observed, run_jobs_observing, SimJob};
 use crate::experiments::scale::ExperimentScale;
+use crate::obs::{EpochSnapshot, GridObservation, ObsCollector, RunInfo, StepObserver};
+
+/// One `(timestep, f2_gini)` sample of the convergence trajectory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GiniTrajectory {
+    /// Timestep (files downloaded so far).
+    pub timestep: u64,
+    /// F2 income Gini at that point.
+    pub f2_gini: f64,
+}
 
 /// Result of the file-count convergence sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,66 +49,122 @@ impl FilesConvergence {
     }
 }
 
-/// Samples the F2 Gini as the experiment grows from a handful of files to
-/// `scale.files` — the paper's "We performed simulations downloading
-/// between 100 and 10k files [...] other experiments show similar results"
-/// robustness claim, executed through the cadCAD-style engine.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn files_convergence(
-    scale: ExperimentScale,
-    k: usize,
-    originator_fraction: f64,
-    samples: u64,
-) -> Result<FilesConvergence, CoreError> {
-    let config = scale.cell_config(k, originator_fraction);
-    let stride = (scale.files / samples.max(1)).max(1);
-    let trajectory = CadcadAdapter::new(config, stride).run()?;
-    Ok(FilesConvergence {
-        k,
-        originator_fraction,
-        trajectory,
-    })
+/// Keeps `(step, f2_gini)` from every epoch snapshot of one cell, and
+/// forwards every hook to the cell's collector when one is attached.
+struct GiniTrail {
+    samples: Vec<GiniTrajectory>,
+    collector: Option<ObsCollector>,
 }
 
-/// Runs one [`files_convergence`] trajectory per `(k, originator
-/// fraction)` cell, fanned out over `executor` — the cadCAD-style engine
-/// composes with the worker pool exactly like direct-loop cells do, since
-/// each adapter builds its whole model (engine RNG streams included) from
-/// its own cell config.
+impl StepObserver for GiniTrail {
+    const ENABLED: bool = true;
+
+    fn profiling(&self) -> bool {
+        self.collector.as_ref().is_some_and(|c| c.profiling())
+    }
+
+    fn add_phase(&mut self, phase: Phase, nanos: u64) {
+        if let Some(c) = &mut self.collector {
+            c.add_phase(phase, nanos);
+        }
+    }
+
+    fn on_start(&mut self, info: &RunInfo) {
+        if let Some(c) = &mut self.collector {
+            c.on_start(info);
+        }
+    }
+
+    fn on_join(&mut self, step: u64, node: NodeId) {
+        if let Some(c) = &mut self.collector {
+            c.on_join(step, node);
+        }
+    }
+
+    fn on_leave(&mut self, step: u64, node: NodeId) {
+        if let Some(c) = &mut self.collector {
+            c.on_leave(step, node);
+        }
+    }
+
+    fn on_targeted(&mut self, step: u64, node: NodeId) {
+        if let Some(c) = &mut self.collector {
+            c.on_targeted(step, node);
+        }
+    }
+
+    fn on_repair(&mut self, step: u64, node: NodeId, events: u64) {
+        if let Some(c) = &mut self.collector {
+            c.on_repair(step, node, events);
+        }
+    }
+
+    fn on_delivery(&mut self, step: u64, delivery: &ChunkDelivery) {
+        if let Some(c) = &mut self.collector {
+            c.on_delivery(step, delivery);
+        }
+    }
+
+    fn on_epoch(&mut self, snapshot: &EpochSnapshot) {
+        self.samples.push(GiniTrajectory {
+            timestep: snapshot.step,
+            f2_gini: snapshot.f2_gini,
+        });
+        if let Some(c) = &mut self.collector {
+            c.on_epoch(snapshot);
+        }
+    }
+
+    fn on_end(&mut self, step: u64, requests: u64, stuck: u64) {
+        if let Some(c) = &mut self.collector {
+            c.on_end(step, requests, stuck);
+        }
+    }
+}
+
+/// Tracks the F2 Gini as each `(k, originator fraction)` cell grows from a
+/// handful of files to `scale.files` — the paper's "We performed
+/// simulations downloading between 100 and 10k files [...] other
+/// experiments show similar results" robustness claim.
+///
+/// Each cell is one ordinary [`crate::BandwidthSim`] run of
+/// `scale.cell_config(k, fraction)`, sampled at the engine's epoch cadence:
+/// every multiple of `max(1, files / 32)` steps plus the final step. The
+/// last sample is therefore exactly the F2 Gini the same config's report
+/// carries.
 ///
 /// # Errors
 ///
 /// Propagates the first failing cell's [`CoreError`] in cell order.
-pub fn files_convergence_grid(
+pub fn files_convergence(
     scale: ExperimentScale,
     cells: &[(usize, f64)],
-    samples: u64,
     executor: &Executor,
+    obs: &mut GridObservation,
 ) -> Result<Vec<FilesConvergence>, CoreError> {
-    let stride = (scale.files / samples.max(1)).max(1);
-    let adapters: Vec<(usize, f64, CadcadAdapter)> = cells
+    let jobs: Vec<SimJob> = cells
         .iter()
-        .map(|&(k, fraction)| {
-            (
-                k,
-                fraction,
-                CadcadAdapter::new(scale.cell_config(k, fraction), stride),
-            )
-        })
+        .map(|&(k, fraction)| SimJob::new(scale.cell_config(k, fraction)))
         .collect();
-    executor
-        .run(adapters, |_, (k, originator_fraction, adapter)| {
-            adapter.run().map(|trajectory| FilesConvergence {
-                k,
-                originator_fraction,
-                trajectory,
-            })
+    let trajectories = run_jobs_observing(
+        executor,
+        jobs,
+        obs,
+        |collector| GiniTrail {
+            samples: Vec::new(),
+            collector,
+        },
+        |_, trail| (trail.samples, trail.collector),
+    )?;
+    Ok(cells
+        .iter()
+        .zip(trajectories)
+        .map(|(&(k, originator_fraction), trajectory)| FilesConvergence {
+            k,
+            originator_fraction,
+            trajectory,
         })
-        .into_iter()
-        .collect()
+        .collect())
 }
 
 /// One row of the overhead-vs-`k` sweep.
@@ -170,7 +238,7 @@ impl OverheadSweep {
 /// k = 20, the Gini coefficient approaches a smaller value, but we did not
 /// identify the produced overhead". Sweeps `k`, measuring connection
 /// maintenance, settlement counts/sizes and the effect of a per-transaction
-/// cost on net incomes.
+/// cost on net incomes. The `k` cells fan out over `executor`.
 ///
 /// # Errors
 ///
@@ -180,21 +248,8 @@ pub fn overhead_vs_k(
     ks: &[usize],
     originator_fraction: f64,
     tx_cost: u64,
-) -> Result<OverheadSweep, CoreError> {
-    overhead_vs_k_with(scale, ks, originator_fraction, tx_cost, &Executor::serial())
-}
-
-/// [`overhead_vs_k`] with the `k` cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn overhead_vs_k_with(
-    scale: ExperimentScale,
-    ks: &[usize],
-    originator_fraction: f64,
-    tx_cost: u64,
     executor: &Executor,
+    obs: &mut GridObservation,
 ) -> Result<OverheadSweep, CoreError> {
     let jobs: Vec<SimJob> = ks
         .iter()
@@ -204,7 +259,7 @@ pub fn overhead_vs_k_with(
             SimJob::new(config)
         })
         .collect();
-    let reports = run_jobs(executor, jobs)?;
+    let reports = run_jobs_observed(executor, jobs, obs)?;
     let rows = ks
         .iter()
         .zip(reports)
@@ -249,10 +304,21 @@ mod tests {
         }
     }
 
+    fn convergence(
+        cells: &[(usize, f64)],
+        executor: &Executor,
+        obs: &mut GridObservation,
+    ) -> Vec<FilesConvergence> {
+        files_convergence(scale(), cells, executor, obs).unwrap()
+    }
+
+    fn plain(cells: &[(usize, f64)], executor: &Executor) -> Vec<FilesConvergence> {
+        convergence(cells, executor, &mut GridObservation::disabled())
+    }
+
     #[test]
     fn convergence_trajectory_settles() {
-        let result = files_convergence(scale(), 4, 1.0, 8).unwrap();
-        assert_eq!(result.trajectory.len(), 8);
+        let result = &plain(&[(4, 1.0)], &Executor::serial())[0];
         // Gini stays in range and the tail moves less than the head.
         for s in &result.trajectory {
             assert!((0.0..=1.0).contains(&s.f2_gini));
@@ -266,20 +332,83 @@ mod tests {
     }
 
     #[test]
+    fn samples_follow_the_epoch_cadence() {
+        for files in [7u64, 80, 100] {
+            let scale = ExperimentScale { files, ..scale() };
+            let result = files_convergence(
+                scale,
+                &[(4, 1.0)],
+                &Executor::serial(),
+                &mut GridObservation::disabled(),
+            )
+            .unwrap();
+            let stride = (files / 32).max(1);
+            let mut expected: Vec<u64> = (1..=files).filter(|s| s % stride == 0).collect();
+            if expected.last() != Some(&files) {
+                expected.push(files);
+            }
+            let steps: Vec<u64> = result[0].trajectory.iter().map(|s| s.timestep).collect();
+            assert_eq!(steps, expected, "files = {files}");
+        }
+    }
+
+    #[test]
+    fn last_sample_is_the_run_config_f2_gini() {
+        // The curve comes from the same engine as `run --config`, so its
+        // end point is that run's F2 Gini, bit for bit.
+        for (k, fraction) in [(4usize, 1.0f64), (20, 0.2)] {
+            let result = &plain(&[(k, fraction)], &Executor::serial())[0];
+            let report = crate::SimulationBuilder::from_config(scale().cell_config(k, fraction))
+                .build()
+                .unwrap()
+                .run();
+            let last = result.trajectory.last().unwrap();
+            assert_eq!(last.timestep, scale().files);
+            assert_eq!(last.f2_gini.to_bits(), report.f2_income_gini().to_bits());
+        }
+    }
+
+    #[test]
     fn convergence_grid_composes_with_the_executor() {
         let cells = [(4usize, 1.0f64), (20, 1.0)];
-        let serial = files_convergence_grid(scale(), &cells, 4, &Executor::serial()).unwrap();
-        let parallel = files_convergence_grid(scale(), &cells, 4, &Executor::new(4)).unwrap();
+        let serial = plain(&cells, &Executor::serial());
+        let parallel = plain(&cells, &Executor::new(2));
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 2);
-        // Each grid cell matches the single-cell entry point.
-        let single = files_convergence(scale(), 4, 1.0, 4).unwrap();
-        assert_eq!(serial[0], single);
+        // Each grid cell matches the single-cell sweep.
+        assert_eq!(serial[0], plain(&cells[..1], &Executor::serial())[0]);
+    }
+
+    #[test]
+    fn tracing_leaves_the_trajectory_unchanged() {
+        let cells = [(4usize, 1.0f64), (20, 1.0)];
+        let untraced = plain(&cells, &Executor::serial());
+        let mut obs = GridObservation::new(crate::ObsOptions {
+            trace: true,
+            metrics: true,
+            ..crate::ObsOptions::default()
+        });
+        let traced = convergence(&cells, &Executor::new(2), &mut obs);
+        assert_eq!(untraced, traced);
+        assert_eq!(obs.collectors().len(), 2);
+        let trace = obs.trace_jsonl();
+        let stats = crate::validate_jsonl(&trace).unwrap();
+        assert_eq!(stats.jobs, 2);
+        let epochs = trace.matches("\"kind\":\"epoch\"").count();
+        assert_eq!(epochs, untraced[0].trajectory.len() * 2);
     }
 
     #[test]
     fn overhead_grows_with_k() {
-        let sweep = overhead_vs_k(scale(), &[4, 20], 1.0, 2).unwrap();
+        let sweep = overhead_vs_k(
+            scale(),
+            &[4, 20],
+            1.0,
+            2,
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(sweep.rows.len(), 2);
         let k4 = &sweep.rows[0];
         let k20 = &sweep.rows[1];

@@ -68,31 +68,16 @@ impl Table1 {
     }
 }
 
-/// Runs the four-cell grid serially and regenerates Table I.
+/// Runs the four-cell grid and regenerates Table I.
+///
+/// Cells fan out over `executor` (output is bit-identical for any
+/// thread count); `obs` carries progress and, when enabled, the
+/// per-cell traces, metrics and phase timings.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors as [`CoreError`].
-pub fn run(scale: ExperimentScale) -> Result<Table1, CoreError> {
-    run_with(scale, &Executor::serial())
-}
-
-/// [`run`] with the grid cells fanned out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_with(scale: ExperimentScale, executor: &Executor) -> Result<Table1, CoreError> {
-    run_observed(scale, executor, &mut GridObservation::disabled())
-}
-
-/// [`run_with`] reporting through a [`GridObservation`] — the CLI's
-/// `--trace` / `--metrics` / `--profile` path.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn run_observed(
+pub fn run(
     scale: ExperimentScale,
     executor: &Executor,
     obs: &mut GridObservation,
@@ -123,11 +108,15 @@ mod tests {
 
     #[test]
     fn reproduces_table1_shape() {
-        let table = run(ExperimentScale {
-            nodes: 250,
-            files: 120,
-            seed: 0xFA12,
-        })
+        let table = run(
+            ExperimentScale {
+                nodes: 250,
+                files: 120,
+                seed: 0xFA12,
+            },
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
         .unwrap();
         assert_eq!(table.rows.len(), 4);
 
@@ -152,8 +141,8 @@ mod tests {
             files: 40,
             seed: 0xFA12,
         };
-        let serial = run_with(scale, &Executor::serial()).unwrap();
-        let parallel = run_with(scale, &Executor::new(4)).unwrap();
+        let serial = run(scale, &Executor::serial(), &mut GridObservation::disabled()).unwrap();
+        let parallel = run(scale, &Executor::new(4), &mut GridObservation::disabled()).unwrap();
         assert_eq!(
             serial.to_csv().to_csv_string(),
             parallel.to_csv().to_csv_string()

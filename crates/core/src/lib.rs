@@ -33,7 +33,6 @@
 //! # Ok::<(), fairswap_core::CoreError>(())
 //! ```
 
-mod cadcad;
 mod config;
 mod csv;
 mod error;
@@ -50,11 +49,10 @@ pub mod obs;
 pub mod policy;
 pub mod presets;
 
-pub use cadcad::{CadcadAdapter, GiniTrajectory};
 pub use config::{MechanismKind, SimConfig, SimulationBuilder};
 pub use csv::CsvTable;
 pub use error::CoreError;
-pub use exec::{run_jobs, run_jobs_observed, run_jobs_with_progress, SimJob};
+pub use exec::{run_jobs, run_jobs_observed, SimJob};
 pub use obs::{EpochSnapshot, GridObservation, NullObserver, ObsOptions, StepObserver};
 pub use policy::{NoRepair, RepairHook, RepairPolicy};
 pub use report::{ChurnOutcome, ChurnSample, SimReport};

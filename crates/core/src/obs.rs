@@ -487,7 +487,7 @@ pub struct GridObservation {
 
 impl GridObservation {
     /// Observation with everything off and a silent progress meter — the
-    /// path every plain `run_with` call takes.
+    /// path every plain preset call takes.
     pub fn disabled() -> Self {
         Self::new(ObsOptions::default())
     }

@@ -58,22 +58,13 @@ impl BandwidthSim {
 
     /// Runs the full simulation and produces the report.
     pub fn run(self) -> SimReport {
-        self.run_with_progress(|_, _| {})
-    }
-
-    /// Runs the simulation, invoking `progress(done, total)` after every
-    /// timestep — used by the CLI for long experiments, and by convergence
-    /// experiments to snapshot intermediate fairness.
-    pub fn run_with_progress<F>(self, progress: F) -> SimReport
-    where
-        F: FnMut(u64, u64),
-    {
-        self.run_observed(progress, &mut NullObserver)
+        self.run_observed(|_, _| {}, &mut NullObserver)
     }
 
     /// Runs the simulation while reporting events, per-epoch counter
     /// snapshots and (optionally) phase timings to a
-    /// [`StepObserver`](crate::StepObserver).
+    /// [`StepObserver`](crate::StepObserver), and invoking
+    /// `progress(done, total)` after every timestep.
     ///
     /// Observation is strictly read-only: the produced [`SimReport`] is
     /// byte-identical whether the observer is [`NullObserver`] or a real
@@ -594,10 +585,11 @@ mod tests {
     #[test]
     fn progress_callback_counts_steps() {
         let mut calls = 0u64;
-        let report = small_sim(4, 1.0, 3).run_with_progress(|done, total| {
+        let progress = |done: u64, total: u64| {
             calls += 1;
             assert!(done <= total);
-        });
+        };
+        let report = small_sim(4, 1.0, 3).run_observed(progress, &mut NullObserver);
         assert_eq!(calls, 30);
         assert_eq!(report.config().files, 30);
     }

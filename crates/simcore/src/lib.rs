@@ -1,26 +1,12 @@
-//! A deterministic, typed reimplementation of the cadCAD execution model.
+//! Substrate shared by every simulation layer: deterministic RNG streams,
+//! the experiment-grid worker pool and scripted-event plans.
 //!
-//! The paper's simulator (§IV-A) is built on
-//! [cadCAD](https://cadcad.org), a Python engine in which a system is
-//! described as:
-//!
-//! * a **state** object,
-//! * *partial state update blocks*, each containing **policies** (read the
-//!   pre-block state, emit signals) and **state update functions** (consume
-//!   the signals, produce the next state),
-//! * executed for a number of **timesteps**, repeated over Monte-Carlo
-//!   **runs**, across a **parameter sweep**.
-//!
-//! This crate reproduces those semantics in Rust with full determinism:
-//! every `(parameter set, run)` pair gets its own counter-derived
-//! [`rand_chacha::ChaCha12Rng`] stream, so results are reproducible across
-//! machines and independent of execution order.
-//!
-//! Beyond the engine, this crate hosts the substrate-level machinery the
-//! rest of the workspace shares:
+//! The simulation itself — one file download per timestep, routed and
+//! accounted — lives in `fairswap_core::BandwidthSim`. This crate holds
+//! the machinery beneath it that the other crates share:
 //!
 //! * [`Executor`] — a scoped-thread worker pool with stable-order merge,
-//!   behind every parallel experiment grid and threaded topology build;
+//!   behind every parallel experiment grid;
 //! * [`rng`] — the domain-separated sub-seed derivation
 //!   ([`rng::sub_seed`]) that lets every concern fork an independent
 //!   stream off one master seed;
@@ -30,37 +16,22 @@
 //!   on top of churn.
 //!
 //! ```
-//! use fairswap_simcore::{Block, Simulation};
+//! use fairswap_simcore::rng::{domain, sub_seed};
+//! use fairswap_simcore::Executor;
 //!
-//! // A counter that adds `increment` per timestep, with one policy
-//! // emitting the signal and one update applying it.
-//! #[derive(Clone)]
-//! struct State { total: i64 }
-//! struct Params { increment: i64 }
-//!
-//! let block = Block::<State, Params, i64>::new("accumulate")
-//!     .policy(|_rng, _info, p, _s| p.increment)
-//!     .update(|_rng, _info, _p, _pre, signals, s| {
-//!         s.total += signals.iter().sum::<i64>();
-//!     });
-//!
-//! let results = Simulation::new(10, 3, 0xFA12)
-//!     .block(block)
-//!     .run_sweep(&[Params { increment: 2 }], |_, _| State { total: 0 });
-//! assert_eq!(results.traces().len(), 3); // one per run
-//! assert!(results.traces().iter().all(|t| t.final_state.total == 20));
+//! // Each cell forks its stream off its own seed, so the merged result
+//! // is the same for any thread count.
+//! let cells: Vec<u64> = (0..8).collect();
+//! let seeds = |threads| {
+//!     Executor::new(threads).run(cells.clone(), |_, seed| sub_seed(seed, domain::WORKLOAD))
+//! };
+//! assert_eq!(seeds(1), seeds(4));
 //! ```
 
-mod block;
-mod engine;
 mod executor;
-mod recorder;
 pub mod rng;
 pub mod scenario;
 
-pub use block::Block;
-pub use engine::{RunTrace, Simulation, StepInfo, SweepResults};
 pub use executor::{Executor, Progress};
-pub use recorder::{NullRecorder, Recorder, TrajectoryRecorder};
 pub use rng::{derive_rng, SimRng};
 pub use scenario::{CapacityPlan, EventScript, ScriptEvent, ScriptEventKind};

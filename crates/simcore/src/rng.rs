@@ -3,7 +3,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-/// The RNG handed to policies and state updates.
+/// The workspace's one RNG type.
 ///
 /// ChaCha12 is portable and reproducible across platforms and Rust
 /// versions, unlike [`rand::rngs::StdRng`], whose algorithm is not
@@ -38,7 +38,9 @@ pub mod domain {
     pub const FREE_RIDERS: u64 = 0x03;
     /// Churn plan generation (session/downtime lifetimes).
     pub const CHURN: u64 = 0x04;
-    /// Departure-order shuffles in epoch-style churn experiments.
+    /// Departure-order shuffles in epoch-style churn experiments. No
+    /// concern draws from it now; the value stays reserved so no later
+    /// domain reuses `0x05`.
     pub const DEPARTURES: u64 = 0x05;
     /// Scenario compilation (region anchors, capacity tiers, cohort
     /// sampling).
@@ -58,7 +60,7 @@ pub mod domain {
 /// neighbouring master seeds share no structure. The derivation is
 /// tagged (fixed constant plus a multiplier distinct from
 /// [`derive_rng`]'s) so that a domain sub-stream can never alias the
-/// engine's `(param_index, run)` cell streams for the same master seed —
+/// `(param_index, run)` cell streams for the same master seed —
 /// otherwise a sweep cell would replay the stream that sampled e.g. the
 /// workload pool.
 pub fn sub_seed(master: u64, domain: u64) -> u64 {
@@ -128,7 +130,7 @@ mod tests {
 
     #[test]
     fn sub_seeds_never_alias_cell_streams() {
-        // A domain sub-stream must differ from every small engine cell
+        // A domain sub-stream must differ from every small cell
         // stream of the same master seed (they use distinct derivations).
         for master in [0u64, 1, 0xFA12, u64::MAX] {
             for d in 0..8u64 {

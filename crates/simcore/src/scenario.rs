@@ -13,7 +13,7 @@
 //!   step), the heterogeneity axis that download scheduling honors.
 //!
 //! Everything here is index-based (`usize` node slots, `u64` steps) so the
-//! engine stays independent of the overlay substrate; the kademlia/churn
+//! crate stays independent of the overlay substrate; the kademlia/churn
 //! layers translate node ids. Like every other stochastic concern, scenario
 //! randomness forks off the master seed through
 //! [`rng::sub_seed`](crate::rng::sub_seed) with

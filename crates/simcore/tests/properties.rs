@@ -1,86 +1,9 @@
-//! Property-based tests for the cadCAD-style engine semantics.
+//! Property-based tests for the RNG stream derivation.
 
-use fairswap_simcore::{derive_rng, Block, Simulation, TrajectoryRecorder};
+use fairswap_simcore::derive_rng;
 use proptest::prelude::*;
-use rand::Rng;
 
 proptest! {
-    /// Engine determinism: identical (timesteps, runs, seed) yield
-    /// identical trajectories, even with RNG-dependent policies.
-    #[test]
-    fn engine_is_deterministic(timesteps in 1u64..40, runs in 1u32..4, seed in any::<u64>()) {
-        let run_once = || {
-            let block = Block::<u64, (), u64>::new("mix")
-                .policy(|rng, _, _, _| rng.gen::<u64>() >> 32)
-                .update(|_, _, _, _, signals, s| *s = s.wrapping_mul(31).wrapping_add(signals[0]));
-            Simulation::new(timesteps, runs, seed)
-                .block(block)
-                .run_sweep(&[()], |_, _| 0u64)
-                .into_traces()
-                .into_iter()
-                .map(|t| t.final_state)
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(run_once(), run_once());
-    }
-
-    /// Trace layout: param-major then run-major ordering; trace() lookup
-    /// agrees with linear position.
-    #[test]
-    fn trace_layout_is_param_major(params_n in 1usize..5, runs in 1u32..5) {
-        let block = Block::<(usize, u32), usize, ()>::new("id")
-            .update(|_, info, _, _, _, s| *s = (info.param_index, info.run));
-        let params: Vec<usize> = (0..params_n).collect();
-        let results = Simulation::new(1, runs, 0)
-            .block(block)
-            .run_sweep(&params, |_, _| (usize::MAX, u32::MAX));
-        prop_assert_eq!(results.traces().len(), params_n * runs as usize);
-        for p in 0..params_n {
-            for r in 0..runs {
-                let trace = results.trace(p, r).expect("cell exists");
-                prop_assert_eq!(trace.final_state, (p, r));
-                prop_assert_eq!(trace.param_index, p);
-                prop_assert_eq!(trace.run, r);
-            }
-        }
-        prop_assert!(results.trace(params_n, 0).is_none());
-        prop_assert!(results.trace(0, runs).is_none());
-    }
-
-    /// Additivity over timesteps: a pure accumulation model's final state
-    /// is exactly timesteps × increment, independent of runs and seed.
-    #[test]
-    fn accumulation_is_exact(
-        timesteps in 0u64..200,
-        increment in -1000i64..1000,
-        seed in any::<u64>(),
-    ) {
-        let block = Block::<i64, i64, i64>::new("add")
-            .policy(|_, _, p, _| *p)
-            .update(|_, _, _, _, signals, s| *s += signals[0]);
-        let result = Simulation::new(timesteps, 1, seed)
-            .block(block)
-            .run_sweep(&[increment], |_, _| 0i64);
-        prop_assert_eq!(
-            result.trace(0, 0).expect("cell exists").final_state,
-            timesteps as i64 * increment
-        );
-    }
-
-    /// The recorder sees exactly the states after each timestep, in order.
-    #[test]
-    fn recorder_sees_every_post_step_state(timesteps in 1u64..60) {
-        let block = Block::<u64, (), ()>::new("count")
-            .update(|_, _, _, _, _, s| *s += 1);
-        let mut recorder = TrajectoryRecorder::every(1);
-        Simulation::new(timesteps, 1, 0)
-            .block(block)
-            .run_sweep_recorded(&[()], |_, _| 0u64, &mut recorder);
-        let states: Vec<u64> = recorder.snapshots().iter().map(|(_, s)| *s).collect();
-        let expected: Vec<u64> = (1..=timesteps).collect();
-        prop_assert_eq!(states, expected);
-    }
-
     /// RNG stream derivation: distinct cells give distinct streams, and the
     /// derivation is a pure function.
     #[test]

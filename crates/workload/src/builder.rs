@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use fairswap_kademlia::{AddressSpace, NodeId, OverlayAddress};
@@ -186,16 +185,6 @@ impl Workload {
         let chunks = (0..size)
             .map(|_| self.sampler.sample(&mut self.rng))
             .collect();
-        FileDownload { originator, chunks }
-    }
-
-    /// Draws a download using an *external* RNG, leaving the workload's own
-    /// stream untouched. This is the entry point for cadCAD-style engines
-    /// where the policy's RNG is owned by the engine, not the workload.
-    pub fn sample_with<R: Rng>(&self, rng: &mut R) -> FileDownload {
-        let originator = self.pool.pick(rng);
-        let size = self.file_size.sample(rng);
-        let chunks = (0..size).map(|_| self.sampler.sample(rng)).collect();
         FileDownload { originator, chunks }
     }
 

@@ -18,8 +18,8 @@
 //!   forwarding-Kademlia greedy routing.
 //! * [`swap`] — the Swarm Accounting Protocol: pairwise balances,
 //!   thresholds, time-based amortization, cheque settlement, pricing.
-//! * [`simcore`] — a typed, deterministic cadCAD-style simulation engine
-//!   (policies, state-update blocks, Monte-Carlo runs, parameter sweeps).
+//! * [`simcore`] — the simulation substrate: deterministic RNG stream
+//!   derivation, the experiment-grid `Executor` and scripted-event plans.
 //! * [`storage`] — the storage-network model: chunks, closest-node
 //!   placement, download routing, caching.
 //! * [`workload`] — file-download workload generators (uniform and Zipf).
@@ -29,8 +29,8 @@
 //!   (tit-for-tat, effort-based, pay-all-hops, proof-of-bandwidth).
 //! * [`churn`] — dynamic overlay membership: session/downtime lifetime
 //!   distributions and deterministic join/leave event plans.
-//! * [`core`] — the simulation harness and one preset per paper
-//!   table/figure, plus the fairness-under-churn experiment.
+//! * [`core`] — the simulation engine (`BandwidthSim`) and one preset per
+//!   paper table/figure, plus the fairness-under-churn experiment.
 //! * [`fuzz`] — coverage-guided scenario fuzzing: `SimSpec` mutation,
 //!   metric-grid novelty feedback and invariant oracles behind
 //!   `fairswap fuzz`.

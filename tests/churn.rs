@@ -4,7 +4,7 @@
 
 use fairswap::churn::{ChurnConfig, ChurnPlan, LifetimeDist};
 use fairswap::core::experiments::{churn, ExperimentScale};
-use fairswap::core::SimulationBuilder;
+use fairswap::core::{Executor, GridObservation, SimulationBuilder};
 
 fn churn_report(rate: f64, seed: u64) -> fairswap::core::SimReport {
     SimulationBuilder::new()
@@ -43,8 +43,20 @@ fn churn_experiment_csv_replays_byte_identically() {
         seed: 0xFA12,
     };
     let rates = [0.0, 0.1];
-    let a = churn::run(scale, &rates).expect("experiment runs");
-    let b = churn::run(scale, &rates).expect("experiment runs");
+    let a = churn::run(
+        scale,
+        &rates,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
+    let b = churn::run(
+        scale,
+        &rates,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
     assert_eq!(
         a.to_csv().to_csv_string(),
         b.to_csv().to_csv_string(),
@@ -152,7 +164,13 @@ fn churn_washes_out_the_bucket_size_fairness_gap() {
         files: 200,
         seed: 0xFA12,
     };
-    let result = churn::run(scale, &[0.0, 0.1]).expect("experiment runs");
+    let result = churn::run(
+        scale,
+        &[0.0, 0.1],
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
 
     // Static baseline reproduces the paper's finding.
     let static_k4 = result.row(4, 0.0).unwrap().f2_gini;

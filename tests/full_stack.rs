@@ -1,7 +1,7 @@
 //! Cross-crate conservation and consistency checks over full simulation
 //! runs.
 
-use fairswap::core::{MechanismKind, SimulationBuilder};
+use fairswap::core::{Executor, GridObservation, MechanismKind, SimulationBuilder};
 use fairswap::fairness::gini;
 use fairswap::incentives::{BandwidthIncentive, RewardState, SwarmIncentive};
 use fairswap::kademlia::{AddressSpace, TopologyBuilder};
@@ -245,6 +245,8 @@ fn metric_robustness_of_the_headline_finding() {
         },
         &[4, 20],
         0.2,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
     )
     .expect("experiment runs");
     assert!(result.all_indices_agree(), "{:?}", result.rows);

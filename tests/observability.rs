@@ -70,24 +70,34 @@ fn final_values(metrics_csv: &str, grid: u32, job: u32) -> HashMap<String, u64> 
 #[test]
 fn tracing_does_not_perturb_preset_csvs() {
     let rates = [0.0, 0.1];
-    let plain = churn::run_with(scale(), &rates, &Executor::serial())
-        .unwrap()
-        .to_csv()
-        .to_csv_string();
+    let plain = churn::run(
+        scale(),
+        &rates,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap()
+    .to_csv()
+    .to_csv_string();
     let mut obs = GridObservation::new(everything());
-    let traced = churn::run_observed(scale(), &rates, &Executor::serial(), &mut obs)
+    let traced = churn::run(scale(), &rates, &Executor::serial(), &mut obs)
         .unwrap()
         .to_csv()
         .to_csv_string();
     assert_eq!(plain, traced, "observation must be read-only");
     assert!(!obs.trace_jsonl().is_empty());
 
-    let plain = fig4::run_with(scale(), 25.0, &Executor::serial())
-        .unwrap()
-        .to_csv()
-        .to_csv_string();
+    let plain = fig4::run(
+        scale(),
+        25.0,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap()
+    .to_csv()
+    .to_csv_string();
     let mut obs = GridObservation::new(everything());
-    let traced = fig4::run_observed(scale(), 25.0, &Executor::serial(), &mut obs)
+    let traced = fig4::run(scale(), 25.0, &Executor::serial(), &mut obs)
         .unwrap()
         .to_csv()
         .to_csv_string();
@@ -98,9 +108,9 @@ fn tracing_does_not_perturb_preset_csvs() {
 fn trace_and_metrics_are_byte_identical_across_thread_counts() {
     let rates = [0.0, 0.05, 0.1];
     let mut serial = GridObservation::new(everything());
-    churn::run_observed(scale(), &rates, &Executor::serial(), &mut serial).unwrap();
+    churn::run(scale(), &rates, &Executor::serial(), &mut serial).unwrap();
     let mut threaded = GridObservation::new(everything());
-    churn::run_observed(scale(), &rates, &Executor::new(4), &mut threaded).unwrap();
+    churn::run(scale(), &rates, &Executor::new(4), &mut threaded).unwrap();
     assert_eq!(
         serial.trace_jsonl(),
         threaded.trace_jsonl(),

@@ -1,6 +1,7 @@
 //! Golden-shape checks on experiment CSV artifacts.
 
 use fairswap::core::experiments::{extensions, fig5, sweeps, table1, ExperimentScale};
+use fairswap::core::{Executor, GridObservation};
 
 fn scale() -> ExperimentScale {
     ExperimentScale {
@@ -12,7 +13,13 @@ fn scale() -> ExperimentScale {
 
 #[test]
 fn table1_csv_shape() {
-    let csv = table1::run(scale()).unwrap().to_csv();
+    let csv = table1::run(
+        scale(),
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap()
+    .to_csv();
     let text = csv.to_csv_string();
     let mut lines = text.lines();
     assert_eq!(
@@ -28,7 +35,12 @@ fn table1_csv_shape() {
 
 #[test]
 fn fig5_csv_is_long_format_lorenz() {
-    let fig = fig5::run(scale()).unwrap();
+    let fig = fig5::run(
+        scale(),
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     let csv = fig.to_csv();
     // 4 series, each with nodes+1 Lorenz points.
     assert_eq!(csv.len(), 4 * (150 + 1));
@@ -45,7 +57,15 @@ fn fig5_csv_is_long_format_lorenz() {
 
 #[test]
 fn overhead_csv_has_one_row_per_k() {
-    let sweep = sweeps::overhead_vs_k(scale(), &[4, 8, 20], 1.0, 1).unwrap();
+    let sweep = sweeps::overhead_vs_k(
+        scale(),
+        &[4, 8, 20],
+        1.0,
+        1,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     let csv = sweep.to_csv();
     assert_eq!(csv.len(), 3);
     let text = csv.to_csv_string();
@@ -59,7 +79,14 @@ fn overhead_csv_has_one_row_per_k() {
 
 #[test]
 fn mechanisms_csv_lists_all_five() {
-    let result = extensions::mechanisms(scale(), 4, 1.0).unwrap();
+    let result = extensions::mechanisms(
+        scale(),
+        4,
+        1.0,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     let text = result.to_csv().to_csv_string();
     for id in [
         "swarm",
@@ -74,7 +101,12 @@ fn mechanisms_csv_lists_all_five() {
 
 #[test]
 fn reports_serialize_to_json() {
-    let table = table1::run(scale()).unwrap();
+    let table = table1::run(
+        scale(),
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     let json = serde_json::to_string(&table).expect("serializable");
     let back: fairswap::core::experiments::table1::Table1 =
         serde_json::from_str(&json).expect("deserializable");

@@ -5,6 +5,7 @@
 //! `fairswap-bench` regenerate the same artifacts at full paper scale.
 
 use fairswap::core::experiments::{extensions, fig4, fig5, fig6, sweeps, table1, ExperimentScale};
+use fairswap::core::{Executor, GridObservation};
 
 fn scale() -> ExperimentScale {
     ExperimentScale {
@@ -16,7 +17,12 @@ fn scale() -> ExperimentScale {
 
 #[test]
 fn table1_k20_uses_less_bandwidth() {
-    let table = table1::run(scale()).expect("experiment runs");
+    let table = table1::run(
+        scale(),
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
     let k4_skew = table.row(4, 0.2).unwrap().mean_forwarded;
     let k4_all = table.row(4, 1.0).unwrap().mean_forwarded;
     let k20_skew = table.row(20, 0.2).unwrap().mean_forwarded;
@@ -35,7 +41,13 @@ fn table1_k20_uses_less_bandwidth() {
 
 #[test]
 fn fig4_area_ratios_favor_k20() {
-    let fig = fig4::run(scale(), 100.0).expect("experiment runs");
+    let fig = fig4::run(
+        scale(),
+        100.0,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
     // "the area under k = 4 is 1.6x bigger than the area for k = 20, and
     // 1.25x on the right hand side" — we assert > 1 with a margin.
     let skew = fig.area_ratio(0.2).unwrap();
@@ -46,7 +58,12 @@ fn fig4_area_ratios_favor_k20() {
 
 #[test]
 fn fig5_f2_gini_shape() {
-    let fig = fig5::run(scale()).expect("experiment runs");
+    let fig = fig5::run(
+        scale(),
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
     // k = 20 strictly fairer in both workloads.
     for fraction in [0.2, 1.0] {
         let k4 = fig.series_for(4, fraction).unwrap().gini;
@@ -62,7 +79,12 @@ fn fig5_f2_gini_shape() {
 
 #[test]
 fn fig6_f1_gini_shape() {
-    let fig = fig6::run(scale()).expect("experiment runs");
+    let fig = fig6::run(
+        scale(),
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
     // Best and worst cells as in the paper.
     let best = fig.series_for(20, 1.0).unwrap().gini;
     let worst = fig.series_for(4, 0.2).unwrap().gini;
@@ -83,10 +105,26 @@ fn fig6_f1_gini_shape() {
 fn files_convergence_is_stable() {
     // §IV-B: "The other experiments show similar results" — the Gini is
     // already meaningful early and stabilizes as files accumulate.
-    let result = sweeps::files_convergence(scale(), 4, 1.0, 10).expect("experiment runs");
-    assert_eq!(result.trajectory.len(), 10);
-    let final_gini = result.trajectory.last().unwrap().f2_gini;
-    let mid_gini = result.trajectory[4].f2_gini;
+    let results = sweeps::files_convergence(
+        scale(),
+        &[(4, 1.0)],
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .expect("experiment runs");
+    let trajectory = &results[0].trajectory;
+    // Samples follow the engine's epoch cadence: every `files / 32` steps
+    // plus the final step.
+    let stride = (scale().files / 32).max(1);
+    assert_eq!(trajectory.len() as u64, scale().files.div_ceil(stride));
+    assert_eq!(trajectory.last().unwrap().timestep, scale().files);
+    let final_gini = trajectory.last().unwrap().f2_gini;
+    let half = scale().files / 2;
+    let mid_gini = trajectory
+        .iter()
+        .min_by_key(|s| s.timestep.abs_diff(half))
+        .unwrap()
+        .f2_gini;
     assert!(
         (final_gini - mid_gini).abs() < 0.1,
         "mid {mid_gini} final {final_gini}"
@@ -106,6 +144,8 @@ fn overhead_tradeoff_matches_discussion() {
         &[4, 20],
         1.0,
         2,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
     )
     .expect("experiment runs");
     let k4 = &sweep.rows[0];
@@ -125,6 +165,8 @@ fn free_riders_degrade_first_hop_income() {
         },
         4,
         &[0.0, 0.3],
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
     )
     .expect("experiment runs");
     assert!(result.rows[1].total_income < result.rows[0].total_income);

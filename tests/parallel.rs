@@ -10,7 +10,7 @@
 use fairswap::core::experiments::{
     cache_churn, churn, fig4, large_scale, routing, ExperimentScale,
 };
-use fairswap::core::{run_jobs, Executor, SimJob};
+use fairswap::core::{run_jobs, Executor, GridObservation, SimJob};
 use fairswap::simcore::rng::{domain, sub_seed};
 
 fn scale() -> ExperimentScale {
@@ -23,14 +23,24 @@ fn scale() -> ExperimentScale {
 
 #[test]
 fn fig4_grid_is_byte_identical_across_thread_counts() {
-    let serial = fig4::run_with(scale(), 25.0, &Executor::serial())
-        .unwrap()
-        .to_csv()
-        .to_csv_string();
-    let threaded = fig4::run_with(scale(), 25.0, &Executor::new(8))
-        .unwrap()
-        .to_csv()
-        .to_csv_string();
+    let serial = fig4::run(
+        scale(),
+        25.0,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap()
+    .to_csv()
+    .to_csv_string();
+    let threaded = fig4::run(
+        scale(),
+        25.0,
+        &Executor::new(8),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap()
+    .to_csv()
+    .to_csv_string();
     assert_eq!(serial, threaded);
     assert!(serial.starts_with("k,originator_fraction,bin_lower,node_count"));
 }
@@ -38,8 +48,20 @@ fn fig4_grid_is_byte_identical_across_thread_counts() {
 #[test]
 fn churn_grid_is_byte_identical_across_thread_counts() {
     let rates = [0.0, 0.05, 0.1];
-    let serial = churn::run_with(scale(), &rates, &Executor::serial()).unwrap();
-    let threaded = churn::run_with(scale(), &rates, &Executor::new(8)).unwrap();
+    let serial = churn::run(
+        scale(),
+        &rates,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
+    let threaded = churn::run(
+        scale(),
+        &rates,
+        &Executor::new(8),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     // The whole result (rows and fairness-over-time timelines) matches...
     assert_eq!(serial, threaded);
     // ...and so do both rendered artifacts, byte for byte.
@@ -59,8 +81,14 @@ fn churn_grid_is_byte_identical_across_thread_counts() {
 fn policy_grids_are_byte_identical_across_thread_counts() {
     // The policy-layer presets: detour routing exercises the capacity
     // slow path, cache-churn the TTL cache × membership turnover.
-    let serial = routing::run_with(scale(), &Executor::serial()).unwrap();
-    let threaded = routing::run_with(scale(), &Executor::new(8)).unwrap();
+    let serial = routing::run(
+        scale(),
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
+    let threaded =
+        routing::run(scale(), &Executor::new(8), &mut GridObservation::disabled()).unwrap();
     assert_eq!(serial, threaded);
     assert_eq!(
         serial.to_csv().to_csv_string(),
@@ -70,8 +98,20 @@ fn policy_grids_are_byte_identical_across_thread_counts() {
     assert!(serial.row("capacity-detour", 4).unwrap().detoured > 0);
 
     let rates = [0.0, 0.1];
-    let serial = cache_churn::run_with(scale(), &rates, &Executor::serial()).unwrap();
-    let threaded = cache_churn::run_with(scale(), &rates, &Executor::new(8)).unwrap();
+    let serial = cache_churn::run(
+        scale(),
+        &rates,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
+    let threaded = cache_churn::run(
+        scale(),
+        &rates,
+        &Executor::new(8),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     assert_eq!(serial, threaded);
     assert_eq!(
         serial.to_csv().to_csv_string(),
@@ -87,9 +127,22 @@ fn large_scale_rows_are_thread_count_invariant() {
         files: 25,
         seed: 0xFA12,
     };
-    let serial = large_scale::run(scale, 18, &[4, 20]).unwrap();
-    let threaded =
-        large_scale::run_with(scale, 18, &[4, 20], &Executor::new(6), |_, _| {}).unwrap();
+    let serial = large_scale::run(
+        scale,
+        18,
+        &[4, 20],
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
+    let threaded = large_scale::run(
+        scale,
+        18,
+        &[4, 20],
+        &Executor::new(6),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     assert_eq!(
         serial.to_csv().to_csv_string(),
         threaded.to_csv().to_csv_string()

@@ -3,7 +3,7 @@
 //! byte-identical artifacts, and never breaks income conservation.
 
 use fairswap::core::experiments::{scenarios, ExperimentScale};
-use fairswap::core::{Executor, ScenarioKind, SimulationBuilder};
+use fairswap::core::{Executor, GridObservation, ScenarioKind, SimulationBuilder};
 
 fn scale() -> ExperimentScale {
     ExperimentScale {
@@ -16,10 +16,28 @@ fn scale() -> ExperimentScale {
 #[test]
 fn every_scenario_is_seed_deterministic() {
     for name in scenarios::SCENARIO_NAMES {
-        let a = scenarios::run(scale(), &[name]).unwrap();
-        let b = scenarios::run(scale(), &[name]).unwrap();
+        let a = scenarios::run(
+            scale(),
+            &[name],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
+        let b = scenarios::run(
+            scale(),
+            &[name],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_eq!(a, b, "{name} not deterministic");
-        let c = scenarios::run(scale().with_seed(0xBEEF), &[name]).unwrap();
+        let c = scenarios::run(
+            scale().with_seed(0xBEEF),
+            &[name],
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .unwrap();
         assert_ne!(a, c, "{name} ignores the seed");
     }
 }
@@ -29,8 +47,20 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
     // One grid over all four scenarios: serial vs 8 workers must render
     // the exact same bytes for both artifacts.
     let names: Vec<&str> = scenarios::SCENARIO_NAMES.to_vec();
-    let serial = scenarios::run_with(scale(), &names, &Executor::serial()).unwrap();
-    let threaded = scenarios::run_with(scale(), &names, &Executor::new(8)).unwrap();
+    let serial = scenarios::run(
+        scale(),
+        &names,
+        &Executor::serial(),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
+    let threaded = scenarios::run(
+        scale(),
+        &names,
+        &Executor::new(8),
+        &mut GridObservation::disabled(),
+    )
+    .unwrap();
     assert_eq!(serial, threaded);
     assert_eq!(
         serial.to_csv().to_csv_string(),
