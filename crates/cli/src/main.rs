@@ -21,7 +21,6 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fairswap_core::benchrun;
 use fairswap_core::experiments::{
     cache_churn, churn, durability, extensions, fig4, fig5, fig6, fuzzed, large_scale, routing,
     scenarios, sweeps, table1, ExperimentScale,
@@ -173,12 +172,6 @@ const COMMANDS: &[CommandSpec] = &[
         in_all: false,
     },
     CommandSpec {
-        name: "bench",
-        section: "tracking",
-        blurb: "time the standard presets, write BENCH_8.json",
-        in_all: false,
-    },
-    CommandSpec {
         name: "trace-check",
         section: "obs",
         blurb: "validate a JSONL trace file (--trace FILE)",
@@ -189,7 +182,7 @@ const COMMANDS: &[CommandSpec] = &[
 /// Commands that run no preset grid and so have nothing for `--trace` /
 /// `--metrics` / `--profile` to observe; asking to observe them is rejected
 /// up front rather than silently producing empty artifacts.
-const UNOBSERVED: &[&str] = &["serve", "fuzz", "bench", "trace-check"];
+const UNOBSERVED: &[&str] = &["serve", "fuzz", "trace-check"];
 
 struct Options {
     command: String,
@@ -198,18 +191,12 @@ struct Options {
     /// bigger defaults than the paper scale when they were not).
     nodes_set: bool,
     files_set: bool,
-    /// Whether --quick was given (`bench` uses its reduced CI dimensions).
-    quick: bool,
     bits: u32,
     threads: usize,
     /// Restricts the `scenarios` command to one named scenario.
     scenario: Option<String>,
     /// `run`: the SimSpec JSON file to execute.
     config: Option<PathBuf>,
-    /// `bench`: validate an existing BENCH_*.json instead of running.
-    check: Option<PathBuf>,
-    /// `bench`: embed this previous report as the new file's baseline.
-    baseline: Option<PathBuf>,
     /// Write the merged JSONL event trace here (`trace-check` reads it
     /// instead).
     trace: Option<PathBuf>,
@@ -286,8 +273,6 @@ fn usage() -> String {
          \x20           results are byte-identical for any worker count\n\
          --cache-cap serve: report-cache entries (default 64; 0 disables caching)\n\
          --queue-cap serve: bounded submit-queue capacity (default 256)\n\
-         --check     bench: validate an existing BENCH_*.json and exit\n\
-         --baseline  bench: embed a previous BENCH_*.json as the baseline\n\
          --trace     write the merged event trace as JSONL (trace-check: the file to read)\n\
          --metrics   write per-epoch metrics as CSV\n\
          --profile   print a phase timing breakdown (topology/steps/settlement/...)\n\
@@ -308,8 +293,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut threads = 1usize;
     let mut scenario = None;
     let mut config = None;
-    let mut check = None;
-    let mut baseline = None;
     let mut trace = None;
     let mut metrics = None;
     let mut profile = false;
@@ -335,9 +318,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--no-progress" => no_progress = true,
             "--strict" => strict = true,
             "--nodes" | "--files" | "--seed" | "--out" | "--threads" | "--bits" | "--scenario"
-            | "--config" | "--check" | "--baseline" | "--trace" | "--metrics" | "--iters"
-            | "--corpus" | "--time-budget" | "--addr" | "--workers" | "--cache-cap"
-            | "--queue-cap" => {
+            | "--config" | "--trace" | "--metrics" | "--iters" | "--corpus" | "--time-budget"
+            | "--addr" | "--workers" | "--cache-cap" | "--queue-cap" => {
                 let flag = args[i].clone();
                 i += 1;
                 let value = args
@@ -381,8 +363,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         scenario = Some(value.clone());
                     }
                     "--config" => config = Some(PathBuf::from(value)),
-                    "--check" => check = Some(PathBuf::from(value)),
-                    "--baseline" => baseline = Some(PathBuf::from(value)),
                     "--trace" => trace = Some(PathBuf::from(value)),
                     "--metrics" => metrics = Some(PathBuf::from(value)),
                     "--iters" => {
@@ -444,13 +424,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         scale,
         nodes_set,
         files_set,
-        quick,
         bits,
         threads,
         scenario,
         config,
-        check,
-        baseline,
         trace,
         metrics,
         profile,
@@ -1042,13 +1019,6 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 }
                 write_csv(&mut obs, out, "large_scale.csv", &result.to_csv())?;
             }
-            "bench" => {
-                if let Some(path) = &opts.check {
-                    benchrun::check_command(path)?;
-                    continue;
-                }
-                benchrun::run_command(opts.quick, &executor, opts.baseline.as_deref(), out)?;
-            }
             "trace-check" => {
                 let path = opts.trace.as_ref().ok_or_else(|| {
                     "trace-check requires --trace FILE (the JSONL trace to validate)".to_string()
@@ -1119,13 +1089,10 @@ mod tests {
             },
             nodes_set: true,
             files_set: true,
-            quick: true,
             bits: large_scale::DEFAULT_BITS,
             threads: 1,
             scenario: None,
             config: None,
-            check: None,
-            baseline: None,
             trace: None,
             metrics: None,
             profile: false,
@@ -1287,28 +1254,6 @@ mod tests {
         // loudly here rather than at a user's prompt.
         let dir = std::env::temp_dir().join("fairswap_cli_dispatch_test");
         let _ = std::fs::remove_dir_all(&dir);
-        // `bench` dispatches through its validate-only path: the timed run
-        // is minutes of work in a debug build and has its own CI step.
-        let bench_file = {
-            let report = benchrun::BenchReport {
-                pr: benchrun::BENCH_PR,
-                quick: true,
-                threads: 1,
-                presets: benchrun::PRESET_NAMES
-                    .iter()
-                    .map(|&name| benchrun::BenchRow {
-                        preset: name.to_string(),
-                        wall_ms: 1000,
-                        chunks_routed: 1000,
-                        chunks_per_sec: 1000.0,
-                        phases: Vec::new(),
-                    })
-                    .collect(),
-                serve: Vec::new(),
-                baseline: Vec::new(),
-            };
-            report.write_to(&dir).unwrap()
-        };
         // `run` executes a SimSpec document; give it a tiny one.
         let spec_file = dir.join("dispatch_spec.json");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1330,9 +1275,6 @@ mod tests {
             }
             let mut opts = quick_opts(command.name, 80, 8, dir.clone());
             opts.bits = 17;
-            if command.name == "bench" {
-                opts.check = Some(bench_file.clone());
-            }
             if command.name == "run" {
                 opts.config = Some(spec_file.clone());
             }
@@ -1535,7 +1477,7 @@ mod tests {
             run_command(&check).unwrap_or_else(|e| panic!("{command}: {e}"));
         }
         // Commands that run no preset grid still refuse the flags.
-        for command in ["serve", "fuzz", "bench"] {
+        for command in ["serve", "fuzz"] {
             let mut opts = quick_opts(command, 60, 10, dir.clone());
             opts.profile = true;
             let e = run_command(&opts).unwrap_err();

@@ -44,12 +44,15 @@ fn no_command_fails_with_usage() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let output = fairswap(&["frobnicate"]);
-    assert!(!output.status.success());
-    assert_eq!(output.status.code(), Some(1));
-    let err = stderr(&output);
-    assert!(err.contains("unknown command: frobnicate"), "{err}");
-    assert!(err.contains("usage: fairswap"), "{err}");
+    // `bench` is not a command either; it must fail like any typo.
+    for name in ["frobnicate", "bench"] {
+        let output = fairswap(&[name]);
+        assert!(!output.status.success());
+        assert_eq!(output.status.code(), Some(1));
+        let err = stderr(&output);
+        assert!(err.contains(&format!("unknown command: {name}")), "{err}");
+        assert!(err.contains("usage: fairswap"), "{err}");
+    }
 }
 
 #[test]
@@ -88,7 +91,7 @@ fn value_flags_report_missing_values() {
     for args in [
         &["table1", "--nodes"][..],
         &["serve", "--addr"][..],
-        &["bench", "--check"][..],
+        &["run", "--config"][..],
     ] {
         let output = fairswap(args);
         assert_eq!(output.status.code(), Some(1), "{args:?}");

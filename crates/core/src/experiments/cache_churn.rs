@@ -173,8 +173,8 @@ fn grid(rates: &[f64]) -> Vec<(CachePolicy, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s — shared by [`run`] and the
-/// benchmark runner ([`crate::benchrun`]).
+/// The sweep grid's [`SimJob`]s — shared by [`run`] and the `SimSpec`
+/// round-trip test (`tests/spec_stability.rs`).
 ///
 /// # Errors
 ///

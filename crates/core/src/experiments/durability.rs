@@ -288,8 +288,7 @@ fn grid(rates: &[f64]) -> Vec<(&'static str, usize, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s — shared by [`run`] and the
-/// benchmark runner ([`crate::benchrun`]).
+/// The sweep grid's [`SimJob`]s, in the order [`run`] executes them.
 ///
 /// # Errors
 ///

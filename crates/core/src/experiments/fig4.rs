@@ -114,8 +114,7 @@ pub fn run(
 
 /// The four-cell grid behind this figure, one [`SimJob`] per
 /// `(k, originator fraction)` cell — shared by [`run`] and the
-/// benchmark runner ([`crate::benchrun`]) so both always time the same
-/// work.
+/// `SimSpec` round-trip test (`tests/spec_stability.rs`).
 pub fn jobs(scale: ExperimentScale) -> Vec<SimJob> {
     paper_grid()
         .iter()

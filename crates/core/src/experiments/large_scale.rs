@@ -148,7 +148,8 @@ pub fn run(
 }
 
 /// The per-`k` grid at `bits` address width, one [`SimJob`] per cell —
-/// shared by [`run`] and the benchmark runner ([`crate::benchrun`]).
+/// shared by [`run`] and the `SimSpec` round-trip test
+/// (`tests/spec_stability.rs`).
 pub fn jobs(scale: ExperimentScale, bits: u32, ks: &[usize]) -> Vec<SimJob> {
     ks.iter()
         .map(|&k| {

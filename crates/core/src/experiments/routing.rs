@@ -175,8 +175,8 @@ fn grid() -> Vec<(RoutePolicy, usize)> {
         .collect()
 }
 
-/// The grid's [`SimJob`]s — shared by [`run`] and the benchmark
-/// runner ([`crate::benchrun`]).
+/// The grid's [`SimJob`]s — shared by [`run`] and the `SimSpec`
+/// round-trip test (`tests/spec_stability.rs`).
 pub fn jobs(scale: ExperimentScale) -> Vec<SimJob> {
     grid()
         .into_iter()

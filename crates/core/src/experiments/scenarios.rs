@@ -284,8 +284,8 @@ fn cell_job(scale: ExperimentScale, k: usize, spec: ScenarioKind) -> Result<SimJ
     Ok(SimJob::new(config))
 }
 
-/// The grid's [`SimJob`]s — shared by [`run`] and the benchmark
-/// runner ([`crate::benchrun`]).
+/// The grid's [`SimJob`]s — shared by [`run`] and the `SimSpec`
+/// round-trip test (`tests/spec_stability.rs`).
 ///
 /// # Errors
 ///

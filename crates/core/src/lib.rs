@@ -42,7 +42,6 @@ mod scenario;
 mod sim;
 mod spec;
 
-pub mod benchrun;
 pub mod exec;
 pub mod experiments;
 pub mod obs;

@@ -15,7 +15,7 @@
 //! The non-perturbation invariant: an observer is read-only. Nothing a
 //! collector does may influence simulation state, and nothing wall-clock
 //! ever enters the trace or metrics streams (phase timings surface only
-//! through `--profile` and `BENCH_N.json`, which are never byte-compared).
+//! through `--profile`, which is never byte-compared).
 
 use std::time::Instant;
 

@@ -9,7 +9,7 @@
 //! `fairswap_core`) concatenates them in stable job order, so scheduling can
 //! never leak into the output. The only place wall time appears is the
 //! [phase profiler](PhaseTimes), whose output feeds `--profile` breakdowns
-//! and `BENCH_N.json` artifacts that are never byte-compared.
+//! that are never byte-compared.
 //!
 //! The crate is deliberately free of simulation types: `fairswap_core`
 //! adapts its simulation state into [`TraceEvent`]s and registry updates.

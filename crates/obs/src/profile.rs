@@ -3,7 +3,7 @@
 //! The one deliberately non-deterministic corner of the crate: phase timings
 //! are real elapsed nanoseconds. They never enter trace or metrics streams
 //! (which must stay byte-identical across runs) — they surface only through
-//! the CLI `--profile` breakdown and the `BENCH_N.json` schema.
+//! the CLI `--profile` breakdown.
 
 /// A coarse stage of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for the service's own tests, CI
-//! smoke checks and the `bench_serve` load generator.
+//! smoke checks and perfbench's `serve_mixed` workload.
 //!
 //! Speaks exactly the subset the server does: keep-alive connections,
 //! `Content-Length` bodies, and `chunked` decoding for `/stream`. One

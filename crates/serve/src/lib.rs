@@ -23,14 +23,13 @@
 //! Module map: [`http`] speaks the wire protocol, [`job`] tracks one
 //! submission's lifecycle and row log, [`cache`] is the spec-hash LRU,
 //! [`scheduler`] owns the queue and worker fan-out, [`server`] binds the
-//! socket and routes endpoints, [`client`] is the matching blocking
-//! client, and [`loadgen`] drives closed-loop benchmark load.
+//! socket and routes endpoints, and [`client`] is the matching blocking
+//! client.
 
 pub mod cache;
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod loadgen;
 pub mod scheduler;
 pub mod server;
 
@@ -39,6 +38,5 @@ pub use client::{Client, Response};
 pub use job::{
     stream_header, stream_row, Job, JobId, JobResult, JobState, RowLog, RowObserver, STREAM_COLUMNS,
 };
-pub use loadgen::{LoadOptions, LoadOutcome, LoadSample};
 pub use scheduler::{Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
 pub use server::{ServeOptions, ServeSummary, Server, ShutdownHandle};

@@ -1,9 +1,22 @@
-//! Shared harness: an in-process server on a free port.
+//! Shared harness: an in-process server on a free port, and the batch
+//! path's bytes to compare its results against.
 
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
+use fairswap_core::{run_summary_csv, SimSpec};
 use fairswap_serve::{ServeOptions, ServeSummary, Server, ShutdownHandle};
+
+/// The batch path's answer for a spec document: parse, build, run, and
+/// serialize with the same `run_summary_csv` the CLI `run` command uses.
+pub fn batch_csv(json: &str) -> Vec<u8> {
+    let spec = SimSpec::from_json(json).expect("fixture spec parses");
+    let config = spec.to_config();
+    let report = spec.build().expect("fixture spec builds").run();
+    run_summary_csv(&config, &report)
+        .to_csv_string()
+        .into_bytes()
+}
 
 pub struct TestServer {
     pub addr: SocketAddr,

@@ -5,8 +5,7 @@
 
 mod common;
 
-use common::TestServer;
-use fairswap_core::{run_summary_csv, SimSpec};
+use common::{batch_csv, TestServer};
 use fairswap_serve::{stream_header, Client, STREAM_COLUMNS};
 
 /// Three small, distinct specs. Formatting varies deliberately — the
@@ -22,17 +21,6 @@ fn specs() -> Vec<String> {
         }"#
         .into(),
     ]
-}
-
-/// The batch path's answer for a spec document: parse, build, run, and
-/// serialize with the same `run_summary_csv` the CLI `run` command uses.
-fn batch_csv(json: &str) -> Vec<u8> {
-    let spec = SimSpec::from_json(json).expect("fixture spec parses");
-    let config = spec.to_config();
-    let report = spec.build().expect("fixture spec builds").run();
-    run_summary_csv(&config, &report)
-        .to_csv_string()
-        .into_bytes()
 }
 
 #[test]

@@ -7,9 +7,9 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::TestServer;
+use common::{batch_csv, TestServer};
 use fairswap_core::experiments::fuzzed;
-use fairswap_core::{run_summary_csv, BucketSizing, SimSpec};
+use fairswap_core::BucketSizing;
 use fairswap_fuzz::oracle;
 use fairswap_serve::Client;
 
@@ -90,15 +90,7 @@ fn worker_count_never_changes_results_or_findings() {
     // serializer the service uses.
     let expected: BTreeMap<String, Vec<u8>> = documents
         .iter()
-        .map(|(label, json)| {
-            let spec = SimSpec::from_json(json).expect("document parses");
-            let config = spec.to_config();
-            let report = spec.build().expect("document builds").run();
-            let csv = run_summary_csv(&config, &report)
-                .to_csv_string()
-                .into_bytes();
-            (label.clone(), csv)
-        })
+        .map(|(label, json)| (label.clone(), batch_csv(json)))
         .collect();
 
     for workers in [1, 4] {
