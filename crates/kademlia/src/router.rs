@@ -20,9 +20,10 @@ pub enum RouteOutcome {
     /// The originator itself is the globally closest node; no network
     /// traffic is generated.
     AlreadyAtStorer,
-    /// Greedy forwarding reached a local minimum that is not the global
-    /// closest node (possible, though rare, under sampled `k`-bucket
-    /// tables). The chunk cannot be retrieved over this route.
+    /// The route could not reach the storer: its originator is offline,
+    /// or (in the storage layer) a saturated hop refused it or its
+    /// region has no live member. The chunk cannot be retrieved over this
+    /// route.
     Stuck,
 }
 
@@ -121,48 +122,43 @@ impl<'a> Router<'a> {
     /// Each hop forwards to its known peer strictly closest (XOR) to the
     /// target; forwarding stops when the current node has no strictly closer
     /// peer. Because every hop strictly decreases the distance, the walk
-    /// always terminates in at most `topology.len()` steps.
+    /// always terminates in at most `topology.len()` steps, and by the
+    /// contract of [`Topology::next_hop`] it stops exactly at the closest
+    /// live node, so no storer lookup is needed. A hop that
+    /// [`Topology::next_hop_ending`] proves to be that node ends the walk
+    /// without reading its table. An offline originator has no table to
+    /// forward from and yields [`RouteOutcome::Stuck`].
     ///
     /// # Panics
     ///
     /// Panics if `originator` is not part of the topology.
     pub fn route(&self, originator: NodeId, target: OverlayAddress) -> Route {
-        let storer = self.topology.closest_node(target);
-        if storer == originator {
-            return Route {
-                originator,
-                target,
-                hops: Vec::new(),
-                outcome: RouteOutcome::AlreadyAtStorer,
-            };
-        }
-
-        let mut hops = Vec::with_capacity(8);
-        let mut current = originator;
-        loop {
-            match self.topology.next_hop(current, target) {
-                Some(next) => {
-                    hops.push(next);
-                    current = next;
-                    if current == storer {
-                        return Route {
-                            originator,
-                            target,
-                            hops,
-                            outcome: RouteOutcome::Delivered,
-                        };
-                    }
-                }
-                None => {
-                    // Local minimum before reaching the storer.
-                    return Route {
-                        originator,
-                        target,
-                        hops,
-                        outcome: RouteOutcome::Stuck,
-                    };
-                }
+        let route = |hops, outcome| Route {
+            originator,
+            target,
+            hops,
+            outcome,
+        };
+        let Some((mut next, mut ends)) = self.topology.next_hop_ending(originator, target) else {
+            if !self.topology.is_live(originator) {
+                return route(Vec::new(), RouteOutcome::Stuck);
             }
+            debug_assert_eq!(self.topology.closest_node(target), originator);
+            return route(Vec::new(), RouteOutcome::AlreadyAtStorer);
+        };
+        let mut hops = Vec::with_capacity(8);
+        loop {
+            hops.push(next);
+            let after = if ends {
+                None
+            } else {
+                self.topology.next_hop_ending(next, target)
+            };
+            let Some(after) = after else {
+                debug_assert_eq!(self.topology.closest_node(target), next);
+                return route(hops, RouteOutcome::Delivered);
+            };
+            (next, ends) = after;
         }
     }
 
@@ -242,6 +238,17 @@ mod tests {
         assert!(route.outcome().is_delivered());
         assert_eq!(route.first_hop(), None);
         assert_eq!(route.forwarders(), &[] as &[NodeId]);
+    }
+
+    #[test]
+    fn offline_originator_is_stuck() {
+        let mut t = topology(100, 4, 9);
+        let origin = NodeId(17);
+        let target = t.address(origin);
+        t.remove_node(origin).unwrap();
+        let route = Router::new(&t).route(origin, target);
+        assert_eq!(route.outcome(), RouteOutcome::Stuck);
+        assert_eq!(route.hop_count(), 0);
     }
 
     #[test]

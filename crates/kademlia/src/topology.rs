@@ -587,6 +587,21 @@ impl Topology {
     /// innermost call of every routed chunk. See [`TableRef::next_hop`]
     /// for the search itself.
     ///
+    /// # Termination contract
+    ///
+    /// For a live `from`, the result is `None` exactly when `from` is
+    /// [`Topology::closest_node`]`(target)`; for an offline `from` (whose
+    /// table is empty) it is always `None`. Routing walks rely on this to
+    /// stop without looking the storer up. It follows from the fullness
+    /// invariant that [`Topology::validate`] checks — every bucket holds
+    /// `min(capacity_b, live candidates_b)` live entries, and capacities
+    /// are at least 1. If `from` is live but not the closest live node
+    /// `y`, let `b` be the bucket of `y` in `from`'s table, i.e. the
+    /// first bit where their addresses differ. That bucket is non-empty
+    /// (`y` is a live candidate for it), and every entry in it shares
+    /// `from`'s bits before `b` and `target`'s bit `b`, where `from` does
+    /// not, so each is strictly closer to `target` than `from`.
+    ///
     /// # Panics
     ///
     /// Panics if `from` is not part of this topology.
@@ -595,6 +610,32 @@ impl Topology {
         self.arena
             .next_hop(from.0, self.addresses[from.0].raw(), target.raw())
             .map(|(id, _)| NodeId(id as usize))
+    }
+
+    /// [`Topology::next_hop`], plus whether that hop is certainly the
+    /// closest live node to `target`, so a walk can stop there without
+    /// reading the storer's own table.
+    ///
+    /// The flag is `true` when the hop comes from `from`'s proximity
+    /// bucket toward `target` and that bucket is not full. By the fullness
+    /// invariant the bucket then lists every live node in its subtree —
+    /// the nodes sharing `target`'s prefix one bit past `from` — and the
+    /// nearest of them is the closest live node overall. A `false` flag
+    /// decides nothing: the hop may still be the storer, which its own
+    /// `next_hop` (`None`) then shows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not part of this topology.
+    #[inline]
+    pub fn next_hop_ending(&self, from: NodeId, target: OverlayAddress) -> Option<(NodeId, bool)> {
+        let next = self.next_hop(from, target)?;
+        let bucket = self
+            .space
+            .proximity(self.addresses[from.0], target)
+            .bucket_index();
+        let len = self.arena.bucket_len(from.0, bucket);
+        Some((next, len > 0 && len < self.capacities[bucket]))
     }
 
     /// The known peers of `from` strictly closer (XOR) to `target` than

@@ -400,6 +400,63 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The termination contract every routing walk relies on: a live
+    /// node's `next_hop` is `None` exactly when it is the closest live
+    /// node to the target, and an offline node's is always `None`. The
+    /// early stop rests on it too: `next_hop_ending` picks the same hop,
+    /// and flags it as the end only when it is the closest live node.
+    /// Checked after every departure and join, with uniform buckets and
+    /// with an override that may exceed every candidate count.
+    #[test]
+    fn next_hop_is_none_exactly_at_the_closest_live_node(
+        bits in 2u32..=12,
+        nodes in 2usize..80,
+        k in 1usize..6,
+        over in (any::<bool>(), 0u32..12, 1usize..64),
+        seed in any::<u64>(),
+        ops in prop::collection::vec((any::<u16>(), any::<bool>()), 0..40),
+        targets in prop::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let space = AddressSpace::new(bits).unwrap();
+        let nodes = nodes.min(1 << bits);
+        let mut sizing = BucketSizing::uniform(k);
+        if let (true, bucket, cap) = over {
+            sizing = sizing.with_override(bucket, cap);
+        }
+        let mut t = TopologyBuilder::new(space)
+            .nodes(nodes)
+            .bucket_sizing(sizing)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let targets: Vec<_> = targets.iter().map(|&raw| space.address_truncated(raw)).collect();
+        // The built topology first, then the state after every operation.
+        for op in std::iter::once(None).chain(ops.into_iter().map(Some)) {
+            if let Some((pick, join)) = op {
+                let node = NodeId(pick as usize % nodes);
+                let _ = if join { t.add_node(node) } else { t.remove_node(node) };
+            }
+            for &target in &targets {
+                let closest = t.closest_node(target);
+                for x in t.node_ids() {
+                    let hop = t.next_hop(x, target);
+                    if t.is_live(x) {
+                        prop_assert_eq!(hop.is_none(), x == closest, "node {} target {}", x, target);
+                    } else {
+                        prop_assert!(hop.is_none(), "offline node {} forwards", x);
+                    }
+                    let ending = t.next_hop_ending(x, target);
+                    prop_assert_eq!(ending.map(|(next, _)| next), hop);
+                    if let Some((next, true)) = ending {
+                        prop_assert_eq!(next, closest, "node {} target {}", x, target);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The tables the builder is specified to sample, by the plainest means:
 /// for every owner and bucket `b`, the peers at proximity `b` sorted by
 /// address, shuffled by a full partial Fisher–Yates pass

@@ -672,6 +672,18 @@ impl DownloadSim {
     /// traffic touches requests/stuck/cache counters, and only user
     /// traffic can be refused by the durability fault check (a repair
     /// route *into* a lost region is exactly what restores it).
+    ///
+    /// The walk never looks the storer up. It stops at the first node
+    /// whose `next_hop` is `None`, which for a live node is exactly the
+    /// closest live node to `chunk` (the contract of
+    /// [`Topology::next_hop`]), or one step earlier when
+    /// [`Topology::next_hop_ending`] proves the hop just taken is that
+    /// node, which spares reading the storer's table. An originator whose
+    /// `next_hop` is `None` gets [`RouteOutcome::AlreadyAtStorer`]. An
+    /// offline originator — a retry whose requester has since left — has
+    /// an empty table too, so a liveness check tells it apart and it
+    /// counts as [`RouteOutcome::Stuck`]. Debug builds check both exits
+    /// against [`Topology::closest_node`].
     fn route_chunk_kind(
         &mut self,
         originator: NodeId,
@@ -694,10 +706,18 @@ impl DownloadSim {
                 }
             }
         }
-        let storer = self.topology.closest_node(chunk);
-        if storer == originator {
+        let Some((mut next, mut ends)) = self.topology.next_hop_ending(originator, chunk) else {
+            // An offline node's table is empty too: a retry whose
+            // originator has since left is stuck, not at the storer.
+            if !self.topology.is_live(originator) {
+                if user {
+                    self.stats.add_stuck();
+                }
+                return (RouteOutcome::Stuck, false);
+            }
+            debug_assert_eq!(self.topology.closest_node(chunk), originator);
             return (RouteOutcome::AlreadyAtStorer, false);
-        }
+        };
 
         // The walk borrows each concern once, up front: the topology (one
         // `Rc` deref for the whole route), the capacity table (the
@@ -717,9 +737,6 @@ impl DownloadSim {
 
         let mut current = originator;
         let (outcome, from_cache) = loop {
-            let Some(mut next) = topology.next_hop(current, chunk) else {
-                break (RouteOutcome::Stuck, false);
-            };
             if let Some(capacities) = capacities {
                 // Bandwidth budgets are enforced at forwarding time: a
                 // saturated next hop cannot serve this step. Greedy
@@ -754,17 +771,29 @@ impl DownloadSim {
                         self.stats.add_detoured();
                     }
                     next = fallback;
+                    ends = false;
                 }
                 used_in_step[next.index()] += 1;
             }
             hops.push(next);
             current = next;
-            if current == storer {
+            // The hop after `current` is found before its cache is
+            // consulted: the storer serves from storage and never touches
+            // its cache's hit/miss counters or recency order. A detour
+            // clears `ends`, which was proven for the greedy choice only.
+            let after = if ends {
+                None
+            } else {
+                topology.next_hop_ending(current, chunk)
+            };
+            let Some(after) = after else {
+                debug_assert_eq!(topology.closest_node(chunk), current);
                 break (RouteOutcome::Delivered, false);
-            }
+            };
             if use_cache && caches[current.index()].lookup(chunk) {
                 break (RouteOutcome::Delivered, true);
             }
+            (next, ends) = after;
         };
 
         match outcome {
@@ -1351,6 +1380,34 @@ mod tests {
         // delivered + stuck == requests.
         assert_eq!(sim.stats().requests_issued().iter().sum::<u64>(), 3);
         assert_eq!(sim.stats().stuck_requests(), 1);
+    }
+
+    #[test]
+    fn retry_from_a_departed_originator_is_stuck() {
+        let t = topology(200, 4, 23);
+        let chunk = t.space().address(0x0F0F).unwrap();
+        let originator = t
+            .node_ids()
+            .max_by_key(|n| t.space().distance(t.address(*n), chunk))
+            .unwrap();
+        let mut sim = DownloadSim::new(t, CachePolicy::None);
+        sim.set_capacities(vec![1; 200]);
+        sim.set_retry_policy(1, 1);
+        assert_eq!(sim.download_file(originator, &[chunk]).delivered, 1);
+        assert_eq!(sim.download_file(originator, &[chunk]).stuck, 1);
+        assert_eq!(sim.pending_retries(), 1);
+
+        // The requester leaves before its retry comes due. Its table is
+        // now empty, like the storer's, but the retry is stuck — it is not
+        // delivered from where the requester used to be.
+        sim.topology_mut().remove_node(originator).unwrap();
+        sim.on_node_leave(originator);
+        sim.advance_step();
+        sim.drain_retries(|d| panic!("a departed originator cannot recover {d:?}"));
+        assert_eq!(sim.stats().retried(), 1);
+        assert_eq!(sim.stats().recovered(), 0);
+        assert_eq!(sim.stats().abandoned(), 1);
+        assert_eq!(sim.stats().stuck_requests(), 2);
     }
 
     #[test]

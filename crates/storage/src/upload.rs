@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
-use fairswap_kademlia::{NodeId, OverlayAddress, RouteOutcome, Topology};
+use fairswap_kademlia::{NodeId, OverlayAddress, RouteOutcome, Router, Topology};
 
 use crate::download::ChunkDelivery;
 use crate::traffic::TrafficStats;
@@ -119,33 +119,16 @@ impl UploadSim {
     }
 
     /// Pushes a single chunk toward its storer.
+    ///
+    /// The push takes exactly the [`Router::route`] walk, which stops at
+    /// the storer without looking it up; an offline originator cannot
+    /// push at all and counts as stuck.
     pub fn push_chunk(&mut self, originator: NodeId, chunk: OverlayAddress) -> ChunkDelivery {
         self.stats.add_request(originator);
-        let storer = self.topology.closest_node(chunk);
-        if storer == originator {
-            self.stored[originator.index()].insert(chunk.raw());
-            return ChunkDelivery {
-                originator,
-                chunk,
-                hops: Vec::new(),
-                from_cache: false,
-                outcome: RouteOutcome::AlreadyAtStorer,
-            };
-        }
-        let mut hops: Vec<NodeId> = Vec::with_capacity(8);
-        let mut current = originator;
-        let outcome = loop {
-            match self.topology.next_hop(current, chunk) {
-                Some(next) => {
-                    hops.push(next);
-                    current = next;
-                    if current == storer {
-                        break RouteOutcome::Delivered;
-                    }
-                }
-                None => break RouteOutcome::Stuck,
-            }
-        };
+        let route = Router::new(&self.topology).route(originator, chunk);
+        let outcome = route.outcome();
+        let hops = route.hops().to_vec();
+        let storer = hops.last().copied().unwrap_or(originator);
         match outcome {
             RouteOutcome::Delivered => {
                 for &hop in &hops {
@@ -154,10 +137,12 @@ impl UploadSim {
                 let first = hops.first().copied().expect("delivered implies >=1 hop");
                 self.stats.add_first_hop(first);
                 self.stats.add_storer(storer);
-                self.stored[storer.index()].insert(chunk.raw());
             }
+            RouteOutcome::AlreadyAtStorer => {}
             RouteOutcome::Stuck => self.stats.add_stuck(),
-            RouteOutcome::AlreadyAtStorer => unreachable!("handled above"),
+        }
+        if outcome.is_delivered() {
+            self.stored[storer.index()].insert(chunk.raw());
         }
         ChunkDelivery {
             originator,
@@ -232,6 +217,20 @@ mod tests {
         assert_eq!(push.outcome, RouteOutcome::AlreadyAtStorer);
         assert!(sim.stores(storer, chunk));
         assert_eq!(sim.stats().total_forwarded(), 0);
+    }
+
+    #[test]
+    fn offline_originator_stores_nothing() {
+        let mut t = topology(100, 5);
+        let chunk = t.space().address(0x1001).unwrap();
+        let storer = t.closest_node(chunk);
+        t.remove_node(storer).unwrap();
+        let mut sim = UploadSim::new(t);
+        let push = sim.push_chunk(storer, chunk);
+        assert_eq!(push.outcome, RouteOutcome::Stuck);
+        assert!(push.hops.is_empty());
+        assert!(!sim.stores(storer, chunk));
+        assert_eq!(sim.stats().stuck_requests(), 1);
     }
 
     #[test]

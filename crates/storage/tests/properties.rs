@@ -1,10 +1,14 @@
 //! Property-based tests for the storage-network model.
 
-use fairswap_kademlia::{AddressSpace, NodeId, TopologyBuilder};
-use fairswap_storage::{CachePolicy, DownloadSim};
+use fairswap_kademlia::{
+    AddressSpace, BucketSizing, NodeId, RouteOutcome, Topology, TopologyBuilder,
+};
+use fairswap_storage::{
+    CachePolicy, ChunkDelivery, DownloadSim, NodeCache, RepairSource, RoutePolicy,
+};
 use proptest::prelude::*;
 
-fn topology(nodes: usize, k: usize, seed: u64) -> std::rc::Rc<fairswap_kademlia::Topology> {
+fn topology(nodes: usize, k: usize, seed: u64) -> std::rc::Rc<Topology> {
     std::rc::Rc::new(
         TopologyBuilder::new(AddressSpace::new(12).expect("valid width"))
             .nodes(nodes)
@@ -120,5 +124,118 @@ proptest! {
         prop_assert_eq!(merged.forwarded(), whole.stats().forwarded());
         prop_assert_eq!(merged.served_first_hop(), whole.stats().served_first_hop());
         prop_assert_eq!(merged.stuck_requests(), whole.stats().stuck_requests());
+    }
+}
+
+/// Where a walk may end: a route served from storage ends at the closest
+/// live node to the chunk, a cache never serves from that node (the
+/// storer's cache is not consulted), and only a live originator that is
+/// itself the closest live node is already at the storer.
+fn assert_walk_end(t: &Topology, d: &ChunkDelivery) {
+    let closest = t.closest_node(d.chunk);
+    match d.outcome {
+        RouteOutcome::Delivered if d.from_cache => assert_ne!(d.server(), Some(closest)),
+        RouteOutcome::Delivered => assert_eq!(d.server(), Some(closest)),
+        RouteOutcome::AlreadyAtStorer => {
+            assert!(t.is_live(d.originator));
+            assert_eq!(d.originator, closest);
+            assert!(d.hops.is_empty());
+        }
+        RouteOutcome::Stuck => {}
+    }
+}
+
+proptest! {
+    /// The download walk stops where `next_hop` runs out, or where
+    /// `next_hop_ending` flags the storer, with no storer lookup; this
+    /// pins that the stop is the storer under everything
+    /// that perturbs a walk: churn (joins, departures, dropped caches),
+    /// bucket overrides, capacity budgets with detours, on-path caching,
+    /// retries from originators that may have left since, and
+    /// re-replication repairs from replicas or re-seeding originators.
+    /// A first attempt is `AlreadyAtStorer` exactly when its originator
+    /// is live, is the closest live node, and the chunk's region is not
+    /// lost; an offline originator is stuck without a hop.
+    #[test]
+    fn walks_stop_exactly_at_the_closest_live_node(
+        nodes in 8usize..100,
+        (k, over) in (1usize..6, (any::<bool>(), 0u32..12, 1usize..64)),
+        seed in any::<u64>(),
+        (cached, budget, max_detours, region_bits) in
+            (any::<bool>(), any::<bool>(), 0usize..4, 1u32..8),
+        caps in prop::collection::vec(1u64..4, 100..=100),
+        ops in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u64>()), 1..60),
+    ) {
+        let space = AddressSpace::new(12).expect("valid width");
+        let mut sizing = BucketSizing::uniform(k);
+        if let (true, bucket, cap) = over {
+            sizing = sizing.with_override(bucket, cap);
+        }
+        let t = TopologyBuilder::new(space)
+            .nodes(nodes)
+            .bucket_sizing(sizing)
+            .seed(seed)
+            .build()
+            .expect("valid topology");
+        let cache = if cached { CachePolicy::Lru { capacity: 8 } } else { CachePolicy::None };
+        let mut sim = DownloadSim::new(t, cache);
+        if budget {
+            sim.set_capacities(caps[..nodes].to_vec());
+            sim.set_route_policy(RoutePolicy::CapacityDetour { max_detours });
+        }
+        sim.enable_durability(region_bits);
+        sim.set_retry_policy(2, 1);
+        let mut step = 1u64;
+        let mut seen = Vec::new();
+        for (kind, pick, raw) in ops {
+            let node = NodeId(pick as usize % nodes);
+            match kind % 8 {
+                0 => {
+                    if sim.topology_mut().remove_node(node).is_ok() {
+                        sim.on_node_leave(node);
+                        sim.note_departure(node, step);
+                    }
+                }
+                1 => {
+                    let _ = sim.topology_mut().add_node(node);
+                }
+                2 => {
+                    sim.advance_step();
+                    step += 1;
+                    seen.clear();
+                    sim.drain_retries(|d| seen.push(d.clone()));
+                    let source =
+                        if pick % 2 == 0 { RepairSource::Replica } else { RepairSource::Originator };
+                    sim.run_repairs(source, |d| seen.push(d.clone()));
+                    for d in &seen {
+                        prop_assert!(d.delivered());
+                        assert_walk_end(sim.topology(), d);
+                    }
+                }
+                _ => {
+                    let chunk = space.address_truncated(raw);
+                    let unreachable = sim.stats().unreachable_requests();
+                    let storer = sim.topology().closest_node(chunk);
+                    let storer_lookups = sim.cache(storer).map(NodeCache::lookups);
+                    let mut delivery = None;
+                    sim.download_file_with(node, &[chunk], |d| delivery = Some(d.clone()));
+                    let d = delivery.expect("one callback per chunk");
+                    // The storer serves from storage: its cache counters
+                    // and recency order stay untouched.
+                    prop_assert_eq!(sim.cache(storer).map(NodeCache::lookups), storer_lookups);
+                    let t = sim.topology();
+                    assert_walk_end(t, &d);
+                    let lost = sim.stats().unreachable_requests() > unreachable;
+                    prop_assert_eq!(
+                        d.outcome == RouteOutcome::AlreadyAtStorer,
+                        !lost && t.is_live(node) && node == storer
+                    );
+                    if !t.is_live(node) {
+                        prop_assert_eq!(d.outcome, RouteOutcome::Stuck);
+                        prop_assert!(d.hops.is_empty());
+                    }
+                }
+            }
+        }
     }
 }
