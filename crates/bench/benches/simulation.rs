@@ -2,7 +2,7 @@
 //! small complete experiment, for both paper `k` values.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use fairswap_core::SimulationBuilder;
+use fairswap_core::{BucketSizing, SimSpec};
 use fairswap_kademlia::{AddressSpace, NodeId, TopologyBuilder};
 use fairswap_storage::{CachePolicy, DownloadSim};
 
@@ -34,14 +34,11 @@ fn bench_small_experiment(c: &mut Criterion) {
     for k in [4usize, 20] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
-                let report = SimulationBuilder::new()
-                    .nodes(300)
-                    .bucket_size(k)
-                    .files(50)
-                    .seed(0xFA12)
-                    .build()
-                    .expect("valid configuration")
-                    .run();
+                let mut spec = SimSpec::paper_defaults();
+                spec.topology.nodes = 300;
+                spec.topology.bucket_sizing = BucketSizing::uniform(k);
+                spec.workload.files = 50;
+                let report = spec.build().expect("valid configuration").run();
                 black_box(report.f2_income_gini())
             });
         });

@@ -26,7 +26,7 @@ use fairswap_core::experiments::{
     scenarios, sweeps, table1, ExperimentScale,
 };
 use fairswap_core::{
-    validate_jsonl, CsvTable, Executor, GridObservation, ObsOptions, Phase, SimJob, SimSpec,
+    validate_jsonl, CsvTable, Executor, GridObservation, ObsOptions, Phase, SimSpec,
 };
 use fairswap_fuzz::{minimize_corpus, run_campaign, Corpus, FuzzConfig};
 
@@ -772,25 +772,20 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         path.display()
                     ));
                 }
-                let config = spec.to_config();
                 println!(
                     "  spec: nodes={} bits={} k={} files={} seed={:#x} mechanism={} route={} cache={} repair={}",
-                    config.nodes,
-                    config.bits,
-                    config.bucket_sizing.default_k(),
-                    config.files,
-                    config.seed,
-                    config.mechanism.id(),
-                    config.route.id(),
-                    config.cache.id(),
-                    config.repair.id()
+                    spec.topology.nodes,
+                    spec.topology.bits,
+                    spec.topology.bucket_sizing.default_k(),
+                    spec.workload.files,
+                    spec.seed,
+                    spec.economics.mechanism.id(),
+                    spec.policies.route.id(),
+                    spec.policies.cache.id(),
+                    spec.policies.repair.id()
                 );
-                let reports = fairswap_core::run_jobs_observed(
-                    &executor,
-                    vec![SimJob::new(config.clone())],
-                    &mut obs,
-                )
-                .map_err(err)?;
+                let reports = fairswap_core::run_jobs_observed(&executor, vec![spec], &mut obs)
+                    .map_err(err)?;
                 let report = &reports[0];
                 let requests: u64 = report.traffic().requests_issued().iter().sum();
                 println!(
@@ -804,7 +799,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 );
                 // The exact serializer `fairswap serve` answers `/result`
                 // with — keeping the batch and HTTP paths `cmp`-equal.
-                let csv = fairswap_core::run_summary_csv(&config, report);
+                let csv = fairswap_core::run_summary_csv(report.config(), report);
                 write_csv(&mut obs, out, "run.csv", &csv)?;
             }
             "serve" => {

@@ -1,4 +1,4 @@
-//! Simulation configuration and builder.
+//! The engine's flat simulation configuration.
 
 use serde::{Deserialize, Serialize};
 
@@ -7,16 +7,14 @@ use fairswap_incentives::{
     BandwidthIncentive, EffortBased, FreeRiderSet, PayAllHops, ProofOfBandwidth, SwarmIncentive,
     TitForTat,
 };
-use fairswap_kademlia::{AddressSpace, BucketSizing, TopologyBuilder};
-use fairswap_simcore::rng::{domain, sub_seed};
+use fairswap_kademlia::BucketSizing;
 use fairswap_storage::{CachePolicy, RepairSource, RoutePolicy};
 use fairswap_swap::{Bzz, ChannelConfig, Pricing};
-use fairswap_workload::{ChunkDist, FileSizeDist, WorkloadBuilder};
+use fairswap_workload::{ChunkDist, FileSizeDist};
 
 use crate::error::CoreError;
 use crate::policy::RepairPolicy;
 use crate::scenario::ScenarioKind;
-use crate::sim::BandwidthSim;
 
 /// Which incentive mechanism the simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,13 +57,12 @@ pub const MAX_RETRY_LIMIT: u32 = 16;
 /// Upper bound on [`SimConfig::retry_backoff`], in steps.
 pub const MAX_RETRY_BACKOFF: u64 = 1024;
 
-/// Full simulation configuration.
+/// Full simulation configuration: the flat view the engine reads.
 ///
-/// [`SimConfig::paper_defaults`] reproduces §IV-B: 1000 nodes, 16-bit
-/// addresses, static tables, uniform 100–1000-chunk files at uniform
-/// addresses, Swarm incentive with proximity pricing, no caching, no free
-/// riders.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Runs are described by [`SimSpec`](crate::SimSpec), whose
+/// [`to_config`](crate::SimSpec::to_config) is the only way to get one of
+/// these.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of overlay nodes.
     pub nodes: usize,
@@ -122,38 +119,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's §IV-B settings (with `k = 4` and 100% originators; use
-    /// the builder to vary them).
-    pub fn paper_defaults() -> Self {
-        Self {
-            nodes: 1000,
-            bits: 16,
-            bucket_sizing: BucketSizing::uniform(4),
-            originator_fraction: 1.0,
-            files: 10_000,
-            seed: 0xFA12,
-            file_size: FileSizeDist::paper_default(),
-            chunk_dist: ChunkDist::Uniform,
-            cache: CachePolicy::None,
-            channel: ChannelConfig {
-                payment_threshold: fairswap_swap::AccountingUnits(10_000),
-                disconnect_threshold: fairswap_swap::AccountingUnits(1_000_000_000),
-                refresh_rate: fairswap_swap::AccountingUnits(100),
-            },
-            tx_cost: Bzz::ZERO,
-            free_rider_fraction: 0.0,
-            mechanism: MechanismKind::Swarm,
-            pricing: Pricing::proximity_unit(),
-            churn: None,
-            scenario: None,
-            route: RoutePolicy::Greedy,
-            repair: RepairPolicy::None,
-            repair_source: RepairSource::Replica,
-            max_retries: 0,
-            retry_backoff: 1,
-        }
-    }
-
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.nodes == 0 {
             return Err(CoreError::InvalidConfig {
@@ -223,6 +188,28 @@ impl SimConfig {
             }
             _ => {}
         }
+        // A non-positive disconnect threshold freezes every channel on its
+        // first service, and a negative price makes payments run backwards;
+        // both crash the SWAP accounting mid-run.
+        if self.channel.disconnect_threshold.0 <= 0 {
+            return Err(CoreError::InvalidConfig {
+                message: format!(
+                    "economics.channel.disconnect_threshold must be positive, got {}",
+                    self.channel.disconnect_threshold.0
+                ),
+            });
+        }
+        let (price_field, price) = match self.pricing {
+            Pricing::Proximity { base } => ("Proximity.base", base),
+            Pricing::Flat { price } => ("Flat.price", price),
+        };
+        if price < 0 {
+            return Err(CoreError::InvalidConfig {
+                message: format!(
+                    "economics.pricing.{price_field} must be non-negative, got {price}"
+                ),
+            });
+        }
         if let Some(churn) = &self.churn {
             churn.validate()?;
         }
@@ -280,282 +267,45 @@ impl SimConfig {
     }
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self::paper_defaults()
-    }
-}
-
-/// Fluent builder over [`SimConfig`].
-///
-/// ```
-/// use fairswap_core::SimulationBuilder;
-///
-/// let sim = SimulationBuilder::new()
-///     .nodes(300)
-///     .bucket_size(20)
-///     .originator_fraction(0.2)
-///     .files(100)
-///     .build()?;
-/// # Ok::<(), fairswap_core::CoreError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SimulationBuilder {
-    config: SimConfig,
-}
-
-impl SimulationBuilder {
-    /// Starts from [`SimConfig::paper_defaults`].
-    pub fn new() -> Self {
-        Self {
-            config: SimConfig::paper_defaults(),
-        }
-    }
-
-    /// Starts from an explicit configuration.
-    pub fn from_config(config: SimConfig) -> Self {
-        Self { config }
-    }
-
-    /// Network size.
-    #[must_use]
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.config.nodes = nodes;
-        self
-    }
-
-    /// Address-space bit width.
-    #[must_use]
-    pub fn bits(mut self, bits: u32) -> Self {
-        self.config.bits = bits;
-        self
-    }
-
-    /// Uniform bucket size `k` (paper compares 4 and 20).
-    #[must_use]
-    pub fn bucket_size(mut self, k: usize) -> Self {
-        self.config.bucket_sizing = BucketSizing::uniform(k);
-        self
-    }
-
-    /// Per-bucket sizing (§V bucket-zero extension).
-    #[must_use]
-    pub fn bucket_sizing(mut self, sizing: BucketSizing) -> Self {
-        self.config.bucket_sizing = sizing;
-        self
-    }
-
-    /// Originator fraction (paper: 0.2 or 1.0).
-    #[must_use]
-    pub fn originator_fraction(mut self, fraction: f64) -> Self {
-        self.config.originator_fraction = fraction;
-        self
-    }
-
-    /// Number of files to download.
-    #[must_use]
-    pub fn files(mut self, files: u64) -> Self {
-        self.config.files = files;
-        self
-    }
-
-    /// Master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// File-size distribution.
-    #[must_use]
-    pub fn file_size(mut self, dist: FileSizeDist) -> Self {
-        self.config.file_size = dist;
-        self
-    }
-
-    /// Chunk-address distribution (uniform or Zipf).
-    #[must_use]
-    pub fn chunk_dist(mut self, dist: ChunkDist) -> Self {
-        self.config.chunk_dist = dist;
-        self
-    }
-
-    /// Cache policy.
-    #[must_use]
-    pub fn cache(mut self, cache: CachePolicy) -> Self {
-        self.config.cache = cache;
-        self
-    }
-
-    /// SWAP channel configuration.
-    #[must_use]
-    pub fn channel(mut self, channel: ChannelConfig) -> Self {
-        self.config.channel = channel;
-        self
-    }
-
-    /// Settlement transaction cost.
-    #[must_use]
-    pub fn tx_cost(mut self, tx_cost: Bzz) -> Self {
-        self.config.tx_cost = tx_cost;
-        self
-    }
-
-    /// Fraction of free-riding nodes.
-    #[must_use]
-    pub fn free_rider_fraction(mut self, fraction: f64) -> Self {
-        self.config.free_rider_fraction = fraction;
-        self
-    }
-
-    /// Incentive mechanism.
-    #[must_use]
-    pub fn mechanism(mut self, mechanism: MechanismKind) -> Self {
-        self.config.mechanism = mechanism;
-        self
-    }
-
-    /// Pricing scheme.
-    #[must_use]
-    pub fn pricing(mut self, pricing: Pricing) -> Self {
-        self.config.pricing = pricing;
-        self
-    }
-
-    /// Full churn configuration (session/downtime distributions, live
-    /// floor, start step).
-    #[must_use]
-    pub fn churn(mut self, churn: ChurnConfig) -> Self {
-        self.config.churn = Some(churn);
-        self
-    }
-
-    /// Convenience knob: the expected fraction of live nodes departing per
-    /// step. `0.0` means a static overlay; invalid rates are reported by
-    /// [`SimulationBuilder::build`].
-    #[must_use]
-    pub fn churn_rate(mut self, rate: f64) -> Self {
-        self.config.churn = (rate != 0.0).then(|| ChurnConfig::from_rate_unchecked(rate));
-        self
-    }
-
-    /// Scripted overlay shock (see [`ScenarioKind`]); validated by
-    /// [`SimulationBuilder::build`].
-    #[must_use]
-    pub fn scenario(mut self, scenario: ScenarioKind) -> Self {
-        self.config.scenario = Some(scenario);
-        self
-    }
-
-    /// Routing policy (see [`RoutePolicy`]).
-    #[must_use]
-    pub fn route_policy(mut self, route: RoutePolicy) -> Self {
-        self.config.route = route;
-        self
-    }
-
-    /// Repair policy (see [`RepairPolicy`]); validated by
-    /// [`SimulationBuilder::build`].
-    #[must_use]
-    pub fn repair_policy(mut self, repair: RepairPolicy) -> Self {
-        self.config.repair = repair;
-        self
-    }
-
-    /// Where re-replication sources its repair uploads from.
-    #[must_use]
-    pub fn repair_source(mut self, source: RepairSource) -> Self {
-        self.config.repair_source = source;
-        self
-    }
-
-    /// Retry policy for failed user downloads; validated by
-    /// [`SimulationBuilder::build`].
-    #[must_use]
-    pub fn retry_policy(mut self, max_retries: u32, backoff: u64) -> Self {
-        self.config.max_retries = max_retries;
-        self.config.retry_backoff = backoff;
-        self
-    }
-
-    /// The configuration as currently set.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Builds the simulator: constructs the topology, workload, mechanism
-    /// and reward state.
-    ///
-    /// # Errors
-    ///
-    /// Any configuration error (invalid space, fractions, file sizes, zero
-    /// files, ...) is reported as [`CoreError`].
-    pub fn build(self) -> Result<BandwidthSim, CoreError> {
-        self.config.validate()?;
-        let config = self.config;
-        let space = AddressSpace::new(config.bits)?;
-        let topology = TopologyBuilder::new(space)
-            .nodes(config.nodes)
-            .bucket_sizing(config.bucket_sizing.clone())
-            .seed(config.seed)
-            .build()?;
-        // Distinct sub-seeds per concern, all forked from the master seed
-        // through the shared derivation in `fairswap_simcore::rng`.
-        let workload = WorkloadBuilder::new(space, config.nodes)
-            .originator_fraction(config.originator_fraction)
-            .file_size(config.file_size)
-            .chunk_dist(config.chunk_dist.clone())
-            .seed(sub_seed(config.seed, domain::WORKLOAD))
-            .build()?;
-        Ok(BandwidthSim::new(config, topology, workload))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SimSpec;
+    use fairswap_swap::AccountingUnits;
+
+    /// A valid small spec; each test breaks one field of it.
+    fn small() -> SimSpec {
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 10;
+        spec.workload.files = 1;
+        spec
+    }
 
     #[test]
     fn paper_defaults_shape() {
-        let c = SimConfig::paper_defaults();
+        let c = SimSpec::paper_defaults().to_config();
         assert_eq!(c.nodes, 1000);
         assert_eq!(c.bits, 16);
         assert_eq!(c.bucket_sizing.default_k(), 4);
         assert_eq!(c.files, 10_000);
         assert_eq!(c.mechanism.id(), "swarm");
-        assert_eq!(SimConfig::default(), c);
-    }
-
-    #[test]
-    fn builder_sets_fields() {
-        let b = SimulationBuilder::new()
-            .nodes(50)
-            .bits(12)
-            .bucket_size(20)
-            .originator_fraction(0.2)
-            .files(5)
-            .seed(1)
-            .mechanism(MechanismKind::TitForTat);
-        assert_eq!(b.config().nodes, 50);
-        assert_eq!(b.config().bits, 12);
-        assert_eq!(b.config().mechanism.id(), "tit-for-tat");
-        assert!(b.build().is_ok());
+        assert_eq!(SimSpec::default(), SimSpec::paper_defaults());
     }
 
     #[test]
     fn zero_files_rejected() {
-        let err = SimulationBuilder::new()
-            .nodes(10)
-            .files(0)
-            .build()
-            .unwrap_err();
+        let mut spec = small();
+        spec.workload.files = 0;
+        let err = spec.build().unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { .. }));
         assert!(err.to_string().contains("files must be at least 1"));
     }
 
     #[test]
     fn zero_nodes_rejected() {
-        let err = SimulationBuilder::new().nodes(0).build().unwrap_err();
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 0;
+        let err = spec.build().unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { .. }));
         assert!(err.to_string().contains("nodes must be at least 1"));
     }
@@ -563,12 +313,9 @@ mod tests {
     #[test]
     fn out_of_range_bits_rejected() {
         for bits in [0u32, 65] {
-            let err = SimulationBuilder::new()
-                .nodes(10)
-                .bits(bits)
-                .files(1)
-                .build()
-                .unwrap_err();
+            let mut spec = small();
+            spec.topology.bits = bits;
+            let err = spec.build().unwrap_err();
             assert!(matches!(err, CoreError::InvalidConfig { .. }), "{bits}");
             assert!(
                 err.to_string().contains("bits must be in 1..=64"),
@@ -580,12 +327,9 @@ mod tests {
     #[test]
     fn bad_originator_fractions_rejected() {
         for fraction in [0.0, -0.2, 1.5, f64::NAN, f64::INFINITY] {
-            let err = SimulationBuilder::new()
-                .nodes(10)
-                .files(1)
-                .originator_fraction(fraction)
-                .build()
-                .unwrap_err();
+            let mut spec = small();
+            spec.workload.originator_fraction = fraction;
+            let err = spec.build().unwrap_err();
             assert!(
                 matches!(err, CoreError::InvalidConfig { .. }),
                 "{fraction}: {err}"
@@ -600,14 +344,11 @@ mod tests {
 
     #[test]
     fn bad_repair_policy_rejected() {
-        let err = SimulationBuilder::new()
-            .nodes(10)
-            .files(1)
-            .repair_policy(RepairPolicy::ReReplicate {
-                neighborhood_bits: 0,
-            })
-            .build()
-            .unwrap_err();
+        let mut spec = small();
+        spec.policies.repair = RepairPolicy::ReReplicate {
+            neighborhood_bits: 0,
+        };
+        let err = spec.build().unwrap_err();
         assert!(err.to_string().contains("neighborhood_bits"));
     }
 
@@ -620,12 +361,10 @@ mod tests {
             (2, 1025, "retry_backoff must be in 1..=1024, got 1025"),
             (0, 0, "retry_backoff must be in 1..=1024, got 0"),
         ] {
-            let err = SimulationBuilder::new()
-                .nodes(10)
-                .files(1)
-                .retry_policy(max_retries, backoff)
-                .build()
-                .unwrap_err();
+            let mut spec = small();
+            spec.policies.max_retries = max_retries;
+            spec.policies.retry_backoff = backoff;
+            let err = spec.build().unwrap_err();
             assert!(matches!(err, CoreError::InvalidConfig { .. }));
             assert!(
                 err.to_string().contains(needle),
@@ -633,73 +372,96 @@ mod tests {
             );
         }
         // The bounds themselves are valid.
-        assert!(SimulationBuilder::new()
-            .retry_policy(16, 1024)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn policy_setters_reach_the_config() {
-        let b = SimulationBuilder::new()
-            .route_policy(RoutePolicy::CapacityDetour { max_detours: 3 })
-            .repair_policy(RepairPolicy::ReReplicate {
-                neighborhood_bits: 8,
-            })
-            .repair_source(RepairSource::Originator)
-            .retry_policy(2, 4);
-        assert_eq!(b.config().route.id(), "capacity-detour");
-        assert_eq!(b.config().repair.id(), "re-replicate");
-        assert_eq!(b.config().repair_source.id(), "originator");
-        assert_eq!(b.config().max_retries, 2);
-        assert_eq!(b.config().retry_backoff, 4);
-        assert!(b.build().is_ok());
+        let mut spec = SimSpec::paper_defaults();
+        spec.policies.max_retries = 16;
+        spec.policies.retry_backoff = 1024;
+        assert!(spec.build().is_ok());
     }
 
     #[test]
     fn bad_free_rider_fraction_rejected() {
-        let err = SimulationBuilder::new()
-            .nodes(10)
-            .files(1)
-            .free_rider_fraction(1.5)
-            .build()
-            .unwrap_err();
+        let mut spec = small();
+        spec.economics.free_rider_fraction = 1.5;
+        let err = spec.build().unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { .. }));
+        assert!(err
+            .to_string()
+            .contains("free rider fraction must be in [0, 1]"));
+    }
+
+    #[test]
+    fn non_positive_disconnect_thresholds_rejected() {
+        for threshold in [0i64, -1] {
+            let mut spec = small();
+            spec.economics.channel = ChannelConfig {
+                payment_threshold: AccountingUnits(0),
+                disconnect_threshold: AccountingUnits(threshold),
+                refresh_rate: AccountingUnits(0),
+            };
+            let err = spec.validate().unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig { .. }));
+            assert!(
+                err.to_string().contains(&format!(
+                    "economics.channel.disconnect_threshold must be positive, got {threshold}"
+                )),
+                "{err}"
+            );
+        }
+        // A one-unit threshold settles before every service and runs.
+        let mut spec = small();
+        spec.topology.nodes = 80;
+        spec.workload.files = 8;
+        spec.economics.channel.disconnect_threshold = AccountingUnits(1);
+        spec.build().unwrap().run();
+    }
+
+    #[test]
+    fn negative_prices_rejected() {
+        for (pricing, needle) in [
+            (
+                Pricing::Flat { price: -5 },
+                "economics.pricing.Flat.price must be non-negative, got -5",
+            ),
+            (
+                Pricing::Proximity { base: -3 },
+                "economics.pricing.Proximity.base must be non-negative, got -3",
+            ),
+        ] {
+            let mut spec = small();
+            spec.economics.pricing = pricing;
+            let err = spec.validate().unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig { .. }));
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        // Free relaying is a valid (if unpaid) configuration.
+        for pricing in [Pricing::Flat { price: 0 }, Pricing::Proximity { base: 0 }] {
+            let mut spec = small();
+            spec.economics.pricing = pricing;
+            assert!(spec.validate().is_ok(), "{pricing:?}");
+        }
     }
 
     #[test]
     fn topology_errors_propagate() {
-        let err = SimulationBuilder::new()
-            .nodes(1)
-            .files(1)
-            .build()
-            .unwrap_err();
+        let mut spec = small();
+        spec.topology.nodes = 1;
+        let err = spec.build().unwrap_err();
         assert!(matches!(err, CoreError::Topology(_)));
     }
 
     #[test]
     fn churn_knobs() {
-        let b = SimulationBuilder::new().churn_rate(0.1);
-        let churn = b.config().churn.clone().unwrap();
-        churn.validate().unwrap();
-        assert!(b.build().is_ok());
-
-        // Zero rate switches back to the static overlay.
-        let b = SimulationBuilder::new().churn_rate(0.1).churn_rate(0.0);
-        assert!(b.config().churn.is_none());
+        let mut spec = SimSpec::paper_defaults();
+        spec.dynamics.churn = Some(ChurnConfig::from_rate(0.1).unwrap());
+        assert!(spec.build().is_ok());
 
         // Invalid rates surface at build time.
-        let err = SimulationBuilder::new()
-            .nodes(50)
-            .files(5)
-            .churn_rate(-2.0)
-            .build()
-            .unwrap_err();
+        let mut spec = small();
+        spec.topology.nodes = 50;
+        spec.workload.files = 5;
+        spec.dynamics.churn = Some(ChurnConfig::from_rate_unchecked(-2.0));
+        let err = spec.build().unwrap_err();
         assert!(matches!(err, CoreError::Churn(_)));
-
-        // Full configs pass through.
-        let b = SimulationBuilder::new().churn(ChurnConfig::from_rate(0.05).unwrap());
-        assert!(b.config().churn.is_some());
     }
 
     #[test]
@@ -731,9 +493,9 @@ mod tests {
                 "exponent -1",
             ),
         ] {
-            let mut config = SimConfig::paper_defaults();
-            config.chunk_dist = dist;
-            let err = config.validate().unwrap_err();
+            let mut spec = SimSpec::paper_defaults();
+            spec.workload.chunk_dist = dist;
+            let err = spec.validate().unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
         for (dist, needle) in [
@@ -747,9 +509,9 @@ mod tests {
             ),
             (FileSizeDist::Constant(0), "invalid file size range 0..=0"),
         ] {
-            let mut config = SimConfig::paper_defaults();
-            config.file_size = dist;
-            let err = config.validate().unwrap_err();
+            let mut spec = SimSpec::paper_defaults();
+            spec.workload.file_size = dist;
+            let err = spec.validate().unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
     }
@@ -776,19 +538,19 @@ mod tests {
                 "mint_per_chunk must be positive, got -3",
             ),
         ] {
-            let mut config = SimConfig::paper_defaults();
-            config.mechanism = mechanism;
-            let err = config.validate().unwrap_err();
+            let mut spec = SimSpec::paper_defaults();
+            spec.economics.mechanism = mechanism;
+            let err = spec.validate().unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
         // The positive parameters still build.
-        let mut config = SimConfig::paper_defaults();
-        config.nodes = 60;
-        config.files = 2;
-        config.mechanism = MechanismKind::EffortBased {
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 60;
+        spec.workload.files = 2;
+        spec.economics.mechanism = MechanismKind::EffortBased {
             budget_per_tick: 500,
         };
-        assert!(config.validate().is_ok());
+        assert!(spec.build().is_ok());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Parallel execution of experiment grids.
 //!
-//! Every experiment preset expresses its sweep as a `Vec<SimJob>` — one
-//! fully-specified [`SimConfig`] per cell — and hands it to
+//! Every experiment preset expresses its sweep as a `Vec<SimSpec>` — one
+//! fully-specified run per cell — and hands it to
 //! [`run_jobs_observed`], which fans the cells out over a
 //! [`fairswap_simcore::Executor`] worker pool and returns the
 //! [`SimReport`]s **in cell order**. Because every
-//! cell's randomness is derived from its own config seed (topology,
+//! cell's randomness is derived from its own spec seed (topology,
 //! workload, churn and free-rider streams are all forked per cell, never
 //! shared), the merged output is bit-identical for any thread count: a
 //! `--threads 8` sweep produces byte-for-byte the CSVs of a serial run.
@@ -17,55 +17,31 @@
 use fairswap_obs::Phase;
 use fairswap_simcore::Executor;
 
-use crate::config::{SimConfig, SimulationBuilder};
 use crate::error::CoreError;
 use crate::obs::{GridObservation, NullObserver, ObsCollector, StepObserver};
 use crate::report::SimReport;
+use crate::spec::SimSpec;
 
-/// One cell of an experiment grid: a complete simulation configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimJob {
-    config: SimConfig,
+/// Builds and runs one grid cell with `obs` wired into its step loop,
+/// reporting each completed timestep through `on_step`. When the observer
+/// profiles, topology build time is attributed to the
+/// [`Phase::TopologyBuild`] phase.
+fn run_cell<O: StepObserver>(
+    spec: &SimSpec,
+    obs: &mut O,
+    mut on_step: impl FnMut(),
+) -> Result<SimReport, CoreError> {
+    let build_start = obs.profiling().then(std::time::Instant::now);
+    let sim = spec.build()?;
+    if let Some(start) = build_start {
+        obs.add_phase(Phase::TopologyBuild, start.elapsed().as_nanos() as u64);
+    }
+    Ok(sim.run_observed(|_, _| on_step(), obs))
 }
 
-impl SimJob {
-    /// Wraps a configuration as a runnable grid cell.
-    pub fn new(config: SimConfig) -> Self {
-        Self { config }
-    }
-
-    /// The cell's configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Timesteps this cell contributes to the grid's progress total.
-    pub fn steps(&self) -> u64 {
-        self.config.files
-    }
-
-    /// Builds and runs the cell with `obs` wired into its step loop,
-    /// reporting each completed timestep through `on_step`. When the
-    /// observer profiles, topology build time is attributed to the
-    /// [`Phase::TopologyBuild`] phase.
-    fn run<O: StepObserver>(
-        self,
-        obs: &mut O,
-        mut on_step: impl FnMut(),
-    ) -> Result<SimReport, CoreError> {
-        let build_start = obs.profiling().then(std::time::Instant::now);
-        let sim = SimulationBuilder::from_config(self.config).build()?;
-        if let Some(start) = build_start {
-            obs.add_phase(Phase::TopologyBuild, start.elapsed().as_nanos() as u64);
-        }
-        Ok(sim.run_observed(|_, _| on_step(), obs))
-    }
-}
-
-impl From<SimConfig> for SimJob {
-    fn from(config: SimConfig) -> Self {
-        Self::new(config)
-    }
+/// Timesteps a grid contributes to its progress total: one per file.
+fn total_steps(jobs: &[SimSpec]) -> u64 {
+    jobs.iter().map(|spec| spec.workload.files).sum()
 }
 
 /// Runs a grid of cells on the executor and merges the reports in stable
@@ -73,10 +49,10 @@ impl From<SimConfig> for SimJob {
 ///
 /// # Errors
 ///
-/// If any cell's configuration is invalid, the first failing cell's
+/// If any cell's spec is invalid, the first failing cell's
 /// [`CoreError`] (in cell order) is returned; other cells may still have
 /// run.
-pub fn run_jobs(executor: &Executor, jobs: Vec<SimJob>) -> Result<Vec<SimReport>, CoreError> {
+pub fn run_jobs(executor: &Executor, jobs: Vec<SimSpec>) -> Result<Vec<SimReport>, CoreError> {
     run_jobs_observed(executor, jobs, &mut GridObservation::disabled())
 }
 
@@ -95,7 +71,7 @@ pub fn run_jobs(executor: &Executor, jobs: Vec<SimJob>) -> Result<Vec<SimReport>
 /// are kept (the trace is partial, the error is what matters).
 pub fn run_jobs_observed(
     executor: &Executor,
-    jobs: Vec<SimJob>,
+    jobs: Vec<SimSpec>,
     obs: &mut GridObservation,
 ) -> Result<Vec<SimReport>, CoreError> {
     if obs.opts().collecting() {
@@ -107,7 +83,7 @@ pub fn run_jobs_observed(
             |report, collector| (report, Some(collector)),
         );
     }
-    let total_steps: u64 = jobs.iter().map(SimJob::steps).sum();
+    let total_steps = total_steps(&jobs);
     obs.next_grid();
     let meter = obs.meter();
     executor
@@ -115,7 +91,7 @@ pub fn run_jobs_observed(
             jobs,
             total_steps,
             |done, total| meter.notify(done, total),
-            |_, job, progress| job.run(&mut NullObserver, || progress.advance(1)),
+            |_, spec, progress| run_cell(&spec, &mut NullObserver, || progress.advance(1)),
         )
         .into_iter()
         .collect()
@@ -129,7 +105,7 @@ pub fn run_jobs_observed(
 /// [`run_jobs_observed`].
 pub(crate) fn run_jobs_observing<O, T>(
     executor: &Executor,
-    jobs: Vec<SimJob>,
+    jobs: Vec<SimSpec>,
     obs: &mut GridObservation,
     observer: impl Fn(Option<ObsCollector>) -> O + Sync,
     finish: impl Fn(SimReport, O) -> (T, Option<ObsCollector>) + Sync,
@@ -138,7 +114,7 @@ where
     O: StepObserver,
     T: Send,
 {
-    let total_steps: u64 = jobs.iter().map(SimJob::steps).sum();
+    let total_steps = total_steps(&jobs);
     let opts = obs.opts();
     let grid = obs.next_grid();
     let meter = obs.meter();
@@ -146,12 +122,12 @@ where
         jobs,
         total_steps,
         |done, total| meter.notify(done, total),
-        |index, job, progress| {
+        |index, spec, progress| {
             let collector = opts
                 .collecting()
                 .then(|| ObsCollector::new(grid, index as u32, opts));
             let mut cell_observer = observer(collector);
-            job.run(&mut cell_observer, || progress.advance(1))
+            run_cell(&spec, &mut cell_observer, || progress.advance(1))
                 .map(|report| finish(report, cell_observer))
         },
     );
@@ -181,17 +157,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn grid() -> Vec<SimJob> {
+    fn grid() -> Vec<SimSpec> {
         [(4usize, 0.2f64), (4, 1.0), (20, 0.2), (20, 1.0)]
             .into_iter()
             .map(|(k, fraction)| {
-                let mut config = SimConfig::paper_defaults();
-                config.nodes = 120;
-                config.files = 20;
-                config.seed = 0xFA12;
-                config.bucket_sizing = fairswap_kademlia::BucketSizing::uniform(k);
-                config.originator_fraction = fraction;
-                SimJob::new(config)
+                let mut spec = SimSpec::paper_defaults();
+                spec.topology.nodes = 120;
+                spec.topology.bucket_sizing = fairswap_kademlia::BucketSizing::uniform(k);
+                spec.workload.files = 20;
+                spec.workload.originator_fraction = fraction;
+                spec
             })
             .collect()
     }
@@ -199,7 +174,7 @@ mod tests {
     #[test]
     fn reports_and_configs_cross_threads() {
         fn assert_send<T: Send>() {}
-        assert_send::<SimJob>();
+        assert_send::<SimSpec>();
         assert_send::<Result<SimReport, CoreError>>();
     }
 
@@ -218,7 +193,7 @@ mod tests {
     #[test]
     fn progress_covers_every_timestep() {
         let jobs = grid();
-        let total: u64 = jobs.iter().map(SimJob::steps).sum();
+        let total = total_steps(&jobs);
         let seen = AtomicU64::new(0);
         Executor::new(2).run_with_progress(
             jobs,
@@ -228,16 +203,16 @@ mod tests {
                 assert!(done <= grid_total);
                 seen.fetch_add(1, Ordering::Relaxed);
             },
-            |_, job, progress| job.run(&mut NullObserver, || progress.advance(1)).unwrap(),
+            |_, spec, progress| run_cell(&spec, &mut NullObserver, || progress.advance(1)).unwrap(),
         );
         assert_eq!(seen.load(Ordering::Relaxed), total);
     }
 
     #[test]
     fn first_invalid_cell_errors() {
-        let mut bad = SimConfig::paper_defaults();
-        bad.files = 0;
-        let jobs = vec![SimJob::new(bad)];
+        let mut bad = SimSpec::paper_defaults();
+        bad.workload.files = 0;
+        let jobs = vec![bad];
         assert!(matches!(
             run_jobs(&Executor::serial(), jobs),
             Err(CoreError::InvalidConfig { .. })
@@ -246,8 +221,10 @@ mod tests {
 
     #[test]
     fn job_accessors() {
-        let job: SimJob = SimConfig::paper_defaults().into();
-        assert_eq!(job.steps(), 10_000);
-        assert_eq!(job.config().nodes, 1000);
+        // A grid cell is its spec: it contributes one progress step per
+        // file, and the engine reads the flattened view of it.
+        let job = SimSpec::paper_defaults();
+        assert_eq!(total_steps(&[job.clone(), job.clone()]), 20_000);
+        assert_eq!(job.to_config().nodes, 1000);
     }
 }

@@ -17,9 +17,10 @@ use fairswap_workload::ChunkDist;
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
+use crate::spec::SimSpec;
 
 /// The cache policies the preset compares, in sweep order.
 pub const CACHE_POLICIES: [CachePolicy; 4] = [
@@ -173,23 +174,23 @@ fn grid(rates: &[f64]) -> Vec<(CachePolicy, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s — shared by [`run`] and the `SimSpec`
+/// The sweep grid's [`SimSpec`]s — shared by [`run`] and the `SimSpec`
 /// round-trip test (`tests/spec_stability.rs`).
 ///
 /// # Errors
 ///
 /// Propagates invalid churn rates as [`CoreError`].
-pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimJob>, CoreError> {
+pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimSpec>, CoreError> {
     grid(rates)
         .into_iter()
         .map(|(cache, rate)| {
-            let mut config = scale.cell_config(4, 1.0);
-            config.chunk_dist = WORKLOAD;
-            config.cache = cache;
+            let mut spec = scale.cell_spec(4, 1.0);
+            spec.workload.chunk_dist = WORKLOAD;
+            spec.policies.cache = cache;
             if rate != 0.0 {
-                config.churn = Some(ChurnConfig::from_rate(rate)?);
+                spec.dynamics.churn = Some(ChurnConfig::from_rate(rate)?);
             }
-            Ok(SimJob::new(config))
+            Ok(spec)
         })
         .collect()
 }

@@ -14,10 +14,11 @@ use fairswap_churn::ChurnConfig;
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
 use crate::report::ChurnSample;
+use crate::spec::SimSpec;
 
 /// The bucket sizes compared throughout the paper.
 pub const PAPER_KS: [usize; 2] = [4, 20];
@@ -183,21 +184,21 @@ fn grid(rates: &[f64]) -> Vec<(usize, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s — shared by [`run`] and the `SimSpec`
+/// The sweep grid's [`SimSpec`]s — shared by [`run`] and the `SimSpec`
 /// round-trip test (`tests/spec_stability.rs`).
 ///
 /// # Errors
 ///
 /// Propagates invalid churn rates as [`CoreError`].
-pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimJob>, CoreError> {
+pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimSpec>, CoreError> {
     grid(rates)
         .into_iter()
         .map(|(k, rate)| {
-            let mut config = scale.cell_config(k, 1.0);
+            let mut spec = scale.cell_spec(k, 1.0);
             if rate != 0.0 {
-                config.churn = Some(churn_config(rate)?);
+                spec.dynamics.churn = Some(churn_config(rate)?);
             }
-            Ok(SimJob::new(config))
+            Ok(spec)
         })
         .collect()
 }

@@ -33,12 +33,13 @@ use fairswap_storage::RepairSource;
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
 use crate::policy::RepairPolicy;
 use crate::report::ChurnSample;
 use crate::scenario::ScenarioKind;
+use crate::spec::SimSpec;
 
 /// The bucket sizes compared throughout the paper.
 pub const PAPER_KS: [usize; 2] = [4, 20];
@@ -288,30 +289,30 @@ fn grid(rates: &[f64]) -> Vec<(&'static str, usize, f64)> {
         .collect()
 }
 
-/// The sweep grid's [`SimJob`]s, in the order [`run`] executes them.
+/// The sweep grid's [`SimSpec`]s, in the order [`run`] executes them.
 ///
 /// # Errors
 ///
 /// Propagates invalid churn rates as [`CoreError`].
-pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimJob>, CoreError> {
+pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimSpec>, CoreError> {
     grid(rates)
         .into_iter()
         .map(|(mode, k, rate)| {
-            let mut config = scale.cell_config(k, 1.0);
-            config.churn = Some(ChurnConfig::from_rate(rate)?);
+            let mut spec = scale.cell_spec(k, 1.0);
+            spec.dynamics.churn = Some(ChurnConfig::from_rate(rate)?);
             // Two-tier capacity keeps hops scarce, so repair traffic
             // genuinely competes with user downloads for the budget.
-            config.scenario = Some(ScenarioKind::Heterogeneity {
+            spec.dynamics.scenario = Some(ScenarioKind::Heterogeneity {
                 slow_fraction: 0.3,
                 slow_budget: 2,
                 fast_budget: 16,
             });
-            let (repair, source) = mode_policy(mode, eager_bits(scale, config.bits));
-            config.repair = repair;
-            config.repair_source = source;
-            config.max_retries = MAX_RETRIES;
-            config.retry_backoff = 1;
-            Ok(SimJob::new(config))
+            let (repair, source) = mode_policy(mode, eager_bits(scale, spec.topology.bits));
+            spec.policies.repair = repair;
+            spec.policies.repair_source = source;
+            spec.policies.max_retries = MAX_RETRIES;
+            spec.policies.retry_backoff = 1;
+            Ok(spec)
         })
         .collect()
 }

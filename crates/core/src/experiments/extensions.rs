@@ -12,9 +12,10 @@ use fairswap_workload::ChunkDist;
 use crate::config::MechanismKind;
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
+use crate::spec::SimSpec;
 
 /// One configuration of the bucket-zero experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -86,12 +87,12 @@ pub fn bucket_zero(
             BucketSizing::uniform(4).with_override(0, 20),
         ),
     ];
-    let jobs: Vec<SimJob> = variants
+    let jobs: Vec<SimSpec> = variants
         .iter()
         .map(|(_, sizing)| {
-            let mut config = scale.cell_config(4, originator_fraction);
-            config.bucket_sizing = sizing.clone();
-            SimJob::new(config)
+            let mut spec = scale.cell_spec(4, originator_fraction);
+            spec.topology.bucket_sizing = sizing.clone();
+            spec
         })
         .collect();
     let reports = run_jobs_observed(executor, jobs, obs)?;
@@ -169,12 +170,12 @@ pub fn free_riding(
     executor: &Executor,
     obs: &mut GridObservation,
 ) -> Result<FreeRiding, CoreError> {
-    let jobs: Vec<SimJob> = fractions
+    let jobs: Vec<SimSpec> = fractions
         .iter()
         .map(|&fraction| {
-            let mut config = scale.cell_config(k, 1.0);
-            config.free_rider_fraction = fraction;
-            SimJob::new(config)
+            let mut spec = scale.cell_spec(k, 1.0);
+            spec.economics.free_rider_fraction = fraction;
+            spec
         })
         .collect();
     let reports = run_jobs_observed(executor, jobs, obs)?;
@@ -287,10 +288,10 @@ pub fn caching(
     for (workload_label, chunk_dist) in &workloads {
         for (cache_label, cache) in &caches {
             labels.push((workload_label.to_string(), cache_label.to_string()));
-            let mut config = scale.cell_config(k, 1.0);
-            config.chunk_dist = chunk_dist.clone();
-            config.cache = *cache;
-            jobs.push(SimJob::new(config));
+            let mut spec = scale.cell_spec(k, 1.0);
+            spec.workload.chunk_dist = chunk_dist.clone();
+            spec.policies.cache = *cache;
+            jobs.push(spec);
         }
     }
     let reports = run_jobs_observed(executor, jobs, obs)?;
@@ -383,12 +384,12 @@ pub fn mechanisms(
         },
         MechanismKind::ProofOfBandwidth { mint_per_chunk: 1 },
     ];
-    let jobs: Vec<SimJob> = kinds
+    let jobs: Vec<SimSpec> = kinds
         .iter()
         .map(|&mechanism| {
-            let mut config = scale.cell_config(k, originator_fraction);
-            config.mechanism = mechanism;
-            SimJob::new(config)
+            let mut spec = scale.cell_spec(k, originator_fraction);
+            spec.economics.mechanism = mechanism;
+            spec
         })
         .collect();
     let reports = run_jobs_observed(executor, jobs, obs)?;
@@ -578,9 +579,9 @@ pub fn metric_robustness(
     executor: &Executor,
     obs: &mut GridObservation,
 ) -> Result<MetricRobustness, CoreError> {
-    let jobs: Vec<SimJob> = ks
+    let jobs: Vec<SimSpec> = ks
         .iter()
-        .map(|&k| SimJob::new(scale.cell_config(k, originator_fraction)))
+        .map(|&k| scale.cell_spec(k, originator_fraction))
         .collect();
     let reports = run_jobs_observed(executor, jobs, obs)?;
     let rows = ks

@@ -14,10 +14,11 @@ use fairswap_fairness::Histogram;
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
 use crate::presets::paper_grid;
+use crate::spec::SimSpec;
 
 /// One histogram series (one curve of one panel).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,13 +113,13 @@ pub fn run(
     Ok(Fig4 { series, bin_width })
 }
 
-/// The four-cell grid behind this figure, one [`SimJob`] per
+/// The four-cell grid behind this figure, one [`SimSpec`] per
 /// `(k, originator fraction)` cell — shared by [`run`] and the
 /// `SimSpec` round-trip test (`tests/spec_stability.rs`).
-pub fn jobs(scale: ExperimentScale) -> Vec<SimJob> {
+pub fn jobs(scale: ExperimentScale) -> Vec<SimSpec> {
     paper_grid()
         .iter()
-        .map(|&(k, fraction)| SimJob::new(scale.cell_config(k, fraction)))
+        .map(|&(k, fraction)| scale.cell_spec(k, fraction))
         .collect()
 }
 

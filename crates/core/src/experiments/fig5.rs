@@ -11,10 +11,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
 use crate::presets::paper_grid;
+use crate::spec::SimSpec;
 
 /// One Lorenz curve plus its Gini coefficient.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,9 +92,9 @@ pub fn run(
     obs: &mut GridObservation,
 ) -> Result<Fig5, CoreError> {
     let cells = paper_grid();
-    let jobs: Vec<SimJob> = cells
+    let jobs: Vec<SimSpec> = cells
         .iter()
-        .map(|&(k, fraction)| SimJob::new(scale.cell_config(k, fraction)))
+        .map(|&(k, fraction)| scale.cell_spec(k, fraction))
         .collect();
     let reports = run_jobs_observed(executor, jobs, obs)?;
     let series = cells

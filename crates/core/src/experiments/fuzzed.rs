@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::obs::GridObservation;
 use crate::spec::SimSpec;
 
@@ -172,19 +172,18 @@ pub fn run(executor: &Executor, obs: &mut GridObservation) -> Result<FuzzedExper
     let mut jobs = Vec::new();
     let mut slots = Vec::new();
     for (_, spec) in &specs {
-        let base = spec.to_config();
         let own = jobs.len();
-        jobs.push(SimJob::new(base.clone()));
+        jobs.push(spec.clone());
         let twin_slots: Vec<usize> = GALLERY_KS
             .iter()
             .map(|&k| {
                 let sizing = BucketSizing::uniform(k);
-                if base.bucket_sizing == sizing {
+                if spec.topology.bucket_sizing == sizing {
                     own
                 } else {
-                    let mut twin = base.clone();
-                    twin.bucket_sizing = sizing;
-                    jobs.push(SimJob::new(twin));
+                    let mut twin = spec.clone();
+                    twin.topology.bucket_sizing = sizing;
+                    jobs.push(twin);
                     jobs.len() - 1
                 }
             })
@@ -271,8 +270,7 @@ mod tests {
             .into_iter()
             .find(|(n, _)| *n == name)
             .unwrap();
-        let jobs = vec![SimJob::new(spec.to_config())];
-        crate::exec::run_jobs(&Executor::serial(), jobs)
+        crate::exec::run_jobs(&Executor::serial(), vec![spec])
             .unwrap()
             .remove(0)
     }

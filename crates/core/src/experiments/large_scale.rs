@@ -14,9 +14,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
+use crate::spec::SimSpec;
 
 /// Default address width for large-scale runs: room for 4M addresses,
 /// an occupancy (10⁵ of 2²²) comparable to the paper's 1000 of 2¹⁶.
@@ -147,15 +148,15 @@ pub fn run(
     Ok(LargeScale { rows })
 }
 
-/// The per-`k` grid at `bits` address width, one [`SimJob`] per cell —
+/// The per-`k` grid at `bits` address width, one [`SimSpec`] per cell —
 /// shared by [`run`] and the `SimSpec` round-trip test
 /// (`tests/spec_stability.rs`).
-pub fn jobs(scale: ExperimentScale, bits: u32, ks: &[usize]) -> Vec<SimJob> {
+pub fn jobs(scale: ExperimentScale, bits: u32, ks: &[usize]) -> Vec<SimSpec> {
     ks.iter()
         .map(|&k| {
-            let mut config = scale.cell_config(k, 1.0);
-            config.bits = bits;
-            SimJob::new(config)
+            let mut spec = scale.cell_spec(k, 1.0);
+            spec.topology.bits = bits;
+            spec
         })
         .collect()
 }

@@ -16,11 +16,12 @@ use fairswap_storage::RoutePolicy;
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::churn::PAPER_KS;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
 use crate::scenario::ScenarioKind;
+use crate::spec::SimSpec;
 
 /// The routing policies the preset compares, in sweep order.
 pub const ROUTE_POLICIES: [RoutePolicy; 2] = [
@@ -175,16 +176,16 @@ fn grid() -> Vec<(RoutePolicy, usize)> {
         .collect()
 }
 
-/// The grid's [`SimJob`]s — shared by [`run`] and the `SimSpec`
+/// The grid's [`SimSpec`]s — shared by [`run`] and the `SimSpec`
 /// round-trip test (`tests/spec_stability.rs`).
-pub fn jobs(scale: ExperimentScale) -> Vec<SimJob> {
+pub fn jobs(scale: ExperimentScale) -> Vec<SimSpec> {
     grid()
         .into_iter()
         .map(|(route, k)| {
-            let mut config = scale.cell_config(k, 1.0);
-            config.scenario = Some(HETEROGENEITY);
-            config.route = route;
-            SimJob::new(config)
+            let mut spec = scale.cell_spec(k, 1.0);
+            spec.dynamics.scenario = Some(HETEROGENEITY);
+            spec.policies.route = route;
+            spec
         })
         .collect()
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::SimConfig;
+use crate::spec::SimSpec;
 
 /// How large to run an experiment.
 ///
@@ -45,18 +45,18 @@ impl ExperimentScale {
         self
     }
 
-    /// The base configuration of one sweep cell at this scale: paper
-    /// defaults with this scale's dimensions, uniform bucket size `k` and
-    /// the given originator fraction. Presets mutate the remaining fields
+    /// The base spec of one sweep cell at this scale: paper defaults with
+    /// this scale's dimensions, uniform bucket size `k` and the given
+    /// originator fraction. Presets mutate the remaining fields
     /// (mechanism, caching, churn, ...) per cell.
-    pub fn cell_config(&self, k: usize, originator_fraction: f64) -> SimConfig {
-        let mut config = SimConfig::paper_defaults();
-        config.nodes = self.nodes;
-        config.files = self.files;
-        config.seed = self.seed;
-        config.bucket_sizing = fairswap_kademlia::BucketSizing::uniform(k);
-        config.originator_fraction = originator_fraction;
-        config
+    pub fn cell_spec(&self, k: usize, originator_fraction: f64) -> SimSpec {
+        let mut spec = SimSpec::paper_defaults();
+        spec.seed = self.seed;
+        spec.topology.nodes = self.nodes;
+        spec.topology.bucket_sizing = fairswap_kademlia::BucketSizing::uniform(k);
+        spec.workload.files = self.files;
+        spec.workload.originator_fraction = originator_fraction;
+        spec
     }
 }
 
@@ -86,11 +86,11 @@ mod tests {
             files: 42,
             seed: 9,
         };
-        let config = scale.cell_config(20, 0.2);
-        assert_eq!(config.nodes, 321);
-        assert_eq!(config.files, 42);
-        assert_eq!(config.seed, 9);
-        assert_eq!(config.bucket_sizing.default_k(), 20);
-        assert_eq!(config.originator_fraction, 0.2);
+        let spec = scale.cell_spec(20, 0.2);
+        assert_eq!(spec.topology.nodes, 321);
+        assert_eq!(spec.workload.files, 42);
+        assert_eq!(spec.seed, 9);
+        assert_eq!(spec.topology.bucket_sizing.default_k(), 20);
+        assert_eq!(spec.workload.originator_fraction, 0.2);
     }
 }

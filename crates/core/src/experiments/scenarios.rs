@@ -22,12 +22,13 @@ use fairswap_churn::ChurnConfig;
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, SimJob};
+use crate::exec::run_jobs_observed;
 use crate::experiments::churn::PAPER_KS;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
 use crate::report::ChurnSample;
 use crate::scenario::ScenarioKind;
+use crate::spec::SimSpec;
 
 /// The scenario names this preset knows, in sweep order.
 pub const SCENARIO_NAMES: [&str; 4] = [
@@ -210,9 +211,9 @@ pub fn run(
         .iter()
         .map(|(name, k, spec)| (*name, *k, spec.shock_step()))
         .collect();
-    let jobs: Vec<SimJob> = grid
+    let jobs: Vec<SimSpec> = grid
         .into_iter()
-        .map(|(_, k, spec)| cell_job(scale, k, spec))
+        .map(|(_, k, scenario)| cell_spec(scale, k, scenario))
         .collect::<Result<_, _>>()?;
     let reports = run_jobs_observed(executor, jobs, obs)?;
 
@@ -277,23 +278,27 @@ fn grid<'a>(
     Ok(cells)
 }
 
-fn cell_job(scale: ExperimentScale, k: usize, spec: ScenarioKind) -> Result<SimJob, CoreError> {
-    let mut config = scale.cell_config(k, 1.0);
-    config.churn = Some(ChurnConfig::from_rate(BACKGROUND_CHURN_RATE)?);
-    config.scenario = Some(spec);
-    Ok(SimJob::new(config))
+fn cell_spec(
+    scale: ExperimentScale,
+    k: usize,
+    scenario: ScenarioKind,
+) -> Result<SimSpec, CoreError> {
+    let mut spec = scale.cell_spec(k, 1.0);
+    spec.dynamics.churn = Some(ChurnConfig::from_rate(BACKGROUND_CHURN_RATE)?);
+    spec.dynamics.scenario = Some(scenario);
+    Ok(spec)
 }
 
-/// The grid's [`SimJob`]s — shared by [`run`] and the `SimSpec`
+/// The grid's [`SimSpec`]s — shared by [`run`] and the `SimSpec`
 /// round-trip test (`tests/spec_stability.rs`).
 ///
 /// # Errors
 ///
 /// Rejects unknown scenario names as [`CoreError::InvalidConfig`].
-pub fn jobs(scale: ExperimentScale, names: &[&str]) -> Result<Vec<SimJob>, CoreError> {
+pub fn jobs(scale: ExperimentScale, names: &[&str]) -> Result<Vec<SimSpec>, CoreError> {
     grid(scale, names)?
         .into_iter()
-        .map(|(_, k, spec)| cell_job(scale, k, spec))
+        .map(|(_, k, scenario)| cell_spec(scale, k, scenario))
         .collect()
 }
 

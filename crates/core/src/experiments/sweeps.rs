@@ -9,9 +9,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::csv::CsvTable;
 use crate::error::CoreError;
-use crate::exec::{run_jobs_observed, run_jobs_observing, SimJob};
+use crate::exec::{run_jobs_observed, run_jobs_observing};
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::{EpochSnapshot, GridObservation, ObsCollector, RunInfo, StepObserver};
+use crate::spec::SimSpec;
 
 /// One `(timestep, f2_gini)` sample of the convergence trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,9 +129,9 @@ impl StepObserver for GiniTrail {
 /// experiments show similar results" robustness claim.
 ///
 /// Each cell is one ordinary [`crate::BandwidthSim`] run of
-/// `scale.cell_config(k, fraction)`, sampled at the engine's epoch cadence:
+/// `scale.cell_spec(k, fraction)`, sampled at the engine's epoch cadence:
 /// every multiple of `max(1, files / 32)` steps plus the final step. The
-/// last sample is therefore exactly the F2 Gini the same config's report
+/// last sample is therefore exactly the F2 Gini the same spec's report
 /// carries.
 ///
 /// # Errors
@@ -142,9 +143,9 @@ pub fn files_convergence(
     executor: &Executor,
     obs: &mut GridObservation,
 ) -> Result<Vec<FilesConvergence>, CoreError> {
-    let jobs: Vec<SimJob> = cells
+    let jobs: Vec<SimSpec> = cells
         .iter()
-        .map(|&(k, fraction)| SimJob::new(scale.cell_config(k, fraction)))
+        .map(|&(k, fraction)| scale.cell_spec(k, fraction))
         .collect();
     let trajectories = run_jobs_observing(
         executor,
@@ -251,12 +252,12 @@ pub fn overhead_vs_k(
     executor: &Executor,
     obs: &mut GridObservation,
 ) -> Result<OverheadSweep, CoreError> {
-    let jobs: Vec<SimJob> = ks
+    let jobs: Vec<SimSpec> = ks
         .iter()
         .map(|&k| {
-            let mut config = scale.cell_config(k, originator_fraction);
-            config.tx_cost = fairswap_swap::Bzz(tx_cost);
-            SimJob::new(config)
+            let mut spec = scale.cell_spec(k, originator_fraction);
+            spec.economics.tx_cost = fairswap_swap::Bzz(tx_cost);
+            spec
         })
         .collect();
     let reports = run_jobs_observed(executor, jobs, obs)?;
@@ -358,10 +359,7 @@ mod tests {
         // end point is that run's F2 Gini, bit for bit.
         for (k, fraction) in [(4usize, 1.0f64), (20, 0.2)] {
             let result = &plain(&[(k, fraction)], &Executor::serial())[0];
-            let report = crate::SimulationBuilder::from_config(scale().cell_config(k, fraction))
-                .build()
-                .unwrap()
-                .run();
+            let report = scale().cell_spec(k, fraction).build().unwrap().run();
             let last = result.trajectory.last().unwrap();
             assert_eq!(last.timestep, scale().files);
             assert_eq!(last.f2_gini.to_bits(), report.f2_income_gini().to_bits());

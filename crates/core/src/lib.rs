@@ -8,26 +8,24 @@
 //! preset per table and figure of the evaluation section (see
 //! [`experiments`]).
 //!
-//! Beyond the paper's static overlay, a simulation can run with
-//! background churn ([`SimulationBuilder::churn_rate`]) and a scripted
-//! [`ScenarioKind`] shock ([`SimulationBuilder::scenario`]): targeted
-//! departure of the top earners, flash crowds, regional outages, and
-//! per-node bandwidth heterogeneity. Every run — and every experiment
-//! grid fanned out over an [`Executor`] — is a pure function of its
-//! configuration seed; see `docs/ARCHITECTURE.md` for the determinism
-//! rules.
+//! Every run starts from a [`SimSpec`]. Beyond the paper's static
+//! overlay, a spec can add background churn ([`DynamicsSpec::churn`]) and
+//! a scripted [`ScenarioKind`] shock ([`DynamicsSpec::scenario`]):
+//! targeted departure of the top earners, flash crowds, regional outages,
+//! and per-node bandwidth heterogeneity. Every run — and every experiment
+//! grid fanned out over an [`Executor`] — is a pure function of its spec's
+//! seed; see `docs/ARCHITECTURE.md` for the determinism rules.
 //!
 //! ```
-//! use fairswap_core::SimulationBuilder;
+//! use fairswap_core::{BucketSizing, SimSpec};
 //!
-//! let report = SimulationBuilder::new()
-//!     .nodes(200)
-//!     .bucket_size(4)
-//!     .originator_fraction(0.2)
-//!     .files(40)
-//!     .seed(7)
-//!     .build()?
-//!     .run();
+//! let mut spec = SimSpec::paper_defaults();
+//! spec.seed = 7;
+//! spec.topology.nodes = 200;
+//! spec.topology.bucket_sizing = BucketSizing::uniform(4);
+//! spec.workload.originator_fraction = 0.2;
+//! spec.workload.files = 40;
+//! let report = spec.build()?.run();
 //! println!("mean forwarded chunks: {}", report.mean_forwarded());
 //! println!("F2 gini: {:.3}", report.f2_income_gini());
 //! # Ok::<(), fairswap_core::CoreError>(())
@@ -48,10 +46,10 @@ pub mod obs;
 pub mod policy;
 pub mod presets;
 
-pub use config::{MechanismKind, SimConfig, SimulationBuilder};
+pub use config::{MechanismKind, SimConfig};
 pub use csv::CsvTable;
 pub use error::CoreError;
-pub use exec::{run_jobs, run_jobs_observed, SimJob};
+pub use exec::{run_jobs, run_jobs_observed};
 pub use obs::{EpochSnapshot, GridObservation, NullObserver, ObsOptions, StepObserver};
 pub use policy::{NoRepair, RepairHook, RepairPolicy};
 pub use report::{ChurnOutcome, ChurnSample, SimReport};

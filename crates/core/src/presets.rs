@@ -1,12 +1,5 @@
-//! Canonical configurations.
-
-use crate::config::SimConfig;
-
-/// The paper's §IV-B defaults: 1000 nodes, 16-bit space, k = 4, 100%
-/// originators, 10k files, Swarm incentive.
-pub fn paper_defaults() -> SimConfig {
-    SimConfig::paper_defaults()
-}
+//! Canonical configurations. The paper's §IV-B defaults themselves are
+//! [`SimSpec::paper_defaults`](crate::SimSpec::paper_defaults).
 
 /// The four cells of the paper's evaluation grid as `(k, originator
 /// fraction)` pairs: k ∈ {4, 20} × originators ∈ {20%, 100%}.
@@ -24,10 +17,5 @@ mod tests {
         assert_eq!(grid.len(), 4);
         assert!(grid.iter().any(|&(k, f)| k == 4 && f == 0.2));
         assert!(grid.iter().any(|&(k, f)| k == 20 && f == 1.0));
-    }
-
-    #[test]
-    fn defaults_match_config() {
-        assert_eq!(paper_defaults(), SimConfig::paper_defaults());
     }
 }

@@ -354,17 +354,14 @@ impl SimReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::SimulationBuilder;
+    use crate::spec::SimSpec;
 
     fn report() -> super::SimReport {
-        SimulationBuilder::new()
-            .nodes(120)
-            .bucket_size(4)
-            .files(25)
-            .seed(11)
-            .build()
-            .unwrap()
-            .run()
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 120;
+        spec.workload.files = 25;
+        spec.seed = 11;
+        spec.build().unwrap().run()
     }
 
     #[test]

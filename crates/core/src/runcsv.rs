@@ -64,22 +64,16 @@ pub fn run_summary_csv(config: &SimConfig, report: &SimReport) -> CsvTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimulationBuilder;
+    use crate::spec::SimSpec;
 
     #[test]
     fn summary_has_one_row_under_the_pinned_header() {
-        let config = {
-            let mut c = SimConfig::paper_defaults();
-            c.nodes = 80;
-            c.files = 10;
-            c.seed = 3;
-            c
-        };
-        let report = SimulationBuilder::from_config(config.clone())
-            .build()
-            .unwrap()
-            .run();
-        let csv = run_summary_csv(&config, &report);
+        let mut spec = SimSpec::paper_defaults();
+        spec.seed = 3;
+        spec.topology.nodes = 80;
+        spec.workload.files = 10;
+        let report = spec.build().unwrap().run();
+        let csv = run_summary_csv(&spec.to_config(), &report);
         assert_eq!(csv.columns(), RUN_SUMMARY_COLUMNS);
         assert_eq!(csv.len(), 1);
         let text = csv.to_csv_string();

@@ -528,28 +528,28 @@ impl std::fmt::Debug for BandwidthSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MechanismKind, SimulationBuilder};
+    use crate::config::MechanismKind;
+    use crate::spec::SimSpec;
+    use fairswap_churn::ChurnConfig;
+    use fairswap_kademlia::BucketSizing;
 
     fn small_sim(k: usize, fraction: f64, seed: u64) -> BandwidthSim {
-        SimulationBuilder::new()
-            .nodes(150)
-            .bucket_size(k)
-            .originator_fraction(fraction)
-            .files(30)
-            .seed(seed)
-            .build()
-            .unwrap()
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 150;
+        spec.topology.bucket_sizing = BucketSizing::uniform(k);
+        spec.workload.originator_fraction = fraction;
+        spec.workload.files = 30;
+        spec.seed = seed;
+        spec.build().unwrap()
     }
 
     fn churn_sim(rate: f64, seed: u64) -> BandwidthSim {
-        SimulationBuilder::new()
-            .nodes(150)
-            .bucket_size(4)
-            .files(60)
-            .seed(seed)
-            .churn_rate(rate)
-            .build()
-            .unwrap()
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 150;
+        spec.workload.files = 60;
+        spec.seed = seed;
+        spec.dynamics.churn = Some(ChurnConfig::from_rate(rate).unwrap());
+        spec.build().unwrap()
     }
 
     #[test]
@@ -611,15 +611,12 @@ mod tests {
             },
             MechanismKind::ProofOfBandwidth { mint_per_chunk: 1 },
         ] {
-            let report = SimulationBuilder::new()
-                .nodes(80)
-                .bucket_size(4)
-                .files(10)
-                .seed(5)
-                .mechanism(mechanism)
-                .build()
-                .unwrap()
-                .run();
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 80;
+            spec.workload.files = 10;
+            spec.seed = 5;
+            spec.economics.mechanism = mechanism;
+            let report = spec.build().unwrap().run();
             assert_eq!(report.config().mechanism.id(), mechanism.id());
         }
     }
@@ -655,15 +652,13 @@ mod tests {
     }
 
     fn durability_sim(policy: crate::policy::RepairPolicy, seed: u64) -> BandwidthSim {
-        SimulationBuilder::new()
-            .nodes(150)
-            .bucket_size(4)
-            .files(60)
-            .seed(seed)
-            .churn_rate(0.2)
-            .repair_policy(policy)
-            .build()
-            .unwrap()
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 150;
+        spec.workload.files = 60;
+        spec.seed = seed;
+        spec.dynamics.churn = Some(ChurnConfig::from_rate(0.2).unwrap());
+        spec.policies.repair = policy;
+        spec.build().unwrap()
     }
 
     #[test]
@@ -741,19 +736,16 @@ mod tests {
         use crate::policy::RepairPolicy;
         use crate::scenario::ScenarioKind;
         let run = |policy| {
-            SimulationBuilder::new()
-                .nodes(150)
-                .bucket_size(4)
-                .files(40)
-                .seed(11)
-                .scenario(ScenarioKind::TargetedDeparture {
-                    at_step: 10,
-                    top_fraction: 0.3,
-                })
-                .repair_policy(policy)
-                .build()
-                .unwrap()
-                .run()
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 150;
+            spec.workload.files = 40;
+            spec.seed = 11;
+            spec.dynamics.scenario = Some(ScenarioKind::TargetedDeparture {
+                at_step: 10,
+                top_fraction: 0.3,
+            });
+            spec.policies.repair = policy;
+            spec.build().unwrap().run()
         };
         let base = run(RepairPolicy::None);
         let repaired = run(RepairPolicy::ReReplicate {
@@ -776,20 +768,18 @@ mod tests {
     fn retries_recover_capacity_blocked_requests_end_to_end() {
         use crate::scenario::ScenarioKind;
         let run = |retries: u32| {
-            SimulationBuilder::new()
-                .nodes(150)
-                .bucket_size(4)
-                .files(60)
-                .seed(19)
-                .scenario(ScenarioKind::Heterogeneity {
-                    slow_fraction: 0.9,
-                    slow_budget: 2,
-                    fast_budget: 50,
-                })
-                .retry_policy(retries, 1)
-                .build()
-                .unwrap()
-                .run()
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 150;
+            spec.workload.files = 60;
+            spec.seed = 19;
+            spec.dynamics.scenario = Some(ScenarioKind::Heterogeneity {
+                slow_fraction: 0.9,
+                slow_budget: 2,
+                fast_budget: 50,
+            });
+            spec.policies.max_retries = retries;
+            spec.policies.retry_backoff = 1;
+            spec.build().unwrap().run()
         };
         let base = run(0);
         assert!(
@@ -856,16 +846,13 @@ mod tests {
             },
             MechanismKind::ProofOfBandwidth { mint_per_chunk: 1 },
         ] {
-            let report = SimulationBuilder::new()
-                .nodes(100)
-                .bucket_size(4)
-                .files(25)
-                .seed(17)
-                .churn_rate(0.1)
-                .mechanism(mechanism)
-                .build()
-                .unwrap()
-                .run();
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 100;
+            spec.workload.files = 25;
+            spec.seed = 17;
+            spec.dynamics.churn = Some(ChurnConfig::from_rate(0.1).unwrap());
+            spec.economics.mechanism = mechanism;
+            let report = spec.build().unwrap().run();
             let f2 = report.f2_income_gini();
             assert!((0.0..=1.0).contains(&f2), "{}: {f2}", mechanism.id());
         }

@@ -1,9 +1,13 @@
 //! `SimSpec`: the serde-stable, nested simulation specification.
 //!
-//! [`SimConfig`] is the engine's flat internal configuration; `SimSpec` is
-//! its public wire format — the shape `fairswap run --config spec.json`
-//! executes and the one external tooling should generate. Fields are
-//! grouped by concern:
+//! `SimSpec` is the one way to describe and start a run: presets, the
+//! CLI, `fairswap serve` and the fuzzer all build one and call
+//! [`SimSpec::build`] (or hand a grid of them to
+//! [`run_jobs`](crate::run_jobs)). It is also the public wire format — the
+//! shape `fairswap run --config spec.json` executes and the one external
+//! tooling should generate. [`SimConfig`] is only the flat view the engine
+//! reads, produced by [`SimSpec::to_config`]. Fields are grouped by
+//! concern:
 //!
 //! ```json
 //! {
@@ -19,9 +23,9 @@
 //! **Stability contract.** Every field — and every group — is optional
 //! and defaults to the paper's §IV-B configuration, so `{}` is a valid
 //! spec and specs written against an older schema keep parsing as the
-//! format grows (the vendored serde derive has no `#[serde(default)]`,
-//! so the `Deserialize` impls here are written by hand to supply
-//! defaults for missing fields). Serialization emits every group in a
+//! format grows (every group derives `Deserialize` under
+//! `#[serde(default)]`, which fills a missing field from
+//! [`SimSpec::paper_defaults`]). Serialization emits every group in a
 //! fixed order with `serialize → deserialize → re-serialize` producing
 //! byte-identical JSON; `tests/spec_stability.rs` pins both properties.
 //!
@@ -33,40 +37,24 @@
 //! `--strict` — goes through [`SimSpec::from_json_checked`], which also
 //! reports every unknown top-level or group-level key.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use fairswap_churn::ChurnConfig;
-use fairswap_kademlia::BucketSizing;
+use fairswap_kademlia::{AddressSpace, BucketSizing, TopologyBuilder};
+use fairswap_simcore::rng::{domain, sub_seed};
 use fairswap_storage::{CachePolicy, RepairSource, RoutePolicy};
-use fairswap_swap::{Bzz, ChannelConfig, Pricing};
-use fairswap_workload::{ChunkDist, FileSizeDist};
+use fairswap_swap::{AccountingUnits, Bzz, ChannelConfig, Pricing};
+use fairswap_workload::{ChunkDist, FileSizeDist, WorkloadBuilder};
 
-use crate::config::{MechanismKind, SimConfig, SimulationBuilder};
+use crate::config::{MechanismKind, SimConfig};
 use crate::error::CoreError;
 use crate::policy::RepairPolicy;
 use crate::scenario::ScenarioKind;
 use crate::sim::BandwidthSim;
 
-/// Deserializes `fields[name]` if present, otherwise hands back `default`.
-fn field_or<T: Deserialize>(
-    fields: &[(String, Value)],
-    name: &str,
-    default: T,
-) -> Result<T, DeError> {
-    match fields.iter().find(|(key, _)| key == name) {
-        Some((_, value)) => T::from_value(value),
-        None => Ok(default),
-    }
-}
-
-fn as_object(value: &Value) -> Result<&[(String, Value)], DeError> {
-    value
-        .as_object()
-        .ok_or_else(|| DeError::expected("object", value))
-}
-
 /// Overlay dimensions: who exists and how they are wired.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct TopologySpec {
     /// Number of overlay nodes.
     pub nodes: usize,
@@ -77,7 +65,8 @@ pub struct TopologySpec {
 }
 
 /// Download workload: who requests what, how often.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct WorkloadSpec {
     /// Fraction of nodes acting as originators, `(0, 1]`.
     pub originator_fraction: f64,
@@ -90,7 +79,8 @@ pub struct WorkloadSpec {
 }
 
 /// Incentive economics: who pays whom, and how much.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct EconomicsSpec {
     /// The incentive mechanism.
     pub mechanism: MechanismKind,
@@ -105,7 +95,8 @@ pub struct EconomicsSpec {
 }
 
 /// Overlay dynamics: background churn and scripted shocks.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct DynamicsSpec {
     /// Dynamic-membership model; `null` reproduces the paper's static
     /// overlay.
@@ -115,7 +106,8 @@ pub struct DynamicsSpec {
 }
 
 /// The policy layer: routing, caching and repair behavior.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct PolicySpec {
     /// Routing policy (drop vs capacity detour).
     pub route: RoutePolicy,
@@ -176,7 +168,8 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 
 /// A complete simulation specification — see the module docs for the wire
 /// format and its stability contract.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SimSpec {
     /// Master seed for every random stream of the run.
     pub seed: u64,
@@ -193,44 +186,47 @@ pub struct SimSpec {
 }
 
 impl SimSpec {
-    /// The paper-defaults spec (the meaning of the empty document `{}`).
+    /// The paper's §IV-B settings (the meaning of the empty document
+    /// `{}`): 1000 nodes, 16-bit addresses, `k = 4`, static tables, 100%
+    /// originators, 10k uniform 100–1000-chunk files at uniform addresses,
+    /// the Swarm incentive with proximity pricing, no caching, no free
+    /// riders.
     pub fn paper_defaults() -> Self {
-        Self::from_config(&SimConfig::paper_defaults())
-    }
-
-    /// Regroups a flat [`SimConfig`] into the nested spec form.
-    pub fn from_config(config: &SimConfig) -> Self {
         Self {
-            seed: config.seed,
+            seed: 0xFA12,
             topology: TopologySpec {
-                nodes: config.nodes,
-                bits: config.bits,
-                bucket_sizing: config.bucket_sizing.clone(),
+                nodes: 1000,
+                bits: 16,
+                bucket_sizing: BucketSizing::uniform(4),
             },
             workload: WorkloadSpec {
-                originator_fraction: config.originator_fraction,
-                files: config.files,
-                file_size: config.file_size,
-                chunk_dist: config.chunk_dist.clone(),
+                originator_fraction: 1.0,
+                files: 10_000,
+                file_size: FileSizeDist::paper_default(),
+                chunk_dist: ChunkDist::Uniform,
             },
             economics: EconomicsSpec {
-                mechanism: config.mechanism,
-                pricing: config.pricing,
-                channel: config.channel,
-                tx_cost: config.tx_cost,
-                free_rider_fraction: config.free_rider_fraction,
+                mechanism: MechanismKind::Swarm,
+                pricing: Pricing::proximity_unit(),
+                channel: ChannelConfig {
+                    payment_threshold: AccountingUnits(10_000),
+                    disconnect_threshold: AccountingUnits(1_000_000_000),
+                    refresh_rate: AccountingUnits(100),
+                },
+                tx_cost: Bzz::ZERO,
+                free_rider_fraction: 0.0,
             },
             dynamics: DynamicsSpec {
-                churn: config.churn.clone(),
-                scenario: config.scenario.clone(),
+                churn: None,
+                scenario: None,
             },
             policies: PolicySpec {
-                route: config.route,
-                cache: config.cache,
-                repair: config.repair,
-                repair_source: config.repair_source,
-                max_retries: config.max_retries,
-                retry_backoff: config.retry_backoff,
+                route: RoutePolicy::Greedy,
+                cache: CachePolicy::None,
+                repair: RepairPolicy::None,
+                repair_source: RepairSource::Replica,
+                max_retries: 0,
+                retry_backoff: 1,
             },
         }
     }
@@ -263,11 +259,6 @@ impl SimSpec {
         }
     }
 
-    /// A builder seeded with this spec, for tweaking individual knobs.
-    pub fn builder(&self) -> SimulationBuilder {
-        SimulationBuilder::from_config(self.to_config())
-    }
-
     /// Validates the spec's values without building anything — the same
     /// checks [`SimSpec::build`] runs before constructing the topology.
     /// This is the cheap path for tooling (the fuzzer, spec linters) that
@@ -290,7 +281,23 @@ impl SimSpec {
     /// dimensions, invalid churn/scenario/policy parameters, ...) as
     /// [`CoreError`].
     pub fn build(&self) -> Result<BandwidthSim, CoreError> {
-        self.builder().build()
+        let config = self.to_config();
+        config.validate()?;
+        let space = AddressSpace::new(config.bits)?;
+        let topology = TopologyBuilder::new(space)
+            .nodes(config.nodes)
+            .bucket_sizing(config.bucket_sizing.clone())
+            .seed(config.seed)
+            .build()?;
+        // Distinct sub-seeds per concern, all forked from the master seed
+        // through the shared derivation in `fairswap_simcore::rng`.
+        let workload = WorkloadBuilder::new(space, config.nodes)
+            .originator_fraction(config.originator_fraction)
+            .file_size(config.file_size)
+            .chunk_dist(config.chunk_dist.clone())
+            .seed(sub_seed(config.seed, domain::WORKLOAD))
+            .build()?;
+        Ok(BandwidthSim::new(config, topology, workload))
     }
 
     /// Parses a spec from its JSON wire form.
@@ -351,59 +358,29 @@ impl SimSpec {
     }
 }
 
-/// The spec's known keys, top level and per group — the authority
-/// [`SimSpec::from_json_checked`] diffs a document against.
-const KNOWN_GROUPS: [(&str, &[&str]); 5] = [
-    ("topology", &["nodes", "bits", "bucket_sizing"]),
-    (
-        "workload",
-        &["originator_fraction", "files", "file_size", "chunk_dist"],
-    ),
-    (
-        "economics",
-        &[
-            "mechanism",
-            "pricing",
-            "channel",
-            "tx_cost",
-            "free_rider_fraction",
-        ],
-    ),
-    ("dynamics", &["churn", "scenario"]),
-    (
-        "policies",
-        &[
-            "route",
-            "cache",
-            "repair",
-            "repair_source",
-            "max_retries",
-            "retry_backoff",
-        ],
-    ),
-];
-
 /// Dotted paths of every unknown top-level or group-level key in a spec
-/// document. Keys *inside* leaf values (enum payloads like a churn or
-/// pricing config) are the leaf type's business and are not walked.
+/// document. The known keys are those of the canonical form of
+/// [`SimSpec::paper_defaults`], which carries every group and field. Keys
+/// *inside* leaf values (enum payloads like a churn or pricing config) are
+/// the leaf type's business and are not walked.
 fn unknown_fields(value: &Value) -> Vec<String> {
-    let Some(fields) = value.as_object() else {
+    let (Some(fields), Value::Object(known)) =
+        (value.as_object(), SimSpec::paper_defaults().to_value())
+    else {
         return Vec::new();
     };
     let mut unknown = Vec::new();
     for (key, group_value) in fields {
-        if key == "seed" {
+        let Some((_, known_group)) = known.iter().find(|(name, _)| name == key) else {
+            unknown.push(key.clone());
             continue;
-        }
-        match KNOWN_GROUPS.iter().find(|(name, _)| name == key) {
-            None => unknown.push(key.clone()),
-            Some((name, known)) => {
-                if let Some(group_fields) = group_value.as_object() {
-                    for (field, _) in group_fields {
-                        if !known.contains(&field.as_str()) {
-                            unknown.push(format!("{name}.{field}"));
-                        }
-                    }
+        };
+        if let (Some(group_fields), Some(known_fields)) =
+            (group_value.as_object(), known_group.as_object())
+        {
+            for (field, _) in group_fields {
+                if !known_fields.iter().any(|(name, _)| name == field) {
+                    unknown.push(format!("{key}.{field}"));
                 }
             }
         }
@@ -437,174 +414,7 @@ impl Default for EconomicsSpec {
 
 impl Default for PolicySpec {
     fn default() -> Self {
-        Self {
-            route: RoutePolicy::Greedy,
-            cache: CachePolicy::None,
-            repair: RepairPolicy::None,
-            repair_source: RepairSource::Replica,
-            max_retries: 0,
-            retry_backoff: 1,
-        }
-    }
-}
-
-impl Serialize for TopologySpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("nodes".into(), self.nodes.to_value()),
-            ("bits".into(), self.bits.to_value()),
-            ("bucket_sizing".into(), self.bucket_sizing.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TopologySpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = as_object(value)?;
-        let default = Self::default();
-        Ok(Self {
-            nodes: field_or(fields, "nodes", default.nodes)?,
-            bits: field_or(fields, "bits", default.bits)?,
-            bucket_sizing: field_or(fields, "bucket_sizing", default.bucket_sizing)?,
-        })
-    }
-}
-
-impl Serialize for WorkloadSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "originator_fraction".into(),
-                self.originator_fraction.to_value(),
-            ),
-            ("files".into(), self.files.to_value()),
-            ("file_size".into(), self.file_size.to_value()),
-            ("chunk_dist".into(), self.chunk_dist.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for WorkloadSpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = as_object(value)?;
-        let default = Self::default();
-        Ok(Self {
-            originator_fraction: field_or(
-                fields,
-                "originator_fraction",
-                default.originator_fraction,
-            )?,
-            files: field_or(fields, "files", default.files)?,
-            file_size: field_or(fields, "file_size", default.file_size)?,
-            chunk_dist: field_or(fields, "chunk_dist", default.chunk_dist)?,
-        })
-    }
-}
-
-impl Serialize for EconomicsSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("mechanism".into(), self.mechanism.to_value()),
-            ("pricing".into(), self.pricing.to_value()),
-            ("channel".into(), self.channel.to_value()),
-            ("tx_cost".into(), self.tx_cost.to_value()),
-            (
-                "free_rider_fraction".into(),
-                self.free_rider_fraction.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for EconomicsSpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = as_object(value)?;
-        let default = Self::default();
-        Ok(Self {
-            mechanism: field_or(fields, "mechanism", default.mechanism)?,
-            pricing: field_or(fields, "pricing", default.pricing)?,
-            channel: field_or(fields, "channel", default.channel)?,
-            tx_cost: field_or(fields, "tx_cost", default.tx_cost)?,
-            free_rider_fraction: field_or(
-                fields,
-                "free_rider_fraction",
-                default.free_rider_fraction,
-            )?,
-        })
-    }
-}
-
-impl Serialize for DynamicsSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("churn".into(), self.churn.to_value()),
-            ("scenario".into(), self.scenario.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DynamicsSpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = as_object(value)?;
-        Ok(Self {
-            churn: field_or(fields, "churn", None)?,
-            scenario: field_or(fields, "scenario", None)?,
-        })
-    }
-}
-
-impl Serialize for PolicySpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("route".into(), self.route.to_value()),
-            ("cache".into(), self.cache.to_value()),
-            ("repair".into(), self.repair.to_value()),
-            ("repair_source".into(), self.repair_source.to_value()),
-            ("max_retries".into(), self.max_retries.to_value()),
-            ("retry_backoff".into(), self.retry_backoff.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for PolicySpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = as_object(value)?;
-        let default = Self::default();
-        Ok(Self {
-            route: field_or(fields, "route", default.route)?,
-            cache: field_or(fields, "cache", default.cache)?,
-            repair: field_or(fields, "repair", default.repair)?,
-            repair_source: field_or(fields, "repair_source", default.repair_source)?,
-            max_retries: field_or(fields, "max_retries", default.max_retries)?,
-            retry_backoff: field_or(fields, "retry_backoff", default.retry_backoff)?,
-        })
-    }
-}
-
-impl Serialize for SimSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("seed".into(), self.seed.to_value()),
-            ("topology".into(), self.topology.to_value()),
-            ("workload".into(), self.workload.to_value()),
-            ("economics".into(), self.economics.to_value()),
-            ("dynamics".into(), self.dynamics.to_value()),
-            ("policies".into(), self.policies.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SimSpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = as_object(value)?;
-        Ok(Self {
-            seed: field_or(fields, "seed", SimConfig::paper_defaults().seed)?,
-            topology: field_or(fields, "topology", TopologySpec::default())?,
-            workload: field_or(fields, "workload", WorkloadSpec::default())?,
-            economics: field_or(fields, "economics", EconomicsSpec::default())?,
-            dynamics: field_or(fields, "dynamics", DynamicsSpec::default())?,
-            policies: field_or(fields, "policies", PolicySpec::default())?,
-        })
+        SimSpec::paper_defaults().policies
     }
 }
 
@@ -616,27 +426,6 @@ mod tests {
     fn empty_document_is_the_paper_configuration() {
         let spec = SimSpec::from_json("{}").unwrap();
         assert_eq!(spec, SimSpec::paper_defaults());
-        assert_eq!(spec.to_config(), SimConfig::paper_defaults());
-    }
-
-    #[test]
-    fn config_round_trips_through_the_spec() {
-        let mut config = SimConfig::paper_defaults();
-        config.nodes = 321;
-        config.cache = CachePolicy::Ttl {
-            capacity: 64,
-            ttl: 1000,
-        };
-        config.route = RoutePolicy::CapacityDetour { max_detours: 2 };
-        config.repair = RepairPolicy::ReReplicate {
-            neighborhood_bits: 6,
-        };
-        config.churn = Some(ChurnConfig::from_rate(0.05).unwrap());
-        config.mechanism = MechanismKind::EffortBased {
-            budget_per_tick: 500,
-        };
-        let spec = SimSpec::from_config(&config);
-        assert_eq!(spec.to_config(), config);
     }
 
     #[test]
@@ -695,6 +484,157 @@ mod tests {
                 "policies.caching"
             ]
         );
+    }
+
+    /// A spec whose every field differs from the paper default, so a
+    /// field that silently fell back to its default is visible.
+    fn every_field_tweaked() -> SimSpec {
+        let spec = SimSpec {
+            seed: 7,
+            topology: TopologySpec {
+                nodes: 64,
+                bits: 12,
+                bucket_sizing: BucketSizing::uniform(8),
+            },
+            workload: WorkloadSpec {
+                originator_fraction: 0.5,
+                files: 9,
+                file_size: FileSizeDist::Constant(3),
+                chunk_dist: ChunkDist::Zipf {
+                    catalog: 10,
+                    exponent: 0.8,
+                },
+            },
+            economics: EconomicsSpec {
+                mechanism: MechanismKind::TitForTat,
+                pricing: Pricing::Flat { price: 2 },
+                channel: ChannelConfig::unlimited(),
+                tx_cost: Bzz(1),
+                free_rider_fraction: 0.1,
+            },
+            dynamics: DynamicsSpec {
+                churn: Some(ChurnConfig::from_rate(0.1).unwrap()),
+                scenario: Some(ScenarioKind::FlashCrowd {
+                    at_step: 3,
+                    join_fraction: 0.1,
+                }),
+            },
+            policies: PolicySpec {
+                route: RoutePolicy::CapacityDetour { max_detours: 2 },
+                cache: CachePolicy::Lru { capacity: 8 },
+                repair: RepairPolicy::Monitor {
+                    neighborhood_bits: 4,
+                },
+                repair_source: RepairSource::Originator,
+                max_retries: 2,
+                retry_backoff: 3,
+            },
+        };
+        let (Value::Object(tweaked), Value::Object(paper)) =
+            (spec.to_value(), SimSpec::paper_defaults().to_value())
+        else {
+            unreachable!("specs serialize as objects")
+        };
+        for ((key, value), (_, default)) in tweaked.iter().zip(&paper) {
+            match (value.as_object(), default.as_object()) {
+                (Some(fields), Some(defaults)) => {
+                    for ((field, value), (_, default)) in fields.iter().zip(defaults) {
+                        assert_ne!(value, default, "{key}.{field} is not tweaked");
+                    }
+                }
+                _ => assert_ne!(value, default, "{key} is not tweaked"),
+            }
+        }
+        spec
+    }
+
+    /// Parses `doc` through [`SimSpec::from_json_checked`] and returns the
+    /// canonical form of the result plus the unknown keys.
+    fn checked(doc: &[(String, Value)]) -> (Vec<(String, Value)>, Vec<String>) {
+        let json = serde_json::to_string(&Value::Object(doc.to_vec())).unwrap();
+        let (spec, unknown) = SimSpec::from_json_checked(&json).unwrap();
+        let Value::Object(canonical) = spec.to_value() else {
+            unreachable!("specs serialize as objects")
+        };
+        (canonical, unknown)
+    }
+
+    #[test]
+    fn derived_key_set_flags_exactly_the_typo_and_defaults_omitted_fields() {
+        // Table-driven over the canonical form, so a new group or field is
+        // covered without touching this test.
+        let Value::Object(tweaked) = every_field_tweaked().to_value() else {
+            unreachable!("specs serialize as objects")
+        };
+        let Value::Object(paper) = SimSpec::paper_defaults().to_value() else {
+            unreachable!("specs serialize as objects")
+        };
+        let mut keys = 0;
+        for (g, (group, group_value)) in tweaked.iter().enumerate() {
+            // Top-level keys: `seed` and the groups themselves.
+            let mut doc = tweaked.clone();
+            doc.push((format!("{group}_typo"), group_value.clone()));
+            assert_eq!(
+                checked(&doc),
+                (tweaked.clone(), vec![format!("{group}_typo")])
+            );
+            let mut doc = tweaked.clone();
+            doc.remove(g);
+            let mut expected = tweaked.clone();
+            expected[g] = paper[g].clone();
+            assert_eq!(checked(&doc), (expected, vec![]), "omitting {group}");
+            keys += 1;
+
+            let (Some(fields), Some(defaults)) = (group_value.as_object(), paper[g].1.as_object())
+            else {
+                continue;
+            };
+            let with_group = |fields: Vec<(String, Value)>| {
+                let mut doc = tweaked.clone();
+                doc[g].1 = Value::Object(fields);
+                doc
+            };
+            for (f, (field, value)) in fields.iter().enumerate() {
+                let mut typo = fields.to_vec();
+                typo.push((format!("{field}_typo"), value.clone()));
+                assert_eq!(
+                    checked(&with_group(typo)),
+                    (tweaked.clone(), vec![format!("{group}.{field}_typo")])
+                );
+                let mut omitted = fields.to_vec();
+                omitted.remove(f);
+                let mut expected = fields.to_vec();
+                expected[f] = defaults[f].clone();
+                assert_eq!(
+                    checked(&with_group(omitted)),
+                    (with_group(expected), vec![]),
+                    "omitting {group}.{field}"
+                );
+                keys += 1;
+            }
+        }
+        assert_eq!(keys, 6 + 20, "six top-level keys and twenty group fields");
+    }
+
+    #[test]
+    fn committed_fixtures_carry_no_unknown_keys() {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let fixtures = manifest.join("../../tests/fixtures");
+        let mut files = Vec::new();
+        for dir in [fixtures.clone(), fixtures.join("corpus")] {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|ext| ext == "json") {
+                    files.push(path);
+                }
+            }
+        }
+        assert_eq!(files.len(), 7, "demo spec plus six corpus seeds: {files:?}");
+        for path in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (_, unknown) = SimSpec::from_json_checked(&text).unwrap();
+            assert!(unknown.is_empty(), "{}: {unknown:?}", path.display());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests over full simulation runs with randomized
 //! configurations.
 
-use fairswap_core::{MechanismKind, SimulationBuilder};
+use fairswap_core::{BucketSizing, MechanismKind, SimSpec};
 use fairswap_storage::CachePolicy;
 use fairswap_workload::{ChunkDist, FileSizeDist};
 use proptest::prelude::*;
@@ -20,16 +20,14 @@ proptest! {
         files in 1u64..40,
         seed in any::<u64>(),
     ) {
-        let report = SimulationBuilder::new()
-            .nodes(nodes)
-            .bucket_size(k)
-            .originator_fraction(f64::from(fraction_pct) / 100.0)
-            .files(files)
-            .file_size(FileSizeDist::Uniform { min: 5, max: 40 })
-            .seed(seed)
-            .build()
-            .expect("valid configuration")
-            .run();
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = nodes;
+        spec.topology.bucket_sizing = BucketSizing::uniform(k);
+        spec.workload.originator_fraction = f64::from(fraction_pct) / 100.0;
+        spec.workload.files = files;
+        spec.workload.file_size = FileSizeDist::Uniform { min: 5, max: 40 };
+        spec.seed = seed;
+        let report = spec.build().expect("valid configuration").run();
 
         // Histogram counts every delivered chunk exactly once.
         let requests: u64 = report.traffic().requests_issued().iter().sum();
@@ -71,17 +69,14 @@ proptest! {
             ChunkDist::Uniform
         };
         let run = |cache: CachePolicy| {
-            SimulationBuilder::new()
-                .nodes(nodes)
-                .bucket_size(4)
-                .files(files)
-                .file_size(FileSizeDist::Constant(25))
-                .chunk_dist(chunk_dist.clone())
-                .cache(cache)
-                .seed(seed)
-                .build()
-                .expect("valid configuration")
-                .run()
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = nodes;
+            spec.workload.files = files;
+            spec.workload.file_size = FileSizeDist::Constant(25);
+            spec.workload.chunk_dist = chunk_dist.clone();
+            spec.policies.cache = cache;
+            spec.seed = seed;
+            spec.build().expect("valid configuration").run()
         };
         let plain = run(CachePolicy::None);
         let cached = run(CachePolicy::Lru { capacity: 128 });
@@ -102,16 +97,13 @@ proptest! {
             MechanismKind::ProofOfBandwidth { mint_per_chunk: 1 },
         ][which];
         let run = || {
-            SimulationBuilder::new()
-                .nodes(50)
-                .bucket_size(4)
-                .files(8)
-                .file_size(FileSizeDist::Constant(10))
-                .seed(seed)
-                .mechanism(mechanism)
-                .build()
-                .expect("valid configuration")
-                .run()
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 50;
+            spec.workload.files = 8;
+            spec.workload.file_size = FileSizeDist::Constant(10);
+            spec.seed = seed;
+            spec.economics.mechanism = mechanism;
+            spec.build().expect("valid configuration").run()
         };
         let a = run();
         let b = run();
@@ -126,14 +118,10 @@ fn zero_bucket_dominates_first_hop_load() {
     // significantly more requests" — bucket 0 covers ~half the address
     // space, so roughly half of all paid first hops come from it, far more
     // than from any deeper bucket.
-    let report = SimulationBuilder::new()
-        .nodes(300)
-        .bucket_size(4)
-        .files(100)
-        .seed(0xFA12)
-        .build()
-        .expect("valid configuration")
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 300;
+    spec.workload.files = 100;
+    let report = spec.build().expect("valid configuration").run();
     let counts = report.first_hop_bucket_counts();
     let share = report.zero_bucket_first_hop_share();
     assert!(share > 0.35, "bucket-0 share {share}");

@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use fairswap_core::{run_jobs, Executor, SimJob, SimSpec};
+use fairswap_core::{run_jobs, Executor, SimSpec};
 use fairswap_kademlia::BucketSizing;
 use fairswap_simcore::rng::{derive_rng, domain, sub_seed};
 use rand::Rng;
@@ -112,20 +112,19 @@ struct Eval {
 
 /// Runs `spec` plus its fairness twins and judges the results.
 fn evaluate(executor: &Executor, spec: &SimSpec) -> Result<Eval, FuzzError> {
-    let base = spec.to_config();
     // The candidate is job 0; twins reuse it when the bucket size already
     // matches (the common case for k = 4 parents).
-    let mut jobs = vec![SimJob::new(base.clone())];
+    let mut jobs = vec![spec.clone()];
     let mut twin_slots = [0usize; TWIN_KS.len()];
     for (slot, k) in TWIN_KS.iter().enumerate() {
         let sizing = BucketSizing::uniform(*k);
-        if base.bucket_sizing == sizing {
+        if spec.topology.bucket_sizing == sizing {
             twin_slots[slot] = 0;
         } else {
-            let mut twin = base.clone();
-            twin.bucket_sizing = sizing;
+            let mut twin = spec.clone();
+            twin.topology.bucket_sizing = sizing;
             twin_slots[slot] = jobs.len();
-            jobs.push(SimJob::new(twin));
+            jobs.push(twin);
         }
     }
     let runs = jobs.len() as u64;

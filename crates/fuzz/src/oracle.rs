@@ -456,14 +456,11 @@ mod tests {
 
     #[test]
     fn from_report_extracts_a_consistent_view() {
-        let report = fairswap_core::SimulationBuilder::new()
-            .nodes(120)
-            .bucket_size(4)
-            .files(25)
-            .seed(11)
-            .build()
-            .unwrap()
-            .run();
+        let mut spec = fairswap_core::SimSpec::paper_defaults();
+        spec.seed = 11;
+        spec.topology.nodes = 120;
+        spec.workload.files = 25;
+        let report = spec.build().unwrap().run();
         let m = RunMetrics::from_report(&report);
         assert_eq!(m.mechanism, "swarm");
         assert!(m.requests > 0);

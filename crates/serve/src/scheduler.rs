@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use fairswap_core::{run_summary_csv, Executor, SimSpec, SimulationBuilder};
+use fairswap_core::{run_summary_csv, Executor, SimSpec};
 
 use crate::cache::{CacheStats, ReportCache};
 use crate::job::{Job, JobId, JobResult, RowObserver};
@@ -287,13 +287,10 @@ fn execute(shared: &Shared, job: &Arc<Job>) {
 /// the byte-identity guarantee between `/result` and `fairswap run`.
 fn run_job(job: &Arc<Job>) -> Result<Arc<JobResult>, String> {
     let spec = SimSpec::from_json(&job.canonical).map_err(|e| e.to_string())?;
-    let config = spec.to_config();
-    let sim = SimulationBuilder::from_config(config.clone())
-        .build()
-        .map_err(|e| e.to_string())?;
+    let sim = spec.build().map_err(|e| e.to_string())?;
     let mut observer = RowObserver::new(&job.rows);
     let report = sim.run_observed(|_, _| {}, &mut observer);
-    let csv = run_summary_csv(&config, &report)
+    let csv = run_summary_csv(report.config(), &report)
         .to_csv_string()
         .into_bytes();
     let rows = job.rows.snapshot();

@@ -174,6 +174,47 @@ fn invalid_and_unknown_requests_get_structured_errors() {
 }
 
 #[test]
+fn engine_crashing_economics_are_rejected_and_later_jobs_still_run() {
+    // Each of these used to pass `/submit` and then panic the runner
+    // thread mid-run, wedging every later job and the shutdown.
+    let crashing = [
+        r#"{"topology": {"nodes": 80}, "workload": {"files": 8}, "economics": {"channel": {"payment_threshold": 0, "disconnect_threshold": 0, "refresh_rate": 0}}}"#,
+        r#"{"topology": {"nodes": 80}, "workload": {"files": 8}, "economics": {"pricing": {"Flat": {"price": -5}}}}"#,
+        r#"{"topology": {"nodes": 80}, "workload": {"files": 8}, "economics": {"pricing": {"Proximity": {"base": -3}}}}"#,
+    ];
+    let server = TestServer::start(1, 4);
+    let mut client = Client::new(server.addr);
+    for (json, field) in crashing.iter().zip([
+        "economics.channel.disconnect_threshold",
+        "economics.pricing.Flat.price",
+        "economics.pricing.Proximity.base",
+    ]) {
+        let rejected = client
+            .request("POST", "/submit", json.as_bytes())
+            .expect("submit");
+        assert_eq!(rejected.status, 400, "{}", rejected.text());
+        assert!(rejected.text().contains(field), "{}", rejected.text());
+    }
+
+    let valid = &specs()[0];
+    let submitted = client
+        .request("POST", "/submit", valid.as_bytes())
+        .expect("submit");
+    assert_eq!(submitted.status, 200, "{}", submitted.text());
+    let job = submitted.json_str("job").expect("job id");
+    let result = client
+        .request("GET", &format!("/result/{job}"), b"")
+        .expect("result");
+    assert_eq!(result.status, 200, "{}", result.text());
+    assert_eq!(result.body, batch_csv(valid));
+
+    let summary = server.stop();
+    assert_eq!(summary.jobs, 1);
+    assert_eq!(summary.completed, 1);
+    assert_eq!(summary.failed, 0);
+}
+
+#[test]
 fn hostile_targets_get_json_error_bodies() {
     let server = TestServer::start(1, 4);
     let mut client = Client::new(server.addr);

@@ -11,7 +11,7 @@
 //! cargo run --release --example caching_popularity
 //! ```
 
-use fairswap::core::SimulationBuilder;
+use fairswap::core::SimSpec;
 use fairswap::storage::CachePolicy;
 use fairswap::workload::ChunkDist;
 
@@ -34,15 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("none", CachePolicy::None),
             ("lru", CachePolicy::Lru { capacity: 512 }),
         ] {
-            let report = SimulationBuilder::new()
-                .nodes(300)
-                .bucket_size(4)
-                .files(300)
-                .seed(0xFA12)
-                .chunk_dist(dist.clone())
-                .cache(cache)
-                .build()?
-                .run();
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 300;
+            spec.workload.files = 300;
+            spec.workload.chunk_dist = dist.clone();
+            spec.policies.cache = cache;
+            let report = spec.build()?.run();
             let income: f64 = report.incomes().iter().sum();
             println!(
                 "{:<9} {:<6} {:>15.1} {:>11} {:>13} {:>13.0}",

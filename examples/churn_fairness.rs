@@ -7,7 +7,7 @@
 //! ```
 
 use fairswap::churn::{ChurnConfig, LifetimeDist};
-use fairswap::core::SimulationBuilder;
+use fairswap::core::{BucketSizing, SimSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nodes = 300;
@@ -24,15 +24,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut leaves = 0;
         let mut live = nodes;
         for k in [4usize, 20] {
-            let mut builder = SimulationBuilder::new()
-                .nodes(nodes)
-                .bucket_size(k)
-                .files(files)
-                .seed(0xFA12);
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = nodes;
+            spec.topology.bucket_sizing = BucketSizing::uniform(k);
+            spec.workload.files = files;
             if rate > 0.0 {
-                builder = builder.churn_rate(rate);
+                spec.dynamics.churn = Some(ChurnConfig::from_rate(rate)?);
             }
-            let report = builder.build()?.run();
+            let report = spec.build()?.run();
             row.push(report.f2_income_gini());
             if let Some(churn) = report.churn() {
                 leaves = churn.leaves;
@@ -57,14 +56,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             scale: 15.0,
         })
         .with_start_step(100);
-    let report = SimulationBuilder::new()
-        .nodes(nodes)
-        .bucket_size(4)
-        .files(files)
-        .seed(0xFA12)
-        .churn(weibull)
-        .build()?
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = nodes;
+    spec.workload.files = files;
+    spec.dynamics.churn = Some(weibull);
+    let report = spec.build()?.run();
     let churn = report.churn().expect("churn configured");
     println!(
         "\nWeibull sessions (shape 0.6): F2={:.4}, {} leaves, {} joins, live {} -> {}",

@@ -12,7 +12,7 @@
 //! cargo run --release --example compare_mechanisms
 //! ```
 
-use fairswap::core::{MechanismKind, SimulationBuilder};
+use fairswap::core::{MechanismKind, SimSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mechanisms = [
@@ -30,14 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "mechanism", "F2 gini", "F1(income) gini", "earning %", "total income"
     );
     for mechanism in mechanisms {
-        let report = SimulationBuilder::new()
-            .nodes(300)
-            .bucket_size(4)
-            .files(200)
-            .seed(0xFA12)
-            .mechanism(mechanism)
-            .build()?
-            .run();
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 300;
+        spec.workload.files = 200;
+        spec.economics.mechanism = mechanism;
+        let report = spec.build()?.run();
         let earning = report.incomes().iter().filter(|&&v| v > 0.0).count() as f64
             / report.node_count() as f64;
         let total: f64 = report.incomes().iter().sum();

@@ -8,14 +8,14 @@
 //! The policy layer has two kinds of extension points:
 //!
 //! * **Closed, serde-stable enums** for the hot path: pick a
-//!   [`RoutePolicy`] and [`CachePolicy`] on the builder (or in a
-//!   `SimSpec` JSON document for `fairswap run --config`).
+//!   [`RoutePolicy`] and [`CachePolicy`] in the [`SimSpec`] (or in its
+//!   JSON document for `fairswap run --config`).
 //! * **An open trait** off the hot path: implement [`RepairHook`] and
 //!   inject it with [`BandwidthSim::run_with_repair`] — the simulation
 //!   calls it after every applied departure.
 
 use fairswap::core::policy::RepairHook;
-use fairswap::core::{CachePolicy, RoutePolicy, ScenarioKind, SimSpec, SimulationBuilder};
+use fairswap::core::{CachePolicy, ChurnConfig, RoutePolicy, ScenarioKind, SimSpec};
 use fairswap::kademlia::{NodeId, Topology};
 
 /// A user-defined repair policy: besides flagging emptied neighborhoods
@@ -44,26 +44,24 @@ impl RepairHook for SizedRepair {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Compose the built-in policies on the builder: detour routing plus a
+    // Compose the built-in policies on the spec: detour routing plus a
     // churn-aware TTL cache, under 10% background churn and two-tier
     // bandwidth budgets (which give the detour policy something to dodge).
-    let sim = SimulationBuilder::new()
-        .nodes(300)
-        .bucket_size(4)
-        .files(200)
-        .seed(0xFA12)
-        .churn_rate(0.1)
-        .scenario(ScenarioKind::Heterogeneity {
-            slow_fraction: 0.3,
-            slow_budget: 4,
-            fast_budget: 64,
-        })
-        .route_policy(RoutePolicy::CapacityDetour { max_detours: 3 })
-        .cache(CachePolicy::Ttl {
-            capacity: 512,
-            ttl: 4096,
-        })
-        .build()?;
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 300;
+    spec.workload.files = 200;
+    spec.dynamics.churn = Some(ChurnConfig::from_rate(0.1)?);
+    spec.dynamics.scenario = Some(ScenarioKind::Heterogeneity {
+        slow_fraction: 0.3,
+        slow_budget: 4,
+        fast_budget: 64,
+    });
+    spec.policies.route = RoutePolicy::CapacityDetour { max_detours: 3 };
+    spec.policies.cache = CachePolicy::Ttl {
+        capacity: 512,
+        ttl: 4096,
+    };
+    let sim = spec.build()?;
 
     // Inject the custom repair hook.
     let mut repair = SizedRepair {

@@ -5,20 +5,18 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fairswap::core::SimulationBuilder;
+use fairswap::core::SimSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A reduced instance of the paper's setup: Swarm incentive, forwarding
     // Kademlia, uniform workload. (The paper runs 1000 nodes / 10k files;
     // this example keeps the demo snappy.)
-    let report = SimulationBuilder::new()
-        .nodes(500)
-        .bucket_size(4) // Swarm's default bucket size
-        .originator_fraction(0.2) // the paper's skewed workload
-        .files(500)
-        .seed(0xFA12)
-        .build()?
-        .run();
+    // The defaults keep Swarm's bucket size k = 4.
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 500;
+    spec.workload.originator_fraction = 0.2; // the paper's skewed workload
+    spec.workload.files = 500;
+    let report = spec.build()?.run();
 
     println!("nodes:                  {}", report.node_count());
     println!("files downloaded:       {}", report.config().files);

@@ -10,7 +10,7 @@
 //! cargo run --release --example skewed_workload
 //! ```
 
-use fairswap::core::SimulationBuilder;
+use fairswap::core::{BucketSizing, SimSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
@@ -21,14 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut f2 = std::collections::HashMap::new();
     for k in [4usize, 20] {
         for fraction in [0.2f64, 1.0] {
-            let report = SimulationBuilder::new()
-                .nodes(400)
-                .bucket_size(k)
-                .originator_fraction(fraction)
-                .files(400)
-                .seed(0xFA12)
-                .build()?
-                .run();
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 400;
+            spec.topology.bucket_sizing = BucketSizing::uniform(k);
+            spec.workload.originator_fraction = fraction;
+            spec.workload.files = 400;
+            let report = spec.build()?.run();
             println!(
                 "{:<6} {:<14} {:>10.4} {:>10.4} {:>16.1}",
                 k,

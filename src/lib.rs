@@ -41,22 +41,18 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fairswap::core::{SimulationBuilder, presets};
+//! use fairswap::core::SimSpec;
 //!
-//! // A small instance of the paper's headline experiment.
-//! let report = SimulationBuilder::new()
-//!     .nodes(200)
-//!     .bucket_size(4)
-//!     .originator_fraction(0.2)
-//!     .files(50)
-//!     .seed(0xFA12)
-//!     .build()
-//!     .expect("valid configuration")
-//!     .run();
+//! // A small instance of the paper's headline experiment (k = 4, 20%
+//! // originators); every field not set here keeps its paper default.
+//! let mut spec = SimSpec::paper_defaults();
+//! spec.topology.nodes = 200;
+//! spec.workload.originator_fraction = 0.2;
+//! spec.workload.files = 50;
+//! let report = spec.build().expect("valid configuration").run();
 //!
 //! let f2 = report.f2_income_gini();
 //! assert!((0.0..=1.0).contains(&f2));
-//! # let _ = presets::paper_defaults();
 //! ```
 
 pub use fairswap_churn as churn;

@@ -4,18 +4,17 @@
 
 use fairswap::churn::{ChurnConfig, ChurnPlan, LifetimeDist};
 use fairswap::core::experiments::{churn, ExperimentScale};
-use fairswap::core::{Executor, GridObservation, SimulationBuilder};
+use fairswap::core::{Executor, GridObservation, SimSpec};
 
 fn churn_report(rate: f64, seed: u64) -> fairswap::core::SimReport {
-    SimulationBuilder::new()
-        .nodes(200)
-        .bucket_size(4)
-        .files(80)
-        .seed(seed)
-        .churn_rate(rate)
-        .build()
-        .expect("valid configuration")
-        .run()
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 200;
+    spec.workload.files = 80;
+    spec.seed = seed;
+    if rate > 0.0 {
+        spec.dynamics.churn = Some(ChurnConfig::from_rate(rate).unwrap());
+    }
+    spec.build().expect("valid configuration").run()
 }
 
 #[test]

@@ -2,22 +2,19 @@
 //! experiments; our reproduction must be bit-stable for a fixed seed, on
 //! any machine, across runs.
 
-use fairswap::core::SimulationBuilder;
+use fairswap::core::SimSpec;
 use fairswap::kademlia::{AddressSpace, TopologyBuilder};
 use fairswap::workload::{WorkloadBuilder, WorkloadTrace};
 
 #[test]
 fn identical_seeds_give_identical_reports() {
     let run = |seed: u64| {
-        SimulationBuilder::new()
-            .nodes(200)
-            .bucket_size(4)
-            .originator_fraction(0.2)
-            .files(60)
-            .seed(seed)
-            .build()
-            .expect("valid configuration")
-            .run()
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 200;
+        spec.workload.originator_fraction = 0.2;
+        spec.workload.files = 60;
+        spec.seed = seed;
+        spec.build().expect("valid configuration").run()
     };
     let a = run(0xFA12);
     let b = run(0xFA12);

@@ -1,7 +1,7 @@
 //! Cross-crate conservation and consistency checks over full simulation
 //! runs.
 
-use fairswap::core::{Executor, GridObservation, MechanismKind, SimulationBuilder};
+use fairswap::core::{Executor, GridObservation, MechanismKind, SimSpec};
 use fairswap::fairness::gini;
 use fairswap::incentives::{BandwidthIncentive, RewardState, SwarmIncentive};
 use fairswap::kademlia::{AddressSpace, TopologyBuilder};
@@ -13,14 +13,11 @@ use fairswap::workload::WorkloadBuilder;
 fn swarm_income_equals_settlement_volume() {
     // Under Swarm, every unit of income is a BZZ settlement at 1:1 (tx cost
     // zero), so total income must equal ledger volume exactly.
-    let report = SimulationBuilder::new()
-        .nodes(250)
-        .bucket_size(4)
-        .files(80)
-        .seed(1)
-        .build()
-        .expect("valid configuration")
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 250;
+    spec.workload.files = 80;
+    spec.seed = 1;
+    let report = spec.build().expect("valid configuration").run();
     let income: f64 = report.incomes().iter().sum();
     assert_eq!(income as u64, report.settlement_volume());
 }
@@ -29,14 +26,11 @@ fn swarm_income_equals_settlement_volume() {
 fn first_hop_counts_bound_incomes() {
     // A node's income comes only from first-hop serves; nodes that never
     // served as first hop must have zero income.
-    let report = SimulationBuilder::new()
-        .nodes(250)
-        .bucket_size(4)
-        .files(60)
-        .seed(2)
-        .build()
-        .expect("valid configuration")
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 250;
+    spec.workload.files = 60;
+    spec.seed = 2;
+    let report = spec.build().expect("valid configuration").run();
     for (node, (&first_hops, &income)) in report
         .traffic()
         .served_first_hop()
@@ -54,14 +48,11 @@ fn first_hop_counts_bound_incomes() {
 
 #[test]
 fn forwarded_at_least_first_hop_serves() {
-    let report = SimulationBuilder::new()
-        .nodes(200)
-        .bucket_size(4)
-        .files(50)
-        .seed(3)
-        .build()
-        .expect("valid configuration")
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 200;
+    spec.workload.files = 50;
+    spec.seed = 3;
+    let report = spec.build().expect("valid configuration").run();
     for (fwd, fh) in report
         .traffic()
         .forwarded()
@@ -74,14 +65,11 @@ fn forwarded_at_least_first_hop_serves() {
 
 #[test]
 fn stuck_rate_is_negligible_at_paper_parameters() {
-    let report = SimulationBuilder::new()
-        .nodes(500)
-        .bucket_size(4)
-        .files(100)
-        .seed(4)
-        .build()
-        .expect("valid configuration")
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 500;
+    spec.workload.files = 100;
+    spec.seed = 4;
+    let report = spec.build().expect("valid configuration").run();
     let requests: u64 = report.traffic().requests_issued().iter().sum();
     let stuck = report.traffic().stuck_requests();
     assert!(
@@ -100,14 +88,11 @@ fn manual_pipeline_matches_harness() {
     let files = 30u64;
 
     // Harness run.
-    let report = SimulationBuilder::new()
-        .nodes(nodes)
-        .bucket_size(4)
-        .files(files)
-        .seed(seed)
-        .build()
-        .expect("valid configuration")
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = nodes;
+    spec.workload.files = files;
+    spec.seed = seed;
+    let report = spec.build().expect("valid configuration").run();
 
     // Manual run with the same derived sub-seeds.
     let topology = TopologyBuilder::new(space)
@@ -150,15 +135,12 @@ fn every_mechanism_produces_valid_fairness_metrics() {
         },
         MechanismKind::ProofOfBandwidth { mint_per_chunk: 2 },
     ] {
-        let report = SimulationBuilder::new()
-            .nodes(150)
-            .bucket_size(4)
-            .files(40)
-            .seed(5)
-            .mechanism(mechanism)
-            .build()
-            .expect("valid configuration")
-            .run();
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 150;
+        spec.workload.files = 40;
+        spec.seed = 5;
+        spec.economics.mechanism = mechanism;
+        let report = spec.build().expect("valid configuration").run();
         let f2 = report.f2_income_gini();
         assert!(
             (0.0..=1.0).contains(&f2),
@@ -178,19 +160,16 @@ fn swap_channel_config_gates_amortization() {
     // With a zero refresh rate nothing amortizes; with a huge one all
     // forwarding debt evaporates.
     let run = |refresh: i64| {
-        SimulationBuilder::new()
-            .nodes(150)
-            .bucket_size(4)
-            .files(30)
-            .seed(6)
-            .channel(ChannelConfig {
-                payment_threshold: fairswap::swap::AccountingUnits(i64::MAX / 4),
-                disconnect_threshold: fairswap::swap::AccountingUnits(i64::MAX / 2),
-                refresh_rate: fairswap::swap::AccountingUnits(refresh),
-            })
-            .build()
-            .expect("valid configuration")
-            .run()
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 150;
+        spec.workload.files = 30;
+        spec.seed = 6;
+        spec.economics.channel = ChannelConfig {
+            payment_threshold: fairswap::swap::AccountingUnits(i64::MAX / 4),
+            disconnect_threshold: fairswap::swap::AccountingUnits(i64::MAX / 2),
+            refresh_rate: fairswap::swap::AccountingUnits(refresh),
+        };
+        spec.build().expect("valid configuration").run()
     };
     assert_eq!(run(0).amortized_total(), 0);
     assert!(run(1_000_000).amortized_total() > 0);

@@ -7,7 +7,7 @@
 use std::path::Path;
 
 use fairswap::core::experiments::fuzzed;
-use fairswap::core::{run_jobs, Executor, SimJob, SimSpec};
+use fairswap::core::{run_jobs, Executor, SimSpec};
 use fairswap::fuzz::{run_campaign, Corpus, FuzzConfig};
 
 fn fixture_dir() -> &'static Path {
@@ -39,13 +39,13 @@ fn committed_corpus_is_the_seed_corpus_byte_for_byte() {
 }
 
 /// Every committed spec replays through the `fairswap run --config` code
-/// path (parse → config → simulate) with bit-identical results whether
+/// path (parse → simulate) with bit-identical results whether
 /// the jobs run serially or on two workers.
 #[test]
 fn committed_corpus_replays_byte_identically_serial_vs_threaded() {
     let corpus = Corpus::load(fixture_dir()).expect("committed corpus loads");
     assert!(!corpus.is_empty());
-    let jobs = |c: &Corpus| -> Vec<SimJob> {
+    let jobs = |c: &Corpus| -> Vec<SimSpec> {
         c.entries()
             .iter()
             .map(|e| {
@@ -53,7 +53,7 @@ fn committed_corpus_replays_byte_identically_serial_vs_threaded() {
                 // mirror that exactly.
                 let text = std::fs::read_to_string(fixture_dir().join(format!("{}.json", e.name)))
                     .unwrap();
-                SimJob::new(SimSpec::from_json(&text).unwrap().to_config())
+                SimSpec::from_json(&text).unwrap()
             })
             .collect()
     };

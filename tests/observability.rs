@@ -13,8 +13,7 @@ use std::collections::HashMap;
 
 use fairswap::core::experiments::{churn, fig4, ExperimentScale};
 use fairswap::core::{
-    run_jobs_observed, validate_jsonl, Executor, GridObservation, ObsOptions, SimJob, SimReport,
-    SimSpec,
+    run_jobs_observed, validate_jsonl, Executor, GridObservation, ObsOptions, SimReport, SimSpec,
 };
 
 fn scale() -> ExperimentScale {
@@ -40,12 +39,7 @@ fn everything() -> ObsOptions {
 fn demo_report(opts: ObsOptions) -> (SimReport, GridObservation) {
     let spec = SimSpec::from_json(include_str!("fixtures/demo_spec.json")).unwrap();
     let mut obs = GridObservation::new(opts);
-    let reports = run_jobs_observed(
-        &Executor::serial(),
-        vec![SimJob::new(spec.to_config())],
-        &mut obs,
-    )
-    .unwrap();
+    let reports = run_jobs_observed(&Executor::serial(), vec![spec], &mut obs).unwrap();
     (reports.into_iter().next().unwrap(), obs)
 }
 

@@ -10,7 +10,7 @@
 use fairswap::core::experiments::{
     cache_churn, churn, fig4, large_scale, routing, ExperimentScale,
 };
-use fairswap::core::{run_jobs, Executor, GridObservation, SimJob};
+use fairswap::core::{run_jobs, Executor, GridObservation, SimSpec};
 use fairswap::simcore::rng::{domain, sub_seed};
 
 fn scale() -> ExperimentScale {
@@ -153,14 +153,14 @@ fn large_scale_rows_are_thread_count_invariant() {
 fn raw_job_grids_merge_in_stable_cell_order() {
     // Jobs with very different run times (files counts) still come back in
     // submission order.
-    let jobs: Vec<SimJob> = [60u64, 5, 30, 10]
+    let jobs: Vec<SimSpec> = [60u64, 5, 30, 10]
         .into_iter()
         .map(|files| {
-            let mut config = fairswap::core::SimConfig::paper_defaults();
-            config.nodes = 100;
-            config.files = files;
-            config.seed = 7;
-            SimJob::new(config)
+            let mut spec = SimSpec::paper_defaults();
+            spec.seed = 7;
+            spec.topology.nodes = 100;
+            spec.workload.files = files;
+            spec
         })
         .collect();
     let reports = run_jobs(&Executor::new(4), jobs).unwrap();

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use fairswap::core::{CsvTable, RoutePolicy, ScenarioKind, SimulationBuilder};
+use fairswap::core::{BucketSizing, CsvTable, RoutePolicy, ScenarioKind, SimSpec};
 use fairswap::kademlia::{AddressSpace, NodeId, TopologyBuilder};
 use fairswap::storage::{CachePolicy, DownloadSim};
 
@@ -67,16 +67,14 @@ proptest! {
     ) {
         let k = [4usize, 20][k_pick];
         let csv_of = |route: RoutePolicy| {
-            let report = SimulationBuilder::new()
-                .nodes(120)
-                .bucket_size(k)
-                .files(30)
-                .seed(seed)
-                .scenario(UNLIMITED)
-                .route_policy(route)
-                .build()
-                .expect("valid config")
-                .run();
+            let mut spec = SimSpec::paper_defaults();
+            spec.topology.nodes = 120;
+            spec.topology.bucket_sizing = BucketSizing::uniform(k);
+            spec.workload.files = 30;
+            spec.seed = seed;
+            spec.dynamics.scenario = Some(UNLIMITED);
+            spec.policies.route = route;
+            let report = spec.build().expect("valid config").run();
             let mut csv = CsvTable::new(["node", "forwarded", "first_hop", "income"]);
             for node in 0..report.node_count() {
                 csv.push_row([

@@ -3,7 +3,7 @@
 //! byte-identical artifacts, and never breaks income conservation.
 
 use fairswap::core::experiments::{scenarios, ExperimentScale};
-use fairswap::core::{Executor, GridObservation, ScenarioKind, SimulationBuilder};
+use fairswap::core::{BucketSizing, ChurnConfig, Executor, GridObservation, ScenarioKind, SimSpec};
 
 fn scale() -> ExperimentScale {
     ExperimentScale {
@@ -95,19 +95,16 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
 /// channel of a victim, crediting exactly what the ledger records.
 #[test]
 fn targeted_departure_conserves_rewards() {
-    let report = SimulationBuilder::new()
-        .nodes(150)
-        .bucket_size(4)
-        .files(60)
-        .seed(11)
-        .churn_rate(0.05)
-        .scenario(ScenarioKind::TargetedDeparture {
-            at_step: 30,
-            top_fraction: 0.05,
-        })
-        .build()
-        .unwrap()
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 150;
+    spec.workload.files = 60;
+    spec.seed = 11;
+    spec.dynamics.churn = Some(ChurnConfig::from_rate(0.05).unwrap());
+    spec.dynamics.scenario = Some(ScenarioKind::TargetedDeparture {
+        at_step: 30,
+        top_fraction: 0.05,
+    });
+    let report = spec.build().unwrap().run();
     let churn = report.churn().expect("scenario tracks membership");
     assert!(churn.targeted_removals > 0);
     let income: f64 = report.incomes().iter().sum();
@@ -124,26 +121,20 @@ fn targeted_departure_takes_the_expected_head_count_and_settles_them() {
     // so steps 1..=39 replay the static baseline exactly (same workload
     // stream prefix), and everything the scenario run adds on top
     // (departure settlements, the last download) only ever credits income.
-    let baseline = SimulationBuilder::new()
-        .nodes(120)
-        .bucket_size(4)
-        .files(39)
-        .seed(3)
-        .build()
-        .unwrap()
-        .run();
-    let report = SimulationBuilder::new()
-        .nodes(120)
-        .bucket_size(4)
-        .files(40)
-        .seed(3)
-        .scenario(ScenarioKind::TargetedDeparture {
-            at_step: 40, // the final step: removals happen, then the run ends
-            top_fraction: 0.05,
-        })
-        .build()
-        .unwrap()
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 120;
+    spec.workload.files = 39;
+    spec.seed = 3;
+    let baseline = spec.build().unwrap().run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 120;
+    spec.workload.files = 40;
+    spec.seed = 3;
+    spec.dynamics.scenario = Some(ScenarioKind::TargetedDeparture {
+        at_step: 40, // the final step: removals happen, then the run ends
+        top_fraction: 0.05,
+    });
+    let report = spec.build().unwrap().run();
     let churn = report.churn().unwrap();
     assert_eq!(churn.targeted_removals, 6); // ceil(0.05 * 120)
     assert_eq!(churn.final_live, 114);
@@ -162,18 +153,15 @@ fn targeted_departure_takes_the_expected_head_count_and_settles_them() {
 
 #[test]
 fn flash_crowd_cohort_stays_out_until_the_shock() {
-    let report = SimulationBuilder::new()
-        .nodes(200)
-        .bucket_size(4)
-        .files(50)
-        .seed(21)
-        .scenario(ScenarioKind::FlashCrowd {
-            at_step: 25,
-            join_fraction: 0.2,
-        })
-        .build()
-        .unwrap()
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 200;
+    spec.workload.files = 50;
+    spec.seed = 21;
+    spec.dynamics.scenario = Some(ScenarioKind::FlashCrowd {
+        at_step: 25,
+        join_fraction: 0.2,
+    });
+    let report = spec.build().unwrap().run();
     let churn = report.churn().unwrap();
     // 40 cohort members join at the shock and nothing else moves.
     assert_eq!(churn.joins, 40);
@@ -190,19 +178,16 @@ fn flash_crowd_cohort_stays_out_until_the_shock() {
 
 #[test]
 fn regional_outage_dips_and_recovers() {
-    let report = SimulationBuilder::new()
-        .nodes(300)
-        .bucket_size(4)
-        .files(60)
-        .seed(31)
-        .scenario(ScenarioKind::RegionalOutage {
-            at_step: 20,
-            region_bits: 2,
-            rejoin_after: Some(20),
-        })
-        .build()
-        .unwrap()
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 300;
+    spec.workload.files = 60;
+    spec.seed = 31;
+    spec.dynamics.scenario = Some(ScenarioKind::RegionalOutage {
+        at_step: 20,
+        region_bits: 2,
+        rejoin_after: Some(20),
+    });
+    let report = spec.build().unwrap().run();
     let churn = report.churn().unwrap();
     assert!(churn.leaves > 0);
     assert_eq!(churn.joins, churn.leaves, "the whole region rejoins");
@@ -217,19 +202,16 @@ fn regional_outage_dips_and_recovers() {
 
 #[test]
 fn heterogeneity_blocks_traffic_and_shifts_fairness() {
-    let constrained = SimulationBuilder::new()
-        .nodes(150)
-        .bucket_size(4)
-        .files(50)
-        .seed(41)
-        .scenario(ScenarioKind::Heterogeneity {
-            slow_fraction: 0.3,
-            slow_budget: 4,
-            fast_budget: 64,
-        })
-        .build()
-        .unwrap()
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 150;
+    spec.workload.files = 50;
+    spec.seed = 41;
+    spec.dynamics.scenario = Some(ScenarioKind::Heterogeneity {
+        slow_fraction: 0.3,
+        slow_budget: 4,
+        fast_budget: 64,
+    });
+    let constrained = spec.build().unwrap().run();
     assert!(constrained.traffic().capacity_blocked() > 0);
     assert!(constrained.traffic().capacity_blocked() <= constrained.traffic().stuck_requests());
     // Conservation still holds: only delivered chunks pay.
@@ -237,14 +219,11 @@ fn heterogeneity_blocks_traffic_and_shifts_fairness() {
     assert_eq!(income as u64, constrained.settlement_volume());
 
     // An unconstrained run delivers strictly more.
-    let unconstrained = SimulationBuilder::new()
-        .nodes(150)
-        .bucket_size(4)
-        .files(50)
-        .seed(41)
-        .build()
-        .unwrap()
-        .run();
+    let mut spec = SimSpec::paper_defaults();
+    spec.topology.nodes = 150;
+    spec.workload.files = 50;
+    spec.seed = 41;
+    let unconstrained = spec.build().unwrap().run();
     assert_eq!(unconstrained.traffic().capacity_blocked(), 0);
     assert!(unconstrained.total_forwarded() > constrained.total_forwarded());
 }
@@ -252,20 +231,18 @@ fn heterogeneity_blocks_traffic_and_shifts_fairness() {
 #[test]
 fn scenarios_compose_with_background_churn_deterministically() {
     let build = || {
-        SimulationBuilder::new()
-            .nodes(150)
-            .bucket_size(20)
-            .files(60)
-            .seed(51)
-            .churn_rate(0.05)
-            .scenario(ScenarioKind::RegionalOutage {
-                at_step: 30,
-                region_bits: 2,
-                rejoin_after: None,
-            })
-            .build()
-            .unwrap()
-            .run()
+        let mut spec = SimSpec::paper_defaults();
+        spec.topology.nodes = 150;
+        spec.topology.bucket_sizing = BucketSizing::uniform(20);
+        spec.workload.files = 60;
+        spec.seed = 51;
+        spec.dynamics.churn = Some(ChurnConfig::from_rate(0.05).unwrap());
+        spec.dynamics.scenario = Some(ScenarioKind::RegionalOutage {
+            at_step: 30,
+            region_bits: 2,
+            rejoin_after: None,
+        });
+        spec.build().unwrap().run()
     };
     let a = build();
     let b = build();

@@ -7,7 +7,7 @@ use fairswap::core::experiments::{
     cache_churn, churn, fig4, large_scale, routing, scenarios, ExperimentScale,
 };
 use fairswap::core::{
-    CachePolicy, MechanismKind, RepairPolicy, RoutePolicy, ScenarioKind, SimConfig, SimSpec,
+    CachePolicy, MechanismKind, RepairPolicy, RoutePolicy, ScenarioKind, SimSpec,
 };
 use fairswap::fuzz::{mutate_spec, AXES};
 use fairswap::simcore::rng::derive_rng;
@@ -20,87 +20,65 @@ fn scale() -> ExperimentScale {
     }
 }
 
-/// serialize → deserialize → re-serialize must be the identity on the
-/// JSON text, and the round-tripped spec must rebuild the exact config.
-fn assert_stable(config: &SimConfig) {
-    let spec = SimSpec::from_config(config);
+/// serialize → deserialize → re-serialize must be the identity on both
+/// the spec value and its JSON text.
+fn assert_stable(spec: &SimSpec) {
     let json = spec.to_json().expect("spec serializes");
     let back = SimSpec::from_json(&json).expect("spec parses back");
-    assert_eq!(back, spec, "value drift through JSON");
+    assert_eq!(&back, spec, "value drift through JSON");
     assert_eq!(
         back.to_json().expect("round-tripped spec serializes"),
         json,
         "byte drift through JSON"
     );
-    assert_eq!(&back.to_config(), config, "config drift through the spec");
 }
 
 #[test]
 fn every_preset_grid_cell_round_trips_byte_identically() {
     let s = scale();
-    let mut cells: Vec<SimConfig> = Vec::new();
-    cells.extend(fig4::jobs(s).iter().map(|j| j.config().clone()));
-    cells.extend(
-        churn::jobs(s, &churn::DEFAULT_RATES)
-            .unwrap()
-            .iter()
-            .map(|j| j.config().clone()),
-    );
-    cells.extend(
-        scenarios::jobs(s, &scenarios::SCENARIO_NAMES)
-            .unwrap()
-            .iter()
-            .map(|j| j.config().clone()),
-    );
-    cells.extend(routing::jobs(s).iter().map(|j| j.config().clone()));
-    cells.extend(
-        cache_churn::jobs(s, &cache_churn::DEFAULT_RATES)
-            .unwrap()
-            .iter()
-            .map(|j| j.config().clone()),
-    );
-    cells.extend(
-        large_scale::jobs(s, 17, &[4, 20])
-            .iter()
-            .map(|j| j.config().clone()),
-    );
+    let mut cells: Vec<SimSpec> = fig4::jobs(s);
+    cells.extend(churn::jobs(s, &churn::DEFAULT_RATES).unwrap());
+    cells.extend(scenarios::jobs(s, &scenarios::SCENARIO_NAMES).unwrap());
+    cells.extend(routing::jobs(s));
+    cells.extend(cache_churn::jobs(s, &cache_churn::DEFAULT_RATES).unwrap());
+    cells.extend(large_scale::jobs(s, 17, &[4, 20]));
     assert!(
         cells.len() > 40,
         "expected a broad sample, got {}",
         cells.len()
     );
-    for config in &cells {
-        assert_stable(config);
+    for spec in &cells {
+        assert_stable(spec);
     }
 }
 
 #[test]
 fn exotic_configurations_round_trip_byte_identically() {
     // Cover the enum variants the preset grids do not reach.
-    let mut config = SimConfig::paper_defaults();
-    config.mechanism = MechanismKind::ProofOfBandwidth { mint_per_chunk: 3 };
-    config.cache = CachePolicy::Ttl {
+    let mut spec = SimSpec::paper_defaults();
+    spec.economics.mechanism = MechanismKind::ProofOfBandwidth { mint_per_chunk: 3 };
+    spec.economics.free_rider_fraction = 0.25;
+    spec.policies.cache = CachePolicy::Ttl {
         capacity: 128,
         ttl: 999,
     };
-    config.route = RoutePolicy::CapacityDetour { max_detours: 7 };
-    config.repair = RepairPolicy::ReReplicate {
+    spec.policies.route = RoutePolicy::CapacityDetour { max_detours: 7 };
+    spec.policies.repair = RepairPolicy::ReReplicate {
         neighborhood_bits: 5,
     };
-    config.scenario = Some(ScenarioKind::RegionalOutage {
+    spec.dynamics.scenario = Some(ScenarioKind::RegionalOutage {
         at_step: 10,
         region_bits: 2,
         rejoin_after: Some(5),
     });
-    config.free_rider_fraction = 0.25;
-    assert_stable(&config);
+    assert_stable(&spec);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// The fuzzer's mutators stay inside the format's guarantees: every
     /// mutant — including chains of mutants, where a dimension shrink can
-    /// orphan a dependent scenario parameter — passes `SimConfig`
+    /// orphan a dependent scenario parameter — passes `SimSpec`
     /// validation and survives serialize → deserialize → re-serialize
     /// byte-identically.
     #[test]
@@ -122,7 +100,7 @@ proptest! {
                 axis,
                 next.validate().err()
             );
-            assert_stable(&next.to_config());
+            assert_stable(&next);
             spec = next;
         }
     }
@@ -164,7 +142,7 @@ fn committed_fixture_parses_and_runs_deterministically() {
     );
     assert_eq!(spec.economics, SimSpec::paper_defaults().economics);
     // And its canonical form is itself stable.
-    assert_stable(&spec.to_config());
+    assert_stable(&spec);
 
     // The fixture executes end to end, deterministically.
     let a = spec.build().expect("fixture builds").run();
