@@ -221,7 +221,7 @@ struct Options {
     addr: String,
     /// `serve`: executor threads per scheduled batch (0 = all cores).
     workers: usize,
-    /// `serve`: report-cache capacity in entries (0 disables caching).
+    /// `serve`: finished jobs kept addressable (clamped to at least 1).
     cache_cap: usize,
     /// `serve`: bounded submit-queue capacity.
     queue_cap: usize,
@@ -271,7 +271,8 @@ fn usage() -> String {
          --addr      serve: listen address (default 127.0.0.1:7440; port 0 = any free port)\n\
          --workers   serve: executor threads per scheduled batch (default 2; 0 = all cores);\n\
          \x20           results are byte-identical for any worker count\n\
-         --cache-cap serve: report-cache entries (default 64; 0 disables caching)\n\
+         --cache-cap serve: finished jobs kept for /result and /stream, least recently\n\
+         \x20           used evicted first (default 64; at least 1)\n\
          --queue-cap serve: bounded submit-queue capacity (default 256)\n\
          --trace     write the merged event trace as JSONL (trace-check: the file to read)\n\
          --metrics   write per-epoch metrics as CSV\n\

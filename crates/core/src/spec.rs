@@ -131,9 +131,9 @@ pub struct PolicySpec {
 /// Because the digest is taken over the *canonical* form, two documents
 /// that parse to the same spec — different key order, whitespace, elided
 /// defaults — hash identically, while any semantic difference (a changed
-/// seed, one policy knob) produces a different hash. This is the report
-/// cache key of `fairswap serve` and a stable fingerprint for corpus and
-/// gallery tooling.
+/// seed, one policy knob) produces a different hash. This is the job id
+/// of `fairswap serve` and a stable fingerprint for corpus and gallery
+/// tooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpecHash(u64);
 
@@ -149,6 +149,23 @@ impl std::fmt::Display for SpecHash {
     /// and the serve API's JSON responses.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
+    }
+}
+
+impl std::str::FromStr for SpecHash {
+    type Err = CoreError;
+
+    /// Parses the display form back: exactly 16 lowercase hex digits, so
+    /// every hash has one spelling (how `fairswap serve` resolves job ids).
+    fn from_str(text: &str) -> Result<Self, CoreError> {
+        let canonical =
+            text.len() == 16 && text.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        match u64::from_str_radix(text, 16) {
+            Ok(digest) if canonical => Ok(Self(digest)),
+            _ => Err(CoreError::InvalidConfig {
+                message: format!("not a spec hash (16 lowercase hex digits): {text:?}"),
+            }),
+        }
     }
 }
 
@@ -758,6 +775,10 @@ mod tests {
         assert_eq!(text.len(), 16);
         assert!(text.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(u64::from_str_radix(&text, 16).unwrap(), canonical.as_u64());
+        assert_eq!(text.parse::<SpecHash>().unwrap(), canonical);
+        for other in ["", "1", &text.to_uppercase(), &format!("+{}", &text[1..])] {
+            assert!(other.parse::<SpecHash>().is_err(), "{other:?}");
+        }
     }
 
     #[test]

@@ -1,21 +1,10 @@
-//! Job records: lifecycle state, the finished result, and the live row
-//! log that `/stream/<job>` tails.
+//! Job records: lifecycle state, the finished result, and the row log
+//! that `/stream/<job>` tails live and replays once it is closed.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use fairswap_core::{CsvTable, EpochSnapshot, SpecHash, StepObserver};
-
-/// Identifier assigned to a submitted job, monotonically increasing per
-/// server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobId(pub u64);
-
-impl std::fmt::Display for JobId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Lifecycle of a job, as reported by `/status/<job>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,16 +31,14 @@ impl JobState {
     }
 }
 
-/// The immutable outcome of a finished job — exactly what the cache
-/// stores and `/result` + `/stream` replay.
+/// The immutable outcome of a finished job — what `/result` answers.
+/// The stream rows stay in the job's [`RowLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobResult {
     /// The `run.csv` bytes — byte-identical to `fairswap run --config`
     /// on the same spec (both paths go through
     /// `fairswap_core::run_summary_csv`).
     pub csv: Vec<u8>,
-    /// The per-epoch stream rows, in emission order (header excluded).
-    pub rows: Vec<String>,
 }
 
 /// Columns of the `/stream/<job>` per-epoch CSV — a digest of
@@ -73,7 +60,7 @@ pub const STREAM_COLUMNS: [&str; 12] = [
 ];
 
 /// Renders one stream row from an epoch snapshot. Deterministic: same
-/// spec, same rows, regardless of worker count or cache state.
+/// spec, same rows, regardless of worker count or scheduling.
 pub fn stream_row(s: &EpochSnapshot) -> String {
     format!(
         "{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -101,7 +88,8 @@ pub fn stream_header() -> String {
 ///
 /// Workers push rows as the simulation emits epoch snapshots; any number
 /// of stream connections tail the log concurrently, each at its own
-/// offset. Closing the log wakes every tailer one final time.
+/// offset. Closing the log wakes every tailer one final time; a closed
+/// log read from offset 0 replays the whole run.
 #[derive(Debug, Default)]
 pub struct RowLog {
     state: Mutex<RowLogState>,
@@ -115,15 +103,6 @@ struct RowLogState {
 }
 
 impl RowLog {
-    /// A log pre-filled with `rows` and already closed — how cache hits
-    /// replay the original run's stream.
-    pub fn replay(rows: Vec<String>) -> Self {
-        Self {
-            state: Mutex::new(RowLogState { rows, closed: true }),
-            grew: Condvar::new(),
-        }
-    }
-
     /// Appends one row and wakes tailers.
     pub fn push(&self, row: String) {
         let mut state = self.state.lock().expect("row log poisoned");
@@ -158,26 +137,17 @@ impl RowLog {
             state.closed,
         )
     }
-
-    /// A snapshot of every row pushed so far.
-    pub fn snapshot(&self) -> Vec<String> {
-        self.state.lock().expect("row log poisoned").rows.clone()
-    }
 }
 
-/// One submitted job, shared between the HTTP handlers and the
-/// scheduler workers.
+/// One job: the run of one distinct spec, shared between the HTTP
+/// handlers, the scheduler's job table and its workers.
 #[derive(Debug)]
 pub struct Job {
-    /// Server-assigned identifier.
-    pub id: JobId,
-    /// Canonical-JSON content hash of the submitted spec.
+    /// Canonical-JSON content hash of the spec — also the job's id.
     pub hash: SpecHash,
     /// The canonical serialized spec the workers execute.
     pub canonical: String,
-    /// Whether the submit was answered from the report cache.
-    pub cached: bool,
-    /// Live stream rows (pre-filled and closed for cache hits).
+    /// Stream rows: live while the job runs, the replay once it is done.
     pub rows: RowLog,
     state: Mutex<JobProgress>,
     finished: Condvar,
@@ -192,34 +162,14 @@ struct JobProgress {
 
 impl Job {
     /// A freshly queued job.
-    pub fn queued(id: JobId, hash: SpecHash, canonical: String) -> Self {
+    pub fn queued(hash: SpecHash, canonical: String) -> Self {
         Self {
-            id,
             hash,
             canonical,
-            cached: false,
             rows: RowLog::default(),
             state: Mutex::new(JobProgress {
                 state: JobState::Queued,
                 result: None,
-                error: None,
-            }),
-            finished: Condvar::new(),
-        }
-    }
-
-    /// A job answered directly from the report cache: born `Done`, its
-    /// stream log replaying the original run's rows.
-    pub fn cached(id: JobId, hash: SpecHash, canonical: String, result: Arc<JobResult>) -> Self {
-        Self {
-            id,
-            hash,
-            canonical,
-            cached: true,
-            rows: RowLog::replay(result.rows.clone()),
-            state: Mutex::new(JobProgress {
-                state: JobState::Done,
-                result: Some(result),
                 error: None,
             }),
             finished: Condvar::new(),
@@ -344,15 +294,15 @@ mod tests {
         writer.join().unwrap();
         assert_eq!(seen, (0..5).map(|i| format!("row-{i}")).collect::<Vec<_>>());
 
-        let replay = RowLog::replay(seen.clone());
-        let (rows, closed) = replay.wait_past(0, Duration::from_millis(1));
+        // A closed log read again from the start replays every row.
+        let (rows, closed) = log.wait_past(0, Duration::from_millis(1));
         assert!(closed);
         assert_eq!(rows, seen);
     }
 
     #[test]
     fn job_lifecycle_and_result_waiters() {
-        let job = Job::queued(JobId(7), hash(), "{}".into());
+        let job = Job::queued(hash(), "{}".into());
         assert_eq!(job.state(), JobState::Queued);
         assert_eq!(job.state().id(), "queued");
         assert!(job.wait_result(Duration::from_millis(5)).is_none());
@@ -360,14 +310,13 @@ mod tests {
         assert_eq!(job.state(), JobState::Running);
         let result = Arc::new(JobResult {
             csv: b"header\n1\n".to_vec(),
-            rows: vec!["r".into()],
         });
         job.complete(Arc::clone(&result));
         assert_eq!(job.state(), JobState::Done);
         let got = job.wait_result(Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!(got, result);
 
-        let failed = Job::queued(JobId(8), hash(), "{}".into());
+        let failed = Job::queued(hash(), "{}".into());
         failed.fail("boom".into());
         assert_eq!(
             failed
@@ -377,20 +326,6 @@ mod tests {
             "boom"
         );
         assert_eq!(failed.error().as_deref(), Some("boom"));
-    }
-
-    #[test]
-    fn cached_jobs_are_born_done_with_a_closed_replay_log() {
-        let result = Arc::new(JobResult {
-            csv: b"csv".to_vec(),
-            rows: vec!["a".into(), "b".into()],
-        });
-        let job = Job::cached(JobId(1), hash(), "{}".into(), Arc::clone(&result));
-        assert!(job.cached);
-        assert_eq!(job.state(), JobState::Done);
-        let (rows, closed) = job.rows.wait_past(0, Duration::from_millis(1));
-        assert!(closed);
-        assert_eq!(rows, result.rows);
     }
 
     #[test]

@@ -8,35 +8,36 @@
 //! - **Byte-identity with the batch path.** A spec submitted over HTTP
 //!   produces exactly the CSV bytes `fairswap run --config` writes,
 //!   because both paths call [`fairswap_core::run_summary_csv`] on the
-//!   same deterministic engine. Worker count and cache state never
+//!   same deterministic engine. Worker count and job-table state never
 //!   change a result, only when it arrives.
-//! - **Content-addressed caching.** Jobs are keyed by
+//! - **A job is its spec.** Jobs are keyed by
 //!   [`SimSpec::content_hash`](fairswap_core::SimSpec::content_hash)
-//!   over the canonical JSON form, so a re-submitted spec (however its
-//!   JSON was formatted) is answered from the [`ReportCache`] without a
-//!   re-run — including an identical `/stream` replay.
+//!   over the canonical JSON form, and that hash is the job id. A
+//!   re-submitted spec (however its JSON was formatted) joins its
+//!   existing job — queued, running or finished — instead of re-running,
+//!   and a finished job's closed row log is its `/stream` replay. The
+//!   [`Scheduler`]'s one job table keeps unfinished jobs and the
+//!   `cache_cap` most recently used finished ones, so memory is bounded
+//!   however many submits arrive.
 //! - **Determinism under concurrency.** The [`Scheduler`] drains its
 //!   bounded queue in batches onto the existing
 //!   [`simcore::Executor`](fairswap_core::Executor), whose stable
 //!   job-order merge keeps results independent of `--workers`.
 //!
 //! Module map: [`http`] speaks the wire protocol, [`job`] tracks one
-//! submission's lifecycle and row log, [`cache`] is the spec-hash LRU,
-//! [`scheduler`] owns the queue and worker fan-out, [`server`] binds the
-//! socket and routes endpoints, and [`client`] is the matching blocking
-//! client.
+//! job's lifecycle and row log, [`scheduler`] owns the job table, the
+//! queue and worker fan-out, [`server`] binds the socket and routes
+//! endpoints, and [`client`] is the matching blocking client.
 
-pub mod cache;
 pub mod client;
 pub mod http;
 pub mod job;
 pub mod scheduler;
 pub mod server;
 
-pub use cache::{CacheStats, ReportCache};
 pub use client::{Client, Response};
 pub use job::{
-    stream_header, stream_row, Job, JobId, JobResult, JobState, RowLog, RowObserver, STREAM_COLUMNS,
+    stream_header, stream_row, Job, JobResult, JobState, RowLog, RowObserver, STREAM_COLUMNS,
 };
-pub use scheduler::{Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
+pub use scheduler::{CacheStats, Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
 pub use server::{ServeOptions, ServeSummary, Server, ShutdownHandle};

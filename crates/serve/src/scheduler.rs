@@ -1,7 +1,9 @@
-//! Job scheduling: a bounded submit queue drained in batches onto the
-//! workspace's [`Executor`] worker pool.
+//! Job scheduling: one job table keyed by spec hash, and a bounded
+//! submit queue drained in batches onto the workspace's [`Executor`]
+//! worker pool.
 //!
-//! Submissions land in a bounded queue; a single runner thread swaps the
+//! A submit whose spec hash is already in the table joins that job; any
+//! other creates a job in the table and on the bounded queue; a single runner thread swaps the
 //! queue out and fans each batch over `Executor::new(workers)` — the same
 //! deterministic pool the experiment grids use, so `--workers N` cannot
 //! leak into results (every job derives all randomness from its spec
@@ -10,13 +12,12 @@
 //! rides on.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use fairswap_core::{run_summary_csv, Executor, SimSpec};
+use fairswap_core::{run_summary_csv, Executor, SimSpec, SpecHash};
+use serde::Serialize;
 
-use crate::cache::{CacheStats, ReportCache};
-use crate::job::{Job, JobId, JobResult, RowObserver};
+use crate::job::{Job, JobResult, RowObserver};
 
 /// Scheduler sizing knobs (the `fairswap serve` flags).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +27,8 @@ pub struct SchedulerOptions {
     /// Maximum jobs waiting in the queue; submits beyond it are rejected
     /// with 503 rather than buffered unboundedly.
     pub queue_cap: usize,
-    /// Report-cache capacity in entries (`0` disables caching).
+    /// Finished jobs kept addressable, least recently used evicted
+    /// first (at least 1).
     pub cache_cap: usize,
 }
 
@@ -64,6 +66,20 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
+/// Job-table occupancy and traffic counters, as reported by `/health`
+/// (field order is the wire's key order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+pub struct CacheStats {
+    /// Finished jobs currently retained.
+    pub entries: usize,
+    /// Submits answered by an existing job (queued, running or finished).
+    pub hits: u64,
+    /// Submits that created a job (the job went to the queue).
+    pub misses: u64,
+    /// Finished jobs evicted to stay under capacity.
+    pub evictions: u64,
+}
+
 /// A point-in-time view of the scheduler, as reported by `/health`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerStats {
@@ -71,7 +87,7 @@ pub struct SchedulerStats {
     pub queued: usize,
     /// Jobs in the batch currently running on the executor.
     pub running: usize,
-    /// Jobs ever registered (including cache hits).
+    /// Jobs ever created, one per admitted miss (equals `cache.misses`).
     pub jobs: u64,
     /// Jobs that finished with a result.
     pub completed: u64,
@@ -79,7 +95,7 @@ pub struct SchedulerStats {
     pub failed: u64,
     /// Submissions rejected by the full queue.
     pub rejected: u64,
-    /// Report-cache counters.
+    /// Job-table counters.
     pub cache: CacheStats,
 }
 
@@ -90,10 +106,76 @@ struct Queue {
     open: bool,
 }
 
+/// Every job the scheduler can answer for, keyed by spec hash: queued and
+/// running jobs always, finished ones LRU up to `cap`. Recency is a
+/// deterministic access stamp (a counter, not a clock), so retention is
+/// reproducible run-for-run.
 #[derive(Default)]
-struct Registry {
-    next_id: u64,
-    by_id: HashMap<u64, Arc<Job>>,
+struct Table {
+    cap: usize,
+    stamp: u64,
+    jobs: HashMap<SpecHash, Entry>,
+    /// Every counter except the queue gauges, which live on the queue.
+    stats: SchedulerStats,
+}
+
+struct Entry {
+    job: Arc<Job>,
+    stamp: u64,
+    finished: bool,
+}
+
+impl Table {
+    /// The job for `hash`, refreshing its recency.
+    fn touch(&mut self, hash: SpecHash) -> Option<Arc<Job>> {
+        self.stamp += 1;
+        let entry = self.jobs.get_mut(&hash)?;
+        entry.stamp = self.stamp;
+        Some(Arc::clone(&entry.job))
+    }
+
+    /// Adds a freshly created job.
+    fn insert(&mut self, job: Arc<Job>) {
+        self.stamp += 1;
+        self.stats.jobs += 1;
+        self.stats.cache.misses += 1;
+        let entry = Entry {
+            job,
+            stamp: self.stamp,
+            finished: false,
+        };
+        self.jobs.insert(entry.job.hash, entry);
+    }
+
+    /// Counts a finished job and makes it the most recent retained one,
+    /// evicting the least-recently-used finished job beyond `cap`.
+    fn retire(&mut self, hash: SpecHash, succeeded: bool) {
+        if succeeded {
+            self.stats.completed += 1;
+        } else {
+            self.stats.failed += 1;
+        }
+        self.stamp += 1;
+        let entry = self
+            .jobs
+            .get_mut(&hash)
+            .expect("unfinished jobs stay in the table");
+        entry.stamp = self.stamp;
+        entry.finished = true;
+        self.stats.cache.entries += 1;
+        if self.stats.cache.entries > self.cap {
+            let oldest = self
+                .jobs
+                .iter()
+                .filter(|(_, entry)| entry.finished)
+                .min_by_key(|(_, entry)| entry.stamp)
+                .map(|(&hash, _)| hash)
+                .expect("over capacity means a finished job is retained");
+            self.jobs.remove(&oldest);
+            self.stats.cache.entries -= 1;
+            self.stats.cache.evictions += 1;
+        }
+    }
 }
 
 struct Shared {
@@ -101,22 +183,20 @@ struct Shared {
     queue_cap: usize,
     queue: Mutex<Queue>,
     work: Condvar,
-    jobs: Mutex<Registry>,
-    cache: Mutex<ReportCache>,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    rejected: AtomicU64,
+    table: Mutex<Table>,
 }
 
-/// The scheduler: owns the queue, the registry, the cache and the runner
-/// thread. Shared across connection handlers behind an `Arc`.
+/// The scheduler: owns the queue, the job table and the runner thread.
+/// Shared across connection handlers behind an `Arc`.
 pub struct Scheduler {
     shared: Arc<Shared>,
     runner: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    /// Starts the runner thread with the given sizing.
+    /// Starts the runner thread with the given sizing. Both capacities
+    /// are clamped to at least 1: a finished job must stay addressable
+    /// until its submitter has read it.
     pub fn start(options: SchedulerOptions) -> Self {
         let shared = Arc::new(Shared {
             workers: options.workers,
@@ -126,11 +206,10 @@ impl Scheduler {
                 ..Queue::default()
             }),
             work: Condvar::new(),
-            jobs: Mutex::new(Registry::default()),
-            cache: Mutex::new(ReportCache::new(options.cache_cap)),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            table: Mutex::new(Table {
+                cap: options.cache_cap.max(1),
+                ..Table::default()
+            }),
         });
         let runner = {
             let shared = Arc::clone(&shared);
@@ -142,9 +221,9 @@ impl Scheduler {
         }
     }
 
-    /// Validates and enqueues one spec document, or answers it from the
-    /// report cache (the returned job is then already `Done` and flagged
-    /// `cached`).
+    /// Validates one spec document and returns its job: the existing one
+    /// if the spec's hash is in the table (in any state), else a new job
+    /// on the queue.
     ///
     /// # Errors
     ///
@@ -152,6 +231,12 @@ impl Scheduler {
     /// [`SubmitError::QueueFull`] when the bounded queue is at capacity,
     /// [`SubmitError::Draining`] once shutdown has begun.
     pub fn submit(&self, body: &str) -> Result<Arc<Job>, SubmitError> {
+        self.admit(body).map(|(job, _)| job)
+    }
+
+    /// [`Scheduler::submit`], also telling whether an existing job
+    /// answered (`true`) or a new one was created (`false`).
+    pub(crate) fn admit(&self, body: &str) -> Result<(Arc<Job>, bool), SubmitError> {
         let spec = SimSpec::from_json(body).map_err(|e| SubmitError::InvalidSpec(e.to_string()))?;
         spec.validate()
             .map_err(|e| SubmitError::InvalidSpec(e.to_string()))?;
@@ -162,50 +247,43 @@ impl Scheduler {
             .content_hash()
             .map_err(|e| SubmitError::InvalidSpec(e.to_string()))?;
 
-        let cached = self.shared.cache.lock().expect("cache poisoned").get(hash);
-        if let Some(result) = cached {
-            return Ok(self.register(|id| Job::cached(id, hash, canonical, result)));
+        // Hold the table lock across lookup and admission so identical
+        // racing submits create one job, and the queue lock so they cannot
+        // overshoot its bound (lock order is table → queue; nothing nests
+        // them the other way).
+        let mut table = self.shared.table.lock().expect("job table poisoned");
+        if let Some(job) = table.touch(hash) {
+            table.stats.cache.hits += 1;
+            return Ok((job, true));
         }
-
-        // Hold the queue lock across admission and registration so a
-        // racing submit cannot overshoot the capacity bound (lock order
-        // is queue → registry; nothing nests them the other way).
         let mut queue = self.shared.queue.lock().expect("queue poisoned");
         if !queue.open {
             return Err(SubmitError::Draining);
         }
         if queue.pending.len() >= self.shared.queue_cap {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+            table.stats.rejected += 1;
             return Err(SubmitError::QueueFull {
                 cap: self.shared.queue_cap,
             });
         }
-        let job = self.register(|id| Job::queued(id, hash, canonical));
+        let job = Arc::new(Job::queued(hash, canonical));
+        table.insert(Arc::clone(&job));
         queue.pending.push(Arc::clone(&job));
         self.shared.work.notify_one();
-        Ok(job)
+        Ok((job, false))
     }
 
-    fn register(&self, make: impl FnOnce(JobId) -> Job) -> Arc<Job> {
-        let mut registry = self.shared.jobs.lock().expect("registry poisoned");
-        registry.next_id += 1;
-        let job = Arc::new(make(JobId(registry.next_id)));
-        registry.by_id.insert(job.id.0, Arc::clone(&job));
-        job
-    }
-
-    /// Looks up a job by id.
-    pub fn job(&self, id: u64) -> Option<Arc<Job>> {
+    /// Looks up a job by id (its spec hash), refreshing its recency.
+    /// `None` once a finished job has been evicted.
+    pub fn job(&self, hash: SpecHash) -> Option<Arc<Job>> {
         self.shared
-            .jobs
+            .table
             .lock()
-            .expect("registry poisoned")
-            .by_id
-            .get(&id)
-            .cloned()
+            .expect("job table poisoned")
+            .touch(hash)
     }
 
-    /// Current queue/registry/cache counters.
+    /// Current queue and job-table counters.
     pub fn stats(&self) -> SchedulerStats {
         let (queued, running) = {
             let queue = self.shared.queue.lock().expect("queue poisoned");
@@ -214,11 +292,7 @@ impl Scheduler {
         SchedulerStats {
             queued,
             running,
-            jobs: self.shared.jobs.lock().expect("registry poisoned").next_id,
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            cache: self.shared.cache.lock().expect("cache poisoned").stats(),
+            ..self.shared.table.lock().expect("job table poisoned").stats
         }
     }
 
@@ -261,24 +335,18 @@ fn run_batches(shared: &Shared) {
 /// Runs one job end to end and publishes its outcome.
 fn execute(shared: &Shared, job: &Arc<Job>) {
     job.start();
-    match run_job(job) {
-        Ok(result) => {
-            shared
-                .cache
-                .lock()
-                .expect("cache poisoned")
-                .insert(job.hash, Arc::clone(&result));
-            job.rows.close();
-            // Count before publishing: a waiter woken by `complete` must
-            // already see this job in the `completed` total.
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            job.complete(result);
-        }
-        Err(message) => {
-            job.rows.close();
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-            job.fail(message);
-        }
+    let outcome = run_job(job);
+    job.rows.close();
+    // Retire before publishing: a waiter woken by `complete` or `fail`
+    // must already see this job in the counters.
+    shared
+        .table
+        .lock()
+        .expect("job table poisoned")
+        .retire(job.hash, outcome.is_ok());
+    match outcome {
+        Ok(result) => job.complete(result),
+        Err(message) => job.fail(message),
     }
 }
 
@@ -293,8 +361,7 @@ fn run_job(job: &Arc<Job>) -> Result<Arc<JobResult>, String> {
     let csv = run_summary_csv(report.config(), &report)
         .to_csv_string()
         .into_bytes();
-    let rows = job.rows.snapshot();
-    Ok(Arc::new(JobResult { csv, rows }))
+    Ok(Arc::new(JobResult { csv }))
 }
 
 #[cfg(test)]
@@ -309,6 +376,10 @@ mod tests {
         )
     }
 
+    /// A spec that keeps a single worker busy for a while, so the jobs
+    /// submitted behind it are still queued when the test inspects them.
+    const BLOCKER: &str = r#"{"topology": {"nodes": 1000}, "workload": {"files": 400}, "seed": 5}"#;
+
     fn scheduler() -> Scheduler {
         Scheduler::start(SchedulerOptions {
             workers: 2,
@@ -317,34 +388,136 @@ mod tests {
         })
     }
 
+    fn one_worker(cache_cap: usize) -> Scheduler {
+        Scheduler::start(SchedulerOptions {
+            workers: 1,
+            queue_cap: 16,
+            cache_cap,
+        })
+    }
+
+    fn finish(job: &Job) {
+        job.wait_result(Duration::from_secs(300))
+            .expect("job finishes")
+            .expect("job succeeds");
+    }
+
     #[test]
     fn submit_run_cache_hit_round_trip() {
         let scheduler = scheduler();
-        let first = scheduler.submit(&small_spec(1)).unwrap();
-        assert!(!first.cached);
+        let (first, cached) = scheduler.admit(&small_spec(1)).unwrap();
+        assert!(!cached);
         let result = first
             .wait_result(Duration::from_secs(60))
             .expect("job finishes")
             .expect("job succeeds");
         assert!(result.csv.starts_with(b"nodes,bits,k,"));
-        assert!(!result.rows.is_empty());
+        let (rows, closed) = first.rows.wait_past(0, Duration::from_millis(1));
+        assert!(closed && !rows.is_empty());
 
-        // Identical spec (even with different formatting) hits the cache.
+        // Identical spec (even with different formatting) is answered by
+        // the same job, whose closed log replays the run's rows.
         let spaced = small_spec(1).replace('{', "{ ");
-        let second = scheduler.submit(&spaced).unwrap();
-        assert!(second.cached);
+        let (second, cached) = scheduler.admit(&spaced).unwrap();
+        assert!(cached);
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(second.state(), JobState::Done);
-        let replay = second.wait_result(Duration::from_secs(1)).unwrap().unwrap();
-        assert_eq!(replay.csv, result.csv);
-        assert_eq!(replay.rows, result.rows);
-        assert_eq!(second.hash, first.hash);
+        let (replay, _) = second.rows.wait_past(0, Duration::from_millis(1));
+        assert_eq!(replay, rows);
 
         let stats = scheduler.stats();
-        assert_eq!(stats.jobs, 2);
+        assert_eq!(stats.jobs, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.misses, 1);
+        assert_eq!(stats.cache.entries, 1);
         scheduler.drain();
+    }
+
+    #[test]
+    fn identical_submits_join_the_job_in_flight() {
+        let scheduler = one_worker(8);
+        let (blocker, _) = scheduler.admit(BLOCKER).unwrap();
+        let (first, first_cached) = scheduler.admit(&small_spec(1)).unwrap();
+        let (second, second_cached) = scheduler.admit(&small_spec(1)).unwrap();
+        assert!(!first_cached && second_cached);
+        assert_eq!(first.hash, second.hash);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(second.state(), JobState::Queued, "behind the blocker");
+        scheduler.drain();
+        assert_eq!(blocker.state(), JobState::Done);
+        let stats = scheduler.stats();
+        assert_eq!(stats.completed, 2, "blocker + one run of the twin spec");
+        assert_eq!(stats.jobs, 2);
+        assert_eq!(stats.cache.hits, 1);
+    }
+
+    #[test]
+    fn hit_miss_accounting_and_lru_eviction() {
+        let scheduler = one_worker(2);
+        let run = |seed| {
+            let job = scheduler.submit(&small_spec(seed)).unwrap();
+            finish(&job);
+            job.hash
+        };
+        let (a, b) = (run(1), run(2));
+        // A lookup refreshes `a`, so `b` is now least recently used.
+        assert!(scheduler.job(a).is_some());
+        let c = run(3);
+        assert!(scheduler.job(b).is_none(), "LRU finished job evicted");
+        assert!(scheduler.job(a).is_some());
+        assert!(scheduler.job(c).is_some());
+        let (again, cached) = scheduler.admit(&small_spec(2)).unwrap();
+        assert!(!cached, "an evicted spec runs again");
+        finish(&again);
+        let stats = scheduler.stats();
+        assert_eq!(stats.cache.entries, 2);
+        assert_eq!(stats.cache.evictions, 2);
+        assert_eq!(stats.cache.hits, 0);
+        assert_eq!(stats.cache.misses, 4);
+        assert_eq!(stats.jobs, 4);
+        scheduler.drain();
+    }
+
+    #[test]
+    fn reinsert_refreshes_instead_of_evicting() {
+        // A hit on the one retained job refreshes it in place.
+        let scheduler = one_worker(1);
+        finish(&scheduler.submit(&small_spec(1)).unwrap());
+        let (job, cached) = scheduler.admit(&small_spec(1)).unwrap();
+        assert!(cached);
+        assert_eq!(job.state(), JobState::Done);
+        let stats = scheduler.stats();
+        assert_eq!(stats.cache.entries, 1);
+        assert_eq!(stats.cache.evictions, 0);
+        assert_eq!(stats.jobs, 1);
+        scheduler.drain();
+    }
+
+    #[test]
+    fn zero_capacity_keeps_the_last_finished_job() {
+        let scheduler = one_worker(0);
+        let job = scheduler.submit(&small_spec(1)).unwrap();
+        finish(&job);
+        assert!(scheduler.job(job.hash).is_some(), "cap is clamped to 1");
+        assert!(scheduler.admit(&small_spec(1)).unwrap().1);
+        assert_eq!(scheduler.stats().cache.entries, 1);
+        scheduler.drain();
+    }
+
+    #[test]
+    fn ten_thousand_hits_leave_one_job() {
+        let scheduler = one_worker(8);
+        let spec = small_spec(3);
+        for _ in 0..10_000 {
+            scheduler.submit(&spec).unwrap();
+        }
+        scheduler.drain();
+        let stats = scheduler.stats();
+        assert_eq!(stats.jobs, 1);
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.cache.hits, 9_999);
+        assert_eq!(stats.cache.entries, 1);
     }
 
     #[test]
@@ -381,19 +554,19 @@ mod tests {
 
     #[test]
     fn queue_capacity_bounds_pending_work() {
-        // A 1-slot queue: fill it while the runner is busy elsewhere.
-        // Racing the runner makes exact rejection counts timing-dependent,
-        // so just check the error shape on a clearly-overfull queue.
+        // A 1-slot queue behind a busy worker: a burst of distinct specs
+        // overflows it.
         let scheduler = Scheduler::start(SchedulerOptions {
             workers: 1,
             queue_cap: 1,
-            cache_cap: 0,
+            cache_cap: 4,
         });
-        let mut accepted = 0;
+        let mut submits = 0;
         let mut rejected = 0;
-        for seed in 0..40 {
-            match scheduler.submit(&small_spec(seed)) {
-                Ok(_) => accepted += 1,
+        for body in std::iter::once(BLOCKER.to_string()).chain((0..40).map(small_spec)) {
+            submits += 1;
+            match scheduler.submit(&body) {
+                Ok(_) => {}
                 Err(SubmitError::QueueFull { cap }) => {
                     assert_eq!(cap, 1);
                     rejected += 1;
@@ -401,8 +574,16 @@ mod tests {
                 Err(other) => panic!("unexpected: {other:?}"),
             }
         }
-        assert!(accepted >= 1);
-        assert_eq!(scheduler.stats().rejected, rejected);
+        assert!(rejected >= 1);
+        let stats = scheduler.stats();
+        assert_eq!(stats.rejected, rejected);
+        // Every parsed submit is exactly one of hit, miss or rejection.
+        assert_eq!(
+            stats.cache.hits + stats.cache.misses + stats.rejected,
+            submits
+        );
         scheduler.drain();
+        let stats = scheduler.stats();
+        assert_eq!(stats.jobs, stats.completed + stats.failed);
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! | Endpoint          | Method | Behavior |
 //! |-------------------|--------|----------|
-//! | `/submit`         | POST   | body = `SimSpec` JSON → job id + spec hash (cache hits answer instantly) |
+//! | `/submit`         | POST   | body = `SimSpec` JSON → job id (= spec hash); a known spec joins its existing job |
 //! | `/status/<job>`   | GET    | lifecycle state as JSON |
 //! | `/result/<job>`   | GET    | blocks until done, then the `run.csv` bytes |
 //! | `/stream/<job>`   | GET    | chunked per-epoch metric rows, live while the job runs |
@@ -23,9 +23,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use fairswap_core::SpecHash;
+use serde::Serialize;
+
 use crate::http::{read_request, write_response, ChunkedWriter, Request};
 use crate::job::{stream_header, Job};
-use crate::scheduler::{Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
+use crate::scheduler::{CacheStats, Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
 
 /// Server configuration (the `fairswap serve` flags).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +37,8 @@ pub struct ServeOptions {
     pub addr: String,
     /// Executor threads per scheduled batch (`0` = one per core).
     pub workers: usize,
-    /// Report-cache capacity in entries (`0` disables caching).
+    /// Finished jobs kept addressable, least recently used evicted
+    /// first (at least 1).
     pub cache_cap: usize,
     /// Bounded submit-queue capacity.
     pub queue_cap: usize,
@@ -200,14 +204,7 @@ fn handle_connection(
             Ok(Some(request)) => request,
             Ok(None) => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                write_response(
-                    &mut writer,
-                    400,
-                    "application/json",
-                    error_body(&e).as_bytes(),
-                    true,
-                )?;
-                return Ok(());
+                return write_json(&mut writer, 400, &error(e), true);
             }
             Err(e) => return Err(e),
         };
@@ -219,21 +216,70 @@ fn handle_connection(
     }
 }
 
-/// `{"error": message}` as one JSON line. Messages can echo the request
-/// target or a spec parse error, so the string goes through JSON escaping.
-fn error_body(message: &dyn std::fmt::Display) -> String {
-    let message = serde_json::to_string(&message.to_string()).expect("strings always serialize");
-    format!("{{\"error\":{message}}}\n")
+/// The `/submit` and `/status` reply. `job` and `spec` are both the spec
+/// hash; `cached` says whether this submit was answered by a job that
+/// already existed.
+#[derive(Serialize)]
+struct JobBody {
+    job: String,
+    spec: String,
+    state: &'static str,
+    cached: bool,
 }
 
-fn job_body(job: &Job) -> String {
-    format!(
-        "{{\"job\":\"{}\",\"spec\":\"{}\",\"state\":\"{}\",\"cached\":{}}}\n",
-        job.id,
-        job.hash,
-        job.state().id(),
-        job.cached,
-    )
+impl JobBody {
+    fn new(job: &Job, cached: bool) -> Self {
+        Self {
+            job: job.hash.to_string(),
+            spec: job.hash.to_string(),
+            state: job.state().id(),
+            cached,
+        }
+    }
+}
+
+/// The `/health` reply.
+#[derive(Serialize)]
+struct HealthBody {
+    status: &'static str,
+    queued: usize,
+    running: usize,
+    jobs: u64,
+    completed: u64,
+    failed: u64,
+    rejected: u64,
+    cache: CacheStats,
+}
+
+/// The `/shutdown` acknowledgement.
+#[derive(Serialize)]
+struct StatusBody {
+    status: &'static str,
+}
+
+/// Every error reply. Messages can echo the request target or a spec
+/// parse error; serialization escapes them.
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
+}
+
+fn error(message: impl std::fmt::Display) -> ErrorBody {
+    ErrorBody {
+        error: message.to_string(),
+    }
+}
+
+/// Writes `body` as a one-line compact JSON reply.
+fn write_json<W: Write>(
+    writer: &mut W,
+    status: u16,
+    body: &impl Serialize,
+    close: bool,
+) -> io::Result<()> {
+    let mut line = serde_json::to_string(body).expect("reply bodies always serialize");
+    line.push('\n');
+    write_response(writer, status, "application/json", line.as_bytes(), close)
 }
 
 /// Dispatches one request to its endpoint handler.
@@ -246,133 +292,87 @@ fn route<W: Write>(
 ) -> io::Result<()> {
     match (request.method.as_str(), request.target.as_str()) {
         ("POST", "/submit") => {
-            let body = match std::str::from_utf8(&request.body) {
-                Ok(body) => body,
-                Err(_) => {
-                    let body = error_body(&"spec body is not UTF-8");
-                    return write_response(writer, 400, "application/json", body.as_bytes(), close);
-                }
+            let Ok(body) = std::str::from_utf8(&request.body) else {
+                return write_json(writer, 400, &error("spec body is not UTF-8"), close);
             };
-            match scheduler.submit(body) {
-                Ok(job) => write_response(
-                    writer,
-                    200,
-                    "application/json",
-                    job_body(&job).as_bytes(),
-                    close,
-                ),
-                Err(e @ SubmitError::InvalidSpec(_)) => write_response(
-                    writer,
-                    400,
-                    "application/json",
-                    error_body(&e).as_bytes(),
-                    close,
-                ),
-                Err(e) => write_response(
-                    writer,
-                    503,
-                    "application/json",
-                    error_body(&e).as_bytes(),
-                    close,
-                ),
+            match scheduler.admit(body) {
+                Ok((job, cached)) => write_json(writer, 200, &JobBody::new(&job, cached), close),
+                Err(e @ SubmitError::InvalidSpec(_)) => write_json(writer, 400, &error(e), close),
+                Err(e) => write_json(writer, 503, &error(e), close),
             }
         }
         ("GET", "/health") => {
             let stats = scheduler.stats();
-            let body = format!(
-                "{{\"status\":\"{}\",\"queued\":{},\"running\":{},\"jobs\":{},\"completed\":{},\"failed\":{},\"rejected\":{},\"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"evictions\":{}}}}}\n",
-                if shutdown.load(Ordering::Relaxed) { "draining" } else { "ok" },
-                stats.queued,
-                stats.running,
-                stats.jobs,
-                stats.completed,
-                stats.failed,
-                stats.rejected,
-                stats.cache.entries,
-                stats.cache.hits,
-                stats.cache.misses,
-                stats.cache.evictions,
-            );
-            write_response(writer, 200, "application/json", body.as_bytes(), close)
+            let draining = shutdown.load(Ordering::Relaxed);
+            let body = HealthBody {
+                status: if draining { "draining" } else { "ok" },
+                queued: stats.queued,
+                running: stats.running,
+                jobs: stats.jobs,
+                completed: stats.completed,
+                failed: stats.failed,
+                rejected: stats.rejected,
+                cache: stats.cache,
+            };
+            write_json(writer, 200, &body, close)
         }
         ("POST", "/shutdown") => {
-            write_response(
-                writer,
-                200,
-                "application/json",
-                b"{\"status\":\"draining\"}\n",
-                true,
-            )?;
+            let body = StatusBody { status: "draining" };
+            write_json(writer, 200, &body, true)?;
             shutdown.store(true, Ordering::Relaxed);
             Ok(())
         }
-        ("GET", target) if target.starts_with("/status/") => {
-            match lookup(scheduler, target, "/status/") {
-                Ok(job) => write_response(
-                    writer,
-                    200,
-                    "application/json",
-                    job_body(&job).as_bytes(),
-                    close,
-                ),
-                Err(body) => {
-                    write_response(writer, 404, "application/json", body.as_bytes(), close)
+        ("GET", target) if target.starts_with("/status/") => match lookup(scheduler, target) {
+            Ok(job) => write_json(writer, 200, &JobBody::new(&job, false), close),
+            Err(body) => write_json(writer, 404, &body, close),
+        },
+        ("GET", target) if target.starts_with("/result/") => match lookup(scheduler, target) {
+            Ok(job) => match job.wait_result(RESULT_TIMEOUT) {
+                Some(Ok(result)) => write_response(writer, 200, "text/csv", &result.csv, close),
+                Some(Err(message)) => {
+                    let body = error(format!("job {} failed: {message}", job.hash));
+                    write_json(writer, 500, &body, close)
                 }
-            }
-        }
-        ("GET", target) if target.starts_with("/result/") => {
-            match lookup(scheduler, target, "/result/") {
-                Ok(job) => match job.wait_result(RESULT_TIMEOUT) {
-                    Some(Ok(result)) => write_response(writer, 200, "text/csv", &result.csv, close),
-                    Some(Err(message)) => {
-                        let body = error_body(&format!("job {} failed: {message}", job.id));
-                        write_response(writer, 500, "application/json", body.as_bytes(), close)
-                    }
-                    None => {
-                        let body = error_body(&format!("job {} still pending", job.id));
-                        write_response(writer, 503, "application/json", body.as_bytes(), close)
-                    }
-                },
-                Err(body) => {
-                    write_response(writer, 404, "application/json", body.as_bytes(), close)
+                None => {
+                    let body = error(format!("job {} still pending", job.hash));
+                    write_json(writer, 503, &body, close)
                 }
-            }
-        }
-        ("GET", target) if target.starts_with("/stream/") => {
-            match lookup(scheduler, target, "/stream/") {
-                Ok(job) => stream_rows(writer, &job, close),
-                Err(body) => {
-                    write_response(writer, 404, "application/json", body.as_bytes(), close)
-                }
-            }
-        }
+            },
+            Err(body) => write_json(writer, 404, &body, close),
+        },
+        ("GET", target) if target.starts_with("/stream/") => match lookup(scheduler, target) {
+            Ok(job) => stream_rows(writer, &job, close),
+            Err(body) => write_json(writer, 404, &body, close),
+        },
         ("POST" | "GET", "/submit" | "/health" | "/shutdown") => {
-            let body = error_body(&format!(
+            let body = error(format!(
                 "{} does not support {}",
                 request.target, request.method
             ));
-            write_response(writer, 405, "application/json", body.as_bytes(), close)
+            write_json(writer, 405, &body, close)
         }
         _ => {
-            let body = error_body(&format!("no such endpoint: {}", request.target));
-            write_response(writer, 404, "application/json", body.as_bytes(), close)
+            let body = error(format!("no such endpoint: {}", request.target));
+            write_json(writer, 404, &body, close)
         }
     }
 }
 
-/// Resolves `<prefix><id>` to a job, or a ready-to-send 404 body.
-fn lookup(scheduler: &Scheduler, target: &str, prefix: &str) -> Result<Arc<Job>, String> {
-    let id = target[prefix.len()..]
-        .parse::<u64>()
-        .map_err(|_| error_body(&format!("bad job id in {target}")))?;
-    scheduler
-        .job(id)
-        .ok_or_else(|| error_body(&format!("no such job: {id}")))
+/// Resolves `/<endpoint>/<id>` to a retained job, or the 404 body
+/// (malformed ids and evicted jobs alike).
+fn lookup(scheduler: &Scheduler, target: &str) -> Result<Arc<Job>, ErrorBody> {
+    let (_, id) = target[1..]
+        .split_once('/')
+        .expect("routed targets have an id segment");
+    id.parse::<SpecHash>()
+        .ok()
+        .and_then(|hash| scheduler.job(hash))
+        .ok_or_else(|| error(format!("no such job: {target}")))
 }
 
 /// Streams the job's epoch rows as a chunked CSV: the pinned header
 /// first, then every row as it lands in the job's row log, terminating
-/// once the job finishes. Cache hits replay the original run's rows.
+/// once the job finishes. A finished job replays its closed log.
 fn stream_rows<W: Write>(writer: &mut W, job: &Job, close: bool) -> io::Result<()> {
     let mut chunked = ChunkedWriter::start(writer, "text/csv", close)?;
     chunked.write_chunk(format!("{}\n", stream_header()).as_bytes())?;
@@ -388,12 +388,10 @@ fn stream_rows<W: Write>(writer: &mut W, job: &Job, close: bool) -> io::Result<(
             }
             chunked.write_chunk(chunk.as_bytes())?;
         }
-        if closed && rows_drained(job, offset) {
+        // `wait_past` reads the rows and the flag under one lock, so a
+        // closed log has just handed over its last rows.
+        if closed {
             return chunked.finish();
         }
     }
-}
-
-fn rows_drained(job: &Job, offset: usize) -> bool {
-    job.rows.snapshot().len() <= offset
 }

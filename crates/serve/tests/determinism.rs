@@ -1,15 +1,15 @@
 //! Concurrency-determinism contract: N parallel clients submitting a
 //! mix of identical and differing specs all receive exactly the bytes
-//! the batch path produces, cache hits are accounted, and streamed rows
-//! arrive uncorrupted.
+//! the batch path produces, identical specs share one job, and streamed
+//! rows arrive uncorrupted.
 
 mod common;
 
 use common::{batch_csv, TestServer};
 use fairswap_serve::{stream_header, Client, STREAM_COLUMNS};
 
-/// Three small, distinct specs. Formatting varies deliberately — the
-/// cache keys on canonical JSON, so whitespace must not matter.
+/// Three small, distinct specs. Formatting varies deliberately — jobs
+/// are keyed by the canonical JSON's hash, so whitespace must not matter.
 fn specs() -> Vec<String> {
     vec![
         r#"{"topology": {"nodes": 80, "bits": 16}, "workload": {"files": 8}, "seed": 11}"#.into(),
@@ -49,7 +49,8 @@ fn concurrent_clients_get_batch_identical_results() {
     }
 
     // Concurrent phase: six clients each submit every spec again. All
-    // are cache hits and every byte must still match the batch path.
+    // join the finished jobs and every byte must still match the batch
+    // path.
     std::thread::scope(|scope| {
         for client_index in 0..6 {
             let documents = &documents;
@@ -66,6 +67,7 @@ fn concurrent_clients_get_batch_identical_results() {
                     assert_eq!(submitted.status, 200, "{}", submitted.text());
                     assert_eq!(submitted.json_bool("cached"), Some(true));
                     let job = submitted.json_str("job").expect("job id");
+                    assert_eq!(submitted.json_str("spec").as_ref(), Some(&job));
                     let result = client
                         .request("GET", &format!("/result/{job}"), b"")
                         .expect("result");
@@ -83,22 +85,20 @@ fn concurrent_clients_get_batch_identical_results() {
     assert!(text.contains("\"hits\":18"), "{text}");
     assert!(text.contains("\"misses\":3"), "{text}");
 
-    // Streaming: a cache-hit job replays exactly the rows the original
-    // run streamed, and every row is a well-formed 12-column record.
+    // Streaming: a resubmit names the original job, whose closed log
+    // replays the same bytes on every read, and every row is a
+    // well-formed 12-column record.
     let resubmit = probe
         .request("POST", "/submit", documents[0].as_bytes())
         .expect("submit");
-    let cached_job = resubmit.json_str("job").expect("job id");
+    assert_eq!(resubmit.json_str("job").as_ref(), Some(&first_jobs[0]));
     let original = probe
         .request("GET", &format!("/stream/{}", first_jobs[0]), b"")
         .expect("stream");
     let replay = probe
-        .request("GET", &format!("/stream/{cached_job}"), b"")
+        .request("GET", &format!("/stream/{}", first_jobs[0]), b"")
         .expect("stream");
-    assert_eq!(
-        original.body, replay.body,
-        "cache replay altered the stream"
-    );
+    assert_eq!(original.body, replay.body, "replay altered the stream");
     let text = original.text();
     let mut lines = text.lines();
     assert_eq!(lines.next(), Some(stream_header().as_str()));
@@ -116,15 +116,16 @@ fn concurrent_clients_get_batch_identical_results() {
 
     let summary = server.stop();
     assert_eq!(summary.failed, 0);
-    assert_eq!(summary.jobs, 3 + 18 + 1);
+    assert_eq!(summary.jobs, 3);
 }
 
 #[test]
 fn shutdown_drains_queued_jobs() {
-    let server = TestServer::start(2, 0);
+    let server = TestServer::start(2, 16);
     let mut client = Client::new(server.addr);
     let mut jobs = Vec::new();
-    // Cache disabled: every submit (even of an identical spec) runs.
+    // Three rounds of three specs: each spec runs once, and its repeats
+    // join that job whatever state it is in.
     for _ in 0..3 {
         for json in specs() {
             let submitted = client
@@ -137,10 +138,68 @@ fn shutdown_drains_queued_jobs() {
     // Drain without waiting for any result: every accepted job must
     // still complete (never be dropped), and nothing may fail.
     let summary = server.stop();
-    assert_eq!(summary.jobs, jobs.len() as u64);
-    assert_eq!(summary.completed, jobs.len() as u64);
+    jobs.sort();
+    jobs.dedup();
+    assert_eq!(jobs.len(), 3);
+    assert_eq!(summary.jobs, 3);
+    assert_eq!(summary.completed, 3);
     assert_eq!(summary.failed, 0);
-    assert_eq!(summary.cache.hits, 0);
+    assert_eq!(summary.cache.hits, 6);
+}
+
+#[test]
+fn evicted_jobs_answer_404_and_their_specs_run_again() {
+    let documents: Vec<String> = (21..25)
+        .map(|seed| {
+            format!(r#"{{"topology": {{"nodes": 80, "bits": 16}}, "workload": {{"files": 8}}, "seed": {seed}}}"#)
+        })
+        .collect();
+    let server = TestServer::start(1, 2);
+    let mut client = Client::new(server.addr);
+    let mut jobs = Vec::new();
+    for json in &documents {
+        let submitted = client
+            .request("POST", "/submit", json.as_bytes())
+            .expect("submit");
+        let job = submitted.json_str("job").expect("job id");
+        let result = client
+            .request("GET", &format!("/result/{job}"), b"")
+            .expect("result");
+        assert_eq!(result.body, batch_csv(json));
+        jobs.push(job);
+    }
+    // Cap 2: the two least recently finished jobs are gone.
+    for (index, job) in jobs.iter().enumerate() {
+        for endpoint in ["status", "result", "stream"] {
+            let response = client
+                .request("GET", &format!("/{endpoint}/{job}"), b"")
+                .expect("request");
+            let want = if index < 2 { 404 } else { 200 };
+            assert_eq!(response.status, want, "/{endpoint}/{job}");
+        }
+    }
+    let health = client
+        .request("GET", "/health", b"")
+        .expect("health")
+        .text();
+    assert!(health.contains("\"entries\":2,"), "{health}");
+    assert!(health.contains("\"evictions\":2}"), "{health}");
+
+    // Resubmitting an evicted spec creates its job again.
+    let again = client
+        .request("POST", "/submit", documents[0].as_bytes())
+        .expect("submit");
+    assert_eq!(again.json_bool("cached"), Some(false));
+    assert_eq!(again.json_str("job").as_ref(), Some(&jobs[0]));
+    let result = client
+        .request("GET", &format!("/result/{}", jobs[0]), b"")
+        .expect("result");
+    assert_eq!(result.body, batch_csv(&documents[0]));
+
+    let summary = server.stop();
+    assert_eq!(summary.jobs, 5);
+    assert_eq!(summary.completed, 5);
+    assert_eq!(summary.cache.evictions, 3);
 }
 
 #[test]
@@ -159,8 +218,10 @@ fn invalid_and_unknown_requests_get_structured_errors() {
         .expect("submit");
     assert_eq!(not_json.status, 400);
 
-    let missing = client.request("GET", "/result/9999", b"").expect("result");
-    assert_eq!(missing.status, 404);
+    for target in ["/result/9999", "/result/0123456789abcdef"] {
+        let missing = client.request("GET", target, b"").expect("result");
+        assert_eq!(missing.status, 404, "{target}");
+    }
 
     let unknown = client.request("GET", "/nope", b"").expect("request");
     assert_eq!(unknown.status, 404);

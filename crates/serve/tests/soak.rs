@@ -25,9 +25,9 @@ const CLIENTS: usize = 2;
 /// Wall-clock window; clients stop submitting once it elapses.
 const WINDOW: Duration = Duration::from_secs(4);
 
-/// Six small specs with distinct seeds: after each misses once, every
-/// re-submission is a cache hit, so the soak measures service overhead,
-/// not simulation scale.
+/// Six small specs with distinct seeds: after each runs once, every
+/// re-submission joins its finished job, so the soak measures service
+/// overhead, not simulation scale.
 fn hot_specs() -> Vec<String> {
     (1u64..=6)
         .map(|seed| {

@@ -36,7 +36,7 @@
 //!   `fairswap fuzz`.
 //! * [`serve`] — the long-lived simulation service behind
 //!   `fairswap serve`: a hand-rolled HTTP/1.1 daemon with job
-//!   scheduling, a spec-hash report cache and live epoch streaming.
+//!   scheduling, a job table keyed by spec hash and live epoch streaming.
 //!
 //! ## Quickstart
 //!
