@@ -139,15 +139,6 @@ pub struct OverlayAddress {
 }
 
 impl OverlayAddress {
-    /// Rewraps a raw value known to be in range — the arena stores bare
-    /// `u64`s and reconstructs addresses on read without re-validation.
-    #[inline]
-    pub(crate) fn from_raw_unchecked(raw: u64, bits: u32) -> Self {
-        debug_assert!((1..=64).contains(&bits));
-        debug_assert!(bits == 64 || raw < (1u64 << bits));
-        Self { raw, bits }
-    }
-
     /// The raw integer value.
     #[inline]
     pub fn raw(&self) -> u64 {

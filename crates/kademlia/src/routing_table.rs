@@ -1,12 +1,16 @@
 //! Arena-backed routing tables and the bucket-ordered next-hop search.
 //!
-//! Every routing table of a topology lives in one contiguous
-//! structure-of-arrays arena ([`TableArena`]): peer ids and raw peer
-//! addresses in two flat slices, with each `(node, bucket)` pair owning a
-//! fixed `(offset, len)` slot range. Routing walks therefore touch
-//! consecutive cache lines instead of chasing `nodes × bits` little heap
-//! vectors, and building a 10⁵-node overlay performs a handful of
-//! allocations instead of millions.
+//! Every routing table of a topology lives in one contiguous arena
+//! ([`TableArena`]): peer ids in one flat slice, with each
+//! `(node, bucket)` pair owning a fixed `(offset, len)` slot range. Routing
+//! walks therefore touch consecutive cache lines instead of chasing
+//! `nodes × bits` little heap vectors, and building a 10⁵-node overlay
+//! performs a handful of allocations instead of millions.
+//!
+//! The arena stores peer ids only. A peer's address is read from the
+//! topology's id-indexed address table (`Topology::addresses`), which
+//! every search and view borrows, so each address is stored once and a
+//! table entry costs 4 bytes.
 //!
 //! The slot range reserved for bucket `b` of a node is
 //! `min(capacity_b, candidates_b)`, where `candidates_b` counts *every*
@@ -20,15 +24,17 @@
 //! [`add_node`]: crate::topology::Topology::add_node
 //! [`remove_node`]: crate::topology::Topology::remove_node
 
+use std::fmt;
+
 use crate::address::{AddressSpace, OverlayAddress, Proximity};
 use crate::bucket::BucketRef;
 use crate::topology::NodeId;
 
-/// Slot range of one bucket: start offset into the entry arrays plus
+/// Slot range of one bucket: start offset into `ids` plus
 /// current occupancy, packed into 8 bytes so a hop's bucket lookup costs
 /// one cache line (the reserved size is the next span's offset minus this
 /// one's, adjacent in memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct BucketSpan {
     offset: u32,
     len: u32,
@@ -38,13 +44,11 @@ struct BucketSpan {
 ///
 /// See the module docs for the layout. All indices are dense: node `i`'s
 /// bucket `b` is slot `i * bits + b`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct TableArena {
     bits: u32,
     /// Peer node ids, all buckets of all nodes concatenated.
     ids: Vec<u32>,
-    /// Raw peer addresses, parallel to `ids`.
-    raws: Vec<u64>,
     /// Per `(node, bucket)` slot ranges, plus one zero-length sentinel
     /// whose offset is the total entry count: bucket `s` owns slots
     /// `spans[s].offset .. spans[s + 1].offset` and occupies the first
@@ -57,8 +61,8 @@ impl TableArena {
     /// is exactly full with `lens[s]` zeroed placeholder entries, for the
     /// topology builder to overwrite through [`TableArena::node_entries_mut`].
     /// Initial buckets are exactly full (`len == reserved`), so one length
-    /// per bucket fixes the whole layout and the entry arrays are
-    /// allocated once, at their final size.
+    /// per bucket fixes the whole layout and `ids` is allocated once, at
+    /// its final size.
     ///
     /// # Panics
     ///
@@ -84,19 +88,17 @@ impl TableArena {
         Self {
             bits,
             ids: vec![0; cursor as usize],
-            raws: vec![0; cursor as usize],
             spans,
         }
     }
 
-    /// Every reserved slot of `node`, buckets concatenated shallow to deep,
-    /// as mutable `(ids, raws)` slices: one node's buckets are adjacent in
-    /// the arena.
-    pub(crate) fn node_entries_mut(&mut self, node: usize) -> (&mut [u32], &mut [u64]) {
+    /// Every reserved slot of `node`, buckets concatenated shallow to deep:
+    /// one node's buckets are adjacent in the arena.
+    pub(crate) fn node_entries_mut(&mut self, node: usize) -> &mut [u32] {
         let base = node * self.bits as usize;
         let start = self.spans[base].offset as usize;
         let end = self.spans[base + self.bits as usize].offset as usize;
-        (&mut self.ids[start..end], &mut self.raws[start..end])
+        &mut self.ids[start..end]
     }
 
     /// An arena for a single table whose bucket `b` reserves
@@ -126,18 +128,17 @@ impl TableArena {
         (self.spans[slot + 1].offset - self.spans[slot].offset) as usize
     }
 
-    /// The occupied `(ids, raws)` slices of one bucket.
+    /// The occupied peer ids of one bucket.
     #[inline]
-    pub(crate) fn bucket_entries(&self, node: usize, bucket: usize) -> (&[u32], &[u64]) {
+    pub(crate) fn bucket_entries(&self, node: usize, bucket: usize) -> &[u32] {
         let span = self.spans[self.slot(node, bucket)];
         let start = span.offset as usize;
-        let end = start + span.len as usize;
-        (&self.ids[start..end], &self.raws[start..end])
+        &self.ids[start..start + span.len as usize]
     }
 
     /// Whether `peer` occupies the bucket.
     pub(crate) fn contains(&self, node: usize, bucket: usize, peer: u32) -> bool {
-        self.bucket_entries(node, bucket).0.contains(&peer)
+        self.bucket_entries(node, bucket).contains(&peer)
     }
 
     /// Appends `peer` to the bucket. Returns `false` (no insert) when the
@@ -145,7 +146,7 @@ impl TableArena {
     /// same acceptance rule as a capacity-checked k-bucket, because
     /// reserved slots are `min(capacity, candidates)` and an insert past
     /// the candidate count is always a duplicate.
-    pub(crate) fn insert(&mut self, node: usize, bucket: usize, peer: u32, raw: u64) -> bool {
+    pub(crate) fn insert(&mut self, node: usize, bucket: usize, peer: u32) -> bool {
         let slot = self.slot(node, bucket);
         let span = self.spans[slot];
         let start = span.offset as usize;
@@ -155,7 +156,6 @@ impl TableArena {
             return false;
         }
         self.ids[start + len] = peer;
-        self.raws[start + len] = raw;
         self.spans[slot].len += 1;
         true
     }
@@ -174,8 +174,6 @@ impl TableArena {
             return false;
         };
         self.ids
-            .copy_within(start + pos + 1..start + len, start + pos);
-        self.raws
             .copy_within(start + pos + 1..start + len, start + pos);
         self.spans[slot].len -= 1;
         true
@@ -208,11 +206,13 @@ impl TableArena {
     /// a bucket.
     pub(crate) fn node_peers<'a>(&'a self, node: usize) -> impl Iterator<Item = u32> + 'a {
         let bits = self.bits as usize;
-        (0..bits).flat_map(move |b| self.bucket_entries(node, b).0.iter().copied())
+        (0..bits).flat_map(move |b| self.bucket_entries(node, b).iter().copied())
     }
 
     /// The known peer of `node` strictly closest (XOR) to `target_raw`,
-    /// if any peer beats the owner's own distance.
+    /// if any peer beats the owner's own distance. Addresses, the owner's
+    /// included, are read from `addresses`, the topology's id-indexed
+    /// address table.
     ///
     /// Bucket-ordered search. With `p` the proximity order between owner
     /// and target:
@@ -233,12 +233,12 @@ impl TableArena {
     /// exactly the linear scan's.
     pub(crate) fn next_hop(
         &self,
+        addresses: &[OverlayAddress],
         node: usize,
-        owner_raw: u64,
         target_raw: u64,
-    ) -> Option<(u32, u64)> {
+    ) -> Option<u32> {
         let bits = self.bits;
-        let own = owner_raw ^ target_raw;
+        let own = addresses[node].raw() ^ target_raw;
         if own == 0 {
             // The owner sits on the target address; nothing is closer.
             return None;
@@ -249,21 +249,21 @@ impl TableArena {
         let span = self.spans[base + prox];
         if span.len > 0 {
             let start = span.offset as usize;
-            let raws = &self.raws[start..start + span.len as usize];
-            let mut best_i = 0usize;
-            let mut best_d = raws[0] ^ target_raw;
-            for (i, &raw) in raws.iter().enumerate().skip(1) {
-                let d = raw ^ target_raw;
+            let ids = &self.ids[start..start + span.len as usize];
+            let mut best = ids[0];
+            let mut best_d = addresses[best as usize].raw() ^ target_raw;
+            for &id in &ids[1..] {
+                let d = addresses[id as usize].raw() ^ target_raw;
                 if d < best_d {
                     best_d = d;
-                    best_i = i;
+                    best = id;
                 }
             }
-            return Some((self.ids[start + best_i], raws[best_i]));
+            return Some(best);
         }
 
         let mut best_d = own;
-        let mut best: Option<usize> = None;
+        let mut best: Option<u32> = None;
         for bucket in prox + 1..bits as usize {
             let span = self.spans[base + bucket];
             // `shift` is the weight position of bit `bucket`; safe because
@@ -284,15 +284,15 @@ impl TableArena {
                 continue;
             }
             let start = span.offset as usize;
-            for i in start..start + span.len as usize {
-                let d = self.raws[i] ^ target_raw;
+            for &id in &self.ids[start..start + span.len as usize] {
+                let d = addresses[id as usize].raw() ^ target_raw;
                 if d < best_d {
                     best_d = d;
-                    best = Some(i);
+                    best = Some(id);
                 }
             }
         }
-        best.map(|i| (self.ids[i], self.raws[i]))
+        best
     }
 }
 
@@ -301,33 +301,37 @@ impl TableArena {
 /// proximity order exactly `i`.
 ///
 /// Obtained from [`Topology::table`]; borrows the topology's shared
-/// arena. Two views compare equal when owner, address space,
-/// capacities and every bucket's entries agree.
+/// arena and its id-indexed address table. Two views compare equal when
+/// owner, owner address, address space, capacities and every bucket's
+/// `(id, address)` entries agree.
 ///
 /// [`Topology::table`]: crate::topology::Topology::table
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct TableRef<'a> {
     owner: NodeId,
     owner_address: OverlayAddress,
     space: AddressSpace,
     arena: &'a TableArena,
+    addresses: &'a [OverlayAddress],
     capacities: &'a [usize],
 }
 
 impl<'a> TableRef<'a> {
+    /// A view of `owner`'s table; `addresses[id]` is node `id`'s address.
     pub(crate) fn new(
         owner: NodeId,
-        owner_address: OverlayAddress,
         space: AddressSpace,
         arena: &'a TableArena,
+        addresses: &'a [OverlayAddress],
         capacities: &'a [usize],
     ) -> Self {
         debug_assert_eq!(capacities.len(), space.bits() as usize);
         Self {
             owner,
-            owner_address,
+            owner_address: addresses[owner.0],
             space,
             arena,
+            addresses,
             capacities,
         }
     }
@@ -362,8 +366,8 @@ impl<'a> TableRef<'a> {
     }
 
     fn bucket_ref(&self, index: usize) -> BucketRef<'a> {
-        let (ids, raws) = self.arena.bucket_entries(self.owner.0, index);
-        BucketRef::new(index as u32, self.capacities[index], self.space, ids, raws)
+        let ids = self.arena.bucket_entries(self.owner.0, index);
+        BucketRef::new(index as u32, self.capacities[index], ids, self.addresses)
     }
 
     /// Iterate over all buckets, shallowest (bucket 0) first. Takes the
@@ -380,18 +384,8 @@ impl<'a> TableRef<'a> {
 
     /// Iterates over every known peer, shallowest bucket first.
     pub fn peers(&self) -> impl Iterator<Item = (NodeId, OverlayAddress)> + 'a {
-        let bits = self.space.bits();
-        let arena = self.arena;
-        let node = self.owner.0;
-        (0..bits as usize).flat_map(move |b| {
-            let (ids, raws) = arena.bucket_entries(node, b);
-            ids.iter().zip(raws).map(move |(&id, &raw)| {
-                (
-                    NodeId(id as usize),
-                    OverlayAddress::from_raw_unchecked(raw, bits),
-                )
-            })
-        })
+        let table = *self;
+        (0..self.bucket_count()).flat_map(move |b| table.bucket_ref(b).iter())
     }
 
     /// Whether `peer` appears anywhere in the table.
@@ -409,13 +403,8 @@ impl<'a> TableRef<'a> {
     /// See the module docs for the bucket-ordered search.
     pub fn next_hop(&self, target: OverlayAddress) -> Option<(NodeId, OverlayAddress)> {
         self.arena
-            .next_hop(self.owner.0, self.owner_address.raw(), target.raw())
-            .map(|(id, raw)| {
-                (
-                    NodeId(id as usize),
-                    OverlayAddress::from_raw_unchecked(raw, self.space.bits()),
-                )
-            })
+            .next_hop(self.addresses, self.owner.0, target.raw())
+            .map(|id| (NodeId(id as usize), self.addresses[id as usize]))
     }
 
     /// The `n` known peers closest (XOR metric) to `target`, nearest
@@ -471,14 +460,22 @@ impl PartialEq for TableRef<'_> {
             && self.owner_address == other.owner_address
             && self.space == other.space
             && self.capacities == other.capacities
-            && (0..self.bucket_count()).all(|b| {
-                self.arena.bucket_entries(self.owner.0, b)
-                    == other.arena.bucket_entries(other.owner.0, b)
-            })
+            && self.buckets().eq(other.buckets())
     }
 }
 
 impl Eq for TableRef<'_> {}
+
+impl fmt::Debug for TableRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TableRef")
+            .field("owner", &self.owner)
+            .field("owner_address", &self.owner_address)
+            .field("space", &self.space)
+            .field("buckets", &self.buckets().collect::<Vec<_>>())
+            .finish()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -488,9 +485,11 @@ mod tests {
         AddressSpace::new(8).unwrap()
     }
 
-    /// A single-table harness with `k` slots reserved per bucket.
+    /// A single-table harness with `k` slots reserved per bucket: node 0
+    /// owns the table, and `addresses[id]` is node `id`'s address.
     struct Harness {
         arena: TableArena,
+        addresses: Vec<OverlayAddress>,
         owner_address: OverlayAddress,
         space: AddressSpace,
         capacities: Vec<usize>,
@@ -499,14 +498,19 @@ mod tests {
     impl Harness {
         fn new(owner_raw: u64, k: usize) -> Self {
             let space = space8();
+            let owner_address = space.address(owner_raw).unwrap();
             Self {
                 arena: TableArena::single(8, &[k as u32; 8]),
-                owner_address: space.address(owner_raw).unwrap(),
+                addresses: vec![owner_address],
+                owner_address,
                 space,
                 capacities: vec![k; 8],
             }
         }
 
+        /// Places `peer` at `address` in the address table and inserts it
+        /// into the owner's matching bucket. A rejected insert leaves the
+        /// address table as it was.
         fn insert(&mut self, peer: NodeId, address: OverlayAddress) -> bool {
             if peer == NodeId(0) {
                 return false;
@@ -515,15 +519,22 @@ mod tests {
                 .space
                 .proximity(self.owner_address, address)
                 .bucket_index();
-            self.arena.insert(0, bucket, peer.0 as u32, address.raw())
+            if !self.arena.insert(0, bucket, peer.0 as u32) {
+                return false;
+            }
+            if self.addresses.len() <= peer.0 {
+                self.addresses.resize(peer.0 + 1, self.owner_address);
+            }
+            self.addresses[peer.0] = address;
+            true
         }
 
         fn table(&self) -> TableRef<'_> {
             TableRef::new(
                 NodeId(0),
-                self.owner_address,
                 self.space,
                 &self.arena,
+                &self.addresses,
                 &self.capacities,
             )
         }
@@ -744,5 +755,9 @@ mod tests {
         assert_ne!(a.table(), b.table());
         b.insert(NodeId(1), peer);
         assert_eq!(a.table(), b.table());
+        // Same id in the same bucket, but at another address.
+        let mut c = Harness::new(0b0101_1011, 4);
+        c.insert(NodeId(1), space.address(0b1101_1010).unwrap());
+        assert_ne!(a.table(), c.table());
     }
 }

@@ -257,8 +257,8 @@ impl TopologyBuilder {
         index.for_each_owner(bits, |pos, siblings| {
             let owner = index.node_at(pos);
             let mut owner_rng = derive_rng(table_seed, owner, 0);
-            let (ids, raws) = arena.node_entries_mut(owner);
-            sample_table(&index, siblings, &capacities, &mut owner_rng, ids, raws);
+            let ids = arena.node_entries_mut(owner);
+            sample_table(&index, siblings, &capacities, &mut owner_rng, ids);
         });
 
         let trie = AddressTrie::build(self.space, &addresses);
@@ -367,7 +367,7 @@ impl SortedAddressIndex {
     }
 }
 
-/// Samples one owner's routing table into its arena slots `ids`/`raws`:
+/// Samples one owner's routing table into its arena slots `ids`:
 /// per bucket, `min(k_b, |candidates_b|)` peers uniformly without
 /// replacement from the candidate range `siblings[b]` of the sorted index.
 /// That count is also the bucket's reserved size — the most entries it
@@ -383,7 +383,6 @@ fn sample_table(
     capacities: &[usize],
     rng: &mut SimRng,
     ids: &mut [u32],
-    raws: &mut [u64],
 ) {
     let mut swaps: Vec<(usize, usize)> = Vec::new();
     let mut slot = 0;
@@ -409,9 +408,7 @@ fn sample_table(
                     j
                 }
             };
-            let pos = sibling.start + pick;
-            ids[slot] = index.nodes[pos];
-            raws[slot] = index.raws[pos];
+            ids[slot] = index.nodes[sibling.start + pick];
             slot += 1;
         }
     }
@@ -460,10 +457,11 @@ fn knowers_remove(list: &mut Vec<u32>, owner: u32) {
 /// A forwarding-Kademlia overlay: every node's address and routing table,
 /// a live-membership set, and an index for global closest-live-node queries.
 ///
-/// Routing tables live in one contiguous arena (structure of arrays,
-/// one `(offset, len)` slot range per bucket) and are read through
-/// borrowed [`TableRef`] views; see `docs/ARCHITECTURE.md` for the
-/// layout and why it never reallocates under churn.
+/// Routing tables live in one contiguous arena of peer ids (one
+/// `(offset, len)` slot range per bucket) and are read through borrowed
+/// [`TableRef`] views, which take each peer's address from `addresses`;
+/// see `docs/ARCHITECTURE.md` for the layout and why it never reallocates
+/// under churn.
 #[derive(Debug, Clone)]
 pub struct Topology {
     space: AddressSpace,
@@ -567,9 +565,9 @@ impl Topology {
     pub fn table(&self, node: NodeId) -> TableRef<'_> {
         TableRef::new(
             node,
-            self.addresses[node.0],
             self.space,
             &self.arena,
+            &self.addresses,
             &self.capacities,
         )
     }
@@ -608,8 +606,8 @@ impl Topology {
     #[inline]
     pub fn next_hop(&self, from: NodeId, target: OverlayAddress) -> Option<NodeId> {
         self.arena
-            .next_hop(from.0, self.addresses[from.0].raw(), target.raw())
-            .map(|(id, _)| NodeId(id as usize))
+            .next_hop(&self.addresses, from.0, target.raw())
+            .map(|id| NodeId(id as usize))
     }
 
     /// [`Topology::next_hop`], plus whether that hop is certainly the
@@ -682,9 +680,8 @@ impl Topology {
             let mut best = [(u64::MAX, 0u32); STACK_LIMIT];
             let mut len = 0usize;
             for bucket in 0..bits {
-                let (ids, raws) = self.arena.bucket_entries(from.0, bucket);
-                for (&id, &raw) in ids.iter().zip(raws) {
-                    let d = raw ^ target_raw;
+                for &id in self.arena.bucket_entries(from.0, bucket) {
+                    let d = self.addresses[id as usize].raw() ^ target_raw;
                     if d >= own || (len == limit && d >= best[limit - 1].0) {
                         continue;
                     }
@@ -706,9 +703,8 @@ impl Topology {
 
         let mut ranked: Vec<(u64, u32)> = Vec::new();
         for bucket in 0..bits {
-            let (ids, raws) = self.arena.bucket_entries(from.0, bucket);
-            for (&id, &raw) in ids.iter().zip(raws) {
-                let d = raw ^ target_raw;
+            for &id in self.arena.bucket_entries(from.0, bucket) {
+                let d = self.addresses[id as usize].raw() ^ target_raw;
                 if d < own {
                     ranked.push((d, id));
                 }
@@ -793,12 +789,7 @@ impl Topology {
             let removed = self.arena.remove(owner, bucket, index as u32);
             debug_assert!(removed, "knowers index out of sync");
             if let Some(replacement) = self.refill_candidate(owner, bucket, path[bucket + 1]) {
-                let inserted = self.arena.insert(
-                    owner,
-                    bucket,
-                    replacement as u32,
-                    self.addresses[replacement].raw(),
-                );
+                let inserted = self.arena.insert(owner, bucket, replacement as u32);
                 debug_assert!(inserted, "refill candidate must fit");
                 knowers_insert(&mut self.knowers[replacement], owner as u32);
             }
@@ -870,8 +861,7 @@ impl Topology {
             let arena = &mut self.arena;
             self.trie
                 .visit_nearest_live(owners, bucket + 1, joiner_addr, &mut |owner: usize| {
-                    let inserted =
-                        arena.insert(owner, bucket as usize, index as u32, joiner_addr.raw());
+                    let inserted = arena.insert(owner, bucket as usize, index as u32);
                     debug_assert!(inserted, "fullness invariant guarantees room");
                     knowers.push(owner as u32);
                     true
@@ -900,24 +890,24 @@ impl Topology {
     /// on the stack for realistic `k`): `O((bits + k) log k)`.
     fn refill_candidate(&self, owner: usize, bucket: usize, subtree: u32) -> Option<usize> {
         let owner_addr = self.addresses[owner];
-        let (_, raws) = self.arena.bucket_entries(owner, bucket);
-        if self.trie.subtree_live(subtree) as usize <= raws.len() {
+        let ids = self.arena.bucket_entries(owner, bucket);
+        if self.trie.subtree_live(subtree) as usize <= ids.len() {
             // The bucket already holds every live candidate.
             return None;
         }
         let descend = |held: &mut [u64]| {
-            for (distance, &raw) in held.iter_mut().zip(raws) {
-                *distance = raw ^ owner_addr.raw();
+            for (distance, &id) in held.iter_mut().zip(ids) {
+                *distance = self.addresses[id as usize].raw() ^ owner_addr.raw();
             }
             held.sort_unstable();
             self.trie
                 .nearest_live_excluding(subtree, bucket as u32 + 1, owner_addr, held)
         };
         const STACK_HELD: usize = 32;
-        if raws.len() <= STACK_HELD {
-            descend(&mut [0u64; STACK_HELD][..raws.len()])
+        if ids.len() <= STACK_HELD {
+            descend(&mut [0u64; STACK_HELD][..ids.len()])
         } else {
-            descend(&mut vec![0u64; raws.len()])
+            descend(&mut vec![0u64; ids.len()])
         }
     }
 
@@ -954,8 +944,7 @@ impl Topology {
                 continue;
             }
             trie.visit_nearest_live(subtree, bucket + 1, owner_addr, &mut |peer: usize| {
-                let inserted =
-                    arena.insert(owner, bucket as usize, peer as u32, addresses[peer].raw());
+                let inserted = arena.insert(owner, bucket as usize, peer as u32);
                 debug_assert!(inserted, "candidate must fit its bucket");
                 remaining -= 1;
                 remaining > 0
@@ -1122,9 +1111,6 @@ impl Topology {
                     }
                     if !self.live[peer.0] {
                         return Err(format!("node {owner} lists offline {peer}"));
-                    }
-                    if self.addresses[peer.0] != peer_addr {
-                        return Err(format!("node {owner}: stale address for {peer}"));
                     }
                     let prox = self.space.proximity(owner_addr, peer_addr);
                     if prox.bucket_index() != bucket.index() as usize {
@@ -1571,6 +1557,35 @@ mod tests {
         let raws: Vec<_> = t.node_ids().map(|n| t.address(n).raw()).collect();
         assert_eq!(raws, vec![1, 2, 200, 250]);
         t.validate().unwrap();
+    }
+
+    #[test]
+    fn tables_with_the_same_ids_at_other_addresses_compare_unequal() {
+        // Node 2 moves within node 0's bucket 0: the ids of every table
+        // stay the same, but node 0's entry for node 2 names another
+        // address.
+        let build = |raws: [u64; 3]| {
+            TopologyBuilder::new(space(8))
+                .explicit_addresses(raws)
+                .bucket_size(4)
+                .build()
+                .unwrap()
+        };
+        let a = build([0x00, 0x80, 0xC0]);
+        let b = build([0x00, 0x80, 0xE0]);
+        let ids = |t: &Topology| {
+            t.tables()
+                .map(|table| table.peers().map(|(id, _)| id).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&a), ids(&b));
+        assert_eq!(a.table(NodeId(0)).peers().count(), 2);
+        assert_ne!(a.table(NodeId(0)), b.table(NodeId(0)));
+        assert_ne!(
+            a.table(NodeId(0)).bucket(0).unwrap(),
+            b.table(NodeId(0)).bucket(0).unwrap()
+        );
+        assert!(!a.tables().eq(b.tables()));
     }
 
     #[test]

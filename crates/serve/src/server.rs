@@ -8,7 +8,7 @@
 //! | `/status/<job>`   | GET    | lifecycle state as JSON |
 //! | `/result/<job>`   | GET    | blocks until done, then the `run.csv` bytes |
 //! | `/stream/<job>`   | GET    | chunked per-epoch metric rows, live while the job runs |
-//! | `/health`         | GET    | queue/cache/job counters as JSON |
+//! | `/health`         | GET    | queue/cache/job counters and the daemon's RSS as JSON |
 //! | `/shutdown`       | POST   | begin graceful drain; the accept loop exits once quiet |
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive) and each runs on its
@@ -20,7 +20,7 @@
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fairswap_core::SpecHash;
@@ -249,6 +249,44 @@ struct HealthBody {
     failed: u64,
     rejected: u64,
     cache: CacheStats,
+    /// The daemon's resident set size in KiB; 0 where `/proc` is missing.
+    rss_kb: u64,
+}
+
+/// The process's resident set size in KiB: resident pages (the second
+/// field of `/proc/self/statm`) times the page size. One small read per
+/// call, so `/health` stays cheap to poll; 0 where the file is missing.
+fn rss_kb() -> u64 {
+    let Ok(statm) = std::fs::read_to_string("/proc/self/statm") else {
+        return 0;
+    };
+    let pages: u64 = statm
+        .split_whitespace()
+        .nth(1)
+        .and_then(|field| field.parse().ok())
+        .unwrap_or(0);
+    pages * page_size() / 1024
+}
+
+/// The page size, read once from the auxiliary vector's `AT_PAGESZ`
+/// entry (`/proc/self/auxv`: native-endian word pairs); 4 KiB if that
+/// file is unreadable.
+fn page_size() -> u64 {
+    const AT_PAGESZ: usize = 6;
+    static PAGE_SIZE: OnceLock<u64> = OnceLock::new();
+    *PAGE_SIZE.get_or_init(|| {
+        const WORD: usize = std::mem::size_of::<usize>();
+        let word = |bytes: &[u8]| usize::from_ne_bytes(bytes.try_into().expect("one word"));
+        std::fs::read("/proc/self/auxv")
+            .ok()
+            .and_then(|auxv| {
+                auxv.chunks_exact(2 * WORD).find_map(|pair| {
+                    let (key, value) = pair.split_at(WORD);
+                    (word(key) == AT_PAGESZ).then(|| word(value) as u64)
+                })
+            })
+            .unwrap_or(4096)
+    })
 }
 
 /// The `/shutdown` acknowledgement.
@@ -313,6 +351,7 @@ fn route<W: Write>(
                 failed: stats.failed,
                 rejected: stats.rejected,
                 cache: stats.cache,
+                rss_kb: rss_kb(),
             };
             write_json(writer, 200, &body, close)
         }

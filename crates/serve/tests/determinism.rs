@@ -235,6 +235,38 @@ fn invalid_and_unknown_requests_get_structured_errors() {
 }
 
 #[test]
+fn health_reports_the_daemons_resident_memory() {
+    let server = TestServer::start(1, 4);
+    let mut client = Client::new(server.addr);
+    let health = client.request("GET", "/health", b"").expect("health");
+    assert_eq!(health.status, 200);
+    let text = health.text();
+    let rss_kb = health.json_u64("rss_kb").expect("rss_kb key");
+    // The last top-level key: nothing follows its value but the close.
+    assert!(
+        text.trim_end()
+            .ends_with(&format!(",\"rss_kb\":{rss_kb}}}")),
+        "{text}"
+    );
+    if cfg!(target_os = "linux") {
+        assert!(rss_kb > 0, "{text}");
+        // The server runs in this process: its reading must agree with
+        // the kernel's `VmRSS`, in KiB, up to the drift between reads.
+        let status = std::fs::read_to_string("/proc/self/status").expect("status");
+        let vm_rss: u64 = status
+            .lines()
+            .find_map(|line| line.strip_prefix("VmRSS:"))
+            .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+            .expect("VmRSS line");
+        assert!(
+            rss_kb * 2 > vm_rss && rss_kb < vm_rss * 2,
+            "rss_kb {rss_kb} vs VmRSS {vm_rss} kB"
+        );
+    }
+    server.stop();
+}
+
+#[test]
 fn engine_crashing_economics_are_rejected_and_later_jobs_still_run() {
     // Each of these used to pass `/submit` and then panic the runner
     // thread mid-run, wedging every later job and the shutdown.
