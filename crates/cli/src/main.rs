@@ -22,8 +22,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fairswap_core::experiments::{
-    cache_churn, churn, durability, extensions, fig4, fig5, fig6, fuzzed, large_scale, routing,
-    scenarios, sweeps, table1, ExperimentScale,
+    cache_churn, churn, durability, extensions, fuzzed, large_scale, paper, routing, scenarios,
+    sweeps, ExperimentScale,
 };
 use fairswap_core::{
     validate_jsonl, CsvTable, Executor, GridObservation, ObsOptions, Phase, SimSpec,
@@ -46,27 +46,9 @@ struct CommandSpec {
 
 const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
-        name: "table1",
-        section: "Table I",
-        blurb: "average forwarded chunks",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "fig4",
-        section: "Figure 4",
-        blurb: "forwarded-chunk distributions",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "fig5",
-        section: "Figure 5",
-        blurb: "F2 Lorenz + Gini",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "fig6",
-        section: "Figure 6",
-        blurb: "F1 Lorenz + Gini",
+        name: "paper",
+        section: "§IV",
+        blurb: "Table I, Figs. 4-6 and the Gini ablation from one k x originators grid",
         in_all: true,
     },
     CommandSpec {
@@ -103,12 +85,6 @@ const COMMANDS: &[CommandSpec] = &[
         name: "mechanisms",
         section: "§I/§II",
         blurb: "baseline mechanism comparison",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "metric-robustness",
-        section: "ablation",
-        blurb: "Theil/Atkinson/Hoover vs Gini",
         in_all: true,
     },
     CommandSpec {
@@ -529,55 +505,34 @@ fn run_command(opts: &Options) -> Result<(), String> {
             executor.threads()
         );
         match command {
-            "table1" => {
-                let table = table1::run(scale, &executor, &mut obs).map_err(err)?;
-                for row in &table.rows {
+            "paper" => {
+                let grid = paper::run(scale, &executor, &mut obs).map_err(err)?;
+                for c in &grid.cells {
                     println!(
-                        "  k={:<2} originators={:>4}%  mean_forwarded={:>10.1}",
-                        row.k,
-                        row.originator_fraction * 100.0,
-                        row.mean_forwarded
+                        "  k={:<2} originators={:>4}%  mean_forwarded={:>10.1}  F2 gini={:.4}  F1 gini={:.4} (paid nodes: {})",
+                        c.k,
+                        c.originator_fraction * 100.0,
+                        c.mean_forwarded,
+                        c.f2_gini,
+                        c.f1_gini,
+                        c.paid_nodes
                     );
                 }
-                write_csv(&mut obs, out, "table1.csv", &table.to_csv())?;
-            }
-            "fig4" => {
-                let bin = (scale.files as f64 / 2.0).max(10.0);
-                let fig = fig4::run(scale, bin, &executor, &mut obs).map_err(err)?;
                 for fraction in [0.2, 1.0] {
-                    if let Some(ratio) = fig.area_ratio(fraction) {
+                    if let Some(ratio) = grid.area_ratio(fraction) {
                         println!(
                             "  originators={:>4}%  area(k=4)/area(k=20) = {ratio:.2}",
                             fraction * 100.0
                         );
                     }
                 }
-                write_csv(&mut obs, out, "fig4.csv", &fig.to_csv())?;
-            }
-            "fig5" => {
-                let fig = fig5::run(scale, &executor, &mut obs).map_err(err)?;
-                for s in &fig.series {
-                    println!(
-                        "  k={:<2} originators={:>4}%  F2 gini={:.4}",
-                        s.k,
-                        s.originator_fraction * 100.0,
-                        s.gini
-                    );
+                println!(
+                    "  theil, atkinson(0.5) and hoover agree with gini on the k=4 vs k=20 ordering: {}",
+                    grid.all_indices_agree()
+                );
+                for (name, csv) in grid.csvs() {
+                    write_csv(&mut obs, out, name, &csv)?;
                 }
-                write_csv(&mut obs, out, "fig5.csv", &fig.to_csv())?;
-            }
-            "fig6" => {
-                let fig = fig6::run(scale, &executor, &mut obs).map_err(err)?;
-                for s in &fig.series {
-                    println!(
-                        "  k={:<2} originators={:>4}%  F1 gini={:.4} (paid nodes: {})",
-                        s.k,
-                        s.originator_fraction * 100.0,
-                        s.gini,
-                        s.paid_nodes
-                    );
-                }
-                write_csv(&mut obs, out, "fig6.csv", &fig.to_csv())?;
             }
             "sweep-files" => {
                 let results = sweeps::files_convergence(scale, &[(4, 1.0)], &executor, &mut obs)
@@ -655,22 +610,6 @@ fn run_command(opts: &Options) -> Result<(), String> {
                     );
                 }
                 write_csv(&mut obs, out, "mechanisms.csv", &result.to_csv())?;
-            }
-            "metric-robustness" => {
-                let result =
-                    extensions::metric_robustness(scale, &[4, 20], 0.2, &executor, &mut obs)
-                        .map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  k={:<2} gini={:.4} theil={:.4} atkinson(0.5)={:.4} hoover={:.4}",
-                        r.k, r.gini, r.theil, r.atkinson_05, r.hoover
-                    );
-                }
-                println!(
-                    "  all indices agree on the k=4 vs k=20 ordering: {}",
-                    result.all_indices_agree()
-                );
-                write_csv(&mut obs, out, "metric_robustness.csv", &result.to_csv())?;
             }
             "scenarios" => {
                 let names: Vec<&str> = match &opts.scenario {
@@ -1071,6 +1010,15 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// The five files `paper` writes.
+    const PAPER_CSVS: [&str; 5] = [
+        "table1.csv",
+        "fig4.csv",
+        "fig5.csv",
+        "fig6.csv",
+        "metric_robustness.csv",
+    ];
+
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
     }
@@ -1109,7 +1057,7 @@ mod tests {
     #[test]
     fn parses_command_and_flags() {
         let opts = parse_args(&s(&[
-            "table1",
+            "paper",
             "--nodes",
             "100",
             "--files",
@@ -1124,7 +1072,7 @@ mod tests {
             "20",
         ]))
         .unwrap();
-        assert_eq!(opts.command, "table1");
+        assert_eq!(opts.command, "paper");
         assert_eq!(opts.scale.nodes, 100);
         assert_eq!(opts.scale.files, 50);
         assert_eq!(opts.scale.seed, 9);
@@ -1136,7 +1084,7 @@ mod tests {
 
     #[test]
     fn defaults_are_serial_paper_scale() {
-        let opts = parse_args(&s(&["fig5"])).unwrap();
+        let opts = parse_args(&s(&["paper"])).unwrap();
         assert_eq!(opts.threads, 1);
         assert_eq!(opts.bits, large_scale::DEFAULT_BITS);
         assert!(!opts.nodes_set && !opts.files_set);
@@ -1144,7 +1092,7 @@ mod tests {
 
     #[test]
     fn quick_flag_shrinks_scale() {
-        let opts = parse_args(&s(&["fig5", "--quick"])).unwrap();
+        let opts = parse_args(&s(&["paper", "--quick"])).unwrap();
         assert_eq!(opts.scale.nodes, ExperimentScale::quick().nodes);
         // Quick is explicit sizing: large-scale must not override it with
         // its 10^5-node default.
@@ -1154,8 +1102,8 @@ mod tests {
     #[test]
     fn explicit_dimensions_beat_quick_in_any_order() {
         for order in [
-            ["fig5", "--nodes", "500", "--quick"],
-            ["fig5", "--quick", "--nodes", "500"],
+            ["paper", "--nodes", "500", "--quick"],
+            ["paper", "--quick", "--nodes", "500"],
         ] {
             let opts = parse_args(&s(&order)).unwrap();
             assert_eq!(opts.scale.nodes, 500, "order {order:?}");
@@ -1167,20 +1115,22 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(parse_args(&s(&[])).is_err());
-        assert!(parse_args(&s(&["table1", "--nodes"])).is_err());
-        assert!(parse_args(&s(&["table1", "--nodes", "abc"])).is_err());
-        assert!(parse_args(&s(&["table1", "--threads", "x"])).is_err());
-        assert!(parse_args(&s(&["table1", "--bits", "x"])).is_err());
-        assert!(parse_args(&s(&["table1", "--bogus"])).is_err());
-        assert!(parse_args(&s(&["table1", "extra"])).is_err());
+        assert!(parse_args(&s(&["paper", "--nodes"])).is_err());
+        assert!(parse_args(&s(&["paper", "--nodes", "abc"])).is_err());
+        assert!(parse_args(&s(&["paper", "--threads", "x"])).is_err());
+        assert!(parse_args(&s(&["paper", "--bits", "x"])).is_err());
+        assert!(parse_args(&s(&["paper", "--bogus"])).is_err());
+        assert!(parse_args(&s(&["paper", "extra"])).is_err());
     }
 
     #[test]
     fn runs_a_tiny_experiment_end_to_end() {
         let dir = std::env::temp_dir().join("fairswap_cli_test");
-        let opts = quick_opts("table1", 60, 10, dir.clone());
+        let opts = quick_opts("paper", 60, 10, dir.clone());
         run_command(&opts).unwrap();
-        assert!(dir.join("table1.csv").exists());
+        for csv in PAPER_CSVS {
+            assert!(dir.join(csv).exists(), "{csv}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1188,15 +1138,17 @@ mod tests {
     fn threaded_run_matches_serial_run() {
         let dir_a = std::env::temp_dir().join("fairswap_cli_serial");
         let dir_b = std::env::temp_dir().join("fairswap_cli_threaded");
-        let mut serial = quick_opts("fig5", 80, 16, dir_a.clone());
-        let mut threaded = quick_opts("fig5", 80, 16, dir_b.clone());
+        let mut serial = quick_opts("paper", 80, 16, dir_a.clone());
+        let mut threaded = quick_opts("paper", 80, 16, dir_b.clone());
         serial.threads = 1;
         threaded.threads = 4;
         run_command(&serial).unwrap();
         run_command(&threaded).unwrap();
-        let a = std::fs::read_to_string(dir_a.join("fig5.csv")).unwrap();
-        let b = std::fs::read_to_string(dir_b.join("fig5.csv")).unwrap();
-        assert_eq!(a, b, "threaded CSV must be byte-identical to serial");
+        for csv in PAPER_CSVS {
+            let a = std::fs::read(dir_a.join(csv)).unwrap();
+            let b = std::fs::read(dir_b.join(csv)).unwrap();
+            assert_eq!(a, b, "{csv}: threaded CSV must be byte-identical to serial");
+        }
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
     }
@@ -1259,7 +1211,7 @@ mod tests {
         )
         .unwrap();
         // `trace-check` (last in the table) validates the trace that the
-        // first command, `table1`, writes — exercising the full
+        // first command, `paper`, writes — exercising the full
         // produce-then-validate loop.
         let trace_file = dir.join("dispatch_trace.jsonl");
         for command in COMMANDS {
@@ -1274,15 +1226,17 @@ mod tests {
             if command.name == "run" {
                 opts.config = Some(spec_file.clone());
             }
-            if command.name == "table1" || command.name == "trace-check" {
+            if command.name == "paper" || command.name == "trace-check" {
                 opts.trace = Some(trace_file.clone());
             }
             run_command(&opts).unwrap_or_else(|e| panic!("{} failed: {e}", command.name));
         }
+        for csv in PAPER_CSVS {
+            assert!(dir.join(csv).exists(), "{csv}");
+        }
         assert!(dir.join("scenarios.csv").exists());
         assert!(dir.join("durability.csv").exists());
         assert!(dir.join("durability_timeline.csv").exists());
-        assert!(dir.join("metric_robustness.csv").exists());
         assert!(dir.join("routing.csv").exists());
         assert!(dir.join("cache_churn.csv").exists());
         assert!(dir.join("run.csv").exists());
@@ -1427,7 +1381,7 @@ mod tests {
     #[test]
     fn observability_flags_parse() {
         let opts = parse_args(&s(&[
-            "fig5",
+            "paper",
             "--trace",
             "/tmp/t.jsonl",
             "--metrics",
@@ -1440,22 +1394,22 @@ mod tests {
         assert_eq!(opts.trace, Some(PathBuf::from("/tmp/t.jsonl")));
         assert_eq!(opts.metrics, Some(PathBuf::from("/tmp/m.csv")));
         assert!(opts.profile && opts.no_progress && opts.strict);
-        assert!(parse_args(&s(&["fig5", "--trace"])).is_err());
-        assert!(parse_args(&s(&["fig5", "--metrics"])).is_err());
+        assert!(parse_args(&s(&["paper", "--trace"])).is_err());
+        assert!(parse_args(&s(&["paper", "--metrics"])).is_err());
     }
 
     #[test]
     fn observability_flags_work_on_every_preset() {
         let dir = std::env::temp_dir().join("fairswap_cli_observe_every_preset");
         let _ = std::fs::remove_dir_all(&dir);
-        for (command, csv) in [
-            ("sweep-files", "sweep_files.csv"),
-            ("overhead", "overhead.csv"),
-            ("bucket0", "bucket0.csv"),
-            ("freeride", "freeride.csv"),
-            ("caching", "caching.csv"),
-            ("mechanisms", "mechanisms.csv"),
-            ("metric-robustness", "metric_robustness.csv"),
+        for (command, csvs) in [
+            ("paper", &PAPER_CSVS[..]),
+            ("sweep-files", &["sweep_files.csv"]),
+            ("overhead", &["overhead.csv"]),
+            ("bucket0", &["bucket0.csv"]),
+            ("freeride", &["freeride.csv"]),
+            ("caching", &["caching.csv"]),
+            ("mechanisms", &["mechanisms.csv"]),
         ] {
             let plain_dir = dir.join(command).join("plain");
             let traced_dir = dir.join(command).join("traced");
@@ -1465,9 +1419,11 @@ mod tests {
             opts.trace = Some(trace.clone());
             opts.metrics = Some(dir.join(command).join("metrics.csv"));
             run_command(&opts).unwrap();
-            let plain = std::fs::read(plain_dir.join(csv)).unwrap();
-            let traced = std::fs::read(traced_dir.join(csv)).unwrap();
-            assert_eq!(plain, traced, "{command}: tracing must not perturb results");
+            for csv in csvs {
+                let plain = std::fs::read(plain_dir.join(csv)).unwrap();
+                let traced = std::fs::read(traced_dir.join(csv)).unwrap();
+                assert_eq!(plain, traced, "{command}: tracing must not perturb {csv}");
+            }
             let mut check = quick_opts("trace-check", 60, 10, dir.clone());
             check.trace = Some(trace);
             run_command(&check).unwrap_or_else(|e| panic!("{command}: {e}"));
@@ -1488,27 +1444,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let plain_dir = dir.join("plain");
         let traced_dir = dir.join("traced");
-        run_command(&quick_opts("fig5", 80, 16, plain_dir.clone())).unwrap();
-        let mut opts = quick_opts("fig5", 80, 16, traced_dir.clone());
-        opts.trace = Some(dir.join("fig5.jsonl"));
-        opts.metrics = Some(dir.join("fig5_metrics.csv"));
+        run_command(&quick_opts("paper", 80, 16, plain_dir.clone())).unwrap();
+        let mut opts = quick_opts("paper", 80, 16, traced_dir.clone());
+        opts.trace = Some(dir.join("paper.jsonl"));
+        opts.metrics = Some(dir.join("paper_metrics.csv"));
         opts.profile = true;
         run_command(&opts).unwrap();
-        let plain = std::fs::read_to_string(plain_dir.join("fig5.csv")).unwrap();
-        let traced = std::fs::read_to_string(traced_dir.join("fig5.csv")).unwrap();
-        assert_eq!(plain, traced, "tracing must not perturb results");
-        let trace = std::fs::read_to_string(dir.join("fig5.jsonl")).unwrap();
+        for csv in PAPER_CSVS {
+            let plain = std::fs::read(plain_dir.join(csv)).unwrap();
+            let traced = std::fs::read(traced_dir.join(csv)).unwrap();
+            assert_eq!(plain, traced, "tracing must not perturb {csv}");
+        }
+        let trace = std::fs::read_to_string(dir.join("paper.jsonl")).unwrap();
         let stats = validate_jsonl(&trace).unwrap();
-        // The fig5 grid has four cells, each closed by a summary line.
+        // The paper grid has four cells, each closed by a summary line.
         assert_eq!(stats.jobs, 4);
         assert!(stats.events > 0);
-        let metrics = std::fs::read_to_string(dir.join("fig5_metrics.csv")).unwrap();
+        let metrics = std::fs::read_to_string(dir.join("paper_metrics.csv")).unwrap();
         assert!(metrics.starts_with("grid,job,epoch,step,metric,value\n"));
         assert!(metrics.lines().count() > 6);
         // `trace-check` accepts the file the run just wrote, and demands
         // `--trace` when it is missing.
         let mut check = quick_opts("trace-check", 80, 16, dir.clone());
-        check.trace = Some(dir.join("fig5.jsonl"));
+        check.trace = Some(dir.join("paper.jsonl"));
         run_command(&check).unwrap();
         check.trace = None;
         assert!(run_command(&check).unwrap_err().contains("--trace"));

@@ -61,10 +61,11 @@ fn every_command_rejects_a_bogus_flag_identically() {
     let usage = stderr(&fairswap(&[]));
     let names = command_names(&usage);
     assert!(
-        names.len() >= 20,
+        names.len() >= 18,
         "expected the full command table, got {names:?}"
     );
     assert!(names.iter().any(|n| n == "serve"), "{names:?}");
+    assert!(names.iter().any(|n| n == "paper"), "{names:?}");
     for name in &names {
         // Flag parsing fails before dispatch, so nothing heavy runs.
         let output = fairswap(&[name, "--definitely-not-a-flag"]);
@@ -89,7 +90,7 @@ fn every_command_rejects_a_bogus_flag_identically() {
 #[test]
 fn value_flags_report_missing_values() {
     for args in [
-        &["table1", "--nodes"][..],
+        &["paper", "--nodes"][..],
         &["serve", "--addr"][..],
         &["run", "--config"][..],
     ] {
@@ -104,7 +105,7 @@ fn value_flags_report_missing_values() {
 #[test]
 fn invalid_numeric_values_are_rejected() {
     for (args, needle) in [
-        (&["table1", "--nodes", "many"][..], "invalid --nodes value"),
+        (&["paper", "--nodes", "many"][..], "invalid --nodes value"),
         (
             &["serve", "--workers", "two"][..],
             "invalid --workers value",

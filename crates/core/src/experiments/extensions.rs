@@ -4,7 +4,6 @@
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
 
-use fairswap_fairness::{atkinson, gini, hoover, theil};
 use fairswap_kademlia::BucketSizing;
 use fairswap_storage::CachePolicy;
 use fairswap_workload::ChunkDist;
@@ -512,119 +511,19 @@ mod tests {
     }
 }
 
-/// One row of the metric-robustness check.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MetricRow {
-    /// Bucket size.
-    pub k: usize,
-    /// Gini of incomes (the paper's metric).
-    pub gini: f64,
-    /// Theil T index of incomes.
-    pub theil: f64,
-    /// Atkinson index (epsilon = 0.5) of incomes.
-    pub atkinson_05: f64,
-    /// Hoover (Robin Hood) index of incomes.
-    pub hoover: f64,
-}
-
-/// Result of the metric-robustness check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricRobustness {
-    /// One row per `k`.
-    pub rows: Vec<MetricRow>,
-}
-
-impl MetricRobustness {
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new(["k", "gini", "theil", "atkinson_0.5", "hoover"]);
-        for r in &self.rows {
-            csv.push_row([
-                r.k.to_string(),
-                CsvTable::fmt_float(r.gini),
-                CsvTable::fmt_float(r.theil),
-                CsvTable::fmt_float(r.atkinson_05),
-                CsvTable::fmt_float(r.hoover),
-            ]);
-        }
-        csv
-    }
-
-    /// Whether every index agrees that the first row (smaller `k`) is less
-    /// fair than the last (larger `k`).
-    pub fn all_indices_agree(&self) -> bool {
-        let (Some(first), Some(last)) = (self.rows.first(), self.rows.last()) else {
-            return false;
-        };
-        first.gini > last.gini
-            && first.theil > last.theil
-            && first.atkinson_05 > last.atkinson_05
-            && first.hoover > last.hoover
-    }
-}
-
-/// Ablation on the paper's methodological choice of the Gini coefficient:
-/// re-evaluates the k = 4 vs k = 20 F2 comparison under Theil, Atkinson
-/// and Hoover indices. The paper's conclusion is metric-robust iff every
-/// index orders the two configurations the same way.
-/// The `k` cells fan out over `executor`.
-///
-/// # Errors
-///
-/// Propagates configuration errors as [`CoreError`].
-pub fn metric_robustness(
-    scale: ExperimentScale,
-    ks: &[usize],
-    originator_fraction: f64,
-    executor: &Executor,
-    obs: &mut GridObservation,
-) -> Result<MetricRobustness, CoreError> {
-    let jobs: Vec<SimSpec> = ks
-        .iter()
-        .map(|&k| scale.cell_spec(k, originator_fraction))
-        .collect();
-    let reports = run_jobs_observed(executor, jobs, obs)?;
-    let rows = ks
-        .iter()
-        .zip(reports)
-        .map(|(&k, report)| {
-            let incomes = report.incomes();
-            MetricRow {
-                k,
-                gini: gini(incomes).unwrap_or(0.0),
-                theil: theil(incomes).unwrap_or(0.0),
-                atkinson_05: atkinson(incomes, 0.5).unwrap_or(0.0),
-                hoover: hoover(incomes).unwrap_or(0.0),
-            }
-        })
-        .collect();
-    Ok(MetricRobustness { rows })
-}
-
 #[cfg(test)]
 mod metric_tests {
-    use super::*;
+    use crate::experiments::small_grid;
 
     #[test]
     fn paper_finding_is_metric_robust() {
-        let result = metric_robustness(
-            ExperimentScale {
-                nodes: 250,
-                files: 100,
-                seed: 0xFA12,
-            },
-            &[4, 20],
-            0.2,
-            &Executor::serial(),
-            &mut GridObservation::disabled(),
-        )
-        .unwrap();
-        assert_eq!(result.rows.len(), 2);
+        let grid = small_grid(100);
+        let csv = grid.metric_robustness_csv();
+        assert_eq!(csv.len(), 2);
         assert!(
-            result.all_indices_agree(),
+            grid.all_indices_agree(),
             "indices disagree: {:?}",
-            result.rows
+            grid.cells
         );
-        assert!(!result.to_csv().is_empty());
     }
 }

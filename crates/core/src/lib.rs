@@ -4,9 +4,9 @@
 //! ([`fairswap_kademlia`]), accounting ([`fairswap_swap`]), storage model
 //! ([`fairswap_storage`]), workload ([`fairswap_workload`]), incentive
 //! mechanisms ([`fairswap_incentives`]) and fairness metrics
-//! ([`fairswap_fairness`]) — into the paper's simulator, and ships one
-//! preset per table and figure of the evaluation section (see
-//! [`experiments`]).
+//! ([`fairswap_fairness`]) — into the paper's simulator, and ships the
+//! experiment presets: one run of the paper's evaluation grid for all of
+//! its tables and figures, plus the §V extensions (see [`experiments`]).
 //!
 //! Every run starts from a [`SimSpec`]. Beyond the paper's static
 //! overlay, a spec can add background churn ([`DynamicsSpec::churn`]) and
@@ -44,7 +44,6 @@ pub mod exec;
 pub mod experiments;
 pub mod obs;
 pub mod policy;
-pub mod presets;
 
 pub use config::{MechanismKind, SimConfig};
 pub use csv::CsvTable;

@@ -2,8 +2,8 @@
 //!
 //! The paper measures F1/F2 with the Gini coefficient only. These indices
 //! are the standard robustness companions from the inequality literature;
-//! the `metric_robustness` experiment in `fairswap-core` re-evaluates the
-//! paper's k = 4 vs k = 20 comparison under each of them to show the
+//! the Gini ablation of the `paper` preset in `fairswap-core` re-evaluates
+//! the paper's k = 4 vs k = 20 comparison under each of them to show the
 //! finding does not hinge on the choice of metric.
 
 use crate::error::FairnessError;

@@ -215,18 +215,24 @@ fn upload_then_download_uses_symmetric_routes() {
 fn metric_robustness_of_the_headline_finding() {
     // The k = 4 vs k = 20 fairness ordering survives swapping Gini for
     // Theil, Atkinson and Hoover indices.
-    use fairswap::core::experiments::{extensions, ExperimentScale};
-    let result = extensions::metric_robustness(
+    use fairswap::core::experiments::{paper, ExperimentScale};
+    let grid = paper::run(
         ExperimentScale {
             nodes: 250,
             files: 120,
             seed: 0xFA12,
         },
-        &[4, 20],
-        0.2,
         &Executor::serial(),
         &mut GridObservation::disabled(),
     )
     .expect("experiment runs");
-    assert!(result.all_indices_agree(), "{:?}", result.rows);
+    assert!(grid.all_indices_agree(), "{:?}", grid.cells);
+    // The ablation table holds the 20% column: k = 4, then k = 20.
+    let csv = grid.metric_robustness_csv().to_csv_string();
+    let ks: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .map(|row| row.split(',').next().unwrap())
+        .collect();
+    assert_eq!(ks, ["4", "20"]);
 }

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use fairswap::core::experiments::{churn, fig4, ExperimentScale};
+use fairswap::core::experiments::{churn, paper, ExperimentScale};
 use fairswap::core::{
     run_jobs_observed, validate_jsonl, Executor, GridObservation, ObsOptions, SimReport, SimSpec,
 };
@@ -81,21 +81,17 @@ fn tracing_does_not_perturb_preset_csvs() {
     assert_eq!(plain, traced, "observation must be read-only");
     assert!(!obs.trace_jsonl().is_empty());
 
-    let plain = fig4::run(
+    let plain = paper::run(
         scale(),
-        25.0,
         &Executor::serial(),
         &mut GridObservation::disabled(),
     )
-    .unwrap()
-    .to_csv()
-    .to_csv_string();
+    .unwrap();
     let mut obs = GridObservation::new(everything());
-    let traced = fig4::run(scale(), 25.0, &Executor::serial(), &mut obs)
-        .unwrap()
-        .to_csv()
-        .to_csv_string();
-    assert_eq!(plain, traced);
+    let traced = paper::run(scale(), &Executor::serial(), &mut obs).unwrap();
+    for ((name, a), (_, b)) in plain.csvs().iter().zip(traced.csvs()) {
+        assert_eq!(a.to_csv_string(), b.to_csv_string(), "{name}");
+    }
 }
 
 #[test]

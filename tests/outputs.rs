@@ -1,6 +1,6 @@
 //! Golden-shape checks on experiment CSV artifacts.
 
-use fairswap::core::experiments::{extensions, fig5, sweeps, table1, ExperimentScale};
+use fairswap::core::experiments::{extensions, paper, sweeps, ExperimentScale};
 use fairswap::core::{Executor, GridObservation};
 
 fn scale() -> ExperimentScale {
@@ -11,16 +11,34 @@ fn scale() -> ExperimentScale {
     }
 }
 
+fn paper_grid(scale: ExperimentScale) -> paper::PaperGrid {
+    paper::run(scale, &Executor::serial(), &mut GridObservation::disabled()).unwrap()
+}
+
+/// `paper` at `--nodes 60 --files 10` renders every file byte for byte as
+/// committed under `tests/fixtures/paper/`. The fixtures were written by
+/// the five single-figure commands that `paper` replaced.
+#[test]
+fn paper_csvs_match_the_golden_fixtures() {
+    let grid = paper_grid(ExperimentScale {
+        nodes: 60,
+        files: 10,
+        ..ExperimentScale::paper()
+    });
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/paper");
+    for (name, csv) in grid.csvs() {
+        let golden = std::fs::read_to_string(dir.join(name)).unwrap();
+        assert_eq!(
+            csv.to_csv_string(),
+            golden,
+            "{name} drifted from its fixture"
+        );
+    }
+}
+
 #[test]
 fn table1_csv_shape() {
-    let csv = table1::run(
-        scale(),
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .unwrap()
-    .to_csv();
-    let text = csv.to_csv_string();
+    let text = paper_grid(scale()).table1_csv().to_csv_string();
     let mut lines = text.lines();
     assert_eq!(
         lines.next().unwrap(),
@@ -35,13 +53,7 @@ fn table1_csv_shape() {
 
 #[test]
 fn fig5_csv_is_long_format_lorenz() {
-    let fig = fig5::run(
-        scale(),
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .unwrap();
-    let csv = fig.to_csv();
+    let csv = paper_grid(scale()).fig5_csv();
     // 4 series, each with nodes+1 Lorenz points.
     assert_eq!(csv.len(), 4 * (150 + 1));
     let text = csv.to_csv_string();
@@ -101,22 +113,23 @@ fn mechanisms_csv_lists_all_five() {
 
 #[test]
 fn reports_serialize_to_json() {
-    let table = table1::run(
-        scale(),
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .unwrap();
-    let json = serde_json::to_string(&table).expect("serializable");
-    let back: fairswap::core::experiments::table1::Table1 =
-        serde_json::from_str(&json).expect("deserializable");
+    let grid = paper_grid(scale());
+    let json = serde_json::to_string(&grid).expect("serializable");
+    let back: paper::PaperGrid = serde_json::from_str(&json).expect("deserializable");
     // Floats round-trip through decimal JSON with sub-ulp drift; compare
     // field-wise with a tolerance instead of exact equality.
-    assert_eq!(back.rows.len(), table.rows.len());
-    for (a, b) in back.rows.iter().zip(&table.rows) {
+    assert_eq!(back.cells.len(), grid.cells.len());
+    for (a, b) in back.cells.iter().zip(&grid.cells) {
         assert_eq!(a.k, b.k);
         assert_eq!(a.total_forwarded, b.total_forwarded);
+        assert_eq!(a.paid_nodes, b.paid_nodes);
+        assert_eq!(a.forwarded_bins, b.forwarded_bins);
+        assert_eq!(a.f2_lorenz.len(), b.f2_lorenz.len());
+        assert_eq!(a.f1_lorenz.len(), b.f1_lorenz.len());
         assert!((a.mean_forwarded - b.mean_forwarded).abs() < 1e-9);
         assert!((a.mean_hops - b.mean_hops).abs() < 1e-9);
+        assert!((a.f2_gini - b.f2_gini).abs() < 1e-9);
+        assert!((a.f1_gini - b.f1_gini).abs() < 1e-9);
+        assert!((a.hoover - b.hoover).abs() < 1e-9);
     }
 }

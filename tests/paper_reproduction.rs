@@ -1,10 +1,13 @@
 //! Full-stack reproduction smoke tests: the paper's qualitative findings
 //! must hold at reduced scale (300 nodes, a few hundred files).
 //!
-//! These are the repository's headline assertions; the `exp_*` binaries in
-//! `fairswap-bench` regenerate the same artifacts at full paper scale.
+//! These are the repository's headline assertions; `fairswap paper`
+//! regenerates the same artifacts at full paper scale. Table I and
+//! Figs. 4-6 are views of one grid, so the tests below share one run of it.
 
-use fairswap::core::experiments::{extensions, fig4, fig5, fig6, sweeps, table1, ExperimentScale};
+use std::sync::OnceLock;
+
+use fairswap::core::experiments::{extensions, paper, sweeps, ExperimentScale};
 use fairswap::core::{Executor, GridObservation};
 
 fn scale() -> ExperimentScale {
@@ -15,18 +18,27 @@ fn scale() -> ExperimentScale {
     }
 }
 
+/// The paper grid at [`scale`], run once for every test in this file.
+fn grid() -> &'static paper::PaperGrid {
+    static GRID: OnceLock<paper::PaperGrid> = OnceLock::new();
+    GRID.get_or_init(|| {
+        paper::run(
+            scale(),
+            &Executor::serial(),
+            &mut GridObservation::disabled(),
+        )
+        .expect("experiment runs")
+    })
+}
+
 #[test]
 fn table1_k20_uses_less_bandwidth() {
-    let table = table1::run(
-        scale(),
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .expect("experiment runs");
-    let k4_skew = table.row(4, 0.2).unwrap().mean_forwarded;
-    let k4_all = table.row(4, 1.0).unwrap().mean_forwarded;
-    let k20_skew = table.row(20, 0.2).unwrap().mean_forwarded;
-    let k20_all = table.row(20, 1.0).unwrap().mean_forwarded;
+    let grid = grid();
+    assert_eq!(grid.cells.len(), 4);
+    let k4_skew = grid.cell(4, 0.2).unwrap().mean_forwarded;
+    let k4_all = grid.cell(4, 1.0).unwrap().mean_forwarded;
+    let k20_skew = grid.cell(20, 0.2).unwrap().mean_forwarded;
+    let k20_all = grid.cell(20, 1.0).unwrap().mean_forwarded;
 
     // Paper Table I shape: k = 20 moves fewer chunks in both columns.
     assert!(k20_skew < k4_skew);
@@ -37,57 +49,60 @@ fn table1_k20_uses_less_bandwidth() {
         "k4/k20 ratio too small: {}",
         k4_skew / k20_skew
     );
+
+    let csv = grid.table1_csv().to_csv_string();
+    assert!(csv.starts_with("k,originator_fraction"));
+    assert_eq!(csv.lines().count(), 5);
 }
 
 #[test]
 fn fig4_area_ratios_favor_k20() {
-    let fig = fig4::run(
-        scale(),
-        100.0,
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .expect("experiment runs");
+    let grid = grid();
     // "the area under k = 4 is 1.6x bigger than the area for k = 20, and
     // 1.25x on the right hand side" — we assert > 1 with a margin.
-    let skew = fig.area_ratio(0.2).unwrap();
-    let all = fig.area_ratio(1.0).unwrap();
+    let skew = grid.area_ratio(0.2).unwrap();
+    let all = grid.area_ratio(1.0).unwrap();
     assert!(skew > 1.15, "20% originators area ratio {skew}");
     assert!(all > 1.15, "100% originators area ratio {all}");
+
+    // Skewed workload distributes bandwidth consumption more unevenly.
+    let skew_gini = grid.cell(4, 0.2).unwrap().forwarded_gini;
+    let all_gini = grid.cell(4, 1.0).unwrap().forwarded_gini;
+    assert!(
+        skew_gini > all_gini,
+        "forwarded gini skew {skew_gini} !> all {all_gini}"
+    );
+    assert!(grid.fig4_csv().len() > 8);
 }
 
 #[test]
 fn fig5_f2_gini_shape() {
-    let fig = fig5::run(
-        scale(),
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .expect("experiment runs");
+    let grid = grid();
     // k = 20 strictly fairer in both workloads.
     for fraction in [0.2, 1.0] {
-        let k4 = fig.series_for(4, fraction).unwrap().gini;
-        let k20 = fig.series_for(20, fraction).unwrap().gini;
+        let k4 = grid.cell(4, fraction).unwrap().f2_gini;
+        let k20 = grid.cell(20, fraction).unwrap().f2_gini;
         assert!(k20 < k4, "F2 k20 {k20} !< k4 {k4} @ {fraction}");
+        assert!(grid.f2_gini_reduction(fraction).unwrap() > 0.0);
     }
     // Skewed workload is less fair than uniform at k = 4 ("rewards are
     // also distributed even more unevenly for 20% request originators").
-    let skew = fig.series_for(4, 0.2).unwrap().gini;
-    let all = fig.series_for(4, 1.0).unwrap().gini;
+    let skew = grid.cell(4, 0.2).unwrap().f2_gini;
+    let all = grid.cell(4, 1.0).unwrap().f2_gini;
     assert!(skew > all, "skew {skew} !> uniform {all}");
+
+    // Lorenz curves end at (1, 1).
+    let last = grid.cell(4, 0.2).unwrap().f2_lorenz.last().unwrap();
+    assert!((last.0 - 1.0).abs() < 1e-9 && (last.1 - 1.0).abs() < 1e-9);
+    assert!(!grid.fig5_csv().is_empty());
 }
 
 #[test]
 fn fig6_f1_gini_shape() {
-    let fig = fig6::run(
-        scale(),
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .expect("experiment runs");
+    let grid = grid();
     // Best and worst cells as in the paper.
-    let best = fig.series_for(20, 1.0).unwrap().gini;
-    let worst = fig.series_for(4, 0.2).unwrap().gini;
+    let best = grid.cell(20, 1.0).unwrap().f1_gini;
+    let worst = grid.cell(4, 0.2).unwrap().f1_gini;
     assert!(best < worst);
     // k = 20 @ 100% is markedly closer to equity than k = 4 @ 20% (the
     // paper's qualitative contrast; see EXPERIMENTS.md for the absolute
@@ -97,8 +112,14 @@ fn fig6_f1_gini_shape() {
         "k20/100% F1 gini {best} not clearly fairer than k4/20% {worst}"
     );
     for fraction in [0.2, 1.0] {
-        assert!(fig.gini_reduction(fraction).unwrap() > 0.0);
+        assert!(grid.f1_gini_reduction(fraction).unwrap() > 0.0);
     }
+
+    // Paid population is a subset of all nodes.
+    for c in &grid.cells {
+        assert!(c.paid_nodes > 0 && c.paid_nodes <= scale().nodes);
+    }
+    assert!(!grid.fig6_csv().is_empty());
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! stable cell order.
 
 use fairswap::core::experiments::{
-    cache_churn, churn, fig4, large_scale, routing, ExperimentScale,
+    cache_churn, churn, large_scale, paper, routing, ExperimentScale,
 };
 use fairswap::core::{run_jobs, Executor, GridObservation, SimSpec};
 use fairswap::simcore::rng::{domain, sub_seed};
@@ -23,26 +23,23 @@ fn scale() -> ExperimentScale {
 
 #[test]
 fn fig4_grid_is_byte_identical_across_thread_counts() {
-    let serial = fig4::run(
+    // The paper grid behind Table I, Figs. 4-6 and the Gini ablation:
+    // every one of its five CSVs must match.
+    let serial = paper::run(
         scale(),
-        25.0,
         &Executor::serial(),
         &mut GridObservation::disabled(),
     )
-    .unwrap()
-    .to_csv()
-    .to_csv_string();
-    let threaded = fig4::run(
-        scale(),
-        25.0,
-        &Executor::new(8),
-        &mut GridObservation::disabled(),
-    )
-    .unwrap()
-    .to_csv()
-    .to_csv_string();
-    assert_eq!(serial, threaded);
-    assert!(serial.starts_with("k,originator_fraction,bin_lower,node_count"));
+    .unwrap();
+    let threaded =
+        paper::run(scale(), &Executor::new(8), &mut GridObservation::disabled()).unwrap();
+    for ((name, a), (_, b)) in serial.csvs().iter().zip(threaded.csvs()) {
+        assert_eq!(a.to_csv_string(), b.to_csv_string(), "{name}");
+    }
+    assert!(serial
+        .fig4_csv()
+        .to_csv_string()
+        .starts_with("k,originator_fraction,bin_lower,node_count"));
 }
 
 #[test]

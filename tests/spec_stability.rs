@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use fairswap::core::experiments::{
-    cache_churn, churn, fig4, large_scale, routing, scenarios, ExperimentScale,
+    cache_churn, churn, large_scale, paper, routing, scenarios, ExperimentScale,
 };
 use fairswap::core::{
     CachePolicy, MechanismKind, RepairPolicy, RoutePolicy, ScenarioKind, SimSpec,
@@ -36,7 +36,7 @@ fn assert_stable(spec: &SimSpec) {
 #[test]
 fn every_preset_grid_cell_round_trips_byte_identically() {
     let s = scale();
-    let mut cells: Vec<SimSpec> = fig4::jobs(s);
+    let mut cells: Vec<SimSpec> = paper::jobs(s);
     cells.extend(churn::jobs(s, &churn::DEFAULT_RATES).unwrap());
     cells.extend(scenarios::jobs(s, &scenarios::SCENARIO_NAMES).unwrap());
     cells.extend(routing::jobs(s));
