@@ -553,7 +553,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         r.k, r.mean_connections, r.settlements, r.mean_payment
                     );
                 }
-                write_csv(&mut obs, out, "overhead.csv", &sweep.to_csv())?;
+                let csv = CsvTable::from_rows(&sweep.rows);
+                write_csv(&mut obs, out, "overhead.csv", &csv)?;
             }
             "bucket0" => {
                 let result =
@@ -561,10 +562,11 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 for r in &result.rows {
                     println!(
                         "  {:<16} connections/node={:>6.1} F2={:.4} F1={:.4}",
-                        r.label, r.mean_connections, r.f2_gini, r.f1_gini
+                        r.sizing, r.mean_connections, r.f2_gini, r.f1_gini
                     );
                 }
-                write_csv(&mut obs, out, "bucket0.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "bucket0.csv", &csv)?;
             }
             "freeride" => {
                 let result = extensions::free_riding(
@@ -578,13 +580,14 @@ fn run_command(opts: &Options) -> Result<(), String> {
                 for r in &result.rows {
                     println!(
                         "  free-riders={:>4}%  F2={:.4} F1={:.4} income={:.0}",
-                        r.fraction * 100.0,
+                        r.free_rider_fraction * 100.0,
                         r.f2_gini,
                         r.f1_gini,
                         r.total_income
                     );
                 }
-                write_csv(&mut obs, out, "freeride.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "freeride.csv", &csv)?;
             }
             "caching" => {
                 let result =
@@ -595,7 +598,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         r.workload, r.cache, r.mean_forwarded, r.cache_hits
                     );
                 }
-                write_csv(&mut obs, out, "caching.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "caching.csv", &csv)?;
             }
             "mechanisms" => {
                 let result =
@@ -609,7 +613,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         r.earning_fraction * 100.0
                     );
                 }
-                write_csv(&mut obs, out, "mechanisms.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "mechanisms.csv", &csv)?;
             }
             "scenarios" => {
                 let names: Vec<&str> = match &opts.scenario {
@@ -643,7 +648,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         }
                     }
                 }
-                write_csv(&mut obs, out, "scenarios.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "scenarios.csv", &csv)?;
                 write_csv(
                     &mut obs,
                     out,
@@ -658,7 +664,7 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         "  {:<16} k={:<2} delivered={:>5.1}% blocked={:>6} detoured={:>6} hops={:.2} F2={:.4}",
                         r.route,
                         r.k,
-                        r.delivery_rate() * 100.0,
+                        r.delivery_rate * 100.0,
                         r.capacity_blocked,
                         r.detoured,
                         r.mean_hops,
@@ -673,7 +679,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         );
                     }
                 }
-                write_csv(&mut obs, out, "routing.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "routing.csv", &csv)?;
             }
             "cache-churn" => {
                 let result =
@@ -690,7 +697,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         r.f2_gini
                     );
                 }
-                write_csv(&mut obs, out, "cache_churn.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "cache_churn.csv", &csv)?;
             }
             "run" => {
                 let path = opts.config.as_ref().ok_or_else(|| {
@@ -867,12 +875,13 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         r.mechanism,
                         r.gini_k4,
                         r.gini_k20,
-                        r.inversion(),
+                        r.inversion,
                         r.drop_rate,
                         r.mean_hops
                     );
                 }
-                write_csv(&mut obs, out, "fuzzed.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "fuzzed.csv", &csv)?;
             }
             "churn" => {
                 let result =
@@ -889,7 +898,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         r.stuck_requests
                     );
                 }
-                write_csv(&mut obs, out, "churn.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "churn.csv", &csv)?;
                 write_csv(&mut obs, out, "churn_timeline.csv", &result.timeline_csv())?;
             }
             "durability" => {
@@ -909,7 +919,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         r.f2_gini
                     );
                 }
-                write_csv(&mut obs, out, "durability.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "durability.csv", &csv)?;
                 write_csv(
                     &mut obs,
                     out,
@@ -952,7 +963,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
                         reduction * 100.0
                     );
                 }
-                write_csv(&mut obs, out, "large_scale.csv", &result.to_csv())?;
+                let csv = CsvTable::from_rows(&result.rows);
+                write_csv(&mut obs, out, "large_scale.csv", &csv)?;
             }
             "trace-check" => {
                 let path = opts.trace.as_ref().ok_or_else(|| {

@@ -4,10 +4,14 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use serde::{Serialize, Value};
+
 /// A simple in-memory CSV table with a fixed header.
 ///
-/// Values are rendered with `Display`; fields containing commas, quotes or
-/// newlines are quoted per RFC 4180.
+/// A table of one flat row struct per line comes from
+/// [`CsvTable::from_rows`]; tables that project nested data are assembled
+/// by hand with [`CsvTable::new`] and [`CsvTable::push_row`]. Fields
+/// containing commas, quotes or newlines are quoted per RFC 4180.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsvTable {
     columns: Vec<String>,
@@ -36,6 +40,41 @@ impl CsvTable {
             columns: columns.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// Renders one row per element of `rows`, with the row struct's
+    /// derived [`Serialize`] as the schema.
+    ///
+    /// The header is the struct's field names in declaration order, and
+    /// is written even when `rows` is empty. Each cell renders by the kind
+    /// of its value: integers in decimal, floats through
+    /// [`CsvTable::fmt_float`], strings as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `T` is not a struct with named fields, or if a field is
+    /// not one of those scalar kinds (the message names the column).
+    pub fn from_rows<T: Serialize>(rows: &[T]) -> Self {
+        let columns = T::field_names();
+        assert!(
+            !columns.is_empty(),
+            "CsvTable::from_rows needs a struct with named fields"
+        );
+        let mut table = Self::new(columns.iter().copied());
+        for row in rows {
+            let value = row.to_value();
+            let fields = value
+                .as_object()
+                .expect("a struct with named fields serializes to an object");
+            table.push_row(fields.iter().map(|(column, value)| match value {
+                Value::Int(v) => v.to_string(),
+                Value::UInt(v) => v.to_string(),
+                Value::Float(v) => Self::fmt_float(*v),
+                Value::Str(s) => s.clone(),
+                other => panic!("column `{column}` is not a CSV scalar: {}", other.kind()),
+            }));
+        }
+        table
     }
 
     /// Appends a row.
@@ -145,6 +184,69 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = CsvTable::new(["a", "b"]);
         t.push_row(["only-one"]);
+    }
+
+    #[derive(Serialize)]
+    struct Row {
+        name: String,
+        count: u64,
+        share: f64,
+        delta: i64,
+    }
+
+    #[test]
+    fn from_rows_takes_the_header_from_the_type() {
+        let empty: &[Row] = &[];
+        assert_eq!(
+            CsvTable::from_rows(empty).to_csv_string(),
+            "name,count,share,delta\n"
+        );
+        let rows = [
+            Row {
+                name: "a".into(),
+                count: 3,
+                share: 0.5,
+                delta: -2,
+            },
+            Row {
+                name: "b".into(),
+                count: 0,
+                share: 1.0,
+                delta: 7,
+            },
+        ];
+        assert_eq!(
+            CsvTable::from_rows(&rows).to_csv_string(),
+            "name,count,share,delta\na,3,0.500000,-2\nb,0,1.000000,7\n"
+        );
+    }
+
+    #[test]
+    fn from_rows_renders_each_value_kind() {
+        let row = Row {
+            name: "has,comma".into(),
+            count: u64::MAX,
+            share: 0.123456789,
+            delta: i64::MIN,
+        };
+        assert_eq!(
+            CsvTable::from_rows(&[row]).to_csv_string(),
+            "name,count,share,delta\n\"has,comma\",18446744073709551615,0.123457,-9223372036854775808\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "column `samples` is not a CSV scalar: array")]
+    fn from_rows_rejects_a_nested_field() {
+        #[derive(Serialize)]
+        struct Nested {
+            k: usize,
+            samples: Vec<f64>,
+        }
+        CsvTable::from_rows(&[Nested {
+            k: 4,
+            samples: vec![0.1],
+        }]);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! refill and membership turnover. The sweep crosses every cache policy —
 //! including the churn-aware TTL variant — with a churn-rate axis on a
 //! Zipf (popularity-skewed) workload, where caching actually matters.
+//!
+//! `cache_churn.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows)
+//! of [`CacheChurnRow`]s: the row's field order is the file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
@@ -15,7 +18,6 @@ use fairswap_churn::ChurnConfig;
 use fairswap_storage::CachePolicy;
 use fairswap_workload::ChunkDist;
 
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
@@ -93,35 +95,6 @@ impl CacheChurnExperiment {
                 / baseline.cache_served as f64
         })
     }
-
-    /// One row per cell — the artifact `fairswap cache-churn` writes.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "cache",
-            "churn_rate",
-            "cache_hits",
-            "cache_served",
-            "mean_forwarded",
-            "f2_gini",
-            "stuck_requests",
-            "leaves",
-            "final_live",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.cache.clone(),
-                CsvTable::fmt_float(r.churn_rate),
-                r.cache_hits.to_string(),
-                r.cache_served.to_string(),
-                CsvTable::fmt_float(r.mean_forwarded),
-                CsvTable::fmt_float(r.f2_gini),
-                r.stuck_requests.to_string(),
-                r.leaves.to_string(),
-                r.final_live.to_string(),
-            ]);
-        }
-        csv
-    }
 }
 
 /// Runs the caching × churn sweep.
@@ -198,6 +171,7 @@ pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimSpec>, CoreE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::CsvTable;
 
     fn scale() -> ExperimentScale {
         ExperimentScale {
@@ -229,7 +203,7 @@ mod tests {
         }
         // Churned cells actually churned.
         assert!(result.row("lru", 0.1).unwrap().leaves > 0);
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
     }
 
     #[test]

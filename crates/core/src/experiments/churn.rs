@@ -6,6 +6,9 @@
 //! plus membership statistics, answering the headline open question: does
 //! the `k = 20` fairness advantage survive when the overlay is no longer
 //! static?
+//!
+//! `churn.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows) of
+//! [`ChurnRow`]s: the row's field order is the file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
@@ -67,38 +70,6 @@ impl ChurnExperiment {
         self.rows
             .iter()
             .find(|r| r.k == k && (r.churn_rate - rate).abs() < 1e-12)
-    }
-
-    /// F1/F2 Gini vs churn rate, one row per cell — the artifact the
-    /// `fairswap churn` CLI command writes.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "k",
-            "churn_rate",
-            "f1_gini",
-            "f2_gini",
-            "joins",
-            "leaves",
-            "departure_settlements",
-            "final_live",
-            "mean_live",
-            "stuck_requests",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.k.to_string(),
-                CsvTable::fmt_float(r.churn_rate),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.f2_gini),
-                r.joins.to_string(),
-                r.leaves.to_string(),
-                r.departure_settlements.to_string(),
-                r.final_live.to_string(),
-                CsvTable::fmt_float(r.mean_live),
-                r.stuck_requests.to_string(),
-            ]);
-        }
-        csv
     }
 
     /// Long-format fairness-over-time CSV: one row per timeline sample.
@@ -234,7 +205,7 @@ mod tests {
         assert!(result.row(4, 0.1).unwrap().leaves > 0);
         // One timeline per churned cell.
         assert_eq!(result.timelines.len(), 2);
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
         assert!(!result.timeline_csv().is_empty());
     }
 

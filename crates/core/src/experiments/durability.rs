@@ -24,6 +24,9 @@
 //! bits puts expected region occupancy near one node, so single departures
 //! can strand data; "lazy" regions are four times larger and only empty
 //! under concentrated loss.
+//!
+//! `durability.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows)
+//! of [`DurabilityRow`]s: the row's field order is the file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
@@ -111,47 +114,6 @@ impl DurabilityExperiment {
         self.rows
             .iter()
             .find(|r| r.mode == mode && r.k == k && (r.churn_rate - rate).abs() < 1e-12)
-    }
-
-    /// One row per cell — the artifact `fairswap durability` writes.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "mode",
-            "k",
-            "churn_rate",
-            "f1_gini",
-            "f2_gini",
-            "repair_events",
-            "repair_transfers",
-            "repair_delivered",
-            "mean_time_to_repair",
-            "unreachable_requests",
-            "retried",
-            "recovered",
-            "abandoned",
-            "final_unreachable",
-            "stuck_requests",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.mode.clone(),
-                r.k.to_string(),
-                CsvTable::fmt_float(r.churn_rate),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.f2_gini),
-                r.repair_events.to_string(),
-                r.repair_transfers.to_string(),
-                r.repair_delivered.to_string(),
-                CsvTable::fmt_float(r.mean_time_to_repair),
-                r.unreachable_requests.to_string(),
-                r.retried.to_string(),
-                r.recovered.to_string(),
-                r.abandoned.to_string(),
-                r.final_unreachable.to_string(),
-                r.stuck_requests.to_string(),
-            ]);
-        }
-        csv
     }
 
     /// Long-format unreachable-over-time CSV: one row per timeline sample.
@@ -382,7 +344,7 @@ mod tests {
 
         // Capacity pressure makes the retry path observable.
         assert!(eager.retried > 0);
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
         assert!(!result.timeline_csv().is_empty());
     }
 

@@ -1,5 +1,9 @@
 //! §V extension experiments: bucket-zero-only `k`, free riding, caching +
 //! popularity, and the mechanism comparison.
+//!
+//! Each table is [`CsvTable::from_rows`](crate::CsvTable::from_rows) of its
+//! row struct ([`BucketZeroRow`], [`FreeRidingRow`], [`CachingRow`],
+//! [`MechanismRow`]): a row's field order is its file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
@@ -9,7 +13,6 @@ use fairswap_storage::CachePolicy;
 use fairswap_workload::ChunkDist;
 
 use crate::config::MechanismKind;
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
@@ -20,7 +23,7 @@ use crate::spec::SimSpec;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BucketZeroRow {
     /// Label of the sizing variant.
-    pub label: String,
+    pub sizing: String,
     /// Mean connections per node (cost proxy).
     pub mean_connections: f64,
     /// F2 income Gini.
@@ -36,29 +39,6 @@ pub struct BucketZeroRow {
 pub struct BucketZero {
     /// Uniform k = 4, uniform k = 20 and the hybrid, in that order.
     pub rows: Vec<BucketZeroRow>,
-}
-
-impl BucketZero {
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "sizing",
-            "mean_connections",
-            "f2_gini",
-            "f1_gini",
-            "mean_forwarded",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.label.clone(),
-                CsvTable::fmt_float(r.mean_connections),
-                CsvTable::fmt_float(r.f2_gini),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.mean_forwarded),
-            ]);
-        }
-        csv
-    }
 }
 
 /// §V: "it is interesting to see what happens in payment distribution if we
@@ -99,7 +79,7 @@ pub fn bucket_zero(
         .iter()
         .zip(reports)
         .map(|((label, _), report)| BucketZeroRow {
-            label: (*label).to_string(),
+            sizing: (*label).to_string(),
             mean_connections: report.mean_connections(),
             f2_gini: report.f2_income_gini(),
             f1_gini: report.f1_contribution_gini(),
@@ -113,7 +93,7 @@ pub fn bucket_zero(
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FreeRidingRow {
     /// Fraction of free-riding nodes.
-    pub fraction: f64,
+    pub free_rider_fraction: f64,
     /// F2 income Gini.
     pub f2_gini: f64,
     /// F1 contribution Gini (paid chunks basis).
@@ -130,29 +110,6 @@ pub struct FreeRidingRow {
 pub struct FreeRiding {
     /// One row per swept fraction.
     pub rows: Vec<FreeRidingRow>,
-}
-
-impl FreeRiding {
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "free_rider_fraction",
-            "f2_gini",
-            "f1_gini",
-            "total_income",
-            "amortized_total",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                CsvTable::fmt_float(r.fraction),
-                CsvTable::fmt_float(r.f2_gini),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.total_income),
-                r.amortized_total.to_string(),
-            ]);
-        }
-        csv
-    }
 }
 
 /// §V: "What happens to F1 and F2 properties?" when a growing fraction of
@@ -181,8 +138,8 @@ pub fn free_riding(
     let rows = fractions
         .iter()
         .zip(reports)
-        .map(|(&fraction, report)| FreeRidingRow {
-            fraction,
+        .map(|(&free_rider_fraction, report)| FreeRidingRow {
+            free_rider_fraction,
             f2_gini: report.f2_income_gini(),
             f1_gini: report.f1_income_gini(),
             total_income: report.incomes().iter().sum(),
@@ -217,29 +174,6 @@ pub struct Caching {
 }
 
 impl Caching {
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "workload",
-            "cache",
-            "mean_forwarded",
-            "cache_hits",
-            "amortized_total",
-            "total_income",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.workload.clone(),
-                r.cache.clone(),
-                CsvTable::fmt_float(r.mean_forwarded),
-                r.cache_hits.to_string(),
-                r.amortized_total.to_string(),
-                CsvTable::fmt_float(r.total_income),
-            ]);
-        }
-        csv
-    }
-
     /// The row for a (workload, cache) pair.
     pub fn row(&self, workload: &str, cache: &str) -> Option<&CachingRow> {
         self.rows
@@ -332,27 +266,6 @@ pub struct Mechanisms {
 }
 
 impl Mechanisms {
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "mechanism",
-            "f2_gini",
-            "f1_income_gini",
-            "earning_fraction",
-            "total_income",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.mechanism.clone(),
-                CsvTable::fmt_float(r.f2_gini),
-                CsvTable::fmt_float(r.f1_income_gini),
-                CsvTable::fmt_float(r.earning_fraction),
-                CsvTable::fmt_float(r.total_income),
-            ]);
-        }
-        csv
-    }
-
     /// The row for one mechanism id.
     pub fn row(&self, mechanism: &str) -> Option<&MechanismRow> {
         self.rows.iter().find(|r| r.mechanism == mechanism)
@@ -412,6 +325,7 @@ pub fn mechanisms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::CsvTable;
 
     fn scale() -> ExperimentScale {
         ExperimentScale {
@@ -439,7 +353,7 @@ mod tests {
         assert!(hybrid.mean_connections < k20.mean_connections);
         // Fairness: the hybrid improves on uniform k4.
         assert!(hybrid.f2_gini < k4.f2_gini);
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
     }
 
     #[test]
@@ -458,7 +372,7 @@ mod tests {
         assert!(half.total_income < honest.total_income);
         // Their unpaid consumption shows up as amortized debt.
         assert!(half.amortized_total > honest.amortized_total);
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
     }
 
     #[test]
@@ -507,7 +421,7 @@ mod tests {
         // Tit-for-tat rewards fewer nodes than Swarm pays.
         let tft = result.row("tit-for-tat").unwrap();
         assert!(tft.earning_fraction <= swarm.earning_fraction + 1e-9);
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
     }
 }
 

@@ -25,13 +25,15 @@
 //! and workload, this preset takes no [`ExperimentScale`]: scaling a
 //! found scenario would change the behavior that made it a finding.
 //!
+//! `fuzzed.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows) of
+//! [`FuzzedRow`]s: the row's field order is the file's column order.
+//!
 //! [`ExperimentScale`]: crate::experiments::ExperimentScale
 
 use fairswap_kademlia::BucketSizing;
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
 
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::obs::GridObservation;
@@ -83,19 +85,15 @@ pub struct FuzzedRow {
     pub gini_k4: f64,
     /// F2 income Gini of the `k = 20` twin.
     pub gini_k20: f64,
+    /// How far the `k = 20` Gini exceeds the `k = 4` Gini
+    /// (`gini_k20 - gini_k4`) — positive is the inversion the fuzzer
+    /// flagged.
+    pub inversion: f64,
     /// Fraction of issued requests never delivered (at the spec's own
     /// bucket size).
     pub drop_rate: f64,
     /// Mean hops per delivered chunk (at the spec's own bucket size).
     pub mean_hops: f64,
-}
-
-impl FuzzedRow {
-    /// How far the `k = 20` Gini exceeds the `k = 4` Gini — positive is
-    /// the inversion the fuzzer flagged.
-    pub fn inversion(&self) -> f64 {
-        self.gini_k20 - self.gini_k4
-    }
 }
 
 /// The replayed gallery.
@@ -109,31 +107,6 @@ impl FuzzedExperiment {
     /// The row of one gallery entry.
     pub fn row(&self, name: &str) -> Option<&FuzzedRow> {
         self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// One row per entry — the artifact `fairswap fuzzed` writes.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "name",
-            "mechanism",
-            "gini_k4",
-            "gini_k20",
-            "inversion",
-            "drop_rate",
-            "mean_hops",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.name.clone(),
-                r.mechanism.clone(),
-                CsvTable::fmt_float(r.gini_k4),
-                CsvTable::fmt_float(r.gini_k20),
-                CsvTable::fmt_float(r.inversion()),
-                CsvTable::fmt_float(r.drop_rate),
-                CsvTable::fmt_float(r.mean_hops),
-            ]);
-        }
-        csv
     }
 }
 
@@ -202,11 +175,14 @@ pub fn run(executor: &Executor, obs: &mut GridObservation) -> Result<FuzzedExper
             } else {
                 report.traffic().stuck_requests() as f64 / requests as f64
             };
+            let gini_k4 = reports[twin_slots[0]].f2_income_gini();
+            let gini_k20 = reports[twin_slots[1]].f2_income_gini();
             FuzzedRow {
                 name: (*name).to_string(),
                 mechanism: spec.to_config().mechanism.id().to_string(),
-                gini_k4: reports[twin_slots[0]].f2_income_gini(),
-                gini_k20: reports[twin_slots[1]].f2_income_gini(),
+                gini_k4,
+                gini_k20,
+                inversion: gini_k20 - gini_k4,
                 drop_rate,
                 mean_hops: report.hops().mean().unwrap_or(0.0),
             }
@@ -218,6 +194,7 @@ pub fn run(executor: &Executor, obs: &mut GridObservation) -> Result<FuzzedExper
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::CsvTable;
 
     #[test]
     fn gallery_parses_and_validates() {
@@ -247,7 +224,7 @@ mod tests {
             "fuzz-00295-economics",
         ] {
             let row = result.row(name).unwrap();
-            assert!(row.inversion() > 0.02, "{name} lost its inversion: {row:?}");
+            assert!(row.inversion > 0.02, "{name} lost its inversion: {row:?}");
         }
         // The two capacity-starved entries keep their majority drops.
         assert!(result.row("fuzz-00235-topology").unwrap().drop_rate > 0.5);
@@ -256,9 +233,9 @@ mod tests {
         // availability, not fairness ordering.
         for name in ["fuzz-01127-churn", "fuzz-02189-policies"] {
             let row = result.row(name).unwrap();
-            assert!(row.inversion() <= 0.02, "{name} grew an inversion: {row:?}");
+            assert!(row.inversion <= 0.02, "{name} grew an inversion: {row:?}");
         }
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
     }
 
     /// Replays one gallery spec at its own bucket size and returns the

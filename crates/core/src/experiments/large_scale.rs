@@ -8,11 +8,13 @@
 //! magnitude? Cells fan out over the experiment executor, and the
 //! sorted-index topology builder keeps construction sub-quadratic, which
 //! is what makes these dimensions tractable at all.
+//!
+//! `large_scale.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows)
+//! of [`LargeScaleRow`]s: the row's field order is the file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
 
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
@@ -77,37 +79,6 @@ impl LargeScale {
         let last = self.rows.last()?;
         (first.f2_gini > 0.0).then(|| (first.f2_gini - last.f2_gini) / first.f2_gini)
     }
-
-    /// Renders the comparison as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "nodes",
-            "bits",
-            "k",
-            "f2_gini",
-            "f1_gini",
-            "mean_forwarded",
-            "mean_hops",
-            "mean_connections",
-            "zero_bucket_share",
-            "stuck_requests",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.nodes.to_string(),
-                r.bits.to_string(),
-                r.k.to_string(),
-                CsvTable::fmt_float(r.f2_gini),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.mean_forwarded),
-                CsvTable::fmt_float(r.mean_hops),
-                CsvTable::fmt_float(r.mean_connections),
-                CsvTable::fmt_float(r.zero_bucket_share),
-                r.stuck_requests.to_string(),
-            ]);
-        }
-        csv
-    }
 }
 
 /// Runs the large-scale comparison.
@@ -164,6 +135,7 @@ pub fn jobs(scale: ExperimentScale, bits: u32, ks: &[usize]) -> Vec<SimSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::CsvTable;
 
     #[test]
     fn wide_space_preserves_the_paper_fairness_trend() {
@@ -192,7 +164,7 @@ mod tests {
         assert!(result.f2_reduction().unwrap() > 0.0);
         // Zero-proximity first hops dominate (§III-B) at scale too.
         assert!(k4.zero_bucket_share > 0.4);
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
     }
 
     #[test]

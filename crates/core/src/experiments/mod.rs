@@ -26,6 +26,12 @@
 //! its own config seed (see [`crate::exec`]) — under a
 //! [`crate::GridObservation`], which is [`crate::GridObservation::disabled`]
 //! for a plain run.
+//!
+//! A preset returns plain data. The twelve flat tables are a `rows`
+//! vector of one row struct each, written as
+//! [`crate::CsvTable::from_rows`]`(&result.rows)`; only the tables that
+//! project nested data (the paper's views, `sweep_files.csv` and the
+//! timelines) keep a hand-written renderer.
 
 pub mod cache_churn;
 pub mod churn;

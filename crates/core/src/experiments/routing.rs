@@ -8,13 +8,15 @@
 //! `k ∈ {4, 20}` and reports the trade-off the roadmap asks for: how many
 //! drops the detour recovers (availability), what it costs in extra hops
 //! (latency), and what it does to the paper's F1/F2 fairness metrics.
+//!
+//! `routing.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows) of
+//! [`RoutingRow`]s: the row's field order is the file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
 
 use fairswap_storage::RoutePolicy;
 
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::experiments::churn::PAPER_KS;
@@ -53,6 +55,9 @@ pub struct RoutingRow {
     pub capacity_blocked: u64,
     /// Hops that detoured around a saturated greedy choice.
     pub detoured: u64,
+    /// Fraction of issued requests that were delivered (0 when none
+    /// were issued).
+    pub delivery_rate: f64,
     /// Mean hops per delivered chunk (the latency cost of detouring).
     pub mean_hops: f64,
     /// Mean forwarded chunks per node.
@@ -61,16 +66,6 @@ pub struct RoutingRow {
     pub f1_gini: f64,
     /// F2 income Gini.
     pub f2_gini: f64,
-}
-
-impl RoutingRow {
-    /// Fraction of issued requests that were delivered.
-    pub fn delivery_rate(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        (self.requests - self.stuck_requests) as f64 / self.requests as f64
-    }
 }
 
 /// The full drop-vs-detour sweep.
@@ -97,39 +92,6 @@ impl RoutingExperiment {
                 / greedy.capacity_blocked as f64
         })
     }
-
-    /// One row per cell — the artifact `fairswap routing` writes.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "route",
-            "k",
-            "requests",
-            "stuck_requests",
-            "capacity_blocked",
-            "detoured",
-            "delivery_rate",
-            "mean_hops",
-            "mean_forwarded",
-            "f1_gini",
-            "f2_gini",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.route.clone(),
-                r.k.to_string(),
-                r.requests.to_string(),
-                r.stuck_requests.to_string(),
-                r.capacity_blocked.to_string(),
-                r.detoured.to_string(),
-                CsvTable::fmt_float(r.delivery_rate()),
-                CsvTable::fmt_float(r.mean_hops),
-                CsvTable::fmt_float(r.mean_forwarded),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.f2_gini),
-            ]);
-        }
-        csv
-    }
 }
 
 /// Runs the drop-vs-detour sweep.
@@ -151,17 +113,26 @@ pub fn run(
     let rows = cells
         .iter()
         .zip(&reports)
-        .map(|(&(route, k), report)| RoutingRow {
-            route: route.id().to_string(),
-            k,
-            requests: report.traffic().requests_issued().iter().sum(),
-            stuck_requests: report.traffic().stuck_requests(),
-            capacity_blocked: report.traffic().capacity_blocked(),
-            detoured: report.traffic().detoured(),
-            mean_hops: report.hops().mean().unwrap_or(0.0),
-            mean_forwarded: report.mean_forwarded(),
-            f1_gini: report.f1_contribution_gini(),
-            f2_gini: report.f2_income_gini(),
+        .map(|(&(route, k), report)| {
+            let requests: u64 = report.traffic().requests_issued().iter().sum();
+            let stuck_requests = report.traffic().stuck_requests();
+            RoutingRow {
+                route: route.id().to_string(),
+                k,
+                requests,
+                stuck_requests,
+                capacity_blocked: report.traffic().capacity_blocked(),
+                detoured: report.traffic().detoured(),
+                delivery_rate: if requests == 0 {
+                    0.0
+                } else {
+                    (requests - stuck_requests) as f64 / requests as f64
+                },
+                mean_hops: report.hops().mean().unwrap_or(0.0),
+                mean_forwarded: report.mean_forwarded(),
+                f1_gini: report.f1_contribution_gini(),
+                f2_gini: report.f2_income_gini(),
+            }
         })
         .collect();
     Ok(RoutingExperiment { rows })
@@ -193,6 +164,7 @@ pub fn jobs(scale: ExperimentScale) -> Vec<SimSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::CsvTable;
 
     fn scale() -> ExperimentScale {
         ExperimentScale {
@@ -222,12 +194,12 @@ mod tests {
                 "detour must recover drops: {detour:?} vs {greedy:?}"
             );
             assert!(
-                detour.delivery_rate() >= greedy.delivery_rate(),
+                detour.delivery_rate >= greedy.delivery_rate,
                 "recovered drops must show up as deliveries"
             );
             assert!(result.drop_reduction(k).unwrap() > 0.0);
         }
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
     }
 
     #[test]

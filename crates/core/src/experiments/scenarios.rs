@@ -14,6 +14,9 @@
 //!   skew rewards toward the survivors?
 //! * **heterogeneity** — every node draws a two-tier bandwidth budget:
 //!   how does capacity inequality translate into income inequality?
+//!
+//! `scenarios.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows)
+//! of [`ScenarioRow`]s: the row's field order is the file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
@@ -131,45 +134,6 @@ impl ScenarioExperiment {
     pub fn shock_gini_reduction(&self, scenario: &str, k: usize) -> Option<f64> {
         let row = self.row(scenario, k)?;
         (row.f2_pre_shock > 0.0).then(|| (row.f2_pre_shock - row.f2_gini) / row.f2_pre_shock)
-    }
-
-    /// One row per cell — the artifact `fairswap scenarios` writes.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "scenario",
-            "k",
-            "shock_step",
-            "f1_gini",
-            "f2_gini",
-            "f2_pre_shock",
-            "joins",
-            "leaves",
-            "targeted_removals",
-            "departure_settlements",
-            "capacity_blocked",
-            "stuck_requests",
-            "final_live",
-            "mean_live",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.scenario.clone(),
-                r.k.to_string(),
-                r.shock_step.to_string(),
-                CsvTable::fmt_float(r.f1_gini),
-                CsvTable::fmt_float(r.f2_gini),
-                CsvTable::fmt_float(r.f2_pre_shock),
-                r.joins.to_string(),
-                r.leaves.to_string(),
-                r.targeted_removals.to_string(),
-                r.departure_settlements.to_string(),
-                r.capacity_blocked.to_string(),
-                r.stuck_requests.to_string(),
-                r.final_live.to_string(),
-                CsvTable::fmt_float(r.mean_live),
-            ]);
-        }
-        csv
     }
 
     /// Long-format fairness-over-time CSV: one row per timeline sample.
@@ -353,7 +317,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&row.f2_gini));
             assert!(result.shock_gini_reduction(&row.scenario, row.k).is_some());
         }
-        assert!(!result.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.rows).is_empty());
         assert!(!result.timeline_csv().is_empty());
     }
 

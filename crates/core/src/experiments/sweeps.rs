@@ -1,5 +1,8 @@
 //! Parameter sweeps: file-count convergence (§IV-B) and overhead vs `k`
 //! (§V).
+//!
+//! `overhead.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows) of
+//! [`OverheadRow`]s: the row's field order is the file's column order.
 
 use fairswap_kademlia::NodeId;
 use fairswap_obs::Phase;
@@ -204,37 +207,6 @@ pub struct OverheadSweep {
     pub rows: Vec<OverheadRow>,
 }
 
-impl OverheadSweep {
-    /// Renders the sweep as CSV.
-    pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "k",
-            "mean_connections",
-            "settlements",
-            "settlement_volume",
-            "tx_cost_total",
-            "mean_payment",
-            "nodes_wiped_by_tx_cost",
-            "f2_gini",
-            "amortized_total",
-        ]);
-        for r in &self.rows {
-            csv.push_row([
-                r.k.to_string(),
-                CsvTable::fmt_float(r.mean_connections),
-                r.settlements.to_string(),
-                r.settlement_volume.to_string(),
-                r.tx_cost_total.to_string(),
-                CsvTable::fmt_float(r.mean_payment),
-                r.nodes_wiped_by_tx_cost.to_string(),
-                CsvTable::fmt_float(r.f2_gini),
-                r.amortized_total.to_string(),
-            ]);
-        }
-        csv
-    }
-}
-
 /// Quantifies the §V trade-off the paper leaves as future work: "with
 /// k = 20, the Gini coefficient approaches a smaller value, but we did not
 /// identify the produced overhead". Sweeps `k`, measuring connection
@@ -416,6 +388,6 @@ mod tests {
         assert!(k20.f2_gini < k4.f2_gini);
         // Payments spread across more, smaller transactions.
         assert!(k20.mean_payment <= k4.mean_payment);
-        assert!(!sweep.to_csv().is_empty());
+        assert!(!CsvTable::from_rows(&sweep.rows).is_empty());
     }
 }

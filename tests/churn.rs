@@ -4,7 +4,7 @@
 
 use fairswap::churn::{ChurnConfig, ChurnPlan, LifetimeDist};
 use fairswap::core::experiments::{churn, ExperimentScale};
-use fairswap::core::{Executor, GridObservation, SimSpec};
+use fairswap::core::{CsvTable, Executor, GridObservation, SimSpec};
 
 fn churn_report(rate: f64, seed: u64) -> fairswap::core::SimReport {
     let mut spec = SimSpec::paper_defaults();
@@ -57,8 +57,8 @@ fn churn_experiment_csv_replays_byte_identically() {
     )
     .expect("experiment runs");
     assert_eq!(
-        a.to_csv().to_csv_string(),
-        b.to_csv().to_csv_string(),
+        CsvTable::from_rows(&a.rows).to_csv_string(),
+        CsvTable::from_rows(&b.rows).to_csv_string(),
         "summary CSV must replay byte-identically"
     );
     assert_eq!(

@@ -13,7 +13,8 @@ use std::collections::HashMap;
 
 use fairswap::core::experiments::{churn, paper, ExperimentScale};
 use fairswap::core::{
-    run_jobs_observed, validate_jsonl, Executor, GridObservation, ObsOptions, SimReport, SimSpec,
+    run_jobs_observed, validate_jsonl, CsvTable, Executor, GridObservation, ObsOptions, SimReport,
+    SimSpec,
 };
 
 fn scale() -> ExperimentScale {
@@ -70,14 +71,11 @@ fn tracing_does_not_perturb_preset_csvs() {
         &Executor::serial(),
         &mut GridObservation::disabled(),
     )
-    .unwrap()
-    .to_csv()
-    .to_csv_string();
+    .unwrap();
+    let plain = CsvTable::from_rows(&plain.rows).to_csv_string();
     let mut obs = GridObservation::new(everything());
-    let traced = churn::run(scale(), &rates, &Executor::serial(), &mut obs)
-        .unwrap()
-        .to_csv()
-        .to_csv_string();
+    let traced = churn::run(scale(), &rates, &Executor::serial(), &mut obs).unwrap();
+    let traced = CsvTable::from_rows(&traced.rows).to_csv_string();
     assert_eq!(plain, traced, "observation must be read-only");
     assert!(!obs.trace_jsonl().is_empty());
 

@@ -1,7 +1,7 @@
 //! Golden-shape checks on experiment CSV artifacts.
 
 use fairswap::core::experiments::{extensions, paper, sweeps, ExperimentScale};
-use fairswap::core::{Executor, GridObservation};
+use fairswap::core::{CsvTable, Executor, GridObservation};
 
 fn scale() -> ExperimentScale {
     ExperimentScale {
@@ -78,7 +78,7 @@ fn overhead_csv_has_one_row_per_k() {
         &mut GridObservation::disabled(),
     )
     .unwrap();
-    let csv = sweep.to_csv();
+    let csv = CsvTable::from_rows(&sweep.rows);
     assert_eq!(csv.len(), 3);
     let text = csv.to_csv_string();
     let ks: Vec<&str> = text
@@ -99,7 +99,7 @@ fn mechanisms_csv_lists_all_five() {
         &mut GridObservation::disabled(),
     )
     .unwrap();
-    let text = result.to_csv().to_csv_string();
+    let text = CsvTable::from_rows(&result.rows).to_csv_string();
     for id in [
         "swarm",
         "pay-all-hops",

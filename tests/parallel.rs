@@ -10,7 +10,7 @@
 use fairswap::core::experiments::{
     cache_churn, churn, large_scale, paper, routing, ExperimentScale,
 };
-use fairswap::core::{run_jobs, Executor, GridObservation, SimSpec};
+use fairswap::core::{run_jobs, CsvTable, Executor, GridObservation, SimSpec};
 use fairswap::simcore::rng::{domain, sub_seed};
 
 fn scale() -> ExperimentScale {
@@ -63,8 +63,8 @@ fn churn_grid_is_byte_identical_across_thread_counts() {
     assert_eq!(serial, threaded);
     // ...and so do both rendered artifacts, byte for byte.
     assert_eq!(
-        serial.to_csv().to_csv_string(),
-        threaded.to_csv().to_csv_string()
+        CsvTable::from_rows(&serial.rows).to_csv_string(),
+        CsvTable::from_rows(&threaded.rows).to_csv_string()
     );
     assert_eq!(
         serial.timeline_csv().to_csv_string(),
@@ -88,8 +88,8 @@ fn policy_grids_are_byte_identical_across_thread_counts() {
         routing::run(scale(), &Executor::new(8), &mut GridObservation::disabled()).unwrap();
     assert_eq!(serial, threaded);
     assert_eq!(
-        serial.to_csv().to_csv_string(),
-        threaded.to_csv().to_csv_string()
+        CsvTable::from_rows(&serial.rows).to_csv_string(),
+        CsvTable::from_rows(&threaded.rows).to_csv_string()
     );
     // The detour cells actually detoured.
     assert!(serial.row("capacity-detour", 4).unwrap().detoured > 0);
@@ -111,8 +111,8 @@ fn policy_grids_are_byte_identical_across_thread_counts() {
     .unwrap();
     assert_eq!(serial, threaded);
     assert_eq!(
-        serial.to_csv().to_csv_string(),
-        threaded.to_csv().to_csv_string()
+        CsvTable::from_rows(&serial.rows).to_csv_string(),
+        CsvTable::from_rows(&threaded.rows).to_csv_string()
     );
     assert!(serial.row("ttl", 0.0).unwrap().cache_served > 0);
 }
@@ -141,8 +141,8 @@ fn large_scale_rows_are_thread_count_invariant() {
     )
     .unwrap();
     assert_eq!(
-        serial.to_csv().to_csv_string(),
-        threaded.to_csv().to_csv_string()
+        CsvTable::from_rows(&serial.rows).to_csv_string(),
+        CsvTable::from_rows(&threaded.rows).to_csv_string()
     );
 }
 

@@ -3,7 +3,9 @@
 //! byte-identical artifacts, and never breaks income conservation.
 
 use fairswap::core::experiments::{scenarios, ExperimentScale};
-use fairswap::core::{BucketSizing, ChurnConfig, Executor, GridObservation, ScenarioKind, SimSpec};
+use fairswap::core::{
+    BucketSizing, ChurnConfig, CsvTable, Executor, GridObservation, ScenarioKind, SimSpec,
+};
 
 fn scale() -> ExperimentScale {
     ExperimentScale {
@@ -63,8 +65,8 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
     .unwrap();
     assert_eq!(serial, threaded);
     assert_eq!(
-        serial.to_csv().to_csv_string(),
-        threaded.to_csv().to_csv_string()
+        CsvTable::from_rows(&serial.rows).to_csv_string(),
+        CsvTable::from_rows(&threaded.rows).to_csv_string()
     );
     assert_eq!(
         serial.timeline_csv().to_csv_string(),
