@@ -13,7 +13,7 @@
 //! a join costs its own table fill plus one live count per bucket, read off
 //! the joiner's trie path, and one insert per owner that learns of it —
 //! against refilling every table for a full rebuild (see
-//! [`Topology::rebuilt_naive`] and the `churn` bench).
+//! [`Topology::rebuilt_naive`]).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -1030,7 +1030,7 @@ impl Topology {
     /// [`Topology::remove_node`] / [`Topology::add_node`]. Each live table
     /// is refilled by trie walk, `O(bits × k × bits)` per owner, so the
     /// rebuild pays for every table where a departure pays only for its
-    /// holders. Used by benches and tests as a correctness / cost baseline.
+    /// holders. Tests use it as the correctness baseline of that maintenance.
     pub fn rebuilt_naive(&self) -> Topology {
         let mut rebuilt = self.clone();
         for owner in 0..self.addresses.len() {

@@ -1,8 +1,7 @@
 //! Property-based tests for the overlay substrate.
 
 use fairswap_kademlia::{
-    AddressSpace, BucketSizing, Distance, NodeId, Proximity, RouteOutcome, Router, Topology,
-    TopologyBuilder,
+    AddressSpace, BucketSizing, Distance, NodeId, Proximity, Topology, TopologyBuilder,
 };
 use fairswap_simcore::derive_rng;
 use fairswap_simcore::rng::{domain, sub_seed};
@@ -114,49 +113,6 @@ proptest! {
         prop_assert_eq!(by_trie, best);
     }
 
-    /// Greedy routes terminate, strictly decrease distance, and a delivered
-    /// route ends at the storer.
-    #[test]
-    fn routes_progress_and_terminate(
-        nodes in 2usize..120,
-        k in 1usize..6,
-        seed in any::<u64>(),
-        origin_pick in any::<usize>(),
-        target in any::<u64>(),
-    ) {
-        let space = AddressSpace::new(12).unwrap();
-        let t = TopologyBuilder::new(space)
-            .nodes(nodes)
-            .bucket_size(k)
-            .seed(seed)
-            .build()
-            .unwrap();
-        let router = Router::new(&t);
-        let origin = NodeId(origin_pick % t.len());
-        let target = space.address_truncated(target);
-        let route = router.route(origin, target);
-
-        prop_assert!(route.hop_count() <= t.len());
-        let mut last = space.distance(t.address(origin), target);
-        for &hop in route.hops() {
-            let d = space.distance(t.address(hop), target);
-            prop_assert!(d < last);
-            last = d;
-        }
-        match route.outcome() {
-            RouteOutcome::Delivered => {
-                prop_assert_eq!(route.terminal(), Some(t.closest_node(target)));
-            }
-            RouteOutcome::AlreadyAtStorer => {
-                prop_assert_eq!(t.closest_node(target), origin);
-                prop_assert_eq!(route.hop_count(), 0);
-            }
-            RouteOutcome::Stuck => {
-                prop_assert!(route.terminal() != Some(t.closest_node(target)));
-            }
-        }
-    }
-
     /// The arena-backed bucket-ordered next-hop search and the partial
     /// `closest_peers` selection match brute-force linear scans on every
     /// live table after an arbitrary interleaving of node departures and
@@ -218,31 +174,6 @@ proptest! {
                 prop_assert_eq!(t.table(node).connection_count(), 0);
                 prop_assert!(t.table(node).next_hop(target).is_none());
             }
-        }
-    }
-
-    /// A route never visits the same node twice (follows from strict
-    /// distance decrease, checked directly for defence in depth).
-    #[test]
-    fn routes_are_simple_paths(
-        nodes in 2usize..100,
-        seed in any::<u64>(),
-        target in any::<u64>(),
-    ) {
-        let space = AddressSpace::new(10).unwrap();
-        let t = TopologyBuilder::new(space)
-            .nodes(nodes)
-            .bucket_size(4)
-            .seed(seed)
-            .build()
-            .unwrap();
-        let router = Router::new(&t);
-        let target = space.address_truncated(target);
-        let route = router.route(NodeId(0), target);
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(NodeId(0));
-        for &hop in route.hops() {
-            prop_assert!(seen.insert(hop), "revisited {hop}");
         }
     }
 }

@@ -126,8 +126,9 @@ pub struct FileReport {
     pub total_hops: usize,
 }
 
-/// Simulates file downloads over a static topology, maintaining per-node
-/// caches and traffic statistics.
+/// Simulates file downloads over a topology that churn may change between
+/// steps ([`DownloadSim::topology_mut`]), maintaining per-node caches and
+/// traffic statistics.
 ///
 /// One instance accumulates statistics across many downloads — one paper
 /// "step" is one call to [`DownloadSim::download_file`].
@@ -598,7 +599,8 @@ impl DownloadSim {
         let mut hops = std::mem::take(&mut self.route_buf);
         for &chunk in chunks {
             hops.clear();
-            let (outcome, from_cache) = self.route_chunk(originator, chunk, &mut hops);
+            let (outcome, from_cache) =
+                self.route_chunk_kind(originator, chunk, &mut hops, RouteKind::User);
             let delivery = ChunkDelivery {
                 originator,
                 chunk,
@@ -639,7 +641,8 @@ impl DownloadSim {
         // hop by hop.
         let mut hops = std::mem::take(&mut self.route_buf);
         hops.clear();
-        let (outcome, from_cache) = self.route_chunk(originator, chunk, &mut hops);
+        let (outcome, from_cache) =
+            self.route_chunk_kind(originator, chunk, &mut hops, RouteKind::User);
         let delivery = ChunkDelivery {
             originator,
             chunk,
@@ -651,27 +654,22 @@ impl DownloadSim {
         delivery
     }
 
-    /// The greedy forwarding-Kademlia walk behind every chunk request, with
-    /// one refinement when caching is enabled: a hop holding the chunk in
-    /// cache serves it immediately, cutting the route short. On delivery
-    /// the chunk is inserted into the caches of every node on the return
-    /// path, which is how Swarm populates caches opportunistically.
+    /// The greedy forwarding-Kademlia walk (paper §III-A, Fig. 1) behind
+    /// every routed chunk: user requests, their retries and repair
+    /// re-uploads. Each hop relays to its table entry closest to `chunk`
+    /// (under a capacity detour, a farther entry that is still strictly
+    /// closer than the hop itself); uploads and downloads take the same
+    /// path, so this one walk serves both directions.
     ///
-    /// `hops` must arrive empty; the path is appended to it.
-    fn route_chunk(
-        &mut self,
-        originator: NodeId,
-        chunk: OverlayAddress,
-        hops: &mut Vec<NodeId>,
-    ) -> (RouteOutcome, bool) {
-        self.route_chunk_kind(originator, chunk, hops, RouteKind::User)
-    }
-
-    /// The route walk shared by user requests and repair re-uploads. Both
-    /// consume per-hop capacity and book forwarding work; only user
-    /// traffic touches requests/stuck/cache counters, and only user
+    /// Both kinds consume per-hop capacity and book forwarding work; only
+    /// user traffic touches requests/stuck/cache counters, and only user
     /// traffic can be refused by the durability fault check (a repair
-    /// route *into* a lost region is exactly what restores it).
+    /// route *into* a lost region is exactly what restores it). With
+    /// caching enabled, a user request's hop holding the chunk in cache
+    /// serves it immediately, cutting the route short; on delivery the
+    /// chunk is inserted into the caches of every node on the return path
+    /// except the server, which is how Swarm populates caches
+    /// opportunistically.
     ///
     /// The walk never looks the storer up. It stops at the first node
     /// whose `next_hop` is `None`, which for a live node is exactly the
@@ -684,6 +682,8 @@ impl DownloadSim {
     /// an empty table too, so a liveness check tells it apart and it
     /// counts as [`RouteOutcome::Stuck`]. Debug builds check both exits
     /// against [`Topology::closest_node`].
+    ///
+    /// `hops` must arrive empty; the path is appended to it.
     fn route_chunk_kind(
         &mut self,
         originator: NodeId,
@@ -989,6 +989,7 @@ mod tests {
         let mut sim = DownloadSim::new(t.clone(), CachePolicy::None);
         let d = sim.request_chunk(storer, chunk);
         assert_eq!(d.outcome, RouteOutcome::AlreadyAtStorer);
+        assert!(d.delivered());
         assert!(d.hops.is_empty());
         assert_eq!(sim.stats().total_forwarded(), 0);
         assert_eq!(sim.stats().requests_issued()[storer.index()], 1);
@@ -1204,6 +1205,26 @@ mod tests {
         assert_eq!(report.chunks, 0);
         assert_eq!(report.delivered, 0);
         assert_eq!(report.total_hops, 0);
+    }
+
+    #[test]
+    fn larger_k_never_lengthens_average_route() {
+        // With more peers per bucket, greedy routing can only find better or
+        // equal next hops on average (paper Table I rationale).
+        let avg_hops = |k: usize| {
+            let t = topology(500, k, 99);
+            let mut sim = DownloadSim::new(t.clone(), CachePolicy::None);
+            let (mut total, mut count) = (0usize, 0usize);
+            for chunk in chunk_addresses(&t, 53) {
+                let d = sim.request_chunk(NodeId(1), chunk);
+                if d.delivered() {
+                    total += d.hops.len();
+                    count += 1;
+                }
+            }
+            total as f64 / count as f64
+        };
+        assert!(avg_hops(20) <= avg_hops(4) + 0.05);
     }
 
     /// A node that is the only live member of its `neighborhood_bits`

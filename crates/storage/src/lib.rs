@@ -6,6 +6,8 @@
 //! which this crate follows). Downloading a file means routing one request
 //! per chunk through the forwarding-Kademlia overlay and counting who
 //! forwarded, who served as first hop, and who served from storage or cache.
+//! An upload is relayed along the same greedy path (§III-A), so the one
+//! walk in [`DownloadSim`] also carries repair re-uploads.
 //!
 //! ```
 //! use fairswap_kademlia::{AddressSpace, TopologyBuilder, NodeId};
@@ -24,15 +26,11 @@
 //! ```
 
 mod cache;
-mod chunk;
 mod download;
 mod route;
 mod traffic;
-mod upload;
 
 pub use cache::{CachePolicy, CacheTotals, NodeCache};
-pub use chunk::{FileSpec, CHUNK_SIZE_BYTES};
 pub use download::{ChunkDelivery, DownloadSim, FileReport, RepairSource};
 pub use route::RoutePolicy;
 pub use traffic::TrafficStats;
-pub use upload::{UploadReport, UploadSim};

@@ -127,11 +127,26 @@ proptest! {
     }
 }
 
-/// Where a walk may end: a route served from storage ends at the closest
-/// live node to the chunk, a cache never serves from that node (the
-/// storer's cache is not consulted), and only a live originator that is
-/// itself the closest live node is already at the storer.
+/// The route contract of every walk, checked against the topology the
+/// walk ran on. Each hop is an entry of its predecessor's routing table
+/// (starting from the originator) and strictly XOR-closer to the chunk than
+/// that predecessor, so a walk is a simple path of at most `t.len()` hops
+/// along table edges. A route served from storage ends at the closest live
+/// node to the chunk, a cache never serves from that node (the storer's
+/// cache is not consulted), a stuck route stops short of that node, and
+/// only a live originator that is itself the closest live node is already
+/// at the storer.
 fn assert_walk_end(t: &Topology, d: &ChunkDelivery) {
+    let space = t.space();
+    let mut prev = d.originator;
+    for &hop in &d.hops {
+        assert!(t.table(prev).knows(hop), "{hop} is not in {prev}'s table");
+        assert!(
+            space.distance(t.address(hop), d.chunk) < space.distance(t.address(prev), d.chunk),
+            "{hop} is not closer to the chunk than {prev}"
+        );
+        prev = hop;
+    }
     let closest = t.closest_node(d.chunk);
     match d.outcome {
         RouteOutcome::Delivered if d.from_cache => assert_ne!(d.server(), Some(closest)),
@@ -141,15 +156,15 @@ fn assert_walk_end(t: &Topology, d: &ChunkDelivery) {
             assert_eq!(d.originator, closest);
             assert!(d.hops.is_empty());
         }
-        RouteOutcome::Stuck => {}
+        RouteOutcome::Stuck => assert_ne!(d.server(), Some(closest)),
     }
 }
 
 proptest! {
-    /// The download walk stops where `next_hop` runs out, or where
+    /// The engine's one walk stops where `next_hop` runs out, or where
     /// `next_hop_ending` flags the storer, with no storer lookup; this
-    /// pins that the stop is the storer under everything
-    /// that perturbs a walk: churn (joins, departures, dropped caches),
+    /// pins that the stop is the storer, and the route contract of
+    /// [`assert_walk_end`], under everything that perturbs a walk: churn (joins, departures, dropped caches),
     /// bucket overrides, capacity budgets with detours, on-path caching,
     /// retries from originators that may have left since, and
     /// re-replication repairs from replicas or re-seeding originators.

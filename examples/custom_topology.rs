@@ -6,7 +6,8 @@
 //! cargo run --release --example custom_topology
 //! ```
 
-use fairswap::kademlia::{AddressSpace, NodeId, Router, TopologyBuilder, TopologyMetrics};
+use fairswap::kademlia::{AddressSpace, NodeId, TopologyBuilder, TopologyMetrics};
+use fairswap::storage::{CachePolicy, DownloadSim};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An 8-bit space like the paper's Fig. 3 illustration.
@@ -44,12 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trace a download request like Fig. 1: each hop forwards to its
     // closest known peer; the chunk returns along the same path.
     let chunk = space.address(0b0110_1001 & space.max_raw())?;
-    let router = Router::new(&topology);
-    let route = router.route(node, chunk);
+    let mut sim = DownloadSim::new(topology.clone(), CachePolicy::None);
+    let route = sim.request_chunk(node, chunk);
     println!();
     println!("routing chunk {chunk:b} from {node}:");
     let mut current = topology.address(node);
-    for &hop in route.hops() {
+    for &hop in &route.hops {
         let next = topology.address(hop);
         println!(
             "  {current:b} -> {next:b} (proximity to chunk: {})",
@@ -59,9 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "outcome: {:?}; first (paid) hop: {:?}; storer: {:?}",
-        route.outcome(),
+        route.outcome,
         route.first_hop(),
-        route.terminal()
+        route.server()
     );
 
     // Aggregate structure of the whole overlay.

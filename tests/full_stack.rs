@@ -176,42 +176,6 @@ fn swap_channel_config_gates_amortization() {
 }
 
 #[test]
-fn upload_then_download_uses_symmetric_routes() {
-    // Paper §III-A: upload (push-sync) follows the same greedy forwarding
-    // as download; pushing a chunk and fetching it back must traverse the
-    // same path when issued by the same node.
-    use fairswap::storage::UploadSim;
-    let topology = TopologyBuilder::new(AddressSpace::new(16).expect("valid width"))
-        .nodes(300)
-        .bucket_size(4)
-        .seed(0xFA12)
-        .build()
-        .expect("valid topology");
-    let mut uploads = UploadSim::new(topology.clone());
-    let mut downloads = DownloadSim::new(topology.clone(), CachePolicy::None);
-    let origin = fairswap::kademlia::NodeId(11);
-    for raw in (0..=0xFFFFu64).step_by(1777) {
-        let chunk = topology.space().address(raw).expect("in range");
-        let pushed = uploads.push_chunk(origin, chunk);
-        let fetched = downloads.request_chunk(origin, chunk);
-        assert_eq!(pushed.hops, fetched.hops, "chunk {raw:#06x}");
-        if pushed.delivered() && !pushed.hops.is_empty() {
-            let storer = topology.closest_node(chunk);
-            assert!(uploads.stores(storer, chunk));
-        }
-    }
-    // Upload bandwidth accounting mirrors download accounting.
-    assert_eq!(
-        uploads.stats().total_forwarded(),
-        downloads.stats().total_forwarded()
-    );
-    assert_eq!(
-        uploads.stats().served_first_hop(),
-        downloads.stats().served_first_hop()
-    );
-}
-
-#[test]
 fn metric_robustness_of_the_headline_finding() {
     // The k = 4 vs k = 20 fairness ordering survives swapping Gini for
     // Theil, Atkinson and Hoover indices.
