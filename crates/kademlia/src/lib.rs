@@ -49,7 +49,7 @@ mod address;
 mod bucket;
 mod error;
 mod metrics;
-mod route;
+mod router;
 mod routing_table;
 mod topology;
 
@@ -57,6 +57,6 @@ pub use address::{AddressSpace, Distance, OverlayAddress, Proximity};
 pub use bucket::BucketRef;
 pub use error::KademliaError;
 pub use metrics::{BucketOccupancy, HopHistogram, TopologyMetrics};
-pub use route::RouteOutcome;
+pub use router::RouteOutcome;
 pub use routing_table::TableRef;
 pub use topology::{BucketSizing, NodeId, Topology, TopologyBuilder};
