@@ -59,7 +59,7 @@ pub(crate) struct TableArena {
 impl TableArena {
     /// An arena whose bucket slot `s` (node-major, `bits` slots per node)
     /// is exactly full with `lens[s]` zeroed placeholder entries, for the
-    /// topology builder to overwrite through [`TableArena::node_entries_mut`].
+    /// topology builder to overwrite through [`TableArena::entries_by_node_mut`].
     /// Initial buckets are exactly full (`len == reserved`), so one length
     /// per bucket fixes the whole layout and `ids` is allocated once, at
     /// its final size.
@@ -92,13 +92,24 @@ impl TableArena {
         }
     }
 
-    /// Every reserved slot of `node`, buckets concatenated shallow to deep:
-    /// one node's buckets are adjacent in the arena.
-    pub(crate) fn node_entries_mut(&mut self, node: usize) -> &mut [u32] {
-        let base = node * self.bits as usize;
-        let start = self.spans[base].offset as usize;
-        let end = self.spans[base + self.bits as usize].offset as usize;
-        &mut self.ids[start..end]
+    /// Every node's reserved slots, one slice per node in node order, each
+    /// with its buckets concatenated shallow to deep (one node's buckets
+    /// are adjacent in the arena). The slices are disjoint, so the
+    /// topology builder can fill different tables on different threads.
+    pub(crate) fn entries_by_node_mut(&mut self) -> Vec<&mut [u32]> {
+        let bits = self.bits as usize;
+        let nodes = (self.spans.len() - 1) / bits;
+        let mut rest = self.ids.as_mut_slice();
+        (0..nodes)
+            .map(|node| {
+                let start = self.spans[node * bits].offset;
+                let end = self.spans[(node + 1) * bits].offset;
+                let (entries, tail) =
+                    std::mem::take(&mut rest).split_at_mut((end - start) as usize);
+                rest = tail;
+                entries
+            })
+            .collect()
     }
 
     /// An arena for a single table whose bucket `b` reserves
