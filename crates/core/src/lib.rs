@@ -50,7 +50,7 @@ pub use csv::CsvTable;
 pub use error::CoreError;
 pub use exec::{run_jobs, run_jobs_observed};
 pub use obs::{EpochSnapshot, GridObservation, NullObserver, ObsOptions, StepObserver};
-pub use policy::{NoRepair, RepairHook, RepairPolicy};
+pub use policy::RepairPolicy;
 pub use report::{ChurnOutcome, ChurnSample, SimReport};
 pub use runcsv::{run_summary_csv, RUN_SUMMARY_COLUMNS};
 pub use scenario::ScenarioKind;

@@ -92,7 +92,7 @@ pub struct EpochSnapshot {
     pub leaves: u64,
     /// Targeted-departure removals applied.
     pub targeted_removals: u64,
-    /// Repair events reported by the repair hook and engine detection.
+    /// Lost regions the engine detected at departures.
     pub repair_events: u64,
     /// User requests that entered the retry queue.
     pub retried: u64,
@@ -152,7 +152,8 @@ pub trait StepObserver {
     /// A node was removed by the targeted-departure trigger at `step`.
     fn on_targeted(&mut self, _step: u64, _node: NodeId) {}
 
-    /// The repair hook reported `events > 0` repairs for a departure.
+    /// A departure emptied its storage neighborhood: `events > 0` lost
+    /// regions detected.
     fn on_repair(&mut self, _step: u64, _node: NodeId, _events: u64) {}
 
     /// One chunk delivery attempt finished at `step`.

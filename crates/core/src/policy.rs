@@ -14,15 +14,15 @@
 //! * **Caching** — [`CachePolicy`] (re-exported from
 //!   [`fairswap_storage`]): `None`/`Lru`/`Lfu` plus the churn-aware `Ttl`
 //!   variant.
-//! * **Repair** — [`RepairPolicy`] and the [`RepairHook`] trait below.
+//! * **Repair** — [`RepairPolicy`]: `None`, loss detection only
+//!   (`Monitor`), or re-replication (`ReReplicate`) from a
+//!   [`RepairSource`](crate::RepairSource).
 //!
-//! Routing and caching policies are closed, serde-stable enums because
-//! they run on the per-chunk hot path and live inside the
-//! [`SimSpec`](crate::SimSpec) wire format. Repair is the **open**
-//! extension point: it fires off the hot path (once per departure), so a
-//! user-defined `RepairHook` can be injected through
-//! [`BandwidthSim::run_with_repair`](crate::BandwidthSim::run_with_repair)
-//! — see `examples/custom_policy.rs`.
+//! All three are closed, serde-stable enums that live inside the
+//! [`SimSpec`](crate::SimSpec) wire format, and all three run inside the
+//! engine: routing and caching on the per-chunk hot path, repair once per
+//! departure and once per step for the due re-uploads. See
+//! `examples/custom_policy.rs` for a run that combines them.
 //!
 //! Determinism rules for any policy implementation: decisions may depend
 //! only on the deterministic simulation state handed in (topology, target
@@ -32,8 +32,6 @@
 //! its configuration seed.
 
 use serde::{Deserialize, Serialize};
-
-use fairswap_kademlia::{NodeId, Topology};
 
 pub use fairswap_storage::{CachePolicy, RoutePolicy};
 
@@ -126,39 +124,9 @@ impl RepairPolicy {
     }
 }
 
-/// The repair extension point of the policy layer.
-///
-/// The simulation invokes the hook from its churn sweep, once per applied
-/// departure (scheduled churn and targeted-departure waves alike), *after*
-/// the topology has been repaired and the departed node's cache dropped.
-/// The return value is the number of repair events to account into
-/// [`ChurnOutcome::repair_events`](crate::ChurnOutcome).
-///
-/// Implementations must follow the module-level determinism rules; the
-/// topology reference is the live post-departure overlay.
-pub trait RepairHook {
-    /// Reacts to `departed` leaving the overlay at 1-based `step`.
-    fn on_departure(&mut self, topology: &Topology, departed: NodeId, step: u64) -> u64;
-}
-
-/// The do-nothing hook: departures draw no custom reaction. This is what
-/// the engine installs when no user hook is supplied; the built-in
-/// durability policies ([`RepairPolicy::Monitor`] /
-/// [`RepairPolicy::ReReplicate`]) run inside the engine itself, so their
-/// loss detection and repair traffic never need a hook.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoRepair;
-
-impl RepairHook for NoRepair {
-    fn on_departure(&mut self, _topology: &Topology, _departed: NodeId, _step: u64) -> u64 {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairswap_kademlia::{AddressSpace, TopologyBuilder};
 
     #[test]
     fn ids_defaults_and_accessors() {
@@ -195,18 +163,6 @@ mod tests {
             neighborhood_bits: 6
         }
         .repairs());
-    }
-
-    #[test]
-    fn no_repair_hook_accounts_nothing() {
-        let topology = TopologyBuilder::new(AddressSpace::new(16).unwrap())
-            .nodes(20)
-            .bucket_size(4)
-            .seed(1)
-            .build()
-            .unwrap();
-        let mut hook = NoRepair;
-        assert_eq!(hook.on_departure(&topology, NodeId(3), 1), 0);
     }
 
     #[test]

@@ -40,12 +40,11 @@ pub struct ChurnOutcome {
     /// neither `leaves` nor the churn plan: these fire at runtime against
     /// the income ranking). 0 without such a scenario.
     pub targeted_removals: u64,
-    /// Repair events: departures the engine detected as emptying their
-    /// storage neighborhood under
+    /// Repair events: departures (scheduled and targeted alike) the
+    /// engine detected as emptying their storage neighborhood under
     /// [`RepairPolicy::Monitor`](crate::RepairPolicy) /
-    /// [`RepairPolicy::ReReplicate`](crate::RepairPolicy), plus whatever a
-    /// custom [`RepairHook`](crate::policy::RepairHook) accounted. 0 under
-    /// the default no-repair policy with no hook.
+    /// [`RepairPolicy::ReReplicate`](crate::RepairPolicy). 0 under the
+    /// default no-repair policy.
     pub repair_events: u64,
     /// Live nodes after the final step.
     pub final_live: usize,

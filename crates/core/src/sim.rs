@@ -1,16 +1,17 @@
 //! The bandwidth-incentive simulator.
 
-use fairswap_churn::{ChurnEventKind, ChurnPlan};
+use std::time::Instant;
+
+use fairswap_churn::{ChurnEvent, ChurnEventKind, ChurnPlan};
 use fairswap_fairness::gini;
-use fairswap_incentives::{FreeRiderSet, RewardState};
-use fairswap_kademlia::{HopHistogram, Topology};
+use fairswap_incentives::{BandwidthIncentive, FreeRiderSet, RewardState};
+use fairswap_kademlia::{HopHistogram, NodeId, Topology};
 use fairswap_simcore::rng::{domain, sub_rng, sub_seed};
-use fairswap_storage::DownloadSim;
+use fairswap_storage::{ChunkDelivery, DownloadSim};
 use fairswap_workload::Workload;
 
 use crate::config::SimConfig;
 use crate::obs::{EpochSnapshot, NullObserver, RunInfo, StepObserver};
-use crate::policy::RepairHook;
 use crate::report::{ChurnOutcome, ChurnSample, SimReport};
 use crate::scenario;
 
@@ -70,31 +71,14 @@ impl BandwidthSim {
     /// byte-identical whether the observer is [`NullObserver`] or a real
     /// collector — the non-perturbation invariant the observability tests
     /// pin.
-    pub fn run_observed<F, O>(self, progress: F, obs: &mut O) -> SimReport
-    where
-        F: FnMut(u64, u64),
-        O: StepObserver,
-    {
-        self.run_inner(progress, &mut crate::policy::NoRepair, obs)
-    }
-
-    /// Runs the simulation with a caller-supplied [`RepairHook`] layered on
-    /// top of the configured [`RepairPolicy`](crate::RepairPolicy) — the
-    /// public entry point for user-defined repair accounting (see
-    /// `examples/custom_policy.rs`). The hook fires once per applied
-    /// departure; its returned counts land in
-    /// [`ChurnOutcome::repair_events`] alongside the engine's own lost
-    /// region detections.
-    pub fn run_with_repair(self, hook: &mut dyn RepairHook) -> SimReport {
-        self.run_inner(|_, _| {}, hook, &mut NullObserver)
-    }
-
-    fn run_inner<F, O>(
-        mut self,
-        mut progress: F,
-        repair: &mut dyn RepairHook,
-        obs: &mut O,
-    ) -> SimReport
+    ///
+    /// Each step runs the loop's layers in a fixed order, each written
+    /// once: scheduled membership events and the targeted-departure wave
+    /// (one departure path serves both), repair re-uploads, due retries
+    /// and the step's file download (one user-delivery accounting serves
+    /// both), the incentive mechanism's tick, and every `files / 32` steps
+    /// one fairness sample.
+    pub fn run_observed<F, O>(self, mut progress: F, obs: &mut O) -> SimReport
     where
         F: FnMut(u64, u64),
         O: StepObserver,
@@ -125,10 +109,10 @@ impl BandwidthSim {
         let free_riders =
             FreeRiderSet::sample(nodes, self.config.free_rider_fraction, &mut free_rider_rng);
         let capacities = compiled.as_ref().and_then(|c| c.capacities.clone());
-        let mut mechanism = self
+        let mechanism = self
             .config
             .build_mechanism(free_riders.clone(), capacities.as_deref());
-        let mut state = RewardState::with_tx_cost(nodes, self.config.channel, self.config.tx_cost);
+        let state = RewardState::with_tx_cost(nodes, self.config.channel, self.config.tx_cost);
 
         // Background churn plan, with the scenario's scripted events
         // composed in: both replay through one consistent event stream.
@@ -163,7 +147,7 @@ impl BandwidthSim {
         let targeted = compiled.as_ref().and_then(|c| c.targeted);
         // Membership/fairness timelines are tracked whenever anything
         // dynamic can happen: churn, scripted events, or runtime triggers.
-        let mut churn_outcome = (plan.is_some() || compiled.is_some()).then(|| ChurnOutcome {
+        let churn = (plan.is_some() || compiled.is_some()).then(|| ChurnOutcome {
             joins: 0,
             leaves: 0,
             departure_settlements: 0,
@@ -173,13 +157,6 @@ impl BandwidthSim {
             timeline: Vec::new(),
         });
         let timeline_stride = (total / 32).max(1);
-        // Reused across timeline samples and targeted-departure rankings so
-        // per-step fairness sampling does not allocate.
-        let mut income_buf: Vec<f64> = Vec::new();
-        // The liveness flips actually applied in the current step, handed
-        // to the workload so pool maintenance is O(flips), not a rescan of
-        // the whole population per churn batch. Reused across steps.
-        let mut flips: Vec<(fairswap_kademlia::NodeId, bool)> = Vec::new();
 
         let mut download = DownloadSim::new(self.topology, self.config.cache);
         download.set_route_policy(self.config.route);
@@ -199,270 +176,105 @@ impl BandwidthSim {
         if retry_active {
             download.set_retry_policy(self.config.max_retries, self.config.retry_backoff);
         }
-        // Flash-crowd cohorts exist but stay offline until their scripted
-        // arrival; the plan's consistency sweep started from this state.
-        if let Some(compiled) = &compiled {
-            for &node in &compiled.initially_offline {
-                download
-                    .topology_mut()
-                    .remove_node(node)
-                    .expect("cohort selected from the live population");
-                download.on_node_leave(node);
-            }
-            if !compiled.initially_offline.is_empty() {
-                let topology = download.topology_rc();
-                let changes: Vec<_> = compiled
-                    .initially_offline
-                    .iter()
-                    .map(|&node| (node, false))
-                    .collect();
-                self.workload
-                    .apply_membership(&changes, |node| topology.is_live(node));
-            }
-        }
-        let mut hops = HopHistogram::new();
-        // Which routing-table bucket of the originator the paid first hop
-        // sat in (§III-B: zero-proximity nodes take most first-hop load).
-        let mut first_hop_buckets = vec![0u64; bits as usize + 1];
-
         // Profiling is wall-clock and surfaces only through `--profile` /
         // BENCH artifacts; the trace and metrics streams stay logical.
         // Settlement time (the per-step amortization tick) is measured
         // separately and subtracted from the step loop's total.
         let profiling = obs.profiling();
-        let loop_start = profiling.then(std::time::Instant::now);
-        let mut settlement_nanos = 0u64;
         // Epoch snapshots share the timeline stride, so a trace correlates
-        // 1:1 with the churn timeline the report already carries.
+        // 1:1 with the churn timeline the report already carries. The
+        // `O::ENABLED` guard removes them from unobserved runs; profile-only
+        // observers skip the snapshot assembly via `wants_epochs`.
+        let epochs = O::ENABLED && obs.wants_epochs();
+        let mut run = Engine {
+            download,
+            workload: self.workload,
+            books: Books {
+                mechanism,
+                state,
+                hops: HopHistogram::new(),
+                first_hop_buckets: vec![0; bits as usize + 1],
+            },
+            churn,
+            flips: Vec::new(),
+            incomes: Vec::new(),
+            obs,
+        };
+        // Flash-crowd cohorts exist but stay offline until their scripted
+        // arrival; the plan's consistency sweep started from this state.
+        // They neither settle nor feed the durability model.
+        if let Some(compiled) = &compiled {
+            for &node in &compiled.initially_offline {
+                run.download
+                    .topology_mut()
+                    .remove_node(node)
+                    .expect("cohort selected from the live population");
+                run.download.on_node_leave(node);
+                run.flips.push((node, false));
+            }
+            run.apply_flips();
+        }
+
+        let loop_start = profiling.then(Instant::now);
+        let mut settlement_nanos = 0u64;
         let mut epoch_index = 0u64;
-
         for step in 1..=total {
-            // 1. Membership changes scheduled for this step. The guards
-            //    tolerate events invalidated by runtime triggers: a
-            //    targeted departure may have removed a node the plan later
-            //    schedules, so replay re-checks liveness instead of
-            //    trusting the sweep.
-            if let (Some(plan), Some(outcome)) = (plan.as_ref(), churn_outcome.as_mut()) {
-                let events = plan.events_at(step);
-                flips.clear();
-                for event in events {
-                    match event.kind {
-                        ChurnEventKind::Leave => {
-                            if !download.topology().is_live(event.node)
-                                || download.topology().live_count() <= 2
-                            {
-                                continue;
-                            }
-                            download
-                                .topology_mut()
-                                .remove_node(event.node)
-                                .expect("liveness checked above");
-                            download.on_node_leave(event.node);
-                            outcome.departure_settlements +=
-                                state.settle_departed(event.node) as u64;
-                            outcome.leaves += 1;
-                            // The custom hook's count and the engine's own
-                            // lost-region detection land in one ledger.
-                            let repaired =
-                                repair.on_departure(download.topology(), event.node, step)
-                                    + u64::from(download.note_departure(event.node, step));
-                            outcome.repair_events += repaired;
-                            obs.on_leave(step, event.node);
-                            if repaired > 0 {
-                                obs.on_repair(step, event.node, repaired);
-                            }
-                            flips.push((event.node, false));
-                        }
-                        ChurnEventKind::Join => {
-                            if download.topology().is_live(event.node) {
-                                continue;
-                            }
-                            download
-                                .topology_mut()
-                                .add_node(event.node)
-                                .expect("liveness checked above");
-                            outcome.joins += 1;
-                            obs.on_join(step, event.node);
-                            flips.push((event.node, true));
-                        }
-                    }
-                }
-                if !flips.is_empty() {
-                    let topology = download.topology_rc();
-                    self.workload
-                        .apply_membership(&flips, |node| topology.is_live(node));
-                }
+            // 1. Membership changes scheduled for this step.
+            if let Some(plan) = &plan {
+                run.apply_scheduled(plan.events_at(step), step);
             }
-
-            // 2. Runtime scenario trigger: the targeted departure wave
-            //    removes the current top earners — a selection only the
-            //    live simulation state can answer.
-            if let Some((at_step, top_fraction)) = targeted {
-                if step == at_step {
-                    state.incomes_f64_into(&mut income_buf);
-                    let live = download.topology().live_count();
-                    let count = ((live as f64 * top_fraction).ceil() as usize).max(1);
-                    let victims = download.topology().top_k_live_by_score(&income_buf, count);
-                    let outcome = churn_outcome
-                        .as_mut()
-                        .expect("targeted scenarios track membership");
-                    flips.clear();
-                    for node in victims {
-                        if download.topology().live_count() <= 2 {
-                            break;
-                        }
-                        download
-                            .topology_mut()
-                            .remove_node(node)
-                            .expect("victims are live by selection");
-                        download.on_node_leave(node);
-                        outcome.departure_settlements += state.settle_departed(node) as u64;
-                        outcome.targeted_removals += 1;
-                        let repaired = repair.on_departure(download.topology(), node, step)
-                            + u64::from(download.note_departure(node, step));
-                        outcome.repair_events += repaired;
-                        obs.on_targeted(step, node);
-                        if repaired > 0 {
-                            obs.on_repair(step, node, repaired);
-                        }
-                        flips.push((node, false));
-                    }
-                    let topology = download.topology_rc();
-                    self.workload
-                        .apply_membership(&flips, |node| topology.is_live(node));
-                }
+            // 2. Runtime scenario trigger: the targeted departure wave.
+            if let Some((_, top_fraction)) = targeted.filter(|&(at_step, _)| at_step == step) {
+                run.targeted_wave(top_fraction, step);
             }
-
-            // 3a. Repair traffic: due re-uploads route through the same
-            //     capacity-constrained forwarding as user requests — and
-            //     run first in the step, so aggressive repair genuinely
-            //     competes with the user traffic behind it. Repairers are
-            //     paid through the incentive layer like any other route.
+            // 3a. Repair traffic runs first in the step, so aggressive
+            //     repair genuinely competes with the user traffic behind it.
+            //     Re-uploads route through the same capacity-constrained
+            //     forwarding as user requests, and the incentive layer pays
+            //     the repairers like any other route.
             if repair_active {
-                let topology = download.topology_rc();
-                download.run_repairs(repair_source, |delivery| {
-                    mechanism.on_delivery(&topology, delivery, &mut state);
+                let topology = run.download.topology_rc();
+                let books = &mut run.books;
+                run.download.run_repairs(repair_source, |delivery| {
+                    books
+                        .mechanism
+                        .on_delivery(&topology, delivery, &mut books.state);
                 });
-                drop(topology);
             }
             // 3b. Due retries re-enter routing as fresh request attempts,
             //     accounted exactly like first-attempt user traffic.
             if retry_active {
-                let topology = download.topology_rc();
-                download.drain_retries(|delivery| {
-                    if delivery.delivered() {
-                        hops.record(delivery.hops.len());
-                        if let Some(first) = delivery.first_hop() {
-                            let bucket = topology
-                                .address(delivery.originator)
-                                .proximity(topology.address(first))
-                                .bucket_index();
-                            first_hop_buckets[bucket] += 1;
-                        }
-                    }
-                    mechanism.on_delivery(&topology, delivery, &mut state);
-                    obs.on_delivery(step, delivery);
+                let topology = run.download.topology_rc();
+                run.download
+                    .drain_retries(|delivery| run.books.user(&topology, delivery, run.obs, step));
+            }
+            // 3c. One file download.
+            let file = run.workload.next_download();
+            let topology = run.download.topology_rc();
+            run.download
+                .download_file_with(file.originator, &file.chunks, |delivery| {
+                    run.books.user(&topology, delivery, run.obs, step);
                 });
-                drop(topology);
+            // 3d. The mechanism's per-step tick (SWAP amortization).
+            let tick_start = profiling.then(Instant::now);
+            run.books
+                .mechanism
+                .on_tick(run.download.topology(), &mut run.books.state);
+            if let Some(start) = tick_start {
+                settlement_nanos += start.elapsed().as_nanos() as u64;
             }
-
-            // 3c. One file download, accounted by the incentive mechanism.
-            let file = self.workload.next_download();
-            let topology = download.topology_rc();
-            let origin_addr = topology.address(file.originator);
-            download.download_file_with(file.originator, &file.chunks, |delivery| {
-                if delivery.delivered() {
-                    hops.record(delivery.hops.len());
-                    if let Some(first) = delivery.first_hop() {
-                        let bucket = origin_addr
-                            .proximity(topology.address(first))
-                            .bucket_index();
-                        first_hop_buckets[bucket] += 1;
-                    }
-                }
-                mechanism.on_delivery(&topology, delivery, &mut state);
-                obs.on_delivery(step, delivery);
-            });
-            if profiling {
-                let tick_start = std::time::Instant::now();
-                mechanism.on_tick(&topology, &mut state);
-                settlement_nanos += tick_start.elapsed().as_nanos() as u64;
-            } else {
-                mechanism.on_tick(&topology, &mut state);
-            }
-            // Release the shared handle so the next step's churn events
-            // mutate the topology in place instead of copying it.
-            drop(topology);
-
-            // 4. Timeline sampling (fairness-over-time, live-node series).
-            if let Some(outcome) = churn_outcome.as_mut() {
-                if step % timeline_stride == 0 || step == total {
-                    state.incomes_f64_into(&mut income_buf);
-                    outcome.timeline.push(ChurnSample {
-                        step,
-                        live: download.topology().live_count(),
-                        f2_gini: gini(&income_buf).unwrap_or(0.0),
-                        unreachable: download.lost_region_count() as u64,
-                    });
-                }
-                if step == total {
-                    outcome.final_live = download.topology().live_count();
-                }
-            }
-            // 4b. Per-epoch observer snapshot — cumulative counters, same
-            //     stride as the timeline so traces correlate with it. The
-            //     `O::ENABLED` guard makes this whole block vanish for
-            //     unobserved runs; profile-only observers skip the (costly)
-            //     snapshot assembly via `wants_epochs`.
-            if O::ENABLED && obs.wants_epochs() && (step % timeline_stride == 0 || step == total) {
-                state.incomes_f64_into(&mut income_buf);
-                let stats = download.stats();
-                let requests: u64 = stats.requests_issued().iter().sum();
-                let stuck = stats.stuck_requests();
-                let cache_totals = download.cache_totals();
-                let ledger = state.swap().ledger();
-                let (joins, leaves, targeted_removals, repair_events) =
-                    churn_outcome.as_ref().map_or((0, 0, 0, 0), |o| {
-                        (o.joins, o.leaves, o.targeted_removals, o.repair_events)
-                    });
-                obs.on_epoch(&EpochSnapshot {
-                    epoch: epoch_index,
-                    step,
-                    live: download.topology().live_count() as u64,
-                    requests,
-                    delivered: requests - stuck,
-                    stuck,
-                    capacity_blocked: stats.capacity_blocked(),
-                    detoured: stats.detoured(),
-                    forwarded: stats.total_forwarded(),
-                    cache_served: stats.served_from_cache().iter().sum(),
-                    cache_lookups: cache_totals.lookups,
-                    cache_hits: cache_totals.hits,
-                    cache_misses: cache_totals.misses,
-                    cache_evictions: cache_totals.evictions,
-                    cache_ttl_expiries: cache_totals.ttl_expiries,
-                    settlements: ledger.transaction_count() as u64,
-                    settlement_volume: ledger.total_volume().raw(),
-                    joins,
-                    leaves,
-                    targeted_removals,
-                    repair_events,
-                    retried: stats.retried(),
-                    recovered: stats.recovered(),
-                    abandoned: stats.abandoned(),
-                    unreachable_requests: stats.unreachable_requests(),
-                    repair_transfers: stats.repair_transfers(),
-                    repair_delivered: stats.repair_delivered(),
-                    regions_lost: download.lost_region_count() as u64,
-                    f2_gini: gini(&income_buf).unwrap_or(0.0),
-                });
-                epoch_index += 1;
+            // 4. One fairness sample feeds the churn timeline and the
+            //    observer's epoch snapshot.
+            if (run.churn.is_some() || epochs) && (step % timeline_stride == 0 || step == total) {
+                run.sample(step, epochs.then_some(epoch_index));
+                epoch_index += u64::from(epochs);
             }
             // 5. Close this step's bandwidth-budget window.
-            download.advance_step();
+            run.download.advance_step();
             progress(step, total);
         }
 
+        let (mut download, books, obs) = (run.download, run.books, run.obs);
         if let Some(start) = loop_start {
             let loop_nanos = start.elapsed().as_nanos() as u64;
             obs.add_phase(fairswap_obs::Phase::Settlement, settlement_nanos);
@@ -482,26 +294,22 @@ impl BandwidthSim {
         // mean over completed repairs.
         download.finalize_durability(total);
         let cache_hits = (0..nodes)
-            .map(|n| {
-                download
-                    .cache(fairswap_kademlia::NodeId(n))
-                    .map_or(0, |c| c.hits())
-            })
+            .map(|n| download.cache(NodeId(n)).map_or(0, |c| c.hits()))
             .sum();
         let stats = download.stats().clone();
         let topology = download.topology_rc();
         drop(download);
-        let fairness_start = profiling.then(std::time::Instant::now);
+        let fairness_start = profiling.then(Instant::now);
         let report = SimReport::assemble(
             self.config,
             &topology,
             stats,
-            state,
-            hops,
+            books.state,
+            books.hops,
             free_riders,
             cache_hits,
-            first_hop_buckets,
-            churn_outcome,
+            books.first_hop_buckets,
+            run.churn,
         );
         if let Some(start) = fairness_start {
             obs.add_phase(
@@ -510,6 +318,213 @@ impl BandwidthSim {
             );
         }
         report
+    }
+}
+
+/// The mutable state of one run: what the layers of the step loop read
+/// and write.
+struct Engine<'o, O> {
+    download: DownloadSim,
+    workload: Workload,
+    books: Books,
+    /// Membership and fairness-over-time outcome; `None` in static runs.
+    churn: Option<ChurnOutcome>,
+    /// The liveness flips applied in the current step, handed to the
+    /// workload so pool maintenance is O(flips), not a rescan of the
+    /// whole population per churn batch. Reused across steps.
+    flips: Vec<(NodeId, bool)>,
+    /// Reused across fairness samples and targeted-departure rankings so
+    /// per-step fairness sampling does not allocate.
+    incomes: Vec<f64>,
+    obs: &'o mut O,
+}
+
+impl<O: StepObserver> Engine<'_, O> {
+    /// Applies one step's scheduled membership events. The guards
+    /// tolerate events invalidated by runtime triggers: a targeted
+    /// departure may have removed a node the plan later schedules, so
+    /// replay re-checks liveness instead of trusting the sweep.
+    fn apply_scheduled(&mut self, events: &[ChurnEvent], step: u64) {
+        for event in events {
+            let topology = self.download.topology();
+            match event.kind {
+                ChurnEventKind::Leave => {
+                    if !topology.is_live(event.node) || topology.live_count() <= 2 {
+                        continue;
+                    }
+                    self.depart(event.node, step, false);
+                }
+                ChurnEventKind::Join => {
+                    if topology.is_live(event.node) {
+                        continue;
+                    }
+                    self.download
+                        .topology_mut()
+                        .add_node(event.node)
+                        .expect("liveness checked above");
+                    self.churn
+                        .as_mut()
+                        .expect("membership events imply a churn outcome")
+                        .joins += 1;
+                    self.obs.on_join(step, event.node);
+                    self.flips.push((event.node, true));
+                }
+            }
+        }
+        self.apply_flips();
+    }
+
+    /// The targeted departure wave removes the current top earners — a
+    /// selection only the live simulation state can answer.
+    fn targeted_wave(&mut self, top_fraction: f64, step: u64) {
+        self.books.state.incomes_f64_into(&mut self.incomes);
+        let topology = self.download.topology();
+        let count = ((topology.live_count() as f64 * top_fraction).ceil() as usize).max(1);
+        for node in topology.top_k_live_by_score(&self.incomes, count) {
+            if self.download.topology().live_count() <= 2 {
+                break;
+            }
+            self.depart(node, step, true);
+        }
+        self.apply_flips();
+    }
+
+    /// Takes live `node` out of the overlay, for the churn plan or, when
+    /// `targeted`, for the targeted wave: routing tables are repaired and
+    /// its cache dropped, its outstanding cheque balances settle, and the
+    /// durability model checks whether its storage neighborhood emptied.
+    fn depart(&mut self, node: NodeId, step: u64, targeted: bool) {
+        self.download
+            .topology_mut()
+            .remove_node(node)
+            .expect("callers depart live nodes only");
+        self.download.on_node_leave(node);
+        let outcome = self
+            .churn
+            .as_mut()
+            .expect("membership events imply a churn outcome");
+        outcome.departure_settlements += self.books.state.settle_departed(node) as u64;
+        let repaired = u64::from(self.download.note_departure(node, step));
+        outcome.repair_events += repaired;
+        if targeted {
+            outcome.targeted_removals += 1;
+            self.obs.on_targeted(step, node);
+        } else {
+            outcome.leaves += 1;
+            self.obs.on_leave(step, node);
+        }
+        if repaired > 0 {
+            self.obs.on_repair(step, node, repaired);
+        }
+        self.flips.push((node, false));
+    }
+
+    /// Hands the step's liveness flips to the workload's originator pool.
+    fn apply_flips(&mut self) {
+        if !self.flips.is_empty() {
+            let topology = self.download.topology();
+            self.workload
+                .apply_membership(&self.flips, |node| topology.is_live(node));
+            self.flips.clear();
+        }
+    }
+
+    /// Samples F2 (the Gini of per-node income) once, and hands it to the
+    /// churn timeline and, with an `epoch` index, to the observer's
+    /// snapshot of the cumulative counters.
+    fn sample(&mut self, step: u64, epoch: Option<u64>) {
+        self.books.state.incomes_f64_into(&mut self.incomes);
+        let f2_gini = gini(&self.incomes).unwrap_or(0.0);
+        let download = &self.download;
+        let live = download.topology().live_count();
+        if let Some(outcome) = self.churn.as_mut() {
+            outcome.timeline.push(ChurnSample {
+                step,
+                live,
+                f2_gini,
+                unreachable: download.lost_region_count() as u64,
+            });
+            outcome.final_live = live;
+        }
+        let Some(epoch) = epoch else {
+            return;
+        };
+        let stats = download.stats();
+        let requests: u64 = stats.requests_issued().iter().sum();
+        let stuck = stats.stuck_requests();
+        let cache_totals = download.cache_totals();
+        let ledger = self.books.state.swap().ledger();
+        let (joins, leaves, targeted_removals, repair_events) =
+            self.churn.as_ref().map_or((0, 0, 0, 0), |o| {
+                (o.joins, o.leaves, o.targeted_removals, o.repair_events)
+            });
+        self.obs.on_epoch(&EpochSnapshot {
+            epoch,
+            step,
+            live: live as u64,
+            requests,
+            delivered: requests - stuck,
+            stuck,
+            capacity_blocked: stats.capacity_blocked(),
+            detoured: stats.detoured(),
+            forwarded: stats.total_forwarded(),
+            cache_served: stats.served_from_cache().iter().sum(),
+            cache_lookups: cache_totals.lookups,
+            cache_hits: cache_totals.hits,
+            cache_misses: cache_totals.misses,
+            cache_evictions: cache_totals.evictions,
+            cache_ttl_expiries: cache_totals.ttl_expiries,
+            settlements: ledger.transaction_count() as u64,
+            settlement_volume: ledger.total_volume().raw(),
+            joins,
+            leaves,
+            targeted_removals,
+            repair_events,
+            retried: stats.retried(),
+            recovered: stats.recovered(),
+            abandoned: stats.abandoned(),
+            unreachable_requests: stats.unreachable_requests(),
+            repair_transfers: stats.repair_transfers(),
+            repair_delivered: stats.repair_delivered(),
+            regions_lost: download.lost_region_count() as u64,
+            f2_gini,
+        });
+    }
+}
+
+/// What every routed chunk is accounted into: the incentive mechanism,
+/// the reward ledger, and the route statistics of user requests.
+struct Books {
+    mechanism: Box<dyn BandwidthIncentive>,
+    state: RewardState,
+    hops: HopHistogram,
+    /// Which routing-table bucket of the originator the paid first hop
+    /// sat in (§III-B: zero-proximity nodes take most first-hop load).
+    first_hop_buckets: Vec<u64>,
+}
+
+impl Books {
+    /// Accounts one routed user request, a first attempt or a retry.
+    fn user<O: StepObserver>(
+        &mut self,
+        topology: &Topology,
+        delivery: &ChunkDelivery,
+        obs: &mut O,
+        step: u64,
+    ) {
+        if delivery.delivered() {
+            self.hops.record(delivery.hops.len());
+            if let Some(first) = delivery.first_hop() {
+                let bucket = topology
+                    .address(delivery.originator)
+                    .proximity(topology.address(first))
+                    .bucket_index();
+                self.first_hop_buckets[bucket] += 1;
+            }
+        }
+        self.mechanism
+            .on_delivery(topology, delivery, &mut self.state);
+        obs.on_delivery(step, delivery);
     }
 }
 
@@ -796,35 +811,6 @@ mod tests {
         assert!(stats.retried() >= stats.recovered() + stats.abandoned());
         let income: f64 = retried.incomes().iter().sum();
         assert_eq!(income as u64, retried.settlement_volume());
-    }
-
-    #[test]
-    fn custom_repair_hook_sees_every_departure() {
-        use crate::policy::RepairHook;
-        use fairswap_kademlia::{NodeId, Topology};
-
-        struct Recorder {
-            departures: Vec<(u64, NodeId)>,
-        }
-        impl RepairHook for Recorder {
-            fn on_departure(&mut self, _t: &Topology, departed: NodeId, step: u64) -> u64 {
-                self.departures.push((step, departed));
-                1
-            }
-        }
-
-        let mut hook = Recorder {
-            departures: Vec::new(),
-        };
-        let report = churn_sim(0.2, 7).run_with_repair(&mut hook);
-        let churn = report.churn().unwrap();
-        assert_eq!(
-            hook.departures.len() as u64,
-            churn.leaves + churn.targeted_removals
-        );
-        assert_eq!(churn.repair_events, hook.departures.len() as u64);
-        // Steps arrive in order.
-        assert!(hook.departures.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]

@@ -34,11 +34,12 @@ pub enum EventKind {
         /// The removed node's index.
         node: u64,
     },
-    /// A repair hook fired for a departure.
+    /// A departure emptied its storage neighborhood (a lost region).
     Repair {
-        /// The departed node the hook fired for.
+        /// The departed node.
         node: u64,
-        /// Repair events the hook reported.
+        /// Lost regions detected: 1, since a departure empties at most its
+        /// own region.
         events: u64,
     },
     /// Per-epoch snapshot marker; the full counter set goes to the metrics

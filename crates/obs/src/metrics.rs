@@ -185,14 +185,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Read access to a histogram.
-    pub fn histogram_value(&self, handle: usize) -> &LogHistogram {
-        match &self.metrics[handle] {
-            Metric::Histogram(h) => h,
-            _ => panic!("handle {handle} is not a histogram"),
-        }
-    }
-
     /// Snapshots every metric into CSV rows for one epoch.
     ///
     /// Counters and gauges emit one row each; a histogram emits one row per

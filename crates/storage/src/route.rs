@@ -10,8 +10,8 @@
 //! Policies are a closed, serde-stable enum rather than a trait object:
 //! the next-hop choice sits on the innermost loop of every routed chunk,
 //! and an enum keeps the greedy fast path branch-predictable and the spec
-//! format stable. The open extension point of the policy layer is the
-//! repair hook in `fairswap_core::policy`, which runs off the hot path.
+//! format stable. The other two policies of `fairswap_core::policy`,
+//! caching and repair, are closed enums for the same reason.
 //!
 //! Determinism rules: a policy may consult only the topology, the target
 //! address and the per-step capacity ledger — never wall-clock time or an

@@ -150,6 +150,33 @@ fn counters_are_conserved_and_match_the_report() {
     assert_eq!(m["repair_events"], churn.repair_events);
 }
 
+/// The engine's whole event stream is pinned: a run under 10% churn with
+/// a targeted-departure wave, re-replication and retries (every layer of
+/// the step loop fires) must reproduce the committed JSONL trace and
+/// metrics CSV byte for byte. `fairswap run --config
+/// tests/fixtures/engine/spec.json --trace FILE --metrics FILE` writes the
+/// same two files.
+#[test]
+fn engine_trace_and_metrics_match_the_fixtures() {
+    let spec = SimSpec::from_json(include_str!("fixtures/engine/spec.json")).unwrap();
+    let mut obs = GridObservation::new(ObsOptions {
+        trace: true,
+        metrics: true,
+        ..ObsOptions::default()
+    });
+    run_jobs_observed(&Executor::serial(), vec![spec], &mut obs).unwrap();
+    let trace = obs.trace_jsonl();
+    assert_eq!(validate_jsonl(&trace).unwrap().dropped, 0);
+    assert!(
+        trace == include_str!("fixtures/engine/trace.jsonl"),
+        "engine trace differs from tests/fixtures/engine/trace.jsonl"
+    );
+    assert!(
+        obs.metrics_csv() == include_str!("fixtures/engine/metrics.csv"),
+        "engine metrics differ from tests/fixtures/engine/metrics.csv"
+    );
+}
+
 #[test]
 fn trace_validates_and_survives_ring_overflow() {
     let (_, obs) = demo_report(everything());
