@@ -10,12 +10,13 @@
 //! seed)` always replays the identical plan, preserving the paper's
 //! fixed-seed methodology under dynamic membership.
 //!
-//! Beyond statistical churn, plans compose with *scripted* scenarios
-//! ([`fairswap_simcore::scenario::EventScript`]): flash crowds, regional
-//! outages and other correlated shocks merge into a plan via
-//! [`ChurnPlan::with_script`] / [`ChurnPlan::from_script`], which re-sweep
-//! the combined stream so the result stays replayable (a node leaves only
-//! while live, joins only while down).
+//! Beyond statistical churn, [`ChurnPlan::compose`] merges a base stream
+//! (usually a generated plan's events) with *scripted* [`ChurnEvent`]s —
+//! flash crowds, regional outages and other correlated shocks that
+//! `fairswap_core`'s scenario compiler emits — and re-sweeps the combined
+//! stream so the result stays replayable (a node leaves only while live,
+//! joins only while down). Generation and composition share that one
+//! sweep.
 //!
 //! ```
 //! use fairswap_churn::{ChurnConfig, ChurnPlan};
@@ -34,5 +35,3 @@ mod plan;
 pub use config::{ChurnConfig, ChurnError};
 pub use lifetime::LifetimeDist;
 pub use plan::{ChurnEvent, ChurnEventKind, ChurnPlan};
-
-pub use fairswap_simcore::scenario::{EventScript, ScriptEvent, ScriptEventKind};

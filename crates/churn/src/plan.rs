@@ -5,7 +5,6 @@ use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
 use fairswap_kademlia::NodeId;
-use fairswap_simcore::scenario::{EventScript, ScriptEventKind};
 
 use crate::config::{ChurnConfig, ChurnError};
 
@@ -110,72 +109,32 @@ impl ChurnPlan {
         //    (a node departing and another arriving in the same step are
         //    independent; within one node the renewal process already
         //    alternates).
-        raw.sort_unstable_by_key(|e| (e.step, e.node, matches!(e.kind, ChurnEventKind::Join)));
+        raw.sort_unstable_by_key(replay_order);
 
         // 3. Consistency + floor sweep.
         let floor = ((nodes as f64 * config.min_live_fraction).ceil() as usize).clamp(2, nodes);
-        let mut live = vec![true; nodes];
-        let mut live_count = nodes;
-        let mut events = Vec::with_capacity(raw.len());
-        let mut suppressed = vec![false; nodes];
-        let (mut joins, mut leaves) = (0usize, 0usize);
-        for event in raw {
-            let idx = event.node.index();
-            match event.kind {
-                ChurnEventKind::Leave => {
-                    if !live[idx] || live_count <= floor {
-                        // Suppressed: the node stays up, so its next
-                        // (now-inconsistent) join must be dropped as well.
-                        suppressed[idx] = live[idx];
-                        continue;
-                    }
-                    live[idx] = false;
-                    live_count -= 1;
-                    leaves += 1;
-                    events.push(event);
-                }
-                ChurnEventKind::Join => {
-                    if suppressed[idx] {
-                        // Cancelled leave: swallow the matching join.
-                        suppressed[idx] = false;
-                        continue;
-                    }
-                    if live[idx] {
-                        continue;
-                    }
-                    live[idx] = true;
-                    live_count += 1;
-                    joins += 1;
-                    events.push(event);
-                }
-            }
-        }
-
-        // 4. Step index for O(1) per-step lookup.
-        let offsets = step_offsets(&events, steps);
-
-        Ok(Self {
-            nodes,
-            steps,
-            events,
-            offsets,
-            joins,
-            leaves,
-            final_live: live_count,
-        })
+        Ok(Self::swept(nodes, steps, raw, vec![true; nodes], floor))
     }
 
-    /// Compiles a scripted [`EventScript`] alone into a replayable plan —
-    /// the scenario-without-background-churn case.
+    /// Composes a base event stream and a scripted one into a replayable
+    /// plan: background statistical churn (usually the events of a
+    /// [`ChurnPlan::generate`]d plan, or none) plus scripted shocks such as
+    /// flash crowds and regional outages.
     ///
     /// `initially_live[i]` says whether node slot `i` is part of the overlay
     /// before step 1 (scenarios such as flash crowds hold a cohort offline
-    /// until their scripted join). The script is swept for consistency the
-    /// same way [`ChurnPlan::generate`] sweeps its renewal events: a node
-    /// leaves only while live, joins only while down, and leaves that would
-    /// drop the live population below the structural floor of 2 are
-    /// suppressed. Scripted shocks are allowed to cut far deeper than
-    /// statistical churn, so no fractional floor applies here.
+    /// until their scripted join). Initially-offline nodes belong to the
+    /// script until it first touches them: base events of such a node
+    /// before its first scripted event are dropped. Script events outside
+    /// `1..=steps` are dropped too. The merged stream replays in
+    /// `(step, node, leaves-before-joins)` order, whichever source an event
+    /// came from and in whatever order the script lists it; duplicates
+    /// collapse. It is then swept the same way [`ChurnPlan::generate`]
+    /// sweeps its renewal events: a node leaves only while live, joins only
+    /// while down, and leaves that would drop the live population below the
+    /// structural floor of 2 are suppressed. Scripted shocks are allowed to
+    /// cut far deeper than statistical churn, so no fractional floor
+    /// applies here.
     ///
     /// # Errors
     ///
@@ -184,50 +143,11 @@ impl ChurnPlan {
     ///   cover exactly `nodes` slots.
     /// * [`ChurnError::NodeOutOfRange`] if the script references a node
     ///   outside `0..nodes`.
-    pub fn from_script(
+    pub fn compose(
         nodes: usize,
         steps: u64,
-        script: &EventScript,
-        initially_live: &[bool],
-    ) -> Result<Self, ChurnError> {
-        Self::composed(nodes, steps, Vec::new(), script, initially_live)
-    }
-
-    /// Layers a scripted [`EventScript`] on top of this plan's events,
-    /// producing a new plan that replays both (the scenario engine's plan
-    /// composition: background statistical churn plus scripted shocks).
-    ///
-    /// The merged stream is re-swept for consistency from `initially_live`,
-    /// so scripted and statistical events can never produce an impossible
-    /// replay (double leaves, joins of live nodes); conflicting events are
-    /// dropped deterministically. Within one step, leaves replay before
-    /// joins and nodes in ascending id order, independent of which source
-    /// contributed the event.
-    ///
-    /// # Errors
-    ///
-    /// See [`ChurnPlan::from_script`].
-    pub fn with_script(
-        &self,
-        script: &EventScript,
-        initially_live: &[bool],
-    ) -> Result<Self, ChurnError> {
-        Self::composed(
-            self.nodes,
-            self.steps,
-            self.events.clone(),
-            script,
-            initially_live,
-        )
-    }
-
-    /// Shared sweep behind [`ChurnPlan::from_script`] /
-    /// [`ChurnPlan::with_script`].
-    fn composed(
-        nodes: usize,
-        steps: u64,
-        mut raw: Vec<ChurnEvent>,
-        script: &EventScript,
+        base: &[ChurnEvent],
+        script: &[ChurnEvent],
         initially_live: &[bool],
     ) -> Result<Self, ChurnError> {
         if nodes == 0 || steps == 0 {
@@ -239,47 +159,41 @@ impl ChurnPlan {
                 got: initially_live.len(),
             });
         }
-        for event in script.events() {
-            if event.node >= nodes {
-                return Err(ChurnError::NodeOutOfRange {
-                    node: event.node,
-                    nodes,
-                });
-            }
-        }
         // Initially-offline nodes belong to the script until it first
-        // touches them: base-plan events generated under the all-live
-        // assumption must not trickle a held-back cohort in early (or
-        // resurrect nodes the script never schedules).
+        // touches them (at any step, in the horizon or not): base events
+        // generated under the all-live assumption must not trickle a
+        // held-back cohort in early, or resurrect nodes the script never
+        // schedules.
         let mut first_scripted = vec![u64::MAX; nodes];
-        for event in script.events() {
-            let slot = &mut first_scripted[event.node];
-            *slot = (*slot).min(event.step);
+        for event in script {
+            let node = event.node.index();
+            if node >= nodes {
+                return Err(ChurnError::NodeOutOfRange { node, nodes });
+            }
+            first_scripted[node] = first_scripted[node].min(event.step);
         }
-        raw.retain(|e| initially_live[e.node.index()] || e.step >= first_scripted[e.node.index()]);
-        raw.extend(
-            script
-                .sorted_events()
-                .into_iter()
-                .filter(|e| e.step >= 1 && e.step <= steps)
-                .map(|e| ChurnEvent {
-                    step: e.step,
-                    node: NodeId(e.node),
-                    kind: match e.kind {
-                        ScriptEventKind::Join => ChurnEventKind::Join,
-                        ScriptEventKind::Leave => ChurnEventKind::Leave,
-                    },
-                }),
-        );
-        raw.sort_unstable_by_key(|e| (e.step, e.node, matches!(e.kind, ChurnEventKind::Join)));
+        let mut raw: Vec<ChurnEvent> = base
+            .iter()
+            .filter(|e| initially_live[e.node.index()] || e.step >= first_scripted[e.node.index()])
+            .chain(script.iter().filter(|e| (1..=steps).contains(&e.step)))
+            .copied()
+            .collect();
+        raw.sort_unstable_by_key(replay_order);
         raw.dedup();
+        Ok(Self::swept(nodes, steps, raw, initially_live.to_vec(), 2))
+    }
 
-        // Plain consistency sweep (no renewal-pairing bookkeeping: merged
-        // streams have no alternation invariant to preserve). Only the
-        // structural floor of 2 live nodes is enforced — the minimum the
-        // topology's mutation APIs require.
-        let floor = 2usize;
-        let mut live = initially_live.to_vec();
+    /// The one consistency sweep behind [`ChurnPlan::generate`] and
+    /// [`ChurnPlan::compose`]: replays `raw` (in replay order) from `live`,
+    /// keeping a leave only while its node is live and the live count is
+    /// above `floor`, and a join only while its node is down.
+    fn swept(
+        nodes: usize,
+        steps: u64,
+        raw: Vec<ChurnEvent>,
+        mut live: Vec<bool>,
+        floor: usize,
+    ) -> Self {
         let mut live_count = live.iter().filter(|&&l| l).count();
         let mut events = Vec::with_capacity(raw.len());
         let (mut joins, mut leaves) = (0usize, 0usize);
@@ -293,7 +207,6 @@ impl ChurnPlan {
                     live[idx] = false;
                     live_count -= 1;
                     leaves += 1;
-                    events.push(event);
                 }
                 ChurnEventKind::Join => {
                     if live[idx] {
@@ -302,13 +215,12 @@ impl ChurnPlan {
                     live[idx] = true;
                     live_count += 1;
                     joins += 1;
-                    events.push(event);
                 }
             }
+            events.push(event);
         }
-
         let offsets = step_offsets(&events, steps);
-        Ok(Self {
+        Self {
             nodes,
             steps,
             events,
@@ -316,7 +228,7 @@ impl ChurnPlan {
             joins,
             leaves,
             final_live: live_count,
-        })
+        }
     }
 
     /// Number of node slots the plan was generated for.
@@ -356,6 +268,12 @@ impl ChurnPlan {
     pub fn final_live_count(&self) -> usize {
         self.final_live
     }
+}
+
+/// The replay order of a plan's events: by step, then node, leaves before
+/// joins. Events with equal keys are equal, so the order is total.
+fn replay_order(e: &ChurnEvent) -> (u64, NodeId, bool) {
+    (e.step, e.node, matches!(e.kind, ChurnEventKind::Join))
 }
 
 /// `offsets[step]` = index of the first event at `step` (len `steps + 2` so
@@ -487,13 +405,34 @@ mod tests {
         (joins, leaves, live.iter().filter(|&&l| l).count())
     }
 
+    fn at(
+        step: u64,
+        nodes: impl IntoIterator<Item = usize>,
+        kind: ChurnEventKind,
+    ) -> Vec<ChurnEvent> {
+        nodes
+            .into_iter()
+            .map(|node| ChurnEvent {
+                step,
+                node: NodeId(node),
+                kind,
+            })
+            .collect()
+    }
+
+    fn leaves(step: u64, nodes: impl IntoIterator<Item = usize>) -> Vec<ChurnEvent> {
+        at(step, nodes, ChurnEventKind::Leave)
+    }
+
+    fn joins(step: u64, nodes: impl IntoIterator<Item = usize>) -> Vec<ChurnEvent> {
+        at(step, nodes, ChurnEventKind::Join)
+    }
+
     #[test]
     fn script_composes_onto_a_base_plan_consistently() {
         let base = ChurnPlan::generate(60, 300, &config(0.05), 5).unwrap();
-        let mut script = EventScript::new();
-        script.mass_leave(150, 0..10);
-        script.mass_join(200, 0..10);
-        let composed = base.with_script(&script, &[true; 60]).unwrap();
+        let script = [leaves(150, 0..10), joins(200, 0..10)].concat();
+        let composed = ChurnPlan::compose(60, 300, base.events(), &script, &[true; 60]).unwrap();
         assert_eq!(composed.nodes(), 60);
         assert_eq!(composed.steps(), 300);
         // The composed plan replays consistently from the initial state...
@@ -511,7 +450,15 @@ mod tests {
             .any(|e| e.kind == ChurnEventKind::Leave && e.node.index() < 10));
         assert_ne!(composed, base);
         // Deterministic: same inputs, same plan.
-        assert_eq!(composed, base.with_script(&script, &[true; 60]).unwrap());
+        assert_eq!(
+            composed,
+            ChurnPlan::compose(60, 300, base.events(), &script, &[true; 60]).unwrap()
+        );
+        // An empty script over a generated plan's events replays that plan.
+        assert_eq!(
+            ChurnPlan::compose(60, 300, base.events(), &[], &[true; 60]).unwrap(),
+            base
+        );
     }
 
     #[test]
@@ -520,24 +467,90 @@ mod tests {
         for slot in initially_live.iter_mut().take(8) {
             *slot = false;
         }
-        let mut script = EventScript::new();
-        script.mass_join(20, 0..8);
-        let plan = ChurnPlan::from_script(40, 100, &script, &initially_live).unwrap();
+        let plan = ChurnPlan::compose(40, 100, &[], &joins(20, 0..8), &initially_live).unwrap();
         assert_eq!(plan.join_count(), 8);
         assert_eq!(plan.leave_count(), 0);
         assert_eq!(plan.final_live_count(), 40);
         // Joins of already-live nodes are swept out.
-        let mut redundant = EventScript::new();
-        redundant.mass_join(20, 10..15);
-        let noop = ChurnPlan::from_script(40, 100, &redundant, &initially_live).unwrap();
+        let noop = ChurnPlan::compose(40, 100, &[], &joins(20, 10..15), &initially_live).unwrap();
         assert_eq!(noop.join_count(), 0);
     }
 
     #[test]
+    fn held_back_nodes_ignore_base_events_until_their_first_scripted_one() {
+        let mut initially_live = vec![true; 10];
+        initially_live[0] = false;
+        initially_live[1] = false;
+        // Node 0 is scripted in at step 5; node 1 never is. Node 2 is live
+        // from the start, so its base events all stand.
+        let base = [joins(2, [0, 1]), leaves(3, [2]), leaves(7, [0, 1])].concat();
+        // A past-horizon script event still counts as the first touch.
+        let script = [joins(5, [0]), joins(99, [1])].concat();
+        let plan = ChurnPlan::compose(10, 20, &base, &script, &initially_live).unwrap();
+        assert_eq!(
+            plan.events(),
+            [leaves(3, [2]), joins(5, [0]), leaves(7, [0])].concat()
+        );
+    }
+
+    #[test]
+    fn scripts_normalize_independent_of_insertion_order() {
+        let a = [joins(5, [2]), leaves(3, [7]), leaves(5, [1])].concat();
+        let b = [leaves(5, [1]), leaves(3, [7]), joins(5, [2])].concat();
+        let mut initially_live = vec![true; 8];
+        initially_live[2] = false;
+        let plan = |script: &[ChurnEvent]| {
+            ChurnPlan::compose(8, 10, &[], script, &initially_live).unwrap()
+        };
+        assert_eq!(plan(&a), plan(&b));
+        assert_eq!(
+            plan(&a).events(),
+            [leaves(3, [7]), leaves(5, [1]), joins(5, [2])].concat()
+        );
+    }
+
+    #[test]
+    fn leaves_sort_before_joins_of_the_same_node_and_step() {
+        // Listed join-first, the pair still replays as a leave then a
+        // rejoin of the live node.
+        let script = [joins(4, [1]), leaves(4, [1])].concat();
+        let plan = ChurnPlan::compose(5, 10, &[], &script, &[true; 5]).unwrap();
+        assert_eq!(plan.events(), [leaves(4, [1]), joins(4, [1])].concat());
+    }
+
+    #[test]
+    fn duplicate_events_deduplicate() {
+        // Two leaves of one node in one step: the duplicate collapses
+        // before the sweep, whichever stream each came from.
+        let plan = ChurnPlan::compose(5, 10, &leaves(2, [3]), &leaves(2, [3]), &[true; 5]).unwrap();
+        assert_eq!(plan.events(), leaves(2, [3]));
+    }
+
+    #[test]
+    fn mass_operations_and_merge() {
+        let outage = leaves(10, [1, 2, 3]);
+        let crowd = joins(20, [4, 5]);
+        let mut initially_live = vec![true; 8];
+        initially_live[4] = false;
+        initially_live[5] = false;
+        let plan = ChurnPlan::compose(8, 30, &outage, &crowd, &initially_live).unwrap();
+        assert_eq!(plan.events(), [outage, crowd].concat());
+        assert_eq!((plan.leave_count(), plan.join_count()), (3, 2));
+        assert_eq!(plan.final_live_count(), 5);
+    }
+
+    #[test]
+    fn empty_script() {
+        let plan =
+            ChurnPlan::compose(6, 10, &[], &[], &[true, false, true, true, false, true]).unwrap();
+        assert!(plan.events().is_empty());
+        assert_eq!(plan.final_live_count(), 4);
+        assert!(plan.events_at(1).is_empty());
+    }
+
+    #[test]
     fn composed_sweep_enforces_the_structural_floor() {
-        let mut script = EventScript::new();
-        script.mass_leave(5, 0..30);
-        let plan = ChurnPlan::from_script(30, 50, &script, &[true; 30]).unwrap();
+        let plan = ChurnPlan::compose(30, 50, &[], &leaves(5, 0..30), &[true; 30]).unwrap();
         // Leaves stop once only two nodes remain.
         assert_eq!(plan.leave_count(), 28);
         assert_eq!(plan.final_live_count(), 2);
@@ -545,22 +558,19 @@ mod tests {
 
     #[test]
     fn composed_rejects_bad_inputs() {
-        let script = EventScript::new();
         assert_eq!(
-            ChurnPlan::from_script(0, 10, &script, &[]).unwrap_err(),
+            ChurnPlan::compose(0, 10, &[], &[], &[]).unwrap_err(),
             ChurnError::EmptyPlan
         );
         assert!(matches!(
-            ChurnPlan::from_script(10, 10, &script, &[true; 4]).unwrap_err(),
+            ChurnPlan::compose(10, 10, &[], &[], &[true; 4]).unwrap_err(),
             ChurnError::InvalidInitialLive {
                 expected: 10,
                 got: 4
             }
         ));
-        let mut oob = EventScript::new();
-        oob.leave(1, 99);
         assert!(matches!(
-            ChurnPlan::from_script(10, 10, &oob, &[true; 10]).unwrap_err(),
+            ChurnPlan::compose(10, 10, &[], &leaves(1, [99]), &[true; 10]).unwrap_err(),
             ChurnError::NodeOutOfRange {
                 node: 99,
                 nodes: 10
@@ -570,11 +580,8 @@ mod tests {
 
     #[test]
     fn scripted_events_outside_the_horizon_are_dropped() {
-        let mut script = EventScript::new();
-        script.leave(0, 1);
-        script.leave(999, 2);
-        script.leave(10, 3);
-        let plan = ChurnPlan::from_script(20, 50, &script, &[true; 20]).unwrap();
+        let script = [leaves(0, [1]), leaves(999, [2]), leaves(10, [3])].concat();
+        let plan = ChurnPlan::compose(20, 50, &[], &script, &[true; 20]).unwrap();
         assert_eq!(plan.leave_count(), 1);
         assert_eq!(plan.events()[0].node, NodeId(3));
     }

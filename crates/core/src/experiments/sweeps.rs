@@ -97,9 +97,9 @@ impl StepObserver for GiniTrail {
         }
     }
 
-    fn on_repair(&mut self, step: u64, node: NodeId, events: u64) {
+    fn on_repair(&mut self, step: u64, node: NodeId) {
         if let Some(c) = &mut self.collector {
-            c.on_repair(step, node, events);
+            c.on_repair(step, node);
         }
     }
 

@@ -152,9 +152,9 @@ pub trait StepObserver {
     /// A node was removed by the targeted-departure trigger at `step`.
     fn on_targeted(&mut self, _step: u64, _node: NodeId) {}
 
-    /// A departure emptied its storage neighborhood: `events > 0` lost
-    /// regions detected.
-    fn on_repair(&mut self, _step: u64, _node: NodeId, _events: u64) {}
+    /// `node`'s departure emptied its storage neighborhood (one lost
+    /// region).
+    fn on_repair(&mut self, _step: u64, _node: NodeId) {}
 
     /// One chunk delivery attempt finished at `step`.
     fn on_delivery(&mut self, _step: u64, _delivery: &ChunkDelivery) {}
@@ -392,12 +392,11 @@ impl StepObserver for ObsCollector {
         );
     }
 
-    fn on_repair(&mut self, step: u64, node: NodeId, events: u64) {
+    fn on_repair(&mut self, step: u64, node: NodeId) {
         self.push(
             step,
             EventKind::Repair {
                 node: node.0 as u64,
-                events,
             },
         );
     }

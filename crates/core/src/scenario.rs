@@ -6,15 +6,15 @@
 //! plus the built topology into the concrete pieces the simulator
 //! executes:
 //!
-//! * a scripted [`EventScript`] (which nodes join/leave at which step),
+//! * scripted [`ChurnEvent`]s (which nodes join/leave at which step),
 //!   composed into the run's [`fairswap_churn::ChurnPlan`] so scripted
 //!   shocks and background statistical churn replay through one stream;
 //! * the set of nodes held *offline* before step 1 (a flash-crowd cohort
 //!   exists before it arrives);
 //! * a runtime *targeted-departure trigger* for selections that depend on
 //!   simulation state (the top earners are only known at the shock step);
-//! * per-node bandwidth budgets for the storage layer's download
-//!   scheduling.
+//! * per-node bandwidth budgets (chunks forwarded per step) for the
+//!   storage layer's download scheduling.
 //!
 //! Everything derives from the master seed through
 //! [`domain::SCENARIO`](fairswap_simcore::rng::domain::SCENARIO), so a
@@ -24,9 +24,9 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use fairswap_churn::{ChurnEvent, ChurnEventKind};
 use fairswap_kademlia::{NodeId, Topology};
 use fairswap_simcore::rng::{domain, sub_rng};
-use fairswap_simcore::scenario::{CapacityPlan, EventScript};
 
 use crate::error::CoreError;
 
@@ -207,12 +207,13 @@ impl ScenarioKind {
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledScenario {
     /// Scripted membership events, composed into the run's churn plan.
-    pub script: EventScript,
+    pub script: Vec<ChurnEvent>,
     /// Nodes held offline before step 1 (flash-crowd cohorts).
     pub initially_offline: Vec<NodeId>,
     /// Runtime trigger: `(at_step, top_fraction)` of a targeted departure.
     pub targeted: Option<(u64, f64)>,
-    /// Per-node bandwidth budgets for download scheduling.
+    /// Per-node bandwidth budgets for download scheduling, at least 1
+    /// each.
     pub capacities: Option<Vec<u64>>,
 }
 
@@ -226,7 +227,10 @@ pub(crate) fn compile(kind: &ScenarioKind, topology: &Topology, seed: u64) -> Co
     let anchor = space.address_truncated(rng.gen_range(0..=space.max_raw()));
     let nodes = topology.len();
 
-    let mut script = EventScript::new();
+    let mut script = Vec::new();
+    let mut schedule = |step: u64, nodes: &[NodeId], kind: ChurnEventKind| {
+        script.extend(nodes.iter().map(|&node| ChurnEvent { step, node, kind }));
+    };
     let mut initially_offline = Vec::new();
     let mut targeted = None;
     let mut capacities = None;
@@ -245,7 +249,7 @@ pub(crate) fn compile(kind: &ScenarioKind, topology: &Topology, seed: u64) -> Co
             // stays offline until the crowd arrives.
             let count = ((nodes as f64 * join_fraction).ceil() as usize).clamp(1, nodes / 2);
             let cohort = topology.closest_live_nodes(anchor, count);
-            script.mass_join(at_step, cohort.iter().map(|n| n.index()));
+            schedule(at_step, &cohort, ChurnEventKind::Join);
             initially_offline = cohort;
         }
         ScenarioKind::RegionalOutage {
@@ -254,12 +258,9 @@ pub(crate) fn compile(kind: &ScenarioKind, topology: &Topology, seed: u64) -> Co
             rejoin_after,
         } => {
             let region = topology.live_nodes_with_prefix(anchor, region_bits);
-            script.mass_leave(at_step, region.iter().map(|n| n.index()));
+            schedule(at_step, &region, ChurnEventKind::Leave);
             if let Some(delay) = rejoin_after {
-                script.mass_join(
-                    at_step.saturating_add(delay),
-                    region.iter().map(|n| n.index()),
-                );
+                schedule(at_step.saturating_add(delay), &region, ChurnEventKind::Join);
             }
         }
         ScenarioKind::Heterogeneity {
@@ -267,9 +268,20 @@ pub(crate) fn compile(kind: &ScenarioKind, topology: &Topology, seed: u64) -> Co
             slow_budget,
             fast_budget,
         } => {
-            let plan =
-                CapacityPlan::two_tier(nodes, slow_fraction, slow_budget, fast_budget, &mut rng);
-            capacities = Some(plan.budgets().to_vec());
+            // A two-tier population: each node is independently slow with
+            // probability `slow_fraction`, drawn in node order.
+            let (slow, fast) = (slow_budget.max(1), fast_budget.max(1));
+            capacities = Some(
+                (0..nodes)
+                    .map(|_| {
+                        if rng.gen_bool(slow_fraction) {
+                            slow
+                        } else {
+                            fast
+                        }
+                    })
+                    .collect(),
+            );
         }
     }
 
@@ -411,12 +423,16 @@ mod tests {
         };
         let compiled = compile(&kind, &t, 7);
         assert_eq!(compiled.initially_offline.len(), 30);
-        assert_eq!(compiled.script.len(), 30);
         assert!(compiled.targeted.is_none() && compiled.capacities.is_none());
-        // The cohort is address-concentrated: its members are exactly the
-        // closest nodes to some anchor, so re-querying the topology with
-        // any cohort member's neighborhood must find the others nearby.
-        assert_eq!(compiled.script.max_step(), 50);
+        // The cohort joins at the shock, node for node.
+        assert!(compiled
+            .script
+            .iter()
+            .map(|e| (e.step, e.node, e.kind))
+            .eq(compiled
+                .initially_offline
+                .iter()
+                .map(|&node| (50, node, ChurnEventKind::Join))));
         // Deterministic in the seed.
         assert_eq!(
             compiled.initially_offline,
@@ -440,10 +456,19 @@ mod tests {
         assert!(compiled.initially_offline.is_empty());
         assert!(!compiled.script.is_empty());
         // Leaves at 40 and matching joins at 65.
-        assert_eq!(compiled.script.len() % 2, 0);
-        assert_eq!(compiled.script.max_step(), 65);
+        let (leaves, joins) = compiled.script.split_at(compiled.script.len() / 2);
+        assert!(leaves
+            .iter()
+            .all(|e| e.step == 40 && e.kind == ChurnEventKind::Leave));
+        assert!(joins
+            .iter()
+            .all(|e| e.step == 65 && e.kind == ChurnEventKind::Join));
+        assert!(leaves
+            .iter()
+            .map(|e| e.node)
+            .eq(joins.iter().map(|e| e.node)));
         // A 2-bit region is roughly a quarter of the population.
-        let region = compiled.script.len() / 2;
+        let region = leaves.len();
         assert!((40..=180).contains(&region), "region = {region}");
     }
 
@@ -461,6 +486,24 @@ mod tests {
         assert!(caps.iter().all(|&c| c == 4 || c == 64));
         assert!(caps.contains(&4) && caps.contains(&64));
         assert!(compiled.script.is_empty() && compiled.targeted.is_none());
+    }
+
+    #[test]
+    fn two_tier_capacities_are_deterministic_and_clamped() {
+        let t = topology(500);
+        let kind = ScenarioKind::Heterogeneity {
+            slow_fraction: 0.3,
+            slow_budget: 0,
+            fast_budget: 64,
+        };
+        let caps = |seed: u64| compile(&kind, &t, seed).capacities.unwrap();
+        let a = caps(7);
+        assert_eq!(a, caps(7));
+        assert_ne!(a, caps(8));
+        assert_eq!(a.len(), 500);
+        // Zero budgets clamp to 1; both tiers appear at this fraction.
+        assert!(a.iter().all(|&b| b == 1 || b == 64));
+        assert!(a.contains(&1) && a.contains(&64));
     }
 
     #[test]

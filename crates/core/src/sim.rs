@@ -131,18 +131,15 @@ impl BandwidthSim {
                 initially_live[node.index()] = false;
             }
         }
-        let script = compiled.as_ref().map(|c| &c.script);
-        let plan = match (base_plan, script.filter(|s| !s.is_empty())) {
-            (Some(base), Some(script)) => Some(
-                base.with_script(script, &initially_live)
+        let script = compiled.as_ref().map_or(&[][..], |c| &c.script);
+        let plan = if script.is_empty() {
+            base_plan
+        } else {
+            let base = base_plan.as_ref().map_or(&[][..], ChurnPlan::events);
+            Some(
+                ChurnPlan::compose(nodes, total, base, script, &initially_live)
                     .expect("script compiled against this topology"),
-            ),
-            (Some(base), None) => Some(base),
-            (None, Some(script)) => Some(
-                ChurnPlan::from_script(nodes, total, script, &initially_live)
-                    .expect("script compiled against this topology"),
-            ),
-            (None, None) => None,
+            )
         };
         let targeted = compiled.as_ref().and_then(|c| c.targeted);
         // Membership/fairness timelines are tracked whenever anything
@@ -404,8 +401,8 @@ impl<O: StepObserver> Engine<'_, O> {
             .as_mut()
             .expect("membership events imply a churn outcome");
         outcome.departure_settlements += self.books.state.settle_departed(node) as u64;
-        let repaired = u64::from(self.download.note_departure(node, step));
-        outcome.repair_events += repaired;
+        let lost_region = self.download.note_departure(node, step);
+        outcome.repair_events += u64::from(lost_region);
         if targeted {
             outcome.targeted_removals += 1;
             self.obs.on_targeted(step, node);
@@ -413,8 +410,8 @@ impl<O: StepObserver> Engine<'_, O> {
             outcome.leaves += 1;
             self.obs.on_leave(step, node);
         }
-        if repaired > 0 {
-            self.obs.on_repair(step, node, repaired);
+        if lost_region {
+            self.obs.on_repair(step, node);
         }
         self.flips.push((node, false));
     }

@@ -34,13 +34,11 @@ pub enum EventKind {
         /// The removed node's index.
         node: u64,
     },
-    /// A departure emptied its storage neighborhood (a lost region).
+    /// A departure emptied its storage neighborhood (a lost region; a
+    /// departure empties at most its own).
     Repair {
         /// The departed node.
         node: u64,
-        /// Lost regions detected: 1, since a departure empties at most its
-        /// own region.
-        events: u64,
     },
     /// Per-epoch snapshot marker; the full counter set goes to the metrics
     /// stream, the trace keeps a compact summary for correlation.
@@ -115,12 +113,11 @@ impl TraceEvent {
                 fields.push(("files".into(), Value::UInt(*files)));
                 fields.push(("seed".into(), Value::UInt(*seed)));
             }
-            EventKind::Join { node } | EventKind::Leave { node } | EventKind::Targeted { node } => {
+            EventKind::Join { node }
+            | EventKind::Leave { node }
+            | EventKind::Targeted { node }
+            | EventKind::Repair { node } => {
                 fields.push(("node".into(), Value::UInt(*node)));
-            }
-            EventKind::Repair { node, events } => {
-                fields.push(("node".into(), Value::UInt(*node)));
-                fields.push(("events".into(), Value::UInt(*events)));
             }
             EventKind::Epoch {
                 epoch,
@@ -162,11 +159,11 @@ mod tests {
             grid: 1,
             job: 2,
             step: 3,
-            kind: EventKind::Repair { node: 9, events: 4 },
+            kind: EventKind::Repair { node: 9 },
         };
         assert_eq!(
             event.to_json_line(),
-            r#"{"grid":1,"job":2,"step":3,"kind":"repair","node":9,"events":4}"#
+            r#"{"grid":1,"job":2,"step":3,"kind":"repair","node":9}"#
         );
     }
 
@@ -181,7 +178,7 @@ mod tests {
             EventKind::Join { node: 1 },
             EventKind::Leave { node: 1 },
             EventKind::Targeted { node: 1 },
-            EventKind::Repair { node: 1, events: 2 },
+            EventKind::Repair { node: 1 },
             EventKind::Epoch {
                 epoch: 0,
                 live: 10,

@@ -1,5 +1,5 @@
-//! Substrate shared by every simulation layer: deterministic RNG streams,
-//! the experiment-grid worker pool and scripted-event plans.
+//! Substrate shared by every simulation layer: deterministic RNG streams
+//! and the experiment-grid worker pool.
 //!
 //! The simulation itself — one file download per timestep, routed and
 //! accounted — lives in `fairswap_core::BandwidthSim`. This crate holds
@@ -9,11 +9,11 @@
 //!   behind every parallel experiment grid;
 //! * [`rng`] — the domain-separated sub-seed derivation
 //!   ([`rng::sub_seed`]) that lets every concern fork an independent
-//!   stream off one master seed;
-//! * [`scenario`] — index-based scripted-event streams
-//!   ([`scenario::EventScript`]) and per-node bandwidth budgets
-//!   ([`scenario::CapacityPlan`]) for the overlay-shock scenarios built
-//!   on top of churn.
+//!   stream off one master seed.
+//!
+//! Scripted membership events are `fairswap_churn::ChurnEvent`s, the same
+//! type statistical churn produces; scenario compilation lives in
+//! `fairswap_core::scenario`.
 //!
 //! ```
 //! use fairswap_simcore::rng::{domain, sub_seed};
@@ -30,8 +30,6 @@
 
 mod executor;
 pub mod rng;
-pub mod scenario;
 
 pub use executor::{Executor, Progress};
 pub use rng::{derive_rng, SimRng};
-pub use scenario::{CapacityPlan, EventScript, ScriptEvent, ScriptEventKind};

@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use fairswap_kademlia::{AddressSpace, NodeId, OverlayAddress};
 
 use crate::files::FileSizeDist;
@@ -62,7 +60,7 @@ impl fmt::Display for WorkloadError {
 impl Error for WorkloadError {}
 
 /// One file download: the originator and the chunk addresses it requests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileDownload {
     /// The requesting node.
     pub originator: NodeId,
@@ -187,11 +185,6 @@ impl Workload {
             .collect();
         FileDownload { originator, chunks }
     }
-
-    /// Draws `count` downloads.
-    pub fn take_downloads(&mut self, count: usize) -> Vec<FileDownload> {
-        (0..count).map(|_| self.next_download()).collect()
-    }
 }
 
 impl Iterator for Workload {
@@ -228,11 +221,11 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let gen = |seed| {
-            let mut w = WorkloadBuilder::new(space(), 50)
+            let w = WorkloadBuilder::new(space(), 50)
                 .seed(seed)
                 .build()
                 .unwrap();
-            w.take_downloads(5)
+            w.take(5).collect::<Vec<_>>()
         };
         assert_eq!(gen(7), gen(7));
         assert_ne!(gen(7), gen(8));

@@ -28,10 +28,8 @@ mod files;
 mod originators;
 mod popularity;
 mod rng;
-mod trace;
 
 pub use builder::{FileDownload, Workload, WorkloadBuilder, WorkloadError};
 pub use files::FileSizeDist;
 pub use originators::OriginatorPool;
 pub use popularity::ChunkDist;
-pub use trace::WorkloadTrace;

@@ -19,7 +19,7 @@
 //! * [`swap`] — the Swarm Accounting Protocol: pairwise balances,
 //!   thresholds, time-based amortization, cheque settlement, pricing.
 //! * [`simcore`] — the simulation substrate: deterministic RNG stream
-//!   derivation, the experiment-grid `Executor` and scripted-event plans.
+//!   derivation and the experiment-grid `Executor`.
 //! * [`storage`] — the storage-network model: chunks, closest-node
 //!   placement, download routing, caching.
 //! * [`workload`] — file-download workload generators (uniform and Zipf).
@@ -28,7 +28,8 @@
 //! * [`incentives`] — the Swarm bandwidth incentive plus baselines
 //!   (tit-for-tat, effort-based, pay-all-hops, proof-of-bandwidth).
 //! * [`churn`] — dynamic overlay membership: session/downtime lifetime
-//!   distributions and deterministic join/leave event plans.
+//!   distributions, deterministic join/leave event plans, and their
+//!   composition with a scenario's scripted events.
 //! * [`core`] — the simulation engine (`BandwidthSim`) and one preset per
 //!   paper table/figure, plus the fairness-under-churn experiment.
 //! * [`fuzz`] — coverage-guided scenario fuzzing: `SimSpec` mutation,

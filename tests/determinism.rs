@@ -4,7 +4,6 @@
 
 use fairswap::core::SimSpec;
 use fairswap::kademlia::{AddressSpace, TopologyBuilder};
-use fairswap::workload::{WorkloadBuilder, WorkloadTrace};
 
 #[test]
 fn identical_seeds_give_identical_reports() {
@@ -49,36 +48,4 @@ fn topology_is_portable_across_invocations() {
         assert_eq!(a.address(node), b.address(node));
     }
     assert!(a.tables().eq(b.tables()), "tables must match");
-}
-
-#[test]
-fn workload_traces_replay_identically() {
-    let space = AddressSpace::new(16).expect("valid width");
-    let mut w1 = WorkloadBuilder::new(space, 100)
-        .originator_fraction(0.2)
-        .seed(7)
-        .build()
-        .expect("valid workload");
-    let mut w2 = WorkloadBuilder::new(space, 100)
-        .originator_fraction(0.2)
-        .seed(7)
-        .build()
-        .expect("valid workload");
-    let t1 = WorkloadTrace::capture(&mut w1, 25);
-    let t2 = WorkloadTrace::capture(&mut w2, 25);
-    assert_eq!(t1, t2);
-    assert_eq!(t1.total_chunks(), t2.total_chunks());
-}
-
-#[test]
-fn trace_serde_round_trip() {
-    let space = AddressSpace::new(16).expect("valid width");
-    let mut workload = WorkloadBuilder::new(space, 50)
-        .seed(3)
-        .build()
-        .expect("valid workload");
-    let trace = WorkloadTrace::capture(&mut workload, 5);
-    let json = serde_json::to_string(&trace).expect("serializable");
-    let back: WorkloadTrace = serde_json::from_str(&json).expect("deserializable");
-    assert_eq!(trace, back);
 }

@@ -214,28 +214,102 @@ fn profile_only_observation_times_phases_without_collecting() {
     assert_eq!(obs.metrics_csv().lines().count(), 1, "header only");
 }
 
+/// The `(key, raw value)` pairs of one flat JSON object line, in order.
+fn flat_fields(line: &str) -> Vec<(String, String)> {
+    let body = line
+        .strip_prefix('{')
+        .and_then(|l| l.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("not one JSON object: {line}"));
+    // Split on the commas outside string literals.
+    let mut parts = Vec::new();
+    let (mut in_string, mut escaped, mut start) = (false, false, 0);
+    for (i, c) in body.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            ',' if !in_string => {
+                parts.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    parts.push(&body[start..]);
+    parts
+        .into_iter()
+        .map(|part| {
+            let (key, value) = part.split_once(':').expect("key:value");
+            (key.trim_matches('"').to_string(), value.to_string())
+        })
+        .collect()
+}
+
 #[test]
 fn trace_kind_table_matches_known_kinds() {
     // The event table of docs/OBSERVABILITY.md: rows of the form
-    // "| `kind` | payload | meaning |" under the "Trace format" heading.
+    // "| `kind` | `field`, `field` | meaning |" under the "Trace format"
+    // heading.
     let doc = include_str!("../docs/OBSERVABILITY.md");
     let section = doc
         .split("## Trace format")
         .nth(1)
         .expect("doc has a Trace format section");
     let section = section.split("\n## ").next().unwrap();
-    let documented: Vec<&str> = section
+    let table: Vec<(&str, Vec<&str>)> = section
         .lines()
         .filter_map(|line| {
             let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-            cells.get(1)?.strip_prefix('`')?.strip_suffix('`')
+            let kind = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            let payload = cells[2].split(',').map(|f| f.trim().trim_matches('`'));
+            Some((kind, payload.collect()))
         })
         .collect();
+    let documented: Vec<&str> = table.iter().map(|(kind, _)| *kind).collect();
     assert_eq!(
         documented,
         fairswap::core::KNOWN_KINDS,
         "docs/OBSERVABILITY.md trace kind table (left) vs KNOWN_KINDS (right)"
     );
+
+    // The payload column of each kind is exactly the keys its lines carry
+    // after `grid`, `job`, `step`, `kind`: every kind the engine fixture
+    // emits, plus a constructed `warn`.
+    let warn = fairswap_obs::TraceEvent {
+        grid: 0,
+        job: 0,
+        step: 0,
+        kind: fairswap_obs::EventKind::Warn {
+            message: "unknown field \"x\", ignored".into(),
+        },
+    }
+    .to_json_line();
+    let mut checked = Vec::new();
+    for line in include_str!("fixtures/engine/trace.jsonl")
+        .lines()
+        .chain([warn.as_str()])
+    {
+        let fields = flat_fields(line);
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        let at = keys.iter().position(|&k| k == "kind").expect("kind key");
+        assert!(
+            ["grid", "job", "step"].starts_with(&keys[..at]) && at >= 2,
+            "coordinates before kind: {line}"
+        );
+        let kind = fields[at].1.trim_matches('"');
+        let (kind, payload) = table
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .unwrap_or_else(|| panic!("undocumented kind {kind}"));
+        assert_eq!(&keys[at + 1..], payload, "payload of `{kind}`: {line}");
+        if !checked.contains(kind) {
+            checked.push(*kind);
+        }
+    }
+    checked.sort_unstable();
+    let mut all = documented.clone();
+    all.sort_unstable();
+    assert_eq!(checked, all, "every documented kind is checked");
 }
 
 #[test]
