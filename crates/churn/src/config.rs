@@ -26,7 +26,7 @@ pub enum ChurnError {
         /// The rejected floor fraction.
         fraction: f64,
     },
-    /// A plan over an empty network or zero steps.
+    /// A plan over fewer than two nodes or zero steps.
     EmptyPlan,
     /// A scripted composition whose initial-live vector does not cover the
     /// plan's node slots.
@@ -57,7 +57,7 @@ impl fmt::Display for ChurnError {
             Self::InvalidFloor { fraction } => {
                 write!(f, "live floor must be in (0, 1], got {fraction}")
             }
-            Self::EmptyPlan => write!(f, "churn plans need at least one node and one step"),
+            Self::EmptyPlan => write!(f, "churn plans need at least two nodes and one step"),
             Self::InvalidInitialLive { expected, got } => {
                 write!(
                     f,
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(ChurnError::EmptyPlan.to_string().contains("at least one"));
+        assert!(ChurnError::EmptyPlan.to_string().contains("at least two"));
         assert!(ChurnError::InvalidRate { rate: 2.0 }
             .to_string()
             .contains('2'));

@@ -58,7 +58,8 @@ impl ChurnPlan {
     ///
     /// # Errors
     ///
-    /// * [`ChurnError::EmptyPlan`] for zero nodes or steps.
+    /// * [`ChurnError::EmptyPlan`] for fewer than two nodes (the sweep's
+    ///   structural floor) or zero steps.
     /// * Parameter errors from [`ChurnConfig::validate`].
     pub fn generate(
         nodes: usize,
@@ -66,7 +67,7 @@ impl ChurnPlan {
         config: &ChurnConfig,
         seed: u64,
     ) -> Result<Self, ChurnError> {
-        if nodes == 0 || steps == 0 {
+        if nodes < 2 || steps == 0 {
             return Err(ChurnError::EmptyPlan);
         }
         config.validate()?;
@@ -128,17 +129,18 @@ impl ChurnPlan {
     /// before its first scripted event are dropped. Script events outside
     /// `1..=steps` are dropped too. The merged stream replays in
     /// `(step, node, leaves-before-joins)` order, whichever source an event
-    /// came from and in whatever order the script lists it; duplicates
-    /// collapse. It is then swept the same way [`ChurnPlan::generate`]
-    /// sweeps its renewal events: a node leaves only while live, joins only
-    /// while down, and leaves that would drop the live population below the
+    /// came from and in whatever order the script lists it. It is then
+    /// swept the same way [`ChurnPlan::generate`] sweeps its renewal
+    /// events: a node leaves only while live, joins only while down (so a
+    /// duplicate leave or join is dropped), and leaves that would drop the live population below the
     /// structural floor of 2 are suppressed. Scripted shocks are allowed to
     /// cut far deeper than statistical churn, so no fractional floor
     /// applies here.
     ///
     /// # Errors
     ///
-    /// * [`ChurnError::EmptyPlan`] for zero nodes or steps.
+    /// * [`ChurnError::EmptyPlan`] for fewer than two nodes (the sweep's
+    ///   structural floor) or zero steps.
     /// * [`ChurnError::InvalidInitialLive`] if `initially_live` does not
     ///   cover exactly `nodes` slots.
     /// * [`ChurnError::NodeOutOfRange`] if the script references a node
@@ -150,7 +152,7 @@ impl ChurnPlan {
         script: &[ChurnEvent],
         initially_live: &[bool],
     ) -> Result<Self, ChurnError> {
-        if nodes == 0 || steps == 0 {
+        if nodes < 2 || steps == 0 {
             return Err(ChurnError::EmptyPlan);
         }
         if initially_live.len() != nodes {
@@ -179,7 +181,6 @@ impl ChurnPlan {
             .copied()
             .collect();
         raw.sort_unstable_by_key(replay_order);
-        raw.dedup();
         Ok(Self::swept(nodes, steps, raw, initially_live.to_vec(), 2))
     }
 
@@ -381,6 +382,10 @@ mod tests {
             ChurnPlan::generate(10, 0, &config(0.1), 1).unwrap_err(),
             ChurnError::EmptyPlan
         );
+        assert_eq!(
+            ChurnPlan::generate(1, 10, &config(0.5), 1).unwrap_err(),
+            ChurnError::EmptyPlan
+        );
     }
 
     fn replay_counts(plan: &ChurnPlan, initially_live: &[bool]) -> (usize, usize, usize) {
@@ -520,8 +525,9 @@ mod tests {
 
     #[test]
     fn duplicate_events_deduplicate() {
-        // Two leaves of one node in one step: the duplicate collapses
-        // before the sweep, whichever stream each came from.
+        // Two leaves of one node in one step: the sweep drops the second,
+        // since its node is already offline, whichever stream each came
+        // from.
         let plan = ChurnPlan::compose(5, 10, &leaves(2, [3]), &leaves(2, [3]), &[true; 5]).unwrap();
         assert_eq!(plan.events(), leaves(2, [3]));
     }

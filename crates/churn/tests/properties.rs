@@ -3,9 +3,11 @@
 //! lifetimes, floor, start step, script or initial membership, a plan
 //! replays without a leave of an offline node or a join of a live one,
 //! never cuts below its floor, counts what it holds, and lists its events
-//! in replay order.
+//! in replay order. Below two nodes both refuse with `EmptyPlan`.
 
-use fairswap_churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnPlan, LifetimeDist};
+use fairswap_churn::{
+    ChurnConfig, ChurnError, ChurnEvent, ChurnEventKind, ChurnPlan, LifetimeDist,
+};
 use fairswap_kademlia::NodeId;
 use proptest::prelude::*;
 
@@ -91,11 +93,18 @@ fn assert_replays(plan: &ChurnPlan, initially_live: &[bool], floor: usize) {
 proptest! {
     #[test]
     fn generated_plans_replay_consistently(
-        nodes in 2usize..48,
+        nodes in 0usize..48,
         steps in 1u64..160,
         config in config(),
         seed in any::<u64>(),
     ) {
+        if nodes < 2 {
+            assert_eq!(
+                ChurnPlan::generate(nodes, steps, &config, seed).unwrap_err(),
+                ChurnError::EmptyPlan
+            );
+            return Ok(());
+        }
         let plan = ChurnPlan::generate(nodes, steps, &config, seed).unwrap();
         let floor = ((nodes as f64 * config.min_live_fraction).ceil() as usize).clamp(2, nodes);
         assert_replays(&plan, &vec![true; nodes], floor);
@@ -103,7 +112,7 @@ proptest! {
 
     #[test]
     fn composed_plans_replay_consistently(
-        nodes in 2usize..48,
+        nodes in 0usize..48,
         steps in 1u64..160,
         config in config(),
         seed in any::<u64>(),
@@ -111,6 +120,13 @@ proptest! {
         script in prop::collection::vec((0u64..200, 0usize..64, any::<bool>()), 0..48),
         live in prop::collection::vec(any::<bool>(), 48),
     ) {
+        if nodes < 2 {
+            assert_eq!(
+                ChurnPlan::compose(nodes, steps, &[], &[], &live[..nodes]).unwrap_err(),
+                ChurnError::EmptyPlan
+            );
+            return Ok(());
+        }
         // Script steps start at 0 and reach past the horizon; node slots
         // wrap into range.
         let script: Vec<ChurnEvent> = script

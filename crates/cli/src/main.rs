@@ -1,10 +1,11 @@
 //! `fairswap` — command-line runner for the reproduction experiments.
 //!
-//! One subcommand per experiment preset (`fairswap` with no arguments
-//! prints the full list — it is derived from the same dispatch table that
-//! executes commands, so the help text can never drift from reality).
-//! See `docs/EXPERIMENTS.md` for every preset's invocation, runtime,
-//! output schema and headline finding.
+//! One subcommand per experiment preset, one entry each of
+//! [`fairswap_core::experiments::PRESETS`], plus the four commands of
+//! [`TOOLS`]. `fairswap` with no arguments prints the full list; it is
+//! derived from the same two tables that dispatch commands, so the help
+//! text can never drift from reality. See `docs/EXPERIMENTS.md` for every
+//! preset's invocation, runtime, output schema and headline finding.
 //!
 //! Sweeps are embarrassingly parallel across their grid cells:
 //! `--threads T` fans the cells out over `T` workers (`--threads 0` = one
@@ -20,157 +21,67 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use fairswap_core::experiments::{
-    cache_churn, churn, durability, extensions, fuzzed, large_scale, paper, routing, scenarios,
-    sweeps, ExperimentScale,
+    large_scale, scenarios, ExperimentScale, Preset, PresetArgs, PRESETS,
 };
 use fairswap_core::{
     validate_jsonl, CsvTable, Executor, GridObservation, ObsOptions, Phase, SimSpec,
+    RUN_SUMMARY_FILE,
 };
 use fairswap_fuzz::{minimize_corpus, run_campaign, Corpus, FuzzConfig};
 
-/// One dispatchable experiment command: the single source of truth behind
-/// both `usage()` and the `all` meta-command, so the help text and the
-/// dispatch table cannot drift apart (`run_command` rejects names not
-/// listed here before dispatching).
-struct CommandSpec {
+/// A command that runs no preset: its help line and its handler.
+struct Tool {
     name: &'static str,
-    /// Paper anchor ("Table I", "§V", ...) shown in the help text.
+    /// Shown in the help text's section column.
     section: &'static str,
     blurb: &'static str,
-    /// Whether `fairswap all` includes it (the very large presets opt
-    /// out).
-    in_all: bool,
+    /// Whether `--trace` / `--metrics` / `--profile` apply. The others
+    /// run no preset grid, so asking to observe them is rejected up front
+    /// rather than silently producing empty artifacts.
+    observed: bool,
+    run: fn(&Options, &Executor, &mut GridObservation) -> Result<(), String>,
 }
 
-const COMMANDS: &[CommandSpec] = &[
-    CommandSpec {
-        name: "paper",
-        section: "§IV",
-        blurb: "Table I, Figs. 4-6 and the Gini ablation from one k x originators grid",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "sweep-files",
-        section: "§IV-B",
-        blurb: "Gini convergence over file count",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "overhead",
-        section: "§V",
-        blurb: "connections & settlements vs k",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "bucket0",
-        section: "§V",
-        blurb: "bucket-zero-only k increase",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "freeride",
-        section: "§V",
-        blurb: "free-riding fraction sweep",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "caching",
-        section: "§V",
-        blurb: "popularity + caching",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "mechanisms",
-        section: "§I/§II",
-        blurb: "baseline mechanism comparison",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "churn",
-        section: "§V f.w.",
-        blurb: "F1/F2 fairness vs churn rate, k in {4, 20}",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "durability",
-        section: "§V f.w.",
-        blurb: "repair mode x churn rate x k durability study",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "scenarios",
-        section: "shocks",
-        blurb: "targeted departures, flash crowds, outages, heterogeneity",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "routing",
-        section: "policy",
-        blurb: "drop vs capacity-detour routing under heterogeneity",
-        in_all: true,
-    },
-    CommandSpec {
-        name: "cache-churn",
-        section: "policy",
-        blurb: "cache policy x churn rate grid",
-        in_all: true,
-    },
-    CommandSpec {
+const TOOLS: &[Tool] = &[
+    Tool {
         name: "run",
         section: "spec",
         blurb: "execute a SimSpec JSON file (--config FILE)",
-        in_all: false,
+        observed: true,
+        run: run_spec,
     },
-    CommandSpec {
+    Tool {
         name: "serve",
         section: "service",
         blurb: "long-lived HTTP daemon scheduling SimSpec jobs (--addr HOST:PORT)",
-        in_all: false,
+        observed: false,
+        run: serve,
     },
-    CommandSpec {
+    Tool {
         name: "fuzz",
         section: "fuzzing",
         blurb: "coverage-guided spec fuzzing with invariant oracles",
-        in_all: false,
+        observed: false,
+        run: fuzz,
     },
-    CommandSpec {
-        name: "fuzzed",
-        section: "fuzzing",
-        blurb: "replay the committed gallery of machine-found scenarios",
-        in_all: false,
-    },
-    CommandSpec {
-        name: "large-scale",
-        section: "scaling",
-        blurb: "fairness at 10^5 nodes, 20-24-bit space",
-        in_all: false,
-    },
-    CommandSpec {
+    Tool {
         name: "trace-check",
         section: "obs",
         blurb: "validate a JSONL trace file (--trace FILE)",
-        in_all: false,
+        observed: false,
+        run: trace_check,
     },
 ];
 
-/// Commands that run no preset grid and so have nothing for `--trace` /
-/// `--metrics` / `--profile` to observe; asking to observe them is rejected
-/// up front rather than silently producing empty artifacts.
-const UNOBSERVED: &[&str] = &["serve", "fuzz", "trace-check"];
-
 struct Options {
     command: String,
-    scale: ExperimentScale,
-    /// Whether --nodes / --files were given explicitly (large-scale picks
-    /// bigger defaults than the paper scale when they were not).
-    nodes_set: bool,
-    files_set: bool,
-    bits: u32,
+    /// What a preset reads: the scale, whether it was sized explicitly,
+    /// `--bits` and `--scenario`.
+    preset: PresetArgs,
     threads: usize,
-    /// Restricts the `scenarios` command to one named scenario.
-    scenario: Option<String>,
     /// `run`: the SimSpec JSON file to execute.
     config: Option<PathBuf>,
     /// Write the merged JSONL event trace here (`trace-check` reads it
@@ -193,19 +104,18 @@ struct Options {
     /// `fuzz`: wall-clock cutoff in seconds (trades away bit-for-bit
     /// reproducibility; seed+iters campaigns are the reproducible ones).
     time_budget: Option<u64>,
-    /// `serve`: listen address (`host:port`; port 0 picks a free port).
-    addr: String,
-    /// `serve`: executor threads per scheduled batch (0 = all cores).
-    workers: usize,
-    /// `serve`: finished jobs kept addressable (clamped to at least 1).
-    cache_cap: usize,
-    /// `serve`: bounded submit-queue capacity.
-    queue_cap: usize,
+    /// `serve`: listen address, workers, cache and queue capacity.
+    serve: fairswap_serve::ServeOptions,
     out: PathBuf,
 }
 
 fn usage() -> String {
-    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let commands: Vec<(&str, &str, &str)> = PRESETS
+        .iter()
+        .map(|p| (p.name, p.section, p.blurb))
+        .chain(TOOLS.iter().map(|t| (t.name, t.section, t.blurb)))
+        .collect();
+    let names: Vec<&str> = commands.iter().map(|c| c.0).collect();
     let mut text = format!("usage: fairswap <{}|all>\n", names.join("|"));
     text.push_str(
         "       [--nodes N] [--files N] [--seed S] [--out DIR] [--quick] [--threads T]\n\
@@ -215,13 +125,10 @@ fn usage() -> String {
          \x20      [--trace FILE] [--metrics FILE] [--profile] [--no-progress] [--strict]\n\
          \nCommands:\n",
     );
-    for command in COMMANDS {
-        text.push_str(&format!(
-            "  {:<18} {:<9} — {}\n",
-            command.name, command.section, command.blurb
-        ));
+    for (name, section, blurb) in commands {
+        text.push_str(&format!("  {name:<18} {section:<9} — {blurb}\n"));
     }
-    let all_count = COMMANDS.iter().filter(|c| c.in_all).count();
+    let all_count = PRESETS.iter().filter(|p| p.in_all).count();
     text.push_str(&format!(
         "  {:<18} {:<9} — run the {all_count} standard presets above\n",
         "all", ""
@@ -261,117 +168,88 @@ fn usage() -> String {
     text
 }
 
+/// Parses `arg` as the value of `flag`.
+fn value<T: FromStr>(flag: &str, arg: &str) -> Result<T, String> {
+    arg.parse()
+        .map_err(|_| format!("invalid {flag} value: {arg}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options {
+        command: String::new(),
+        preset: PresetArgs {
+            scale: ExperimentScale::paper(),
+            nodes_set: false,
+            files_set: false,
+            bits: large_scale::DEFAULT_BITS,
+            scenario: None,
+        },
+        threads: 1,
+        config: None,
+        trace: None,
+        metrics: None,
+        profile: false,
+        no_progress: false,
+        strict: false,
+        iters: 256,
+        corpus: None,
+        minimize: false,
+        time_budget: None,
+        serve: fairswap_serve::ServeOptions::default(),
+        out: PathBuf::from("results"),
+    };
+    let preset = &mut opts.preset;
+    let serve = &mut opts.serve;
     let mut command = None;
-    let mut scale = ExperimentScale::paper();
-    let mut nodes_set = false;
-    let mut files_set = false;
-    let mut bits = large_scale::DEFAULT_BITS;
-    let mut threads = 1usize;
-    let mut scenario = None;
-    let mut config = None;
-    let mut trace = None;
-    let mut metrics = None;
-    let mut profile = false;
-    let mut no_progress = false;
-    let mut strict = false;
     let mut quick = false;
-    let mut iters = 256u64;
-    let mut corpus = None;
-    let mut minimize = false;
-    let mut time_budget = None;
-    let serve_defaults = fairswap_serve::ServeOptions::default();
-    let mut addr = serve_defaults.addr;
-    let mut workers = serve_defaults.workers;
-    let mut cache_cap = serve_defaults.cache_cap;
-    let mut queue_cap = serve_defaults.queue_cap;
-    let mut out = PathBuf::from("results");
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            "--minimize" => minimize = true,
-            "--profile" => profile = true,
-            "--no-progress" => no_progress = true,
-            "--strict" => strict = true,
+            "--minimize" => opts.minimize = true,
+            "--profile" => opts.profile = true,
+            "--no-progress" => opts.no_progress = true,
+            "--strict" => opts.strict = true,
             "--nodes" | "--files" | "--seed" | "--out" | "--threads" | "--bits" | "--scenario"
             | "--config" | "--trace" | "--metrics" | "--iters" | "--corpus" | "--time-budget"
             | "--addr" | "--workers" | "--cache-cap" | "--queue-cap" => {
-                let flag = args[i].clone();
+                let flag = args[i].as_str();
                 i += 1;
-                let value = args
+                let arg = args
                     .get(i)
                     .ok_or_else(|| format!("missing value for {flag}"))?;
-                match flag.as_str() {
+                match flag {
                     "--nodes" => {
-                        scale.nodes = value
-                            .parse()
-                            .map_err(|_| format!("invalid --nodes value: {value}"))?;
-                        nodes_set = true;
+                        preset.scale.nodes = value(flag, arg)?;
+                        preset.nodes_set = true;
                     }
                     "--files" => {
-                        scale.files = value
-                            .parse()
-                            .map_err(|_| format!("invalid --files value: {value}"))?;
-                        files_set = true;
+                        preset.scale.files = value(flag, arg)?;
+                        preset.files_set = true;
                     }
-                    "--seed" => {
-                        scale.seed = value
-                            .parse()
-                            .map_err(|_| format!("invalid --seed value: {value}"))?;
-                    }
-                    "--threads" => {
-                        threads = value
-                            .parse()
-                            .map_err(|_| format!("invalid --threads value: {value}"))?;
-                    }
-                    "--bits" => {
-                        bits = value
-                            .parse()
-                            .map_err(|_| format!("invalid --bits value: {value}"))?;
-                    }
+                    "--seed" => preset.scale.seed = value(flag, arg)?,
+                    "--threads" => opts.threads = value(flag, arg)?,
+                    "--bits" => preset.bits = value(flag, arg)?,
                     "--scenario" => {
-                        if !scenarios::SCENARIO_NAMES.contains(&value.as_str()) {
+                        if !scenarios::SCENARIO_NAMES.contains(&arg.as_str()) {
                             return Err(format!(
-                                "invalid --scenario value: {value} (expected one of {})",
+                                "invalid --scenario value: {arg} (expected one of {})",
                                 scenarios::SCENARIO_NAMES.join(", ")
                             ));
                         }
-                        scenario = Some(value.clone());
+                        preset.scenario = Some(arg.clone());
                     }
-                    "--config" => config = Some(PathBuf::from(value)),
-                    "--trace" => trace = Some(PathBuf::from(value)),
-                    "--metrics" => metrics = Some(PathBuf::from(value)),
-                    "--iters" => {
-                        iters = value
-                            .parse()
-                            .map_err(|_| format!("invalid --iters value: {value}"))?;
-                    }
-                    "--corpus" => corpus = Some(PathBuf::from(value)),
-                    "--time-budget" => {
-                        time_budget = Some(
-                            value
-                                .parse()
-                                .map_err(|_| format!("invalid --time-budget value: {value}"))?,
-                        );
-                    }
-                    "--addr" => addr = value.clone(),
-                    "--workers" => {
-                        workers = value
-                            .parse()
-                            .map_err(|_| format!("invalid --workers value: {value}"))?;
-                    }
-                    "--cache-cap" => {
-                        cache_cap = value
-                            .parse()
-                            .map_err(|_| format!("invalid --cache-cap value: {value}"))?;
-                    }
-                    "--queue-cap" => {
-                        queue_cap = value
-                            .parse()
-                            .map_err(|_| format!("invalid --queue-cap value: {value}"))?;
-                    }
-                    "--out" => out = PathBuf::from(value),
+                    "--config" => opts.config = Some(PathBuf::from(arg)),
+                    "--trace" => opts.trace = Some(PathBuf::from(arg)),
+                    "--metrics" => opts.metrics = Some(PathBuf::from(arg)),
+                    "--iters" => opts.iters = value(flag, arg)?,
+                    "--corpus" => opts.corpus = Some(PathBuf::from(arg)),
+                    "--time-budget" => opts.time_budget = Some(value(flag, arg)?),
+                    "--addr" => serve.addr = arg.clone(),
+                    "--workers" => serve.workers = value(flag, arg)?,
+                    "--cache-cap" => serve.cache_cap = value(flag, arg)?,
+                    "--queue-cap" => serve.queue_cap = value(flag, arg)?,
+                    "--out" => opts.out = PathBuf::from(arg),
                     _ => unreachable!(),
                 }
             }
@@ -387,39 +265,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         // order. Either way the sizing is now an explicit choice, so
         // large-scale must honor it instead of its 10^5-node default.
         let reduced = ExperimentScale::quick();
-        if !nodes_set {
-            scale.nodes = reduced.nodes;
+        if !preset.nodes_set {
+            preset.scale.nodes = reduced.nodes;
         }
-        if !files_set {
-            scale.files = reduced.files;
+        if !preset.files_set {
+            preset.scale.files = reduced.files;
         }
-        nodes_set = true;
-        files_set = true;
+        preset.nodes_set = true;
+        preset.files_set = true;
     }
-    Ok(Options {
-        command: command.ok_or_else(|| "missing command".to_string())?,
-        scale,
-        nodes_set,
-        files_set,
-        bits,
-        threads,
-        scenario,
-        config,
-        trace,
-        metrics,
-        profile,
-        no_progress,
-        strict,
-        iters,
-        corpus,
-        minimize,
-        time_budget,
-        addr,
-        workers,
-        cache_cap,
-        queue_cap,
-        out,
-    })
+    opts.command = command.ok_or_else(|| "missing command".to_string())?;
+    Ok(opts)
 }
 
 /// Writes one CSV artifact, timed under [`Phase::CsvEmit`] so `--profile`
@@ -431,17 +287,12 @@ fn write_csv(
     csv: &CsvTable,
 ) -> Result<(), String> {
     obs.time_phase(Phase::CsvEmit, || {
-        std::fs::create_dir_all(out).map_err(|e| format!("creating {}: {e}", out.display()))?;
-        let path = out.join(name);
-        csv.write_to(&path)
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        Ok(())
+        write_text(&out.join(name), &csv.to_csv_string())
     })
 }
 
-/// Writes an observability artifact (trace JSONL, metrics CSV) to an
-/// explicit file path, creating parent directories as needed.
+/// Writes an artifact (a CSV table, the trace JSONL, the metrics CSV) to
+/// an explicit file path, creating parent directories as needed.
 fn write_text(path: &Path, text: &str) -> Result<(), String> {
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)
@@ -453,24 +304,33 @@ fn write_text(path: &Path, text: &str) -> Result<(), String> {
 }
 
 fn run_command(opts: &Options) -> Result<(), String> {
-    let scale = opts.scale;
-    let out = &opts.out;
     // `Executor::new(0)` resolves to one worker per available core.
     let executor = Executor::new(opts.threads);
-    let err = |e: fairswap_core::CoreError| e.to_string();
+    let tool = TOOLS.iter().find(|t| t.name == opts.command);
+    let presets: Vec<&Preset> = PRESETS
+        .iter()
+        .filter(|p| p.name == opts.command || (opts.command == "all" && p.in_all))
+        .collect();
+    if tool.is_none() && presets.is_empty() {
+        return Err(format!("unknown command: {}\n{}", opts.command, usage()));
+    }
 
     // `trace-check` consumes --trace as its input; everywhere else it
     // names the trace output file.
-    let trace_out = if opts.command == "trace-check" {
-        None
-    } else {
-        opts.trace.clone()
-    };
+    let trace_out = opts
+        .trace
+        .as_ref()
+        .filter(|_| opts.command != "trace-check");
     let observing = trace_out.is_some() || opts.metrics.is_some() || opts.profile;
-    if observing && UNOBSERVED.contains(&opts.command.as_str()) {
+    if observing && tool.is_some_and(|t| !t.observed) {
+        let unobserved: Vec<&str> = TOOLS
+            .iter()
+            .filter(|t| !t.observed)
+            .map(|t| t.name)
+            .collect();
         return Err(format!(
             "--trace/--metrics/--profile are not supported for: {}",
-            UNOBSERVED.join(", ")
+            unobserved.join(", ")
         ));
     }
     let mut obs = GridObservation::new(ObsOptions {
@@ -481,22 +341,8 @@ fn run_command(opts: &Options) -> Result<(), String> {
         ..ObsOptions::default()
     });
 
-    let commands: Vec<&str> = if opts.command == "all" {
-        COMMANDS
-            .iter()
-            .filter(|c| c.in_all)
-            .map(|c| c.name)
-            .collect()
-    } else {
-        // Reject unknown names against the same table that generates the
-        // help text, so dispatch and usage cannot drift.
-        if !COMMANDS.iter().any(|c| c.name == opts.command) {
-            return Err(format!("unknown command: {}\n{}", opts.command, usage()));
-        }
-        vec![opts.command.as_str()]
-    };
-
-    for command in commands {
+    let scale = opts.preset.scale;
+    let header = |command: &str| {
         println!(
             "== {command} (nodes={}, files={}, seed={:#x}, threads={})",
             scale.nodes,
@@ -504,489 +350,22 @@ fn run_command(opts: &Options) -> Result<(), String> {
             scale.seed,
             executor.threads()
         );
-        match command {
-            "paper" => {
-                let grid = paper::run(scale, &executor, &mut obs).map_err(err)?;
-                for c in &grid.cells {
-                    println!(
-                        "  k={:<2} originators={:>4}%  mean_forwarded={:>10.1}  F2 gini={:.4}  F1 gini={:.4} (paid nodes: {})",
-                        c.k,
-                        c.originator_fraction * 100.0,
-                        c.mean_forwarded,
-                        c.f2_gini,
-                        c.f1_gini,
-                        c.paid_nodes
-                    );
-                }
-                for fraction in [0.2, 1.0] {
-                    if let Some(ratio) = grid.area_ratio(fraction) {
-                        println!(
-                            "  originators={:>4}%  area(k=4)/area(k=20) = {ratio:.2}",
-                            fraction * 100.0
-                        );
-                    }
-                }
-                println!(
-                    "  theil, atkinson(0.5) and hoover agree with gini on the k=4 vs k=20 ordering: {}",
-                    grid.all_indices_agree()
-                );
-                for (name, csv) in grid.csvs() {
-                    write_csv(&mut obs, out, name, &csv)?;
-                }
-            }
-            "sweep-files" => {
-                let results = sweeps::files_convergence(scale, &[(4, 1.0)], &executor, &mut obs)
-                    .map_err(err)?;
-                let result = &results[0];
-                for s in &result.trajectory {
-                    println!("  files={:<6} F2 gini={:.4}", s.timestep, s.f2_gini);
-                }
-                write_csv(&mut obs, out, "sweep_files.csv", &result.to_csv())?;
-            }
-            "overhead" => {
-                let ks = [4, 8, 12, 16, 20, 32];
-                let sweep =
-                    sweeps::overhead_vs_k(scale, &ks, 1.0, 2, &executor, &mut obs).map_err(err)?;
-                for r in &sweep.rows {
-                    println!(
-                        "  k={:<2} connections/node={:>6.1} settlements={:>8} mean_payment={:>7.2}",
-                        r.k, r.mean_connections, r.settlements, r.mean_payment
-                    );
-                }
-                let csv = CsvTable::from_rows(&sweep.rows);
-                write_csv(&mut obs, out, "overhead.csv", &csv)?;
-            }
-            "bucket0" => {
-                let result =
-                    extensions::bucket_zero(scale, 0.2, &executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  {:<16} connections/node={:>6.1} F2={:.4} F1={:.4}",
-                        r.sizing, r.mean_connections, r.f2_gini, r.f1_gini
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "bucket0.csv", &csv)?;
-            }
-            "freeride" => {
-                let result = extensions::free_riding(
-                    scale,
-                    4,
-                    &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
-                    &executor,
-                    &mut obs,
-                )
-                .map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  free-riders={:>4}%  F2={:.4} F1={:.4} income={:.0}",
-                        r.free_rider_fraction * 100.0,
-                        r.f2_gini,
-                        r.f1_gini,
-                        r.total_income
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "freeride.csv", &csv)?;
-            }
-            "caching" => {
-                let result =
-                    extensions::caching(scale, 4, 1024, &executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  workload={:<8} cache={:<5} mean_forwarded={:>9.1} hits={:>8}",
-                        r.workload, r.cache, r.mean_forwarded, r.cache_hits
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "caching.csv", &csv)?;
-            }
-            "mechanisms" => {
-                let result =
-                    extensions::mechanisms(scale, 4, 1.0, &executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  {:<20} F2={:.4} F1(income)={:.4} earning={:>5.1}%",
-                        r.mechanism,
-                        r.f2_gini,
-                        r.f1_income_gini,
-                        r.earning_fraction * 100.0
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "mechanisms.csv", &csv)?;
-            }
-            "scenarios" => {
-                let names: Vec<&str> = match &opts.scenario {
-                    Some(name) => vec![name.as_str()],
-                    None => scenarios::SCENARIO_NAMES.to_vec(),
-                };
-                let result = scenarios::run(scale, &names, &executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  {:<18} k={:<2} F2={:.4} (pre-shock {:.4}) F1={:.4} leaves={:>5} targeted={:>3} blocked={:>6} live={:>4}",
-                        r.scenario,
-                        r.k,
-                        r.f2_gini,
-                        r.f2_pre_shock,
-                        r.f1_gini,
-                        r.leaves,
-                        r.targeted_removals,
-                        r.capacity_blocked,
-                        r.final_live
-                    );
-                }
-                for &name in &names {
-                    for k in [4, 20] {
-                        if let Some(reduction) = result.shock_gini_reduction(name, k) {
-                            if result.row(name, k).is_some_and(|r| r.shock_step > 0) {
-                                println!(
-                                    "  {name} k={k}: shock changed F2 gini by {:+.1}%",
-                                    -reduction * 100.0
-                                );
-                            }
-                        }
-                    }
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "scenarios.csv", &csv)?;
-                write_csv(
-                    &mut obs,
-                    out,
-                    "scenarios_timeline.csv",
-                    &result.timeline_csv(),
-                )?;
-            }
-            "routing" => {
-                let result = routing::run(scale, &executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  {:<16} k={:<2} delivered={:>5.1}% blocked={:>6} detoured={:>6} hops={:.2} F2={:.4}",
-                        r.route,
-                        r.k,
-                        r.delivery_rate * 100.0,
-                        r.capacity_blocked,
-                        r.detoured,
-                        r.mean_hops,
-                        r.f2_gini
-                    );
-                }
-                for k in [4, 20] {
-                    if let Some(reduction) = result.drop_reduction(k) {
-                        println!(
-                            "  k={k}: detour recovers {:.1}% of greedy's capacity drops",
-                            reduction * 100.0
-                        );
-                    }
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "routing.csv", &csv)?;
-            }
-            "cache-churn" => {
-                let result =
-                    cache_churn::run(scale, &cache_churn::DEFAULT_RATES, &executor, &mut obs)
-                        .map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  cache={:<5} churn={:>4.0}%  served={:>7} hits={:>7} mean_forwarded={:>9.1} F2={:.4}",
-                        r.cache,
-                        r.churn_rate * 100.0,
-                        r.cache_served,
-                        r.cache_hits,
-                        r.mean_forwarded,
-                        r.f2_gini
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "cache_churn.csv", &csv)?;
-            }
-            "run" => {
-                let path = opts.config.as_ref().ok_or_else(|| {
-                    "run requires --config FILE (a SimSpec JSON document)".to_string()
-                })?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {}: {e}", path.display()))?;
-                let (spec, unknown) = SimSpec::from_json_checked(&text).map_err(err)?;
-                if !unknown.is_empty() && opts.strict {
-                    return Err(format!(
-                        "{}: unknown field(s) in spec: {} (--strict)",
-                        path.display(),
-                        unknown.join(", ")
-                    ));
-                }
-                for field in &unknown {
-                    obs.warn(&format!(
-                        "{}: unknown field `{field}` in spec (ignored; --strict makes this fatal)",
-                        path.display()
-                    ));
-                }
-                println!(
-                    "  spec: nodes={} bits={} k={} files={} seed={:#x} mechanism={} route={} cache={} repair={}",
-                    spec.topology.nodes,
-                    spec.topology.bits,
-                    spec.topology.bucket_sizing.default_k(),
-                    spec.workload.files,
-                    spec.seed,
-                    spec.economics.mechanism.id(),
-                    spec.policies.route.id(),
-                    spec.policies.cache.id(),
-                    spec.policies.repair.id()
-                );
-                let reports = fairswap_core::run_jobs_observed(&executor, vec![spec], &mut obs)
-                    .map_err(err)?;
-                let report = &reports[0];
-                let requests: u64 = report.traffic().requests_issued().iter().sum();
-                println!(
-                    "  delivered {} of {} requests  mean_forwarded={:.1} hops={:.2} F1={:.4} F2={:.4}",
-                    requests - report.traffic().stuck_requests(),
-                    requests,
-                    report.mean_forwarded(),
-                    report.hops().mean().unwrap_or(0.0),
-                    report.f1_contribution_gini(),
-                    report.f2_income_gini()
-                );
-                // The exact serializer `fairswap serve` answers `/result`
-                // with — keeping the batch and HTTP paths `cmp`-equal.
-                let csv = fairswap_core::run_summary_csv(report.config(), report);
-                write_csv(&mut obs, out, "run.csv", &csv)?;
-            }
-            "serve" => {
-                let serve_opts = fairswap_serve::ServeOptions {
-                    addr: opts.addr.clone(),
-                    workers: opts.workers,
-                    cache_cap: opts.cache_cap,
-                    queue_cap: opts.queue_cap,
-                };
-                let server = fairswap_serve::Server::bind(&serve_opts)
-                    .map_err(|e| format!("binding {}: {e}", serve_opts.addr))?;
-                let bound = server
-                    .local_addr()
-                    .map_err(|e| format!("resolving listen address: {e}"))?;
-                println!(
-                    "  listening on http://{bound} (workers={}, cache-cap={}, queue-cap={})",
-                    serve_opts.workers, serve_opts.cache_cap, serve_opts.queue_cap
-                );
-                println!(
-                    "  POST /submit | GET /status/<job> /result/<job> /stream/<job> /health | POST /shutdown"
-                );
-                let summary = server.run().map_err(|e| format!("serve: {e}"))?;
-                println!(
-                    "  drained: {} jobs ({} completed, {} failed, {} rejected), cache hits={} misses={} evictions={}",
-                    summary.jobs,
-                    summary.completed,
-                    summary.failed,
-                    summary.rejected,
-                    summary.cache.hits,
-                    summary.cache.misses,
-                    summary.cache.evictions
-                );
-            }
-            "fuzz" => {
-                if opts.minimize {
-                    let corpus_dir = opts.corpus.clone().unwrap_or_else(|| out.join("corpus"));
-                    let corpus = Corpus::load(&corpus_dir).map_err(|e| e.to_string())?;
-                    let outcome = {
-                        let meter = obs.meter();
-                        minimize_corpus(&executor, &corpus, &mut |done, total| {
-                            meter.notify(done, total)
-                        })
-                    }
-                    .map_err(|e| e.to_string())?;
-                    for name in &outcome.dropped {
-                        let path = corpus_dir.join(format!("{name}.json"));
-                        std::fs::remove_file(&path)
-                            .map_err(|e| format!("removing {}: {e}", path.display()))?;
-                        println!("  dropped {name} (behavior cell already covered)");
-                    }
-                    // Rewrite the survivors so the directory is exactly the
-                    // minimized corpus in canonical form.
-                    outcome
-                        .corpus
-                        .write_to(&corpus_dir)
-                        .map_err(|e| e.to_string())?;
-                    println!(
-                        "  minimized {} -> {} specs ({} simulations, {} behavior cells)",
-                        corpus.len(),
-                        outcome.corpus.len(),
-                        outcome.runs,
-                        outcome.cells
-                    );
-                    println!("wrote {}", corpus_dir.display());
-                    continue;
-                }
-                let cfg = FuzzConfig {
-                    seed: scale.seed,
-                    iters: opts.iters,
-                    time_budget: opts.time_budget.map(std::time::Duration::from_secs),
-                };
-                let corpus_dir = opts.corpus.clone().unwrap_or_else(|| out.join("corpus"));
-                // The campaign drives the shared progress meter directly:
-                // one tick per evaluated spec (seeds, then iterations).
-                let outcome = {
-                    let meter = obs.meter();
-                    run_campaign(&executor, &cfg, &mut |done, total| {
-                        meter.notify(done, total)
-                    })
-                }
-                .map_err(|e| e.to_string())?;
-                println!(
-                    "  {} iterations ({} simulations with fairness twins), {} behavior cells",
-                    outcome.iterations, outcome.runs, outcome.cells
-                );
-                println!(
-                    "  corpus: {} specs, findings: {}",
-                    outcome.corpus.len(),
-                    outcome.findings.len()
-                );
-                for f in &outcome.findings {
-                    println!(
-                        "  [{}] iter {} {} — {}",
-                        f.violation.oracle, f.iteration, f.entry, f.violation.detail
-                    );
-                }
-                outcome
-                    .corpus
-                    .write_to(&corpus_dir)
-                    .map_err(|e| e.to_string())?;
-                println!(
-                    "wrote {} ({} replayable specs)",
-                    corpus_dir.display(),
-                    outcome.corpus.len()
-                );
-                let findings = outcome.findings_json().map_err(|e| e.to_string())?;
-                write_text(&out.join("findings.json"), &(findings + "\n"))?;
-                let mut csv = CsvTable::new(["iteration", "entry", "oracle", "detail"]);
-                for f in &outcome.findings {
-                    csv.push_row([
-                        f.iteration.to_string(),
-                        f.entry.clone(),
-                        f.violation.oracle.clone(),
-                        f.violation.detail.clone(),
-                    ]);
-                }
-                write_csv(&mut obs, out, "fuzz.csv", &csv)?;
-            }
-            "fuzzed" => {
-                let result = fuzzed::run(&executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  {:<22} {:<18} gini_k4={:.4} gini_k20={:.4} inversion={:+.4} drop={:.3} hops={:.2}",
-                        r.name,
-                        r.mechanism,
-                        r.gini_k4,
-                        r.gini_k20,
-                        r.inversion,
-                        r.drop_rate,
-                        r.mean_hops
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "fuzzed.csv", &csv)?;
-            }
-            "churn" => {
-                let result =
-                    churn::run(scale, &churn::DEFAULT_RATES, &executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  k={:<2} churn={:>4.0}%  F1={:.4} F2={:.4} leaves={:>5} live={:>4} stuck={:>6}",
-                        r.k,
-                        r.churn_rate * 100.0,
-                        r.f1_gini,
-                        r.f2_gini,
-                        r.leaves,
-                        r.final_live,
-                        r.stuck_requests
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "churn.csv", &csv)?;
-                write_csv(&mut obs, out, "churn_timeline.csv", &result.timeline_csv())?;
-            }
-            "durability" => {
-                let result =
-                    durability::run(scale, &durability::DEFAULT_RATES, &executor, &mut obs)
-                        .map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  {:<14} k={:<2} churn={:>4.0}%  repaired={:>5} ttr={:>5.1} unreachable={:>4} recovered={:>5} F2={:.4}",
-                        r.mode,
-                        r.k,
-                        r.churn_rate * 100.0,
-                        r.repair_delivered,
-                        r.mean_time_to_repair,
-                        r.final_unreachable,
-                        r.recovered,
-                        r.f2_gini
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "durability.csv", &csv)?;
-                write_csv(
-                    &mut obs,
-                    out,
-                    "durability_timeline.csv",
-                    &result.timeline_csv(),
-                )?;
-            }
-            "large-scale" => {
-                // Unless explicitly sized, run the 10^5-node headline scale
-                // rather than the 1000-node paper scale.
-                let mut big = large_scale::default_scale().with_seed(scale.seed);
-                if opts.nodes_set {
-                    big.nodes = scale.nodes;
-                }
-                if opts.files_set {
-                    big.files = scale.files;
-                }
-                println!(
-                    "  scaling to nodes={}, files={}, bits={}",
-                    big.nodes, big.files, opts.bits
-                );
-                let result =
-                    large_scale::run(big, opts.bits, &[4, 20], &executor, &mut obs).map_err(err)?;
-                for r in &result.rows {
-                    println!(
-                        "  k={:<2} F2={:.4} F1={:.4} mean_forwarded={:>9.1} hops={:.2} conn/node={:>6.1} stuck={}",
-                        r.k,
-                        r.f2_gini,
-                        r.f1_gini,
-                        r.mean_forwarded,
-                        r.mean_hops,
-                        r.mean_connections,
-                        r.stuck_requests
-                    );
-                }
-                if let Some(reduction) = result.f2_reduction() {
-                    println!(
-                        "  F2 gini reduction k=4 -> k=20 at {} nodes: {:.1}%",
-                        big.nodes,
-                        reduction * 100.0
-                    );
-                }
-                let csv = CsvTable::from_rows(&result.rows);
-                write_csv(&mut obs, out, "large_scale.csv", &csv)?;
-            }
-            "trace-check" => {
-                let path = opts.trace.as_ref().ok_or_else(|| {
-                    "trace-check requires --trace FILE (the JSONL trace to validate)".to_string()
-                })?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {}: {e}", path.display()))?;
-                let stats =
-                    validate_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-                println!(
-                    "  {} ok: {} lines, {} events across {} jobs ({} dropped)",
-                    path.display(),
-                    stats.lines,
-                    stats.events,
-                    stats.jobs,
-                    stats.dropped
-                );
-            }
-            other => return Err(format!("unknown command: {other}\n{}", usage())),
+    };
+    if let Some(tool) = tool {
+        header(tool.name);
+        (tool.run)(opts, &executor, &mut obs)?;
+    }
+    for preset in presets {
+        header(preset.name);
+        let output = (preset.run)(&opts.preset, &executor, &mut obs).map_err(|e| e.to_string())?;
+        for line in &output.summary {
+            println!("  {line}");
+        }
+        for (name, csv) in &output.files {
+            write_csv(&mut obs, &opts.out, name, csv)?;
         }
     }
-    if let Some(path) = &trace_out {
+    if let Some(path) = trace_out {
         write_text(path, &obs.trace_jsonl())?;
     }
     if let Some(path) = &opts.metrics {
@@ -997,6 +376,185 @@ fn run_command(opts: &Options) -> Result<(), String> {
         // and can exceed the end-to-end wall clock.
         print!("phase profile:\n{}", obs.phase_times().render());
     }
+    Ok(())
+}
+
+/// `run`: executes one `SimSpec` JSON document.
+fn run_spec(opts: &Options, executor: &Executor, obs: &mut GridObservation) -> Result<(), String> {
+    let err = |e: fairswap_core::CoreError| e.to_string();
+    let path = opts
+        .config
+        .as_ref()
+        .ok_or_else(|| "run requires --config FILE (a SimSpec JSON document)".to_string())?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let (spec, unknown) = SimSpec::from_json_checked(&text).map_err(err)?;
+    if !unknown.is_empty() && opts.strict {
+        return Err(format!(
+            "{}: unknown field(s) in spec: {} (--strict)",
+            path.display(),
+            unknown.join(", ")
+        ));
+    }
+    for field in &unknown {
+        obs.warn(&format!(
+            "{}: unknown field `{field}` in spec (ignored; --strict makes this fatal)",
+            path.display()
+        ));
+    }
+    println!(
+        "  spec: nodes={} bits={} k={} files={} seed={:#x} mechanism={} route={} cache={} repair={}",
+        spec.topology.nodes,
+        spec.topology.bits,
+        spec.topology.bucket_sizing.default_k(),
+        spec.workload.files,
+        spec.seed,
+        spec.economics.mechanism.id(),
+        spec.policies.route.id(),
+        spec.policies.cache.id(),
+        spec.policies.repair.id()
+    );
+    let reports = fairswap_core::run_jobs_observed(executor, vec![spec], obs).map_err(err)?;
+    let report = &reports[0];
+    let requests: u64 = report.traffic().requests_issued().iter().sum();
+    println!(
+        "  delivered {} of {} requests  mean_forwarded={:.1} hops={:.2} F1={:.4} F2={:.4}",
+        requests - report.traffic().stuck_requests(),
+        requests,
+        report.mean_forwarded(),
+        report.hops().mean().unwrap_or(0.0),
+        report.f1_contribution_gini(),
+        report.f2_income_gini()
+    );
+    // The exact serializer `fairswap serve` answers `/result` with —
+    // keeping the batch and HTTP paths `cmp`-equal.
+    let csv = fairswap_core::run_summary_csv(report.config(), report);
+    write_csv(obs, &opts.out, RUN_SUMMARY_FILE, &csv)
+}
+
+/// `serve`: the HTTP daemon, until a client posts `/shutdown`.
+fn serve(opts: &Options, _: &Executor, _: &mut GridObservation) -> Result<(), String> {
+    let serve_opts = &opts.serve;
+    let server = fairswap_serve::Server::bind(serve_opts)
+        .map_err(|e| format!("binding {}: {e}", serve_opts.addr))?;
+    let bound = server
+        .local_addr()
+        .map_err(|e| format!("resolving listen address: {e}"))?;
+    println!(
+        "  listening on http://{bound} (workers={}, cache-cap={}, queue-cap={})",
+        serve_opts.workers, serve_opts.cache_cap, serve_opts.queue_cap
+    );
+    println!(
+        "  POST /submit | GET /status/<job> /result/<job> /stream/<job> /health | POST /shutdown"
+    );
+    let summary = server.run().map_err(|e| format!("serve: {e}"))?;
+    println!(
+        "  drained: {} jobs ({} completed, {} failed, {} rejected), cache hits={} misses={} evictions={}",
+        summary.jobs,
+        summary.completed,
+        summary.failed,
+        summary.rejected,
+        summary.cache.hits,
+        summary.cache.misses,
+        summary.cache.evictions
+    );
+    Ok(())
+}
+
+/// `fuzz`: a seeded campaign, or with `--minimize` a corpus minimization.
+fn fuzz(opts: &Options, executor: &Executor, obs: &mut GridObservation) -> Result<(), String> {
+    let corpus_dir = opts
+        .corpus
+        .clone()
+        .unwrap_or_else(|| opts.out.join("corpus"));
+    if opts.minimize {
+        let corpus = Corpus::load(&corpus_dir).map_err(|e| e.to_string())?;
+        let outcome = {
+            let meter = obs.meter();
+            minimize_corpus(executor, &corpus, &mut |done, total| {
+                meter.notify(done, total)
+            })
+        }
+        .map_err(|e| e.to_string())?;
+        for name in &outcome.dropped {
+            let path = corpus_dir.join(format!("{name}.json"));
+            std::fs::remove_file(&path).map_err(|e| format!("removing {}: {e}", path.display()))?;
+            println!("  dropped {name} (behavior cell already covered)");
+        }
+        // Rewrite the survivors so the directory is exactly the minimized
+        // corpus in canonical form.
+        outcome
+            .corpus
+            .write_to(&corpus_dir)
+            .map_err(|e| e.to_string())?;
+        println!(
+            "  minimized {} -> {} specs ({} simulations, {} behavior cells)",
+            corpus.len(),
+            outcome.corpus.len(),
+            outcome.runs,
+            outcome.cells
+        );
+        println!("wrote {}", corpus_dir.display());
+        return Ok(());
+    }
+    let cfg = FuzzConfig {
+        seed: opts.preset.scale.seed,
+        iters: opts.iters,
+        time_budget: opts.time_budget.map(std::time::Duration::from_secs),
+    };
+    // The campaign drives the shared progress meter directly: one tick
+    // per evaluated spec (seeds, then iterations).
+    let outcome = {
+        let meter = obs.meter();
+        run_campaign(executor, &cfg, &mut |done, total| meter.notify(done, total))
+    }
+    .map_err(|e| e.to_string())?;
+    println!(
+        "  {} iterations ({} simulations with fairness twins), {} behavior cells",
+        outcome.iterations, outcome.runs, outcome.cells
+    );
+    println!(
+        "  corpus: {} specs, findings: {}",
+        outcome.corpus.len(),
+        outcome.findings.len()
+    );
+    for f in &outcome.findings {
+        println!(
+            "  [{}] iter {} {} — {}",
+            f.violation.oracle, f.iteration, f.entry, f.violation.detail
+        );
+    }
+    outcome
+        .corpus
+        .write_to(&corpus_dir)
+        .map_err(|e| e.to_string())?;
+    println!(
+        "wrote {} ({} replayable specs)",
+        corpus_dir.display(),
+        outcome.corpus.len()
+    );
+    let findings = outcome.findings_json().map_err(|e| e.to_string())?;
+    write_text(&opts.out.join("findings.json"), &(findings + "\n"))?;
+    let (name, csv) = outcome.findings_csv();
+    write_csv(obs, &opts.out, name, &csv)
+}
+
+/// `trace-check`: validates the JSONL trace named by `--trace`.
+fn trace_check(opts: &Options, _: &Executor, _: &mut GridObservation) -> Result<(), String> {
+    let path = opts.trace.as_ref().ok_or_else(|| {
+        "trace-check requires --trace FILE (the JSONL trace to validate)".to_string()
+    })?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let stats = validate_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!(
+        "  {} ok: {} lines, {} events across {} jobs ({} dropped)",
+        path.display(),
+        stats.lines,
+        stats.events,
+        stats.jobs,
+        stats.dropped
+    );
     Ok(())
 }
 
@@ -1022,15 +580,6 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The five files `paper` writes.
-    const PAPER_CSVS: [&str; 5] = [
-        "table1.csv",
-        "fig4.csv",
-        "fig5.csv",
-        "fig6.csv",
-        "metric_robustness.csv",
-    ];
-
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
     }
@@ -1038,16 +587,18 @@ mod tests {
     fn quick_opts(command: &str, nodes: usize, files: u64, out: PathBuf) -> Options {
         Options {
             command: command.into(),
-            scale: ExperimentScale {
-                nodes,
-                files,
-                seed: 1,
+            preset: PresetArgs {
+                scale: ExperimentScale {
+                    nodes,
+                    files,
+                    seed: 1,
+                },
+                nodes_set: true,
+                files_set: true,
+                bits: large_scale::DEFAULT_BITS,
+                scenario: None,
             },
-            nodes_set: true,
-            files_set: true,
-            bits: large_scale::DEFAULT_BITS,
             threads: 1,
-            scenario: None,
             config: None,
             trace: None,
             metrics: None,
@@ -1058,10 +609,12 @@ mod tests {
             corpus: None,
             minimize: false,
             time_budget: None,
-            addr: "127.0.0.1:0".into(),
-            workers: 1,
-            cache_cap: 4,
-            queue_cap: 16,
+            serve: fairswap_serve::ServeOptions {
+                addr: "127.0.0.1:0".into(),
+                workers: 1,
+                cache_cap: 4,
+                queue_cap: 16,
+            },
             out,
         }
     }
@@ -1085,12 +638,12 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(opts.command, "paper");
-        assert_eq!(opts.scale.nodes, 100);
-        assert_eq!(opts.scale.files, 50);
-        assert_eq!(opts.scale.seed, 9);
+        assert_eq!(opts.preset.scale.nodes, 100);
+        assert_eq!(opts.preset.scale.files, 50);
+        assert_eq!(opts.preset.scale.seed, 9);
         assert_eq!(opts.threads, 4);
-        assert_eq!(opts.bits, 20);
-        assert!(opts.nodes_set && opts.files_set);
+        assert_eq!(opts.preset.bits, 20);
+        assert!(opts.preset.nodes_set && opts.preset.files_set);
         assert_eq!(opts.out, PathBuf::from("/tmp/x"));
     }
 
@@ -1098,17 +651,17 @@ mod tests {
     fn defaults_are_serial_paper_scale() {
         let opts = parse_args(&s(&["paper"])).unwrap();
         assert_eq!(opts.threads, 1);
-        assert_eq!(opts.bits, large_scale::DEFAULT_BITS);
-        assert!(!opts.nodes_set && !opts.files_set);
+        assert_eq!(opts.preset.bits, large_scale::DEFAULT_BITS);
+        assert!(!opts.preset.nodes_set && !opts.preset.files_set);
     }
 
     #[test]
     fn quick_flag_shrinks_scale() {
         let opts = parse_args(&s(&["paper", "--quick"])).unwrap();
-        assert_eq!(opts.scale.nodes, ExperimentScale::quick().nodes);
+        assert_eq!(opts.preset.scale.nodes, ExperimentScale::quick().nodes);
         // Quick is explicit sizing: large-scale must not override it with
         // its 10^5-node default.
-        assert!(opts.nodes_set && opts.files_set);
+        assert!(opts.preset.nodes_set && opts.preset.files_set);
     }
 
     #[test]
@@ -1118,9 +671,9 @@ mod tests {
             ["paper", "--quick", "--nodes", "500"],
         ] {
             let opts = parse_args(&s(&order)).unwrap();
-            assert_eq!(opts.scale.nodes, 500, "order {order:?}");
-            assert_eq!(opts.scale.files, ExperimentScale::quick().files);
-            assert!(opts.nodes_set && opts.files_set);
+            assert_eq!(opts.preset.scale.nodes, 500, "order {order:?}");
+            assert_eq!(opts.preset.scale.files, ExperimentScale::quick().files);
+            assert!(opts.preset.nodes_set && opts.preset.files_set);
         }
     }
 
@@ -1135,14 +688,29 @@ mod tests {
         assert!(parse_args(&s(&["paper", "extra"])).is_err());
     }
 
+    /// The names of the files in `dir`, sorted.
+    fn names_in(dir: &Path) -> Vec<String> {
+        files_in(dir)
+            .into_iter()
+            .map(|(name, _)| name.to_string_lossy().into_owned())
+            .collect()
+    }
+
     #[test]
     fn runs_a_tiny_experiment_end_to_end() {
         let dir = std::env::temp_dir().join("fairswap_cli_test");
-        let opts = quick_opts("paper", 60, 10, dir.clone());
-        run_command(&opts).unwrap();
-        for csv in PAPER_CSVS {
-            assert!(dir.join(csv).exists(), "{csv}");
-        }
+        let _ = std::fs::remove_dir_all(&dir);
+        run_command(&quick_opts("paper", 60, 10, dir.clone())).unwrap();
+        assert_eq!(
+            names_in(&dir),
+            [
+                "fig4.csv",
+                "fig5.csv",
+                "fig6.csv",
+                "metric_robustness.csv",
+                "table1.csv"
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1150,17 +718,16 @@ mod tests {
     fn threaded_run_matches_serial_run() {
         let dir_a = std::env::temp_dir().join("fairswap_cli_serial");
         let dir_b = std::env::temp_dir().join("fairswap_cli_threaded");
-        let mut serial = quick_opts("paper", 80, 16, dir_a.clone());
+        let serial = quick_opts("paper", 80, 16, dir_a.clone());
         let mut threaded = quick_opts("paper", 80, 16, dir_b.clone());
-        serial.threads = 1;
         threaded.threads = 4;
         run_command(&serial).unwrap();
         run_command(&threaded).unwrap();
-        for csv in PAPER_CSVS {
-            let a = std::fs::read(dir_a.join(csv)).unwrap();
-            let b = std::fs::read(dir_b.join(csv)).unwrap();
-            assert_eq!(a, b, "{csv}: threaded CSV must be byte-identical to serial");
-        }
+        assert_eq!(
+            files_in(&dir_a),
+            files_in(&dir_b),
+            "threaded CSVs must be byte-identical to serial"
+        );
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
     }
@@ -1168,10 +735,9 @@ mod tests {
     #[test]
     fn churn_command_writes_both_csvs() {
         let dir = std::env::temp_dir().join("fairswap_cli_churn_test");
-        let opts = quick_opts("churn", 80, 20, dir.clone());
-        run_command(&opts).unwrap();
-        assert!(dir.join("churn.csv").exists());
-        assert!(dir.join("churn_timeline.csv").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+        run_command(&quick_opts("churn", 80, 20, dir.clone())).unwrap();
+        assert_eq!(names_in(&dir), ["churn.csv", "churn_timeline.csv"]);
         let csv = std::fs::read_to_string(dir.join("churn.csv")).unwrap();
         assert!(csv.starts_with("k,churn_rate,f1_gini,f2_gini,"));
         // Two k values × five default rates, plus the header.
@@ -1180,10 +746,44 @@ mod tests {
     }
 
     #[test]
+    fn durability_command_writes_both_csvs() {
+        let dir = std::env::temp_dir().join("fairswap_cli_durability_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        run_command(&quick_opts("durability", 80, 12, dir.clone())).unwrap();
+        assert_eq!(
+            names_in(&dir),
+            ["durability.csv", "durability_timeline.csv"]
+        );
+        let csv = std::fs::read_to_string(dir.join("durability.csv")).unwrap();
+        assert!(csv.starts_with("mode,k,churn_rate,f1_gini,f2_gini,"));
+        // Five modes × two k values × three default rates, plus the header.
+        assert_eq!(csv.lines().count(), 1 + 5 * 2 * 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn routing_and_cache_churn_commands_write_csvs() {
+        let dir = std::env::temp_dir().join("fairswap_cli_policy_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        run_command(&quick_opts("routing", 100, 16, dir.clone())).unwrap();
+        let csv = std::fs::read_to_string(dir.join("routing.csv")).unwrap();
+        assert!(csv.starts_with("route,k,requests,"));
+        // Two policies × two k values, plus the header.
+        assert_eq!(csv.lines().count(), 5);
+        run_command(&quick_opts("cache-churn", 100, 16, dir.clone())).unwrap();
+        let csv = std::fs::read_to_string(dir.join("cache_churn.csv")).unwrap();
+        assert!(csv.starts_with("cache,churn_rate,"));
+        // Four policies × four rates, plus the header.
+        assert_eq!(csv.lines().count(), 17);
+        assert_eq!(names_in(&dir), ["cache_churn.csv", "routing.csv"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn large_scale_command_at_test_size() {
         let dir = std::env::temp_dir().join("fairswap_cli_large_scale_test");
         let mut opts = quick_opts("large-scale", 2000, 20, dir.clone());
-        opts.bits = 18;
+        opts.preset.bits = 18;
         opts.threads = 2;
         run_command(&opts).unwrap();
         let csv = std::fs::read_to_string(dir.join("large_scale.csv")).unwrap();
@@ -1205,59 +805,44 @@ mod tests {
     #[test]
     fn usage_lists_every_dispatchable_command_and_only_those() {
         let text = usage();
-        for command in COMMANDS {
-            assert!(text.contains(command.name), "usage misses {}", command.name);
+        for name in PRESETS
+            .iter()
+            .map(|p| p.name)
+            .chain(TOOLS.iter().map(|t| t.name))
+        {
+            assert!(text.contains(name), "usage misses {name}");
         }
         assert!(text.contains("all"));
-        // Every table entry actually dispatches: run each one at a tiny
-        // scale and require an artifact, so a table/dispatch drift fails
-        // loudly here rather than at a user's prompt.
+        // Presets dispatch by looping over their table; every tool but
+        // `serve` runs here at a tiny scale and must leave its artifact.
+        // `serve` blocks until an HTTP shutdown; its dispatch is covered
+        // end to end by `crates/serve/tests/` and the CI serve-smoke job.
         let dir = std::env::temp_dir().join("fairswap_cli_dispatch_test");
         let _ = std::fs::remove_dir_all(&dir);
-        // `run` executes a SimSpec document; give it a tiny one.
-        let spec_file = dir.join("dispatch_spec.json");
         std::fs::create_dir_all(&dir).unwrap();
+        let spec_file = dir.join("dispatch_spec.json");
         std::fs::write(
             &spec_file,
             r#"{ "topology": { "nodes": 80 }, "workload": { "files": 8 } }"#,
         )
         .unwrap();
         // `trace-check` (last in the table) validates the trace that the
-        // first command, `paper`, writes — exercising the full
-        // produce-then-validate loop.
+        // first tool, `run`, writes — the full produce-then-validate loop.
         let trace_file = dir.join("dispatch_trace.jsonl");
-        for command in COMMANDS {
-            // `serve` blocks until an HTTP shutdown; its dispatch is
-            // covered end to end by `crates/serve/tests/` and the CI
-            // serve-smoke job.
-            if command.name == "serve" {
-                continue;
-            }
-            let mut opts = quick_opts(command.name, 80, 8, dir.clone());
-            opts.bits = 17;
-            if command.name == "run" {
-                opts.config = Some(spec_file.clone());
-            }
-            if command.name == "paper" || command.name == "trace-check" {
+        for tool in TOOLS.iter().filter(|t| t.name != "serve") {
+            let mut opts = quick_opts(tool.name, 80, 8, dir.clone());
+            opts.config = Some(spec_file.clone());
+            if tool.name == "run" || tool.name == "trace-check" {
                 opts.trace = Some(trace_file.clone());
             }
-            run_command(&opts).unwrap_or_else(|e| panic!("{} failed: {e}", command.name));
+            run_command(&opts).unwrap_or_else(|e| panic!("{} failed: {e}", tool.name));
         }
-        for csv in PAPER_CSVS {
-            assert!(dir.join(csv).exists(), "{csv}");
-        }
-        assert!(dir.join("scenarios.csv").exists());
-        assert!(dir.join("durability.csv").exists());
-        assert!(dir.join("durability_timeline.csv").exists());
-        assert!(dir.join("routing.csv").exists());
-        assert!(dir.join("cache_churn.csv").exists());
         assert!(dir.join("run.csv").exists());
         // The fuzz campaign wrote its replayable corpus and findings
-        // report; the gallery replay wrote its comparison table.
+        // report.
         assert!(dir.join("fuzz.csv").exists());
         assert!(dir.join("findings.json").exists());
         assert!(dir.join("corpus").join("seed-00-paper-quick.json").exists());
-        assert!(dir.join("fuzzed.csv").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1313,19 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn durability_command_writes_both_csvs() {
-        let dir = std::env::temp_dir().join("fairswap_cli_durability_test");
-        let opts = quick_opts("durability", 80, 12, dir.clone());
-        run_command(&opts).unwrap();
-        let csv = std::fs::read_to_string(dir.join("durability.csv")).unwrap();
-        assert!(csv.starts_with("mode,k,churn_rate,f1_gini,f2_gini,"));
-        // Five modes × two k values × three default rates, plus the header.
-        assert_eq!(csv.lines().count(), 1 + 5 * 2 * 3);
-        assert!(dir.join("durability_timeline.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn run_command_requires_and_executes_a_spec() {
         let dir = std::env::temp_dir().join("fairswap_cli_run_test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1364,28 +936,9 @@ mod tests {
     }
 
     #[test]
-    fn routing_and_cache_churn_commands_write_csvs() {
-        let dir = std::env::temp_dir().join("fairswap_cli_policy_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = quick_opts("routing", 100, 16, dir.clone());
-        run_command(&opts).unwrap();
-        let csv = std::fs::read_to_string(dir.join("routing.csv")).unwrap();
-        assert!(csv.starts_with("route,k,requests,"));
-        // Two policies × two k values, plus the header.
-        assert_eq!(csv.lines().count(), 5);
-        let opts = quick_opts("cache-churn", 100, 16, dir.clone());
-        run_command(&opts).unwrap();
-        let csv = std::fs::read_to_string(dir.join("cache_churn.csv")).unwrap();
-        assert!(csv.starts_with("cache,churn_rate,"));
-        // Four policies × four rates, plus the header.
-        assert_eq!(csv.lines().count(), 17);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn scenario_flag_parses_and_validates() {
         let opts = parse_args(&s(&["scenarios", "--scenario", "flash-crowd"])).unwrap();
-        assert_eq!(opts.scenario.as_deref(), Some("flash-crowd"));
+        assert_eq!(opts.preset.scenario.as_deref(), Some("flash-crowd"));
         assert!(parse_args(&s(&["scenarios", "--scenario", "bogus"])).is_err());
         assert!(parse_args(&s(&["scenarios", "--scenario"])).is_err());
     }
@@ -1410,43 +963,44 @@ mod tests {
         assert!(parse_args(&s(&["paper", "--metrics"])).is_err());
     }
 
+    /// Every file in `dir`, by name.
+    fn files_in(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                (
+                    path.file_name().unwrap().into(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn observability_flags_work_on_every_preset() {
+        // `all` runs every `in_all` preset through the one dispatch loop,
+        // so one plain and one traced run cover each of them end to end:
+        // same files byte for byte, and a trace `trace-check` accepts.
         let dir = std::env::temp_dir().join("fairswap_cli_observe_every_preset");
         let _ = std::fs::remove_dir_all(&dir);
-        for (command, csvs) in [
-            ("paper", &PAPER_CSVS[..]),
-            ("sweep-files", &["sweep_files.csv"]),
-            ("overhead", &["overhead.csv"]),
-            ("bucket0", &["bucket0.csv"]),
-            ("freeride", &["freeride.csv"]),
-            ("caching", &["caching.csv"]),
-            ("mechanisms", &["mechanisms.csv"]),
-        ] {
-            let plain_dir = dir.join(command).join("plain");
-            let traced_dir = dir.join(command).join("traced");
-            let trace = dir.join(command).join("trace.jsonl");
-            run_command(&quick_opts(command, 60, 10, plain_dir.clone())).unwrap();
-            let mut opts = quick_opts(command, 60, 10, traced_dir.clone());
-            opts.trace = Some(trace.clone());
-            opts.metrics = Some(dir.join(command).join("metrics.csv"));
-            run_command(&opts).unwrap();
-            for csv in csvs {
-                let plain = std::fs::read(plain_dir.join(csv)).unwrap();
-                let traced = std::fs::read(traced_dir.join(csv)).unwrap();
-                assert_eq!(plain, traced, "{command}: tracing must not perturb {csv}");
-            }
-            let mut check = quick_opts("trace-check", 60, 10, dir.clone());
-            check.trace = Some(trace);
-            run_command(&check).unwrap_or_else(|e| panic!("{command}: {e}"));
-        }
-        // Commands that run no preset grid still refuse the flags.
-        for command in ["serve", "fuzz"] {
-            let mut opts = quick_opts(command, 60, 10, dir.clone());
-            opts.profile = true;
-            let e = run_command(&opts).unwrap_err();
-            assert!(e.contains("not supported for"), "{command}: {e}");
-        }
+        let plain_dir = dir.join("plain");
+        let traced_dir = dir.join("traced");
+        let trace = dir.join("trace.jsonl");
+        run_command(&quick_opts("all", 60, 10, plain_dir.clone())).unwrap();
+        let mut opts = quick_opts("all", 60, 10, traced_dir.clone());
+        opts.trace = Some(trace.clone());
+        opts.metrics = Some(dir.join("metrics.csv"));
+        run_command(&opts).unwrap();
+        let plain = files_in(&plain_dir);
+        let written = PRESETS.iter().filter(|p| p.in_all).count();
+        assert!(plain.len() >= written, "one file or more per preset");
+        assert_eq!(plain, files_in(&traced_dir), "tracing perturbs a CSV");
+        let mut check = quick_opts("trace-check", 60, 10, dir.clone());
+        check.trace = Some(trace);
+        run_command(&check).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1462,11 +1016,11 @@ mod tests {
         opts.metrics = Some(dir.join("paper_metrics.csv"));
         opts.profile = true;
         run_command(&opts).unwrap();
-        for csv in PAPER_CSVS {
-            let plain = std::fs::read(plain_dir.join(csv)).unwrap();
-            let traced = std::fs::read(traced_dir.join(csv)).unwrap();
-            assert_eq!(plain, traced, "tracing must not perturb {csv}");
-        }
+        assert_eq!(
+            files_in(&plain_dir),
+            files_in(&traced_dir),
+            "tracing must not perturb the CSVs"
+        );
         let trace = std::fs::read_to_string(dir.join("paper.jsonl")).unwrap();
         let stats = validate_jsonl(&trace).unwrap();
         // The paper grid has four cells, each closed by a summary line.
@@ -1482,6 +1036,13 @@ mod tests {
         run_command(&check).unwrap();
         check.trace = None;
         assert!(run_command(&check).unwrap_err().contains("--trace"));
+        // Commands that run no preset grid refuse the flags.
+        for tool in TOOLS.iter().filter(|t| !t.observed) {
+            let mut opts = quick_opts(tool.name, 60, 10, dir.clone());
+            opts.profile = true;
+            let e = run_command(&opts).unwrap_err();
+            assert!(e.contains("not supported for"), "{}: {e}", tool.name);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1512,7 +1073,7 @@ mod tests {
     fn scenarios_command_writes_both_csvs() {
         let dir = std::env::temp_dir().join("fairswap_cli_scenarios_test");
         let mut opts = quick_opts("scenarios", 100, 20, dir.clone());
-        opts.scenario = Some("targeted-departure".into());
+        opts.preset.scenario = Some("targeted-departure".into());
         run_command(&opts).unwrap();
         let csv = std::fs::read_to_string(dir.join("scenarios.csv")).unwrap();
         assert!(csv.starts_with("scenario,k,shock_step,"));

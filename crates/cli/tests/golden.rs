@@ -1,19 +1,21 @@
 //! Golden output contract: every preset CSV the binary writes is pinned
-//! byte for byte against `tests/fixtures/{presets,paper}/`, and every
-//! CSV header documented in `docs/EXPERIMENTS.md` is pinned against the
-//! header actually written.
+//! byte for byte against `tests/fixtures/{presets,paper}/`, the summary
+//! each command prints against `tests/fixtures/cli/`, and every CSV
+//! header and command documented in `docs/EXPERIMENTS.md` against what
+//! the binary actually writes and accepts.
 //!
 //! Running the commands through the binary also pins the per-preset
-//! parameters the CLI picks (the `k` grids, churn rates, free-rider
-//! fractions), not only the renderers. All three commands finish in well
-//! under a second in release mode.
+//! parameters each `PRESETS` entry fixes (the `k` grids, churn rates,
+//! free-rider fractions), not only the renderers. All three commands
+//! finish in well under a second in release mode.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 /// The commands whose outputs the fixtures hold, each with the scratch
-/// directory name it writes into.
+/// directory name it writes into and the name of its stdout fixture.
 const RUNS: &[(&str, &[&str])] = &[
     ("all", &["all", "--nodes", "60", "--files", "10"]),
     (
@@ -35,8 +37,12 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Runs `fairswap <args> --out <fresh dir>` and returns the directory.
-fn run_into(label: &str, args: &[&str]) -> PathBuf {
+/// Stands in for the `--out` directory in the stdout fixtures.
+const OUT_PLACEHOLDER: &str = "<out>";
+
+/// Runs `fairswap <args> --out <fresh dir>` and returns the directory
+/// and the stdout, with the directory replaced by [`OUT_PLACEHOLDER`].
+fn run_into(label: &str, args: &[&str]) -> (PathBuf, String) {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{label}"));
     let _ = std::fs::remove_dir_all(&out);
     let output = Command::new(env!("CARGO_BIN_EXE_fairswap"))
@@ -50,7 +56,23 @@ fn run_into(label: &str, args: &[&str]) -> PathBuf {
         "fairswap {args:?} failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    out
+    let stdout = String::from_utf8(output.stdout)
+        .unwrap()
+        .replace(&out.display().to_string(), OUT_PLACEHOLDER);
+    (out, stdout)
+}
+
+/// Each of [`RUNS`], run once per test binary: label, out dir, stdout.
+fn runs() -> &'static [(&'static str, PathBuf, String)] {
+    static DONE: OnceLock<Vec<(&'static str, PathBuf, String)>> = OnceLock::new();
+    DONE.get_or_init(|| {
+        RUNS.iter()
+            .map(|&(label, args)| {
+                let (out, stdout) = run_into(label, args);
+                (label, out, stdout)
+            })
+            .collect()
+    })
 }
 
 /// Every `*.csv` file in `dir`, by file name.
@@ -82,8 +104,8 @@ fn fixtures() -> BTreeMap<String, String> {
 /// What the three fixture commands write, by file name.
 fn written() -> BTreeMap<String, String> {
     let mut all = BTreeMap::new();
-    for (label, args) in RUNS {
-        for (name, text) in csvs_in(&run_into(label, args)) {
+    for (_, out, _) in runs() {
+        for (name, text) in csvs_in(out) {
             assert!(
                 all.insert(name.clone(), text).is_none(),
                 "{name} is written by more than one command"
@@ -107,6 +129,17 @@ fn every_preset_csv_matches_its_golden_fixture() {
     }
 }
 
+#[test]
+fn every_summary_matches_its_golden_fixture() {
+    let dir = repo_root().join("tests/fixtures/cli");
+    for (label, _, stdout) in runs() {
+        let path = dir.join(format!("{label}.stdout"));
+        let fixture = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        assert_eq!(stdout, &fixture, "`fairswap {label}` stdout drifted");
+    }
+}
+
 /// The `(file, header)` pairs `docs/EXPERIMENTS.md` documents: each
 /// `` `<name>.csv` `` whose next backtick span is a bare comma-separated
 /// column list.
@@ -127,7 +160,7 @@ fn documented_csv_headers_match_the_emitted_ones() {
     let mut emitted: BTreeMap<String, String> = fixtures();
     // `run.csv` has no preset fixture; take it from the demo spec.
     let demo = repo_root().join("tests/fixtures/demo_spec.json");
-    let run = run_into("run", &["run", "--config", demo.to_str().unwrap()]);
+    let (run, _) = run_into("run", &["run", "--config", demo.to_str().unwrap()]);
     emitted.extend(csvs_in(&run));
     for (name, header) in &documented {
         let text = emitted
@@ -145,6 +178,48 @@ fn documented_csv_headers_match_the_emitted_ones() {
         assert!(
             documented.iter().any(|(doc_name, _)| doc_name == name),
             "{name} has no documented header in docs/EXPERIMENTS.md"
+        );
+    }
+}
+
+/// The command names in the usage text's `<a|b|...|all>` list, without
+/// the `all` meta-command.
+fn usage_commands() -> Vec<String> {
+    let output = Command::new(env!("CARGO_BIN_EXE_fairswap"))
+        .output()
+        .expect("spawning the fairswap binary");
+    let usage = String::from_utf8(output.stderr).unwrap();
+    let list = usage
+        .split_once("usage: fairswap <")
+        .and_then(|(_, rest)| rest.split_once('>'))
+        .expect("usage text lists the commands as <a|b|...>")
+        .0;
+    list.split('|')
+        .filter(|name| *name != "all")
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn every_command_has_a_documented_section_and_back() {
+    let doc = std::fs::read_to_string(repo_root().join("docs/EXPERIMENTS.md")).unwrap();
+    let documented: Vec<&str> = doc
+        .lines()
+        .filter_map(|line| line.strip_prefix("## `"))
+        .filter_map(|rest| rest.split_once('`'))
+        .map(|(name, _)| name)
+        .collect();
+    let commands = usage_commands();
+    for command in &commands {
+        assert!(
+            documented.contains(&command.as_str()),
+            "`{command}` has no section in docs/EXPERIMENTS.md"
+        );
+    }
+    for name in &documented {
+        assert!(
+            commands.iter().any(|command| command == name),
+            "docs/EXPERIMENTS.md documents `{name}`, which is not a command"
         );
     }
 }

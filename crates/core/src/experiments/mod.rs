@@ -1,22 +1,28 @@
 //! The paper's evaluation grid, run once for all of its tables and
 //! figures, plus the §V extension experiments.
 //!
-//! | Preset | Paper artifact |
-//! |--------|----------------|
-//! | [`paper::run`] | Table I, Figs. 4–6 and the Gini ablation, from one k × originators grid |
-//! | [`sweeps::files_convergence`] | §IV-B "100 to 10k files" robustness |
-//! | [`sweeps::overhead_vs_k`] | §V overhead: connections & settlements vs `k` |
-//! | [`extensions::bucket_zero`] | §V per-bucket `k` (bucket 0 only) |
-//! | [`extensions::free_riding`] | §V misbehaving peers vs F1/F2 |
-//! | [`extensions::caching`] | §V popularity + caching vs amortization |
-//! | [`extensions::mechanisms`] | §I/§II baseline-mechanism comparison |
-//! | [`churn::run`] | §V future work: F1/F2 fairness vs churn rate |
-//! | [`durability::run`] | repair loop closed: repair mode × churn rate × `k`, fairness of repair traffic |
-//! | [`large_scale::run`] | scaling: fairness at 10⁵ nodes, 20–24-bit space |
-//! | [`scenarios::run`] | scripted shocks: targeted departures, flash crowds, regional outages, heterogeneity |
-//! | [`routing::run`] | policy layer: drop vs capacity-detour routing under heterogeneity |
-//! | [`cache_churn::run`] | policy layer: cache policy × churn rate (§V caching × the churn axis) |
-//! | [`fuzzed::run`] | fuzzer gallery: machine-found fairness inversions, replayed verbatim |
+//! A preset is one [`PRESETS`] entry: its command name, help line,
+//! `fairswap all` membership and a `run` that calls the typed function
+//! below with the preset's fixed arguments, returning its tables with
+//! their file names and a printed summary ([`PresetOutput`]). The CLI
+//! loops over the table; so do the contract tests (`tests/presets.rs`).
+//!
+//! | Preset | Typed run | Paper artifact |
+//! |--------|-----------|----------------|
+//! | `paper` | [`paper::run`] | Table I, Figs. 4–6 and the Gini ablation, from one k × originators grid |
+//! | `sweep-files` | [`sweeps::files_convergence`] | §IV-B "100 to 10k files" robustness |
+//! | `overhead` | [`sweeps::overhead_vs_k`] | §V overhead: connections & settlements vs `k` |
+//! | `bucket0` | [`extensions::bucket_zero`] | §V per-bucket `k` (bucket 0 only) |
+//! | `freeride` | [`extensions::free_riding`] | §V misbehaving peers vs F1/F2 |
+//! | `caching` | [`extensions::caching`] | §V popularity + caching vs amortization |
+//! | `mechanisms` | [`extensions::mechanisms`] | §I/§II baseline-mechanism comparison |
+//! | `churn` | [`churn::run`] | §V future work: F1/F2 fairness vs churn rate |
+//! | `durability` | [`durability::run`] | repair loop closed: repair mode × churn rate × `k`, fairness of repair traffic |
+//! | `scenarios` | [`scenarios::run`] | scripted shocks: targeted departures, flash crowds, regional outages, heterogeneity |
+//! | `routing` | [`routing::run`] | policy layer: drop vs capacity-detour routing under heterogeneity |
+//! | `cache-churn` | [`cache_churn::run`] | policy layer: cache policy × churn rate (§V caching × the churn axis) |
+//! | `fuzzed` | [`fuzzed::run`] | fuzzer gallery: machine-found fairness inversions, replayed verbatim |
+//! | `large-scale` | [`large_scale::run`] | scaling: fairness at 10⁵ nodes, 20–24-bit space |
 //!
 //! Every preset takes an [`ExperimentScale`] so the full paper-scale run
 //! (1000 nodes, 10k files) and a laptop-quick run share one code path.
@@ -44,8 +50,10 @@ pub mod routing;
 pub mod scenarios;
 pub mod sweeps;
 
+mod presets;
 mod scale;
 
+pub use presets::{Preset, PresetArgs, PresetOutput, PRESETS};
 pub use scale::ExperimentScale;
 
 // Each view of the paper grid keeps a shape test under the name of the

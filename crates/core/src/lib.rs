@@ -52,7 +52,7 @@ pub use exec::{run_jobs, run_jobs_observed};
 pub use obs::{EpochSnapshot, GridObservation, NullObserver, ObsOptions, StepObserver};
 pub use policy::RepairPolicy;
 pub use report::{ChurnOutcome, ChurnSample, SimReport};
-pub use runcsv::{run_summary_csv, RUN_SUMMARY_COLUMNS};
+pub use runcsv::{run_summary_csv, RUN_SUMMARY_COLUMNS, RUN_SUMMARY_FILE};
 pub use scenario::ScenarioKind;
 pub use sim::BandwidthSim;
 pub use spec::{

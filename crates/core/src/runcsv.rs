@@ -10,6 +10,9 @@ use crate::config::SimConfig;
 use crate::csv::CsvTable;
 use crate::report::SimReport;
 
+/// The file `fairswap run` writes the summary table to.
+pub const RUN_SUMMARY_FILE: &str = "run.csv";
+
 /// Header columns of the run summary table, in emission order.
 pub const RUN_SUMMARY_COLUMNS: [&str; 19] = [
     "nodes",

@@ -20,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use fairswap_core::{run_jobs, Executor, SimSpec};
+use fairswap_core::{run_jobs, CsvTable, Executor, SimSpec};
 use fairswap_kademlia::BucketSizing;
 use fairswap_simcore::rng::{derive_rng, domain, sub_seed};
 use rand::Rng;
@@ -100,6 +100,21 @@ impl FuzzOutcome {
             file: "findings.json".into(),
             message: e.to_string(),
         })
+    }
+
+    /// The findings report as `(file name, table)`: one row per finding,
+    /// in discovery order.
+    pub fn findings_csv(&self) -> (&'static str, CsvTable) {
+        let mut csv = CsvTable::new(["iteration", "entry", "oracle", "detail"]);
+        for f in &self.findings {
+            csv.push_row([
+                f.iteration.to_string(),
+                f.entry.clone(),
+                f.violation.oracle.clone(),
+                f.violation.detail.clone(),
+            ]);
+        }
+        ("fuzz.csv", csv)
     }
 }
 

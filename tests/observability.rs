@@ -7,7 +7,9 @@
 //! are addressed by logical clocks and merged in stable job order (same
 //! bytes under `--threads N`), and every counter is conserved (hits +
 //! misses = lookups, delivered + stuck = requests, histogram totals match
-//! their counters).
+//! their counters). That tracing leaves every preset's tables unchanged
+//! is also checked at a tiny scale in `tests/presets.rs`, looped over the
+//! preset table.
 
 use std::collections::HashMap;
 

@@ -5,11 +5,11 @@
 //! paper reproduction: every grid cell forks all of its RNG streams
 //! (topology, workload, churn, free riders) from its own config seed, so
 //! scheduling cannot leak into results and the executor merges reports in
-//! stable cell order.
+//! stable cell order. Every preset's tables are also checked across
+//! thread counts at a tiny scale in `tests/presets.rs`, looped over the
+//! preset table; the grids here run larger, on more workers.
 
-use fairswap::core::experiments::{
-    cache_churn, churn, large_scale, paper, routing, ExperimentScale,
-};
+use fairswap::core::experiments::{churn, large_scale, paper, ExperimentScale};
 use fairswap::core::{run_jobs, CsvTable, Executor, GridObservation, SimSpec};
 use fairswap::simcore::rng::{domain, sub_seed};
 
@@ -72,49 +72,6 @@ fn churn_grid_is_byte_identical_across_thread_counts() {
     );
     // The grid actually exercised churn (not a trivially-empty sweep).
     assert!(serial.row(4, 0.1).unwrap().leaves > 0);
-}
-
-#[test]
-fn policy_grids_are_byte_identical_across_thread_counts() {
-    // The policy-layer presets: detour routing exercises the capacity
-    // slow path, cache-churn the TTL cache × membership turnover.
-    let serial = routing::run(
-        scale(),
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .unwrap();
-    let threaded =
-        routing::run(scale(), &Executor::new(8), &mut GridObservation::disabled()).unwrap();
-    assert_eq!(serial, threaded);
-    assert_eq!(
-        CsvTable::from_rows(&serial.rows).to_csv_string(),
-        CsvTable::from_rows(&threaded.rows).to_csv_string()
-    );
-    // The detour cells actually detoured.
-    assert!(serial.row("capacity-detour", 4).unwrap().detoured > 0);
-
-    let rates = [0.0, 0.1];
-    let serial = cache_churn::run(
-        scale(),
-        &rates,
-        &Executor::serial(),
-        &mut GridObservation::disabled(),
-    )
-    .unwrap();
-    let threaded = cache_churn::run(
-        scale(),
-        &rates,
-        &Executor::new(8),
-        &mut GridObservation::disabled(),
-    )
-    .unwrap();
-    assert_eq!(serial, threaded);
-    assert_eq!(
-        CsvTable::from_rows(&serial.rows).to_csv_string(),
-        CsvTable::from_rows(&threaded.rows).to_csv_string()
-    );
-    assert!(serial.row("ttl", 0.0).unwrap().cache_served > 0);
 }
 
 #[test]
