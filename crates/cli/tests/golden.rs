@@ -1,6 +1,7 @@
 //! Golden output contract: every preset CSV the binary writes is pinned
 //! byte for byte against `tests/fixtures/{presets,paper}/`, the summary
-//! each command prints against `tests/fixtures/cli/`, and every CSV
+//! each command prints and the demo spec's `run.csv` against
+//! `tests/fixtures/cli/`, and every CSV
 //! header and command documented in `docs/EXPERIMENTS.md` against what
 //! the binary actually writes and accepts.
 //!
@@ -140,6 +141,18 @@ fn every_summary_matches_its_golden_fixture() {
     }
 }
 
+#[test]
+fn run_csv_matches_its_golden_fixture() {
+    let demo = repo_root().join("tests/fixtures/demo_spec.json");
+    let (run, _) = run_into("run", &["run", "--config", demo.to_str().unwrap()]);
+    let fixture = std::fs::read_to_string(repo_root().join("tests/fixtures/cli/run.csv")).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(run.join("run.csv")).unwrap(),
+        fixture,
+        "`fairswap run --config tests/fixtures/demo_spec.json` run.csv drifted"
+    );
+}
+
 /// The `(file, header)` pairs `docs/EXPERIMENTS.md` documents: each
 /// `` `<name>.csv` `` whose next backtick span is a bare comma-separated
 /// column list.
@@ -158,10 +171,8 @@ fn documented_csv_headers_match_the_emitted_ones() {
     let doc = std::fs::read_to_string(repo_root().join("docs/EXPERIMENTS.md")).unwrap();
     let documented = documented_headers(&doc);
     let mut emitted: BTreeMap<String, String> = fixtures();
-    // `run.csv` has no preset fixture; take it from the demo spec.
-    let demo = repo_root().join("tests/fixtures/demo_spec.json");
-    let (run, _) = run_into("run", &["run", "--config", demo.to_str().unwrap()]);
-    emitted.extend(csvs_in(&run));
+    // `run.csv` is no preset's; its fixture is the demo spec's run.
+    emitted.extend(csvs_in(&repo_root().join("tests/fixtures/cli")));
     for (name, header) in &documented {
         let text = emitted
             .get(name)

@@ -1,17 +1,15 @@
 //! Minimal CSV table assembly for experiment output.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use serde::{Serialize, Value};
 
 /// A simple in-memory CSV table with a fixed header.
 ///
-/// A table of one flat row struct per line comes from
-/// [`CsvTable::from_rows`]; tables that project nested data are assembled
-/// by hand with [`CsvTable::new`] and [`CsvTable::push_row`]. Fields
-/// containing commas, quotes or newlines are quoted per RFC 4180.
+/// Every table comes from [`CsvTable::from_rows`]: one flat row struct per
+/// line, whose field list is the header. A table that projects nested data
+/// first flattens it into such rows. Fields containing commas, quotes or
+/// newlines are quoted per RFC 4180.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsvTable {
     columns: Vec<String>,
@@ -31,7 +29,7 @@ impl CsvTable {
     }
 
     /// Creates a table with the given column names.
-    pub fn new<I, S>(columns: I) -> Self
+    fn new<I, S>(columns: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -82,7 +80,7 @@ impl CsvTable {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn push_row<I, S>(&mut self, row: I)
+    fn push_row<I, S>(&mut self, row: I)
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -113,11 +111,6 @@ impl CsvTable {
         &self.columns
     }
 
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     fn escape(field: &str) -> String {
         if field.contains([',', '"', '\n', '\r']) {
             format!("\"{}\"", field.replace('"', "\"\""))
@@ -136,15 +129,6 @@ impl CsvTable {
             let _ = writeln!(out, "{}", fields.join(","));
         }
         out
-    }
-
-    /// Writes the table to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the filesystem.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_csv_string())
     }
 }
 
@@ -168,7 +152,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert_eq!(t.columns(), &["a".to_string(), "b".to_string()]);
-        assert_eq!(t.rows().len(), 2);
     }
 
     #[test]
@@ -247,17 +230,5 @@ mod tests {
             k: 4,
             samples: vec![0.1],
         }]);
-    }
-
-    #[test]
-    fn writes_to_disk() {
-        let mut t = CsvTable::new(["n"]);
-        t.push_row(["1"]);
-        let dir = std::env::temp_dir().join("fairswap_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.csv");
-        t.write_to(&path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "n\n1\n");
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -8,19 +8,18 @@
 //! static?
 //!
 //! `churn.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows) of
-//! [`ChurnRow`]s: the row's field order is the file's column order.
+//! [`ChurnRow`]s and `churn_timeline.csv` of [`ChurnTimelineRow`]s: a row's
+//! field order is its file's column order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
 
 use fairswap_churn::ChurnConfig;
 
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
-use crate::report::ChurnSample;
 use crate::spec::SimSpec;
 
 /// The bucket sizes compared throughout the paper.
@@ -55,13 +54,29 @@ pub struct ChurnRow {
     pub stuck_requests: u64,
 }
 
+/// One sample of a churned cell's fairness-over-time series.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ChurnTimelineRow {
+    /// Bucket size.
+    pub k: usize,
+    /// Configured churn rate.
+    pub churn_rate: f64,
+    /// Timestep (files downloaded so far).
+    pub step: u64,
+    /// Live nodes at that point.
+    pub live: usize,
+    /// F2 income Gini at that point.
+    pub f2_gini: f64,
+}
+
 /// The full sweep plus the fairness-over-time series of every churned cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnExperiment {
     /// One row per `(k, rate)` cell, in sweep order.
     pub rows: Vec<ChurnRow>,
-    /// `(k, rate, timeline)` for each churned cell.
-    pub timelines: Vec<(usize, f64, Vec<ChurnSample>)>,
+    /// Every churned cell's timeline samples, cell after cell in sweep
+    /// order.
+    pub timeline: Vec<ChurnTimelineRow>,
 }
 
 impl ChurnExperiment {
@@ -70,23 +85,6 @@ impl ChurnExperiment {
         self.rows
             .iter()
             .find(|r| r.k == k && (r.churn_rate - rate).abs() < 1e-12)
-    }
-
-    /// Long-format fairness-over-time CSV: one row per timeline sample.
-    pub fn timeline_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new(["k", "churn_rate", "step", "live", "f2_gini"]);
-        for (k, rate, timeline) in &self.timelines {
-            for sample in timeline {
-                csv.push_row([
-                    k.to_string(),
-                    CsvTable::fmt_float(*rate),
-                    sample.step.to_string(),
-                    sample.live.to_string(),
-                    CsvTable::fmt_float(sample.f2_gini),
-                ]);
-            }
-        }
-        csv
     }
 }
 
@@ -110,11 +108,17 @@ pub fn run(
     let reports = run_jobs_observed(executor, jobs(scale, rates)?, obs)?;
 
     let mut rows = Vec::with_capacity(cells.len());
-    let mut timelines = Vec::new();
+    let mut timeline = Vec::new();
     for (&(k, rate), report) in cells.iter().zip(&reports) {
         let (joins, leaves, departure_settlements, final_live, mean_live) = match report.churn() {
             Some(churn) => {
-                timelines.push((k, rate, churn.timeline.clone()));
+                timeline.extend(churn.timeline.iter().map(|s| ChurnTimelineRow {
+                    k,
+                    churn_rate: rate,
+                    step: s.step,
+                    live: s.live,
+                    f2_gini: s.f2_gini,
+                }));
                 (
                     churn.joins,
                     churn.leaves,
@@ -138,7 +142,7 @@ pub fn run(
             stuck_requests: report.traffic().stuck_requests(),
         });
     }
-    Ok(ChurnExperiment { rows, timelines })
+    Ok(ChurnExperiment { rows, timeline })
 }
 
 fn churn_config(rate: f64) -> Result<ChurnConfig, CoreError> {
@@ -177,6 +181,7 @@ pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimSpec>, CoreE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsvTable;
 
     fn scale() -> ExperimentScale {
         ExperimentScale {
@@ -203,10 +208,16 @@ mod tests {
         // Baselines are static; churned cells actually churned.
         assert_eq!(result.row(4, 0.0).unwrap().leaves, 0);
         assert!(result.row(4, 0.1).unwrap().leaves > 0);
-        // One timeline per churned cell.
-        assert_eq!(result.timelines.len(), 2);
+        // A timeline for each churned cell and no other.
+        let mut cells: Vec<(usize, f64)> = result
+            .timeline
+            .iter()
+            .map(|r| (r.k, r.churn_rate))
+            .collect();
+        cells.dedup();
+        assert_eq!(cells, [(4, 0.1), (20, 0.1)]);
         assert!(!CsvTable::from_rows(&result.rows).is_empty());
-        assert!(!result.timeline_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.timeline).is_empty());
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! under concentrated loss.
 //!
 //! `durability.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows)
-//! of [`DurabilityRow`]s: the row's field order is the file's column order.
+//! of [`DurabilityRow`]s and `durability_timeline.csv` of
+//! [`DurabilityTimelineRow`]s: a row's field order is its file's column
+//! order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
@@ -34,13 +36,11 @@ use serde::{Deserialize, Serialize};
 use fairswap_churn::ChurnConfig;
 use fairswap_storage::RepairSource;
 
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
 use crate::policy::RepairPolicy;
-use crate::report::ChurnSample;
 use crate::scenario::ScenarioKind;
 use crate::spec::SimSpec;
 
@@ -99,13 +99,32 @@ pub struct DurabilityRow {
     pub stuck_requests: u64,
 }
 
+/// One sample of a cell's unreachable-over-time series.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DurabilityTimelineRow {
+    /// Repair mode id.
+    pub mode: String,
+    /// Bucket size.
+    pub k: usize,
+    /// Configured churn rate.
+    pub churn_rate: f64,
+    /// Timestep (files downloaded so far).
+    pub step: u64,
+    /// Live nodes at that point.
+    pub live: usize,
+    /// Address regions unreachable at that point (a gauge).
+    pub unreachable: u64,
+    /// F2 income Gini at that point.
+    pub f2_gini: f64,
+}
+
 /// The full sweep plus the unreachable-over-time series of every cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DurabilityExperiment {
     /// One row per `(mode, k, rate)` cell, in sweep order.
     pub rows: Vec<DurabilityRow>,
-    /// `(mode, k, rate, timeline)` for each cell.
-    pub timelines: Vec<(String, usize, f64, Vec<ChurnSample>)>,
+    /// Every cell's timeline samples, cell after cell in sweep order.
+    pub timeline: Vec<DurabilityTimelineRow>,
 }
 
 impl DurabilityExperiment {
@@ -114,33 +133,6 @@ impl DurabilityExperiment {
         self.rows
             .iter()
             .find(|r| r.mode == mode && r.k == k && (r.churn_rate - rate).abs() < 1e-12)
-    }
-
-    /// Long-format unreachable-over-time CSV: one row per timeline sample.
-    pub fn timeline_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "mode",
-            "k",
-            "churn_rate",
-            "step",
-            "live",
-            "unreachable",
-            "f2_gini",
-        ]);
-        for (mode, k, rate, timeline) in &self.timelines {
-            for sample in timeline {
-                csv.push_row([
-                    mode.clone(),
-                    k.to_string(),
-                    CsvTable::fmt_float(*rate),
-                    sample.step.to_string(),
-                    sample.live.to_string(),
-                    sample.unreachable.to_string(),
-                    CsvTable::fmt_float(sample.f2_gini),
-                ]);
-            }
-        }
-        csv
     }
 }
 
@@ -203,12 +195,20 @@ pub fn run(
     let reports = run_jobs_observed(executor, jobs(scale, rates)?, obs)?;
 
     let mut rows = Vec::with_capacity(cells.len());
-    let mut timelines = Vec::new();
+    let mut timeline = Vec::new();
     for ((mode, k, rate), report) in cells.iter().zip(&reports) {
         let stats = report.traffic();
         let (repair_events, final_unreachable) = match report.churn() {
             Some(churn) => {
-                timelines.push((mode.to_string(), *k, *rate, churn.timeline.clone()));
+                timeline.extend(churn.timeline.iter().map(|s| DurabilityTimelineRow {
+                    mode: mode.to_string(),
+                    k: *k,
+                    churn_rate: *rate,
+                    step: s.step,
+                    live: s.live,
+                    unreachable: s.unreachable,
+                    f2_gini: s.f2_gini,
+                }));
                 (
                     churn.repair_events,
                     churn.timeline.last().map_or(0, |s| s.unreachable),
@@ -234,7 +234,7 @@ pub fn run(
             stuck_requests: stats.stuck_requests(),
         });
     }
-    Ok(DurabilityExperiment { rows, timelines })
+    Ok(DurabilityExperiment { rows, timeline })
 }
 
 /// The `(mode, k, rate)` cells in [`MODES`] × [`PAPER_KS`] × `rates`
@@ -282,6 +282,7 @@ pub fn jobs(scale: ExperimentScale, rates: &[f64]) -> Result<Vec<SimSpec>, CoreE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsvTable;
 
     fn scale() -> ExperimentScale {
         ExperimentScale {
@@ -301,7 +302,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(result.rows.len(), MODES.len() * PAPER_KS.len());
-        assert_eq!(result.timelines.len(), result.rows.len());
+        let cell_timeline = |mode: &str, k: usize| -> Vec<&DurabilityTimelineRow> {
+            result
+                .timeline
+                .iter()
+                .filter(|r| r.mode == mode && r.k == k)
+                .collect()
+        };
+        for row in &result.rows {
+            assert!(!cell_timeline(&row.mode, row.k).is_empty(), "{row:?}");
+        }
 
         let none = result.row("none", 4, 0.05).unwrap();
         assert_eq!(none.repair_events, 0);
@@ -313,12 +323,7 @@ mod tests {
         let monitor = result.row("monitor-eager", 4, 0.05).unwrap();
         assert!(monitor.repair_events > 0, "{monitor:?}");
         assert_eq!(monitor.repair_transfers, 0);
-        let monitor_timeline = result
-            .timelines
-            .iter()
-            .find(|(mode, k, ..)| mode == "monitor-eager" && *k == 4)
-            .map(|(.., timeline)| timeline)
-            .unwrap();
+        let monitor_timeline = cell_timeline("monitor-eager", 4);
         assert!(monitor_timeline
             .windows(2)
             .all(|w| w[0].unreachable <= w[1].unreachable));
@@ -328,12 +333,7 @@ mod tests {
         let eager = result.row("replica-eager", 4, 0.05).unwrap();
         assert!(eager.repair_delivered > 0, "{eager:?}");
         assert!(eager.mean_time_to_repair >= 1.0);
-        let eager_timeline = result
-            .timelines
-            .iter()
-            .find(|(mode, k, ..)| mode == "replica-eager" && *k == 4)
-            .map(|(.., timeline)| timeline)
-            .unwrap();
+        let eager_timeline = cell_timeline("replica-eager", 4);
         assert!(
             eager_timeline
                 .windows(2)
@@ -345,7 +345,7 @@ mod tests {
         // Capacity pressure makes the retry path observable.
         assert!(eager.retried > 0);
         assert!(!CsvTable::from_rows(&result.rows).is_empty());
-        assert!(!result.timeline_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.timeline).is_empty());
     }
 
     #[test]

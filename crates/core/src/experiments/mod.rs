@@ -33,11 +33,12 @@
 //! [`crate::GridObservation`], which is [`crate::GridObservation::disabled`]
 //! for a plain run.
 //!
-//! A preset returns plain data. The twelve flat tables are a `rows`
-//! vector of one row struct each, written as
-//! [`crate::CsvTable::from_rows`]`(&result.rows)`; only the tables that
-//! project nested data (the paper's views, `sweep_files.csv` and the
-//! timelines) keep a hand-written renderer.
+//! A preset returns plain data, and every table it writes is
+//! [`crate::CsvTable::from_rows`] of one row struct, whose field order is
+//! the column order. The twelve flat tables are a result's `rows`, the
+//! three timelines its `timeline`; the paper's views and
+//! `sweep_files.csv` flatten their nested data into private row structs
+//! first. No table is built by hand.
 
 pub mod cache_churn;
 pub mod churn;

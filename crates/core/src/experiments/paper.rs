@@ -141,104 +141,148 @@ impl PaperGrid {
 
     /// Table I as CSV.
     pub fn table1_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "k",
-            "originator_fraction",
-            "mean_forwarded",
-            "total_forwarded",
-            "mean_hops",
-        ]);
-        for c in &self.cells {
-            csv.push_row([
-                c.k.to_string(),
-                CsvTable::fmt_float(c.originator_fraction),
-                CsvTable::fmt_float(c.mean_forwarded),
-                c.total_forwarded.to_string(),
-                CsvTable::fmt_float(c.mean_hops),
-            ]);
-        }
-        csv
+        let rows: Vec<Table1Row> = self
+            .cells
+            .iter()
+            .map(|c| Table1Row {
+                k: c.k,
+                originator_fraction: c.originator_fraction,
+                mean_forwarded: c.mean_forwarded,
+                total_forwarded: c.total_forwarded,
+                mean_hops: c.mean_hops,
+            })
+            .collect();
+        CsvTable::from_rows(&rows)
     }
 
     /// Fig. 4 as long-format CSV, one row per histogram bin.
     pub fn fig4_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new(["k", "originator_fraction", "bin_lower", "node_count"]);
-        for c in &self.cells {
-            for &(edge, count) in &c.forwarded_bins {
-                csv.push_row([
-                    c.k.to_string(),
-                    CsvTable::fmt_float(c.originator_fraction),
-                    CsvTable::fmt_float(edge),
-                    count.to_string(),
-                ]);
-            }
-        }
-        csv
+        let rows: Vec<Fig4Row> = self
+            .cells
+            .iter()
+            .flat_map(|c| {
+                c.forwarded_bins
+                    .iter()
+                    .map(|&(bin_lower, node_count)| Fig4Row {
+                        k: c.k,
+                        originator_fraction: c.originator_fraction,
+                        bin_lower,
+                        node_count,
+                    })
+            })
+            .collect();
+        CsvTable::from_rows(&rows)
     }
 
     /// Fig. 5 as long-format CSV of all Lorenz curves (Gini repeated per
     /// row).
     pub fn fig5_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "k",
-            "originator_fraction",
-            "gini",
-            "population_share",
-            "value_share",
-        ]);
-        for c in &self.cells {
-            for &(p, v) in &c.f2_lorenz {
-                csv.push_row([
-                    c.k.to_string(),
-                    CsvTable::fmt_float(c.originator_fraction),
-                    CsvTable::fmt_float(c.f2_gini),
-                    CsvTable::fmt_float(p),
-                    CsvTable::fmt_float(v),
-                ]);
-            }
-        }
-        csv
+        let rows: Vec<Fig5Row> = self
+            .cells
+            .iter()
+            .flat_map(|c| {
+                c.f2_lorenz
+                    .iter()
+                    .map(|&(population_share, value_share)| Fig5Row {
+                        k: c.k,
+                        originator_fraction: c.originator_fraction,
+                        gini: c.f2_gini,
+                        population_share,
+                        value_share,
+                    })
+            })
+            .collect();
+        CsvTable::from_rows(&rows)
     }
 
     /// Fig. 6 as long-format CSV of all Lorenz curves.
     pub fn fig6_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new([
-            "k",
-            "originator_fraction",
-            "gini",
-            "paid_nodes",
-            "population_share",
-            "value_share",
-        ]);
-        for c in &self.cells {
-            for &(p, v) in &c.f1_lorenz {
-                csv.push_row([
-                    c.k.to_string(),
-                    CsvTable::fmt_float(c.originator_fraction),
-                    CsvTable::fmt_float(c.f1_gini),
-                    c.paid_nodes.to_string(),
-                    CsvTable::fmt_float(p),
-                    CsvTable::fmt_float(v),
-                ]);
-            }
-        }
-        csv
+        let rows: Vec<Fig6Row> = self
+            .cells
+            .iter()
+            .flat_map(|c| {
+                c.f1_lorenz
+                    .iter()
+                    .map(|&(population_share, value_share)| Fig6Row {
+                        k: c.k,
+                        originator_fraction: c.originator_fraction,
+                        gini: c.f1_gini,
+                        paid_nodes: c.paid_nodes,
+                        population_share,
+                        value_share,
+                    })
+            })
+            .collect();
+        CsvTable::from_rows(&rows)
     }
 
     /// The Gini ablation as CSV: the 20% column, one row per `k`.
     pub fn metric_robustness_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new(["k", "gini", "theil", "atkinson_0.5", "hoover"]);
-        for c in self.cells.iter().filter(|c| c.originator_fraction == 0.2) {
-            csv.push_row([
-                c.k.to_string(),
-                CsvTable::fmt_float(c.f2_gini),
-                CsvTable::fmt_float(c.theil),
-                CsvTable::fmt_float(c.atkinson_05),
-                CsvTable::fmt_float(c.hoover),
-            ]);
-        }
-        csv
+        let rows: Vec<RobustnessRow> = self
+            .cells
+            .iter()
+            .filter(|c| c.originator_fraction == 0.2)
+            .map(|c| RobustnessRow {
+                k: c.k,
+                gini: c.f2_gini,
+                theil: c.theil,
+                atkinson: c.atkinson_05,
+                hoover: c.hoover,
+            })
+            .collect();
+        CsvTable::from_rows(&rows)
     }
+}
+
+/// One row of `table1.csv`: a grid cell.
+#[derive(Serialize)]
+struct Table1Row {
+    k: usize,
+    originator_fraction: f64,
+    mean_forwarded: f64,
+    total_forwarded: u64,
+    mean_hops: f64,
+}
+
+/// One row of `fig4.csv`: a histogram bin of one cell.
+#[derive(Serialize)]
+struct Fig4Row {
+    k: usize,
+    originator_fraction: f64,
+    bin_lower: f64,
+    node_count: u64,
+}
+
+/// One row of `fig5.csv`: a Lorenz point of one cell's incomes.
+#[derive(Serialize)]
+struct Fig5Row {
+    k: usize,
+    originator_fraction: f64,
+    gini: f64,
+    population_share: f64,
+    value_share: f64,
+}
+
+/// One row of `fig6.csv`: a Lorenz point of one cell's F1 ratios.
+#[derive(Serialize)]
+struct Fig6Row {
+    k: usize,
+    originator_fraction: f64,
+    gini: f64,
+    paid_nodes: usize,
+    population_share: f64,
+    value_share: f64,
+}
+
+/// One row of `metric_robustness.csv`: every index for one `k`.
+#[derive(Serialize)]
+struct RobustnessRow {
+    k: usize,
+    gini: f64,
+    theil: f64,
+    #[serde(rename = "atkinson_0.5")]
+    atkinson: f64,
+    hoover: f64,
 }
 
 /// One [`SimSpec`] per [`GRID`] cell, in grid order.

@@ -288,7 +288,7 @@ fn run_churn(args: &PresetArgs, exec: &Executor, obs: &mut GridObservation) -> P
     });
     output
         .files
-        .push(("churn_timeline.csv", result.timeline_csv()));
+        .push(("churn_timeline.csv", CsvTable::from_rows(&result.timeline)));
     Ok(output)
 }
 
@@ -307,9 +307,8 @@ fn run_durability(args: &PresetArgs, exec: &Executor, obs: &mut GridObservation)
             r.f2_gini
         )
     });
-    output
-        .files
-        .push(("durability_timeline.csv", result.timeline_csv()));
+    let timeline = CsvTable::from_rows(&result.timeline);
+    output.files.push(("durability_timeline.csv", timeline));
     Ok(output)
 }
 
@@ -333,9 +332,8 @@ fn run_scenarios(args: &PresetArgs, exec: &Executor, obs: &mut GridObservation) 
             r.final_live
         )
     });
-    output
-        .files
-        .push(("scenarios_timeline.csv", result.timeline_csv()));
+    let timeline = CsvTable::from_rows(&result.timeline);
+    output.files.push(("scenarios_timeline.csv", timeline));
     for &name in &names {
         for k in [4, 20] {
             let shocked = result.row(name, k).is_some_and(|r| r.shock_step > 0);

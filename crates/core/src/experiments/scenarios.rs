@@ -16,20 +16,20 @@
 //!   how does capacity inequality translate into income inequality?
 //!
 //! `scenarios.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows)
-//! of [`ScenarioRow`]s: the row's field order is the file's column order.
+//! of [`ScenarioRow`]s and `scenarios_timeline.csv` of
+//! [`ScenarioTimelineRow`]s: a row's field order is its file's column
+//! order.
 
 use fairswap_simcore::Executor;
 use serde::{Deserialize, Serialize};
 
 use fairswap_churn::ChurnConfig;
 
-use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::run_jobs_observed;
 use crate::experiments::churn::PAPER_KS;
 use crate::experiments::scale::ExperimentScale;
 use crate::obs::GridObservation;
-use crate::report::ChurnSample;
 use crate::scenario::ScenarioKind;
 use crate::spec::SimSpec;
 
@@ -111,13 +111,28 @@ pub struct ScenarioRow {
     pub mean_live: f64,
 }
 
+/// One sample of a cell's fairness-over-time series.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScenarioTimelineRow {
+    /// Scenario name.
+    pub scenario: String,
+    /// Bucket size.
+    pub k: usize,
+    /// Timestep (files downloaded so far).
+    pub step: u64,
+    /// Live nodes at that point.
+    pub live: usize,
+    /// F2 income Gini at that point.
+    pub f2_gini: f64,
+}
+
 /// The full sweep plus each cell's fairness-over-time series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioExperiment {
     /// One row per `(scenario, k)` cell, in sweep order.
     pub rows: Vec<ScenarioRow>,
-    /// `(scenario, k, timeline)` per cell.
-    pub timelines: Vec<(String, usize, Vec<ChurnSample>)>,
+    /// Every cell's timeline samples, cell after cell in sweep order.
+    pub timeline: Vec<ScenarioTimelineRow>,
 }
 
 impl ScenarioExperiment {
@@ -134,23 +149,6 @@ impl ScenarioExperiment {
     pub fn shock_gini_reduction(&self, scenario: &str, k: usize) -> Option<f64> {
         let row = self.row(scenario, k)?;
         (row.f2_pre_shock > 0.0).then(|| (row.f2_pre_shock - row.f2_gini) / row.f2_pre_shock)
-    }
-
-    /// Long-format fairness-over-time CSV: one row per timeline sample.
-    pub fn timeline_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new(["scenario", "k", "step", "live", "f2_gini"]);
-        for (scenario, k, timeline) in &self.timelines {
-            for sample in timeline {
-                csv.push_row([
-                    scenario.clone(),
-                    k.to_string(),
-                    sample.step.to_string(),
-                    sample.live.to_string(),
-                    CsvTable::fmt_float(sample.f2_gini),
-                ]);
-            }
-        }
-        csv
     }
 }
 
@@ -182,12 +180,18 @@ pub fn run(
     let reports = run_jobs_observed(executor, jobs, obs)?;
 
     let mut rows = Vec::with_capacity(cells.len());
-    let mut timelines = Vec::new();
+    let mut timeline = Vec::new();
     for (&(name, k, shock_step), report) in cells.iter().zip(&reports) {
         let churn = report
             .churn()
             .expect("scenario cells always track membership");
-        timelines.push((name.to_string(), k, churn.timeline.clone()));
+        timeline.extend(churn.timeline.iter().map(|s| ScenarioTimelineRow {
+            scenario: name.to_string(),
+            k,
+            step: s.step,
+            live: s.live,
+            f2_gini: s.f2_gini,
+        }));
         let f2_gini = report.f2_income_gini();
         let f2_pre_shock = churn
             .timeline
@@ -212,7 +216,7 @@ pub fn run(
             mean_live: churn.mean_live(),
         });
     }
-    Ok(ScenarioExperiment { rows, timelines })
+    Ok(ScenarioExperiment { rows, timeline })
 }
 
 /// The `(scenario, k, spec)` cells in `names` × `PAPER_KS` order — the
@@ -269,6 +273,7 @@ pub fn jobs(scale: ExperimentScale, names: &[&str]) -> Result<Vec<SimSpec>, Core
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsvTable;
 
     fn scale() -> ExperimentScale {
         ExperimentScale {
@@ -318,7 +323,7 @@ mod tests {
             assert!(result.shock_gini_reduction(&row.scenario, row.k).is_some());
         }
         assert!(!CsvTable::from_rows(&result.rows).is_empty());
-        assert!(!result.timeline_csv().is_empty());
+        assert!(!CsvTable::from_rows(&result.timeline).is_empty());
     }
 
     #[test]
@@ -334,7 +339,8 @@ mod tests {
         // The cohort (20% of 150) joined at the shock on top of background
         // churn joins.
         assert!(row.joins >= 30, "{row:?}");
-        let (_, _, timeline) = &result.timelines[0];
+        let timeline: Vec<&ScenarioTimelineRow> =
+            result.timeline.iter().filter(|s| s.k == 4).collect();
         // The live count jumps by roughly the cohort size across the shock
         // boundary (background churn drifts it slowly everywhere else).
         let last_before = timeline

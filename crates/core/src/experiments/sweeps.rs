@@ -40,17 +40,27 @@ pub struct FilesConvergence {
 impl FilesConvergence {
     /// Renders the trajectory as CSV.
     pub fn to_csv(&self) -> CsvTable {
-        let mut csv = CsvTable::new(["k", "originator_fraction", "files", "f2_gini"]);
-        for s in &self.trajectory {
-            csv.push_row([
-                self.k.to_string(),
-                CsvTable::fmt_float(self.originator_fraction),
-                s.timestep.to_string(),
-                CsvTable::fmt_float(s.f2_gini),
-            ]);
-        }
-        csv
+        let rows: Vec<SweepFilesRow> = self
+            .trajectory
+            .iter()
+            .map(|s| SweepFilesRow {
+                k: self.k,
+                originator_fraction: self.originator_fraction,
+                files: s.timestep,
+                f2_gini: s.f2_gini,
+            })
+            .collect();
+        CsvTable::from_rows(&rows)
     }
+}
+
+/// One row of `sweep_files.csv`: a trajectory sample of one cell.
+#[derive(Serialize)]
+struct SweepFilesRow {
+    k: usize,
+    originator_fraction: f64,
+    files: u64,
+    f2_gini: f64,
 }
 
 /// Keeps `(step, f2_gini)` from every epoch snapshot of one cell, and

@@ -49,10 +49,12 @@ pub use config::{MechanismKind, SimConfig};
 pub use csv::CsvTable;
 pub use error::CoreError;
 pub use exec::{run_jobs, run_jobs_observed};
-pub use obs::{EpochSnapshot, GridObservation, NullObserver, ObsOptions, StepObserver};
+pub use obs::{
+    EpochSnapshot, GridObservation, NullObserver, ObsOptions, StepObserver, EPOCH_GAUGES,
+};
 pub use policy::RepairPolicy;
 pub use report::{ChurnOutcome, ChurnSample, SimReport};
-pub use runcsv::{run_summary_csv, RUN_SUMMARY_COLUMNS, RUN_SUMMARY_FILE};
+pub use runcsv::{run_summary_csv, RUN_SUMMARY_FILE};
 pub use scenario::ScenarioKind;
 pub use sim::BandwidthSim;
 pub use spec::{

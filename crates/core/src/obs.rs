@@ -5,9 +5,9 @@
 //! flag is an associated constant, so a run with [`NullObserver`]
 //! monomorphizes to exactly the pre-observability hot path: no branches, no
 //! buffers, no clock reads. [`ObsCollector`] is the real implementation; it
-//! buffers [`TraceEvent`]s in a bounded ring, maintains the metrics
-//! registry, and accumulates phase timings, all addressed by **logical
-//! clocks** (grid, job, epoch, step). The executor layer
+//! buffers [`TraceEvent`]s in a bounded ring, flushes each
+//! [`EpochSnapshot`] into metrics rows, and accumulates phase timings, all
+//! addressed by **logical clocks** (grid, job, epoch, step). The executor layer
 //! ([`crate::exec::run_jobs_observed`]) creates one collector per grid cell
 //! and merges them in stable job order into a [`GridObservation`], which is
 //! what makes a rendered trace byte-identical for any `--threads N`.
@@ -21,10 +21,11 @@ use std::time::Instant;
 
 use fairswap_kademlia::NodeId;
 use fairswap_obs::{
-    write_jsonl, EventKind, EventRing, MetricsRegistry, Phase, PhaseTimes, ProgressMeter,
-    TraceEvent, METRICS_CSV_HEADER,
+    write_jsonl, EventKind, EventRing, LogHistogram, MetricsFlush, Phase, PhaseTimes,
+    ProgressMeter, TraceEvent, METRICS_CSV_HEADER,
 };
 use fairswap_storage::ChunkDelivery;
+use serde::{Deserialize, Serialize};
 
 /// Default per-job trace ring capacity, in events.
 ///
@@ -50,14 +51,17 @@ pub struct RunInfo {
 /// Counters are **totals since run start**, not per-epoch deltas — the last
 /// snapshot equals the run's final statistics, which is what the
 /// conservation tests compare against [`crate::SimReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+///
+/// The fields are the metrics schema: `epoch` and `step` address a flush,
+/// and every later field is one metric row of it, in declaration order,
+/// named after the field. The [`EPOCH_GAUGES`] are gauges; the rest are
+/// counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct EpochSnapshot {
     /// Epoch index (0-based).
     pub epoch: u64,
     /// Simulation step the snapshot was taken at.
     pub step: u64,
-    /// Live nodes.
-    pub live: u64,
     /// Chunk requests issued.
     pub requests: u64,
     /// Requests delivered (`requests - stuck`).
@@ -109,9 +113,15 @@ pub struct EpochSnapshot {
     /// Address regions unreachable at the snapshot step (a gauge, not a
     /// running total).
     pub regions_lost: u64,
+    /// Live nodes.
+    pub live: u64,
     /// Gini coefficient of the F2 income distribution.
     pub f2_gini: f64,
 }
+
+/// The [`EpochSnapshot`] metrics that are gauges: levels at the snapshot
+/// step, not running totals.
+pub const EPOCH_GAUGES: [&str; 3] = ["regions_lost", "live", "f2_gini"];
 
 /// What the simulator tells an observer, in simulation order.
 ///
@@ -181,7 +191,7 @@ impl StepObserver for NullObserver {
 pub struct ObsOptions {
     /// Collect trace events into per-job rings.
     pub trace: bool,
-    /// Maintain the metrics registry and per-epoch flushes.
+    /// Flush per-epoch metrics rows.
     pub metrics: bool,
     /// Collect wall-clock phase timings.
     pub profile: bool,
@@ -210,41 +220,9 @@ impl ObsOptions {
     }
 }
 
-/// Handles into an [`ObsCollector`]'s metrics registry.
-struct Handles {
-    requests: usize,
-    delivered: usize,
-    stuck: usize,
-    capacity_blocked: usize,
-    detoured: usize,
-    forwarded: usize,
-    cache_served: usize,
-    cache_lookups: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    cache_evictions: usize,
-    cache_ttl_expiries: usize,
-    settlements: usize,
-    settlement_volume: usize,
-    joins: usize,
-    leaves: usize,
-    targeted_removals: usize,
-    repair_events: usize,
-    retried: usize,
-    recovered: usize,
-    abandoned: usize,
-    unreachable_requests: usize,
-    repair_transfers: usize,
-    repair_delivered: usize,
-    regions_lost: usize,
-    live: usize,
-    f2_gini: usize,
-    route_hops: usize,
-}
-
 /// The real observer: one per grid cell.
 ///
-/// Owns the cell's event ring, metrics registry and phase accumulator. The
+/// Owns the cell's event ring, metrics rows and phase accumulator. The
 /// executor layer moves finished collectors into a [`GridObservation`] in
 /// stable job order.
 pub struct ObsCollector {
@@ -252,52 +230,21 @@ pub struct ObsCollector {
     job: u32,
     opts: ObsOptions,
     ring: EventRing,
-    registry: MetricsRegistry,
-    handles: Handles,
+    metrics: Vec<String>,
+    route_hops: LogHistogram,
     phases: PhaseTimes,
 }
 
 impl ObsCollector {
     /// A collector for grid `grid`, cell `job`.
     pub fn new(grid: u32, job: u32, opts: ObsOptions) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let handles = Handles {
-            requests: registry.counter("requests"),
-            delivered: registry.counter("delivered"),
-            stuck: registry.counter("stuck"),
-            capacity_blocked: registry.counter("capacity_blocked"),
-            detoured: registry.counter("detoured"),
-            forwarded: registry.counter("forwarded"),
-            cache_served: registry.counter("cache_served"),
-            cache_lookups: registry.counter("cache_lookups"),
-            cache_hits: registry.counter("cache_hits"),
-            cache_misses: registry.counter("cache_misses"),
-            cache_evictions: registry.counter("cache_evictions"),
-            cache_ttl_expiries: registry.counter("cache_ttl_expiries"),
-            settlements: registry.counter("settlements"),
-            settlement_volume: registry.counter("settlement_volume"),
-            joins: registry.counter("joins"),
-            leaves: registry.counter("leaves"),
-            targeted_removals: registry.counter("targeted_removals"),
-            repair_events: registry.counter("repair_events"),
-            retried: registry.counter("retried"),
-            recovered: registry.counter("recovered"),
-            abandoned: registry.counter("abandoned"),
-            unreachable_requests: registry.counter("unreachable_requests"),
-            repair_transfers: registry.counter("repair_transfers"),
-            repair_delivered: registry.counter("repair_delivered"),
-            regions_lost: registry.gauge("regions_lost"),
-            live: registry.gauge("live"),
-            f2_gini: registry.gauge("f2_gini"),
-            route_hops: registry.histogram("route_hops"),
-        };
         Self {
             grid,
             job,
             opts,
             ring: EventRing::new(opts.ring_capacity),
-            registry,
-            handles,
+            metrics: Vec::new(),
+            route_hops: LogHistogram::new(),
             phases: PhaseTimes::new(),
         }
     }
@@ -317,9 +264,9 @@ impl ObsCollector {
         &self.ring
     }
 
-    /// The collected metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// The flushed metrics rows, without the header.
+    pub fn metrics(&self) -> &[String] {
+        &self.metrics
     }
 
     /// Accumulated phase timings for this cell.
@@ -403,58 +350,24 @@ impl StepObserver for ObsCollector {
 
     fn on_delivery(&mut self, _step: u64, delivery: &ChunkDelivery) {
         if self.opts.metrics && delivery.delivered() {
-            self.registry
-                .observe(self.handles.route_hops, delivery.hops.len() as u64);
+            self.route_hops.record(delivery.hops.len() as u64);
         }
     }
 
     fn on_epoch(&mut self, snapshot: &EpochSnapshot) {
         if self.opts.metrics {
-            let h = &self.handles;
-            self.registry.set_counter(h.requests, snapshot.requests);
-            self.registry.set_counter(h.delivered, snapshot.delivered);
-            self.registry.set_counter(h.stuck, snapshot.stuck);
-            self.registry
-                .set_counter(h.capacity_blocked, snapshot.capacity_blocked);
-            self.registry.set_counter(h.detoured, snapshot.detoured);
-            self.registry.set_counter(h.forwarded, snapshot.forwarded);
-            self.registry
-                .set_counter(h.cache_served, snapshot.cache_served);
-            self.registry
-                .set_counter(h.cache_lookups, snapshot.cache_lookups);
-            self.registry.set_counter(h.cache_hits, snapshot.cache_hits);
-            self.registry
-                .set_counter(h.cache_misses, snapshot.cache_misses);
-            self.registry
-                .set_counter(h.cache_evictions, snapshot.cache_evictions);
-            self.registry
-                .set_counter(h.cache_ttl_expiries, snapshot.cache_ttl_expiries);
-            self.registry
-                .set_counter(h.settlements, snapshot.settlements);
-            self.registry
-                .set_counter(h.settlement_volume, snapshot.settlement_volume);
-            self.registry.set_counter(h.joins, snapshot.joins);
-            self.registry.set_counter(h.leaves, snapshot.leaves);
-            self.registry
-                .set_counter(h.targeted_removals, snapshot.targeted_removals);
-            self.registry
-                .set_counter(h.repair_events, snapshot.repair_events);
-            self.registry.set_counter(h.retried, snapshot.retried);
-            self.registry.set_counter(h.recovered, snapshot.recovered);
-            self.registry.set_counter(h.abandoned, snapshot.abandoned);
-            self.registry
-                .set_counter(h.unreachable_requests, snapshot.unreachable_requests);
-            self.registry
-                .set_counter(h.repair_transfers, snapshot.repair_transfers);
-            self.registry
-                .set_counter(h.repair_delivered, snapshot.repair_delivered);
-            self.registry
-                .set_gauge(h.regions_lost, snapshot.regions_lost as f64);
-            self.registry.set_gauge(h.live, snapshot.live as f64);
-            self.registry.set_gauge(h.f2_gini, snapshot.f2_gini);
-            let (grid, job) = (self.grid, self.job);
-            self.registry
-                .flush(grid, job, snapshot.epoch, snapshot.step);
+            let (epoch, step) = (snapshot.epoch, snapshot.step);
+            let mut flush = MetricsFlush::new(&mut self.metrics, self.grid, self.job, epoch, step);
+            // Every field after `epoch` and `step` is a metric.
+            let value = snapshot.to_value();
+            for (name, value) in &value.as_object().expect("a struct is an object")[2..] {
+                if EPOCH_GAUGES.contains(&name.as_str()) {
+                    flush.gauge(name, f64::from_value(value).expect("a gauge is a number"));
+                } else {
+                    flush.counter(name, u64::from_value(value).expect("a counter is a u64"));
+                }
+            }
+            flush.histogram("route_hops", &self.route_hops);
         }
         self.push(
             snapshot.step,
@@ -580,7 +493,7 @@ impl GridObservation {
         let mut out = String::from(METRICS_CSV_HEADER);
         out.push('\n');
         for collector in &self.collectors {
-            for row in collector.registry().rows() {
+            for row in collector.metrics() {
                 out.push_str(row);
                 out.push('\n');
             }
@@ -658,7 +571,7 @@ mod tests {
             ..EpochSnapshot::default()
         });
         assert!(c.ring().is_empty());
-        assert!(!c.registry().rows().is_empty());
+        assert!(!c.metrics().is_empty());
     }
 
     #[test]

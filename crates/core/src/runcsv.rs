@@ -6,6 +6,8 @@
 //! against the batch CLI's `run.csv` — one serializer, one byte stream.
 //! Columns are append-only: tooling keys on names, not positions.
 
+use serde::Serialize;
+
 use crate::config::SimConfig;
 use crate::csv::CsvTable;
 use crate::report::SimReport;
@@ -13,55 +15,54 @@ use crate::report::SimReport;
 /// The file `fairswap run` writes the summary table to.
 pub const RUN_SUMMARY_FILE: &str = "run.csv";
 
-/// Header columns of the run summary table, in emission order.
-pub const RUN_SUMMARY_COLUMNS: [&str; 19] = [
-    "nodes",
-    "bits",
-    "k",
-    "files",
-    "seed",
-    "mechanism",
-    "route",
-    "cache",
-    "repair",
-    "requests",
-    "stuck_requests",
-    "capacity_blocked",
-    "detoured",
-    "cache_hits",
-    "mean_forwarded",
-    "mean_hops",
-    "f1_gini",
-    "f2_gini",
-    "repair_events",
-];
+/// The one row of the run summary table; its fields are the columns.
+#[derive(Serialize)]
+struct RunSummaryRow {
+    nodes: usize,
+    bits: u32,
+    k: usize,
+    files: u64,
+    seed: u64,
+    mechanism: &'static str,
+    route: &'static str,
+    cache: &'static str,
+    repair: &'static str,
+    requests: u64,
+    stuck_requests: u64,
+    capacity_blocked: u64,
+    detoured: u64,
+    cache_hits: u64,
+    mean_forwarded: f64,
+    mean_hops: f64,
+    f1_gini: f64,
+    f2_gini: f64,
+    repair_events: u64,
+}
 
 /// Renders the one-row summary table for a finished run of `config`.
 pub fn run_summary_csv(config: &SimConfig, report: &SimReport) -> CsvTable {
-    let requests: u64 = report.traffic().requests_issued().iter().sum();
-    let mut csv = CsvTable::new(RUN_SUMMARY_COLUMNS);
-    csv.push_row([
-        config.nodes.to_string(),
-        config.bits.to_string(),
-        config.bucket_sizing.default_k().to_string(),
-        config.files.to_string(),
-        config.seed.to_string(),
-        config.mechanism.id().to_string(),
-        config.route.id().to_string(),
-        config.cache.id().to_string(),
-        config.repair.id().to_string(),
-        requests.to_string(),
-        report.traffic().stuck_requests().to_string(),
-        report.traffic().capacity_blocked().to_string(),
-        report.traffic().detoured().to_string(),
-        report.cache_hits().to_string(),
-        CsvTable::fmt_float(report.mean_forwarded()),
-        CsvTable::fmt_float(report.hops().mean().unwrap_or(0.0)),
-        CsvTable::fmt_float(report.f1_contribution_gini()),
-        CsvTable::fmt_float(report.f2_income_gini()),
-        report.churn().map_or(0, |c| c.repair_events).to_string(),
-    ]);
-    csv
+    let traffic = report.traffic();
+    CsvTable::from_rows(&[RunSummaryRow {
+        nodes: config.nodes,
+        bits: config.bits,
+        k: config.bucket_sizing.default_k(),
+        files: config.files,
+        seed: config.seed,
+        mechanism: config.mechanism.id(),
+        route: config.route.id(),
+        cache: config.cache.id(),
+        repair: config.repair.id(),
+        requests: traffic.requests_issued().iter().sum(),
+        stuck_requests: traffic.stuck_requests(),
+        capacity_blocked: traffic.capacity_blocked(),
+        detoured: traffic.detoured(),
+        cache_hits: report.cache_hits(),
+        mean_forwarded: report.mean_forwarded(),
+        mean_hops: report.hops().mean().unwrap_or(0.0),
+        f1_gini: report.f1_contribution_gini(),
+        f2_gini: report.f2_income_gini(),
+        repair_events: report.churn().map_or(0, |c| c.repair_events),
+    }])
 }
 
 #[cfg(test)]
@@ -77,10 +78,13 @@ mod tests {
         spec.workload.files = 10;
         let report = spec.build().unwrap().run();
         let csv = run_summary_csv(&spec.to_config(), &report);
-        assert_eq!(csv.columns(), RUN_SUMMARY_COLUMNS);
         assert_eq!(csv.len(), 1);
         let text = csv.to_csv_string();
-        assert!(text.starts_with("nodes,bits,k,files,seed,mechanism,route,"));
-        assert!(text.contains("80,16,4,10,3,swarm,greedy,"));
+        assert!(text.starts_with(
+            "nodes,bits,k,files,seed,mechanism,route,cache,repair,requests,stuck_requests,\
+             capacity_blocked,detoured,cache_hits,mean_forwarded,mean_hops,f1_gini,f2_gini,\
+             repair_events\n"
+        ));
+        assert!(text.contains("\n80,16,4,10,3,swarm,greedy,"));
     }
 }

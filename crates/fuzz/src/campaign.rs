@@ -105,17 +105,27 @@ impl FuzzOutcome {
     /// The findings report as `(file name, table)`: one row per finding,
     /// in discovery order.
     pub fn findings_csv(&self) -> (&'static str, CsvTable) {
-        let mut csv = CsvTable::new(["iteration", "entry", "oracle", "detail"]);
-        for f in &self.findings {
-            csv.push_row([
-                f.iteration.to_string(),
-                f.entry.clone(),
-                f.violation.oracle.clone(),
-                f.violation.detail.clone(),
-            ]);
-        }
-        ("fuzz.csv", csv)
+        let rows: Vec<FindingRow> = self
+            .findings
+            .iter()
+            .map(|f| FindingRow {
+                iteration: f.iteration,
+                entry: f.entry.clone(),
+                oracle: f.violation.oracle.clone(),
+                detail: f.violation.detail.clone(),
+            })
+            .collect();
+        ("fuzz.csv", CsvTable::from_rows(&rows))
     }
+}
+
+/// One row of `fuzz.csv`: a [`Finding`] with its violation flattened.
+#[derive(Serialize)]
+struct FindingRow {
+    iteration: u64,
+    entry: String,
+    oracle: String,
+    detail: String,
 }
 
 /// One evaluated candidate: its metrics and any violations.
@@ -389,5 +399,30 @@ mod tests {
         assert_eq!(json, campaign(0xF0CE, 2, 1).findings_json().unwrap());
         let value: serde::Value = serde_json::from_str(&json).unwrap();
         assert!(value.as_array().is_some());
+    }
+
+    #[test]
+    fn findings_csv_quotes_commas_and_quotes() {
+        let outcome = FuzzOutcome {
+            corpus: Corpus::new(),
+            findings: vec![Finding {
+                iteration: 7,
+                entry: "fuzz-00007-topology".into(),
+                violation: Violation {
+                    oracle: "fairness-inversion".into(),
+                    detail: "F2 gini 0.43 at k=20, \"less fair\"".into(),
+                },
+            }],
+            iterations: 8,
+            runs: 24,
+            cells: 3,
+        };
+        let (name, csv) = outcome.findings_csv();
+        assert_eq!(name, "fuzz.csv");
+        assert_eq!(
+            csv.to_csv_string(),
+            "iteration,entry,oracle,detail\n\
+             7,fuzz-00007-topology,fairness-inversion,\"F2 gini 0.43 at k=20, \"\"less fair\"\"\"\n"
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! Deterministic observability primitives: structured trace events, a
-//! metrics registry, and a phase profiler.
+//! Deterministic observability primitives: structured trace events,
+//! metrics rows, and a phase profiler.
 //!
 //! Everything in this crate is clocked **logically** — epoch, step, grid and
 //! job indices — never by wall time on the data path. That is what lets a
@@ -12,7 +12,7 @@
 //! that are never byte-compared.
 //!
 //! The crate is deliberately free of simulation types: `fairswap_core`
-//! adapts its simulation state into [`TraceEvent`]s and registry updates.
+//! adapts its simulation state into [`TraceEvent`]s and metrics rows.
 //!
 //! ```
 //! use fairswap_obs::{EventKind, EventRing, TraceEvent};
@@ -38,7 +38,7 @@ mod trace;
 
 pub use event::{EventKind, TraceEvent};
 pub use logger::warn;
-pub use metrics::{LogHistogram, MetricsRegistry, METRICS_CSV_HEADER};
+pub use metrics::{LogHistogram, MetricsFlush, METRICS_CSV_HEADER};
 pub use profile::{Phase, PhaseTimes, PHASES};
 pub use progress::ProgressMeter;
 pub use ring::EventRing;

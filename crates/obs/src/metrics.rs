@@ -1,5 +1,5 @@
-//! A deterministic metrics registry: counters, gauges and log-bucketed
-//! histograms flushed per-epoch into a long-format CSV.
+//! Deterministic metrics rows: counters, gauges and log-bucketed
+//! histograms flushed per epoch into a long-format CSV.
 
 /// A power-of-two-bucketed histogram for small nonnegative quantities
 /// (hop counts, route lengths).
@@ -68,180 +68,52 @@ impl LogHistogram {
     }
 }
 
-enum Metric {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(LogHistogram),
-}
-
-/// Named metrics flushed per-epoch into long-format CSV rows.
-///
-/// Metric names are registered up front; flush order follows registration
-/// order, which is what makes the CSV byte-stable. Counter and gauge values
-/// are **cumulative since run start** (not per-epoch deltas): the final
-/// epoch's rows are the run totals, which is what the conservation tests
-/// check against `TrafficStats`.
-pub struct MetricsRegistry {
-    names: Vec<&'static str>,
-    metrics: Vec<Metric>,
-    rows: Vec<String>,
-}
-
-/// CSV header for [`MetricsRegistry::to_csv`] output.
+/// CSV header of the metrics stream: one row per metric per flush.
 pub const METRICS_CSV_HEADER: &str = "grid,job,epoch,step,metric,value";
 
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self {
-            names: Vec::new(),
-            metrics: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Registers a counter, returning its handle.
-    pub fn counter(&mut self, name: &'static str) -> usize {
-        self.register(name, Metric::Counter(0))
-    }
-
-    /// Registers a gauge, returning its handle.
-    pub fn gauge(&mut self, name: &'static str) -> usize {
-        self.register(name, Metric::Gauge(0.0))
-    }
-
-    /// Registers a histogram, returning its handle.
-    pub fn histogram(&mut self, name: &'static str) -> usize {
-        self.register(name, Metric::Histogram(LogHistogram::new()))
-    }
-
-    fn register(&mut self, name: &'static str, metric: Metric) -> usize {
-        assert!(
-            !self.names.contains(&name),
-            "metric `{name}` registered twice"
-        );
-        self.names.push(name);
-        self.metrics.push(metric);
-        self.metrics.len() - 1
-    }
-
-    /// Every registered metric as `(name, kind)` in registration (and
-    /// flush) order, with kind `counter`, `gauge` or `histogram`.
-    pub fn registered(&self) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
-        self.names.iter().zip(&self.metrics).map(|(&name, metric)| {
-            let kind = match metric {
-                Metric::Counter(_) => "counter",
-                Metric::Gauge(_) => "gauge",
-                Metric::Histogram(_) => "histogram",
-            };
-            (name, kind)
-        })
-    }
-
-    /// Sets a counter to its new cumulative value (monotonicity asserted).
-    pub fn set_counter(&mut self, handle: usize, value: u64) {
-        match &mut self.metrics[handle] {
-            Metric::Counter(v) => {
-                debug_assert!(
-                    value >= *v,
-                    "counter `{}` went backwards",
-                    self.names[handle]
-                );
-                *v = value;
-            }
-            _ => panic!("handle {handle} is not a counter"),
-        }
-    }
-
-    /// Adds to a counter.
-    pub fn add_counter(&mut self, handle: usize, delta: u64) {
-        match &mut self.metrics[handle] {
-            Metric::Counter(v) => *v += delta,
-            _ => panic!("handle {handle} is not a counter"),
-        }
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, handle: usize) -> u64 {
-        match &self.metrics[handle] {
-            Metric::Counter(v) => *v,
-            _ => panic!("handle {handle} is not a counter"),
-        }
-    }
-
-    /// Sets a gauge.
-    pub fn set_gauge(&mut self, handle: usize, value: f64) {
-        match &mut self.metrics[handle] {
-            Metric::Gauge(v) => *v = value,
-            _ => panic!("handle {handle} is not a gauge"),
-        }
-    }
-
-    /// Records an observation into a histogram.
-    pub fn observe(&mut self, handle: usize, value: u64) {
-        match &mut self.metrics[handle] {
-            Metric::Histogram(h) => h.record(value),
-            _ => panic!("handle {handle} is not a histogram"),
-        }
-    }
-
-    /// Snapshots every metric into CSV rows for one epoch.
-    ///
-    /// Counters and gauges emit one row each; a histogram emits one row per
-    /// occupied-prefix bucket (`name_le_B` with `B` the bucket's inclusive
-    /// upper bound) plus `name_total` and `name_sum` rows.
-    pub fn flush(&mut self, grid: u32, job: u32, epoch: u64, step: u64) {
-        for index in 0..self.metrics.len() {
-            let name = self.names[index];
-            match &self.metrics[index] {
-                Metric::Counter(v) => {
-                    self.rows
-                        .push(format!("{grid},{job},{epoch},{step},{name},{v}"));
-                }
-                Metric::Gauge(v) => {
-                    self.rows
-                        .push(format!("{grid},{job},{epoch},{step},{name},{v:.6}"));
-                }
-                Metric::Histogram(h) => {
-                    for (bucket, count) in h.buckets().iter().enumerate() {
-                        let bound = LogHistogram::bucket_bound(bucket);
-                        self.rows.push(format!(
-                            "{grid},{job},{epoch},{step},{name}_le_{bound},{count}"
-                        ));
-                    }
-                    self.rows.push(format!(
-                        "{grid},{job},{epoch},{step},{name}_total,{}",
-                        h.total()
-                    ));
-                    self.rows.push(format!(
-                        "{grid},{job},{epoch},{step},{name}_sum,{}",
-                        h.sum()
-                    ));
-                }
-            }
-        }
-    }
-
-    /// All flushed rows so far, without the header.
-    pub fn rows(&self) -> &[String] {
-        &self.rows
-    }
-
-    /// Renders the flushed rows as a CSV document with header.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(METRICS_CSV_HEADER);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(row);
-            out.push('\n');
-        }
-        out
-    }
+/// The rows of one metrics flush, appended to a long-format CSV body
+/// under [`METRICS_CSV_HEADER`].
+///
+/// The caller names each metric as it flushes it, so the order of the
+/// calls is the row order; that is what makes the CSV byte-stable.
+pub struct MetricsFlush<'a> {
+    prefix: String,
+    rows: &'a mut Vec<String>,
 }
 
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
+impl<'a> MetricsFlush<'a> {
+    /// Starts the flush of `epoch`, taken at `step`, of cell `(grid, job)`.
+    pub fn new(rows: &'a mut Vec<String>, grid: u32, job: u32, epoch: u64, step: u64) -> Self {
+        Self {
+            prefix: format!("{grid},{job},{epoch},{step},"),
+            rows,
+        }
+    }
+
+    fn row(&mut self, name: &str, value: impl std::fmt::Display) {
+        self.rows.push(format!("{}{name},{value}", self.prefix));
+    }
+
+    /// A counter's row: its value as an integer.
+    pub fn counter(&mut self, name: &str, value: u64) {
+        self.row(name, value);
+    }
+
+    /// A gauge's row: its value to six decimals.
+    pub fn gauge(&mut self, name: &str, value: f64) {
+        self.row(name, format_args!("{value:.6}"));
+    }
+
+    /// A histogram's rows: one per bucket up to the highest occupied one
+    /// (`name_le_B` with `B` the bucket's inclusive upper bound), then
+    /// `name_total` and `name_sum`.
+    pub fn histogram(&mut self, name: &str, histogram: &LogHistogram) {
+        for (bucket, count) in histogram.buckets().iter().enumerate() {
+            let bound = LogHistogram::bucket_bound(bucket);
+            self.row(&format!("{name}_le_{bound}"), count);
+        }
+        self.row(&format!("{name}_total"), histogram.total());
+        self.row(&format!("{name}_sum"), histogram.sum());
     }
 }
 
@@ -277,44 +149,24 @@ mod tests {
 
     #[test]
     fn flush_emits_rows_in_registration_order() {
-        let mut reg = MetricsRegistry::new();
-        let requests = reg.counter("requests");
-        let live = reg.gauge("live");
-        let hops = reg.histogram("route_hops");
-        reg.add_counter(requests, 10);
-        reg.set_gauge(live, 99.0);
-        reg.observe(hops, 2);
-        reg.flush(0, 1, 0, 5);
-        let csv = reg.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], METRICS_CSV_HEADER);
-        assert_eq!(lines[1], "0,1,0,5,requests,10");
-        assert_eq!(lines[2], "0,1,0,5,live,99.000000");
-        assert_eq!(lines[3], "0,1,0,5,route_hops_le_0,0");
-        assert_eq!(lines[4], "0,1,0,5,route_hops_le_1,0");
-        assert_eq!(lines[5], "0,1,0,5,route_hops_le_3,1");
-        assert_eq!(lines[6], "0,1,0,5,route_hops_total,1");
-        assert_eq!(lines[7], "0,1,0,5,route_hops_sum,2");
-        assert_eq!(lines.len(), 8);
-    }
-
-    #[test]
-    fn counters_are_cumulative() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("chunks");
-        reg.set_counter(c, 5);
-        reg.flush(0, 0, 0, 1);
-        reg.set_counter(c, 12);
-        reg.flush(0, 0, 1, 2);
-        assert_eq!(reg.counter_value(c), 12);
-        assert_eq!(reg.rows(), &["0,0,0,1,chunks,5", "0,0,1,2,chunks,12"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_names_rejected() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("x");
-        reg.counter("x");
+        let mut hops = LogHistogram::new();
+        hops.record(2);
+        let mut rows = Vec::new();
+        let mut flush = MetricsFlush::new(&mut rows, 0, 1, 0, 5);
+        flush.counter("requests", 10);
+        flush.gauge("live", 99.0);
+        flush.histogram("route_hops", &hops);
+        assert_eq!(
+            rows,
+            [
+                "0,1,0,5,requests,10",
+                "0,1,0,5,live,99.000000",
+                "0,1,0,5,route_hops_le_0,0",
+                "0,1,0,5,route_hops_le_1,0",
+                "0,1,0,5,route_hops_le_3,1",
+                "0,1,0,5,route_hops_total,1",
+                "0,1,0,5,route_hops_sum,2",
+            ]
+        );
     }
 }

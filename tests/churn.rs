@@ -62,8 +62,8 @@ fn churn_experiment_csv_replays_byte_identically() {
         "summary CSV must replay byte-identically"
     );
     assert_eq!(
-        a.timeline_csv().to_csv_string(),
-        b.timeline_csv().to_csv_string(),
+        CsvTable::from_rows(&a.timeline).to_csv_string(),
+        CsvTable::from_rows(&b.timeline).to_csv_string(),
         "timeline CSV must replay byte-identically"
     );
 }

@@ -1,6 +1,6 @@
 //! Observability contracts: tracing must never perturb results, traces
-//! must be byte-identical for any thread count, and the metrics registry
-//! must agree with the simulation report it describes.
+//! must be byte-identical for any thread count, and the metrics must
+//! agree with the simulation report they describe.
 //!
 //! These are the tier-1 guarantees behind `fairswap --trace/--metrics`:
 //! the observer is read-only (same CSVs with tracing on or off), events
@@ -15,8 +15,8 @@ use std::collections::HashMap;
 
 use fairswap::core::experiments::{churn, paper, ExperimentScale};
 use fairswap::core::{
-    run_jobs_observed, validate_jsonl, CsvTable, Executor, GridObservation, ObsOptions, SimReport,
-    SimSpec,
+    run_jobs_observed, validate_jsonl, CsvTable, EpochSnapshot, Executor, GridObservation,
+    ObsOptions, SimReport, SimSpec, EPOCH_GAUGES,
 };
 
 fn scale() -> ExperimentScale {
@@ -44,6 +44,14 @@ fn demo_report(opts: ObsOptions) -> (SimReport, GridObservation) {
     let mut obs = GridObservation::new(opts);
     let reports = run_jobs_observed(&Executor::serial(), vec![spec], &mut obs).unwrap();
     (reports.into_iter().next().unwrap(), obs)
+}
+
+/// `EpochSnapshot`'s metric fields in declaration order: its columns as a
+/// row struct, after `epoch` and `step`.
+fn snapshot_metrics() -> Vec<String> {
+    let columns = CsvTable::from_rows::<EpochSnapshot>(&[]).columns().to_vec();
+    assert_eq!(columns[..2], ["epoch", "step"]);
+    columns[2..].to_vec()
 }
 
 /// The last flushed value of every metric for `(grid, job)` — counters
@@ -155,7 +163,8 @@ fn counters_are_conserved_and_match_the_report() {
 /// The engine's whole event stream is pinned: a run under 10% churn with
 /// a targeted-departure wave, re-replication and retries (every layer of
 /// the step loop fires) must reproduce the committed JSONL trace and
-/// metrics CSV byte for byte. `fairswap run --config
+/// metrics CSV byte for byte, and every counter in it must be a running
+/// total. `fairswap run --config
 /// tests/fixtures/engine/spec.json --trace FILE --metrics FILE` writes the
 /// same two files.
 #[test]
@@ -173,8 +182,40 @@ fn engine_trace_and_metrics_match_the_fixtures() {
         trace == include_str!("fixtures/engine/trace.jsonl"),
         "engine trace differs from tests/fixtures/engine/trace.jsonl"
     );
+    let metrics = obs.metrics_csv();
+
+    // Every counter is a running total: within one `(grid, job)` it never
+    // decreases from one epoch's flush to the next.
+    let counters: Vec<String> = snapshot_metrics()
+        .into_iter()
+        .filter(|name| !EPOCH_GAUGES.contains(&name.as_str()))
+        .collect();
+    let mut last: HashMap<(String, String), u64> = HashMap::new();
+    let mut checked = 0;
+    for line in metrics.lines().skip(1) {
+        let fields: Vec<&str> = line.split(',').collect();
+        let name = fields[4];
+        let is_counter = counters.iter().any(|c| c == name);
+        if !is_counter {
+            continue;
+        }
+        let value: u64 = fields[5].parse().unwrap();
+        let key = (format!("{},{}", fields[0], fields[1]), name.to_string());
+        if let Some(&before) = last.get(&key) {
+            assert!(
+                value >= before,
+                "counter went backwards: {line} after {before}"
+            );
+        }
+        last.insert(key, value);
+        checked += 1;
+    }
     assert!(
-        obs.metrics_csv() == include_str!("fixtures/engine/metrics.csv"),
+        checked > last.len(),
+        "the fixture run flushes more than one epoch"
+    );
+    assert!(
+        metrics == include_str!("fixtures/engine/metrics.csv"),
         "engine metrics differ from tests/fixtures/engine/metrics.csv"
     );
 }
@@ -333,15 +374,20 @@ fn metric_table_matches_registered_metrics() {
         })
         .collect();
 
-    let collector = fairswap::core::obs::ObsCollector::new(0, 0, everything());
-    let registered: Vec<(String, String)> = collector
-        .registry()
-        .registered()
-        .map(|(name, kind)| (name.to_string(), kind.to_string()))
+    let mut flushed: Vec<(String, String)> = snapshot_metrics()
+        .iter()
+        .map(|name| {
+            let kind = if EPOCH_GAUGES.contains(&name.as_str()) {
+                "gauge"
+            } else {
+                "counter"
+            };
+            (name.to_string(), kind.to_string())
+        })
         .collect();
-    assert!(!registered.is_empty());
+    flushed.push(("route_hops".to_string(), "histogram".to_string()));
     assert_eq!(
-        documented, registered,
-        "docs/OBSERVABILITY.md metric table (left) vs ObsCollector::new (right)"
+        documented, flushed,
+        "docs/OBSERVABILITY.md metric table (left) vs EpochSnapshot's fields + route_hops (right)"
     );
 }

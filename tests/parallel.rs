@@ -67,8 +67,8 @@ fn churn_grid_is_byte_identical_across_thread_counts() {
         CsvTable::from_rows(&threaded.rows).to_csv_string()
     );
     assert_eq!(
-        serial.timeline_csv().to_csv_string(),
-        threaded.timeline_csv().to_csv_string()
+        CsvTable::from_rows(&serial.timeline).to_csv_string(),
+        CsvTable::from_rows(&threaded.timeline).to_csv_string()
     );
     // The grid actually exercised churn (not a trivially-empty sweep).
     assert!(serial.row(4, 0.1).unwrap().leaves > 0);

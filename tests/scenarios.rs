@@ -69,8 +69,8 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
         CsvTable::from_rows(&threaded.rows).to_csv_string()
     );
     assert_eq!(
-        serial.timeline_csv().to_csv_string(),
-        threaded.timeline_csv().to_csv_string()
+        CsvTable::from_rows(&serial.timeline).to_csv_string(),
+        CsvTable::from_rows(&threaded.timeline).to_csv_string()
     );
     // The sweep was not trivially empty: each scenario produced its
     // signature effect somewhere in the grid.
