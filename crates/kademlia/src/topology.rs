@@ -553,21 +553,21 @@ fn build_knowers(arena: &TableArena, n: usize) -> Vec<Vec<u32>> {
             knowers[peer as usize].push(owner as u32);
         }
     }
-    // Owners are visited in ascending order, so every list is born sorted
-    // — no sort pass over the (tens of millions at large `N`) entries.
-    debug_assert!(knowers.iter().all(|list| list.is_sorted()));
     knowers
 }
 
+/// Records `owner` as a holder. Holder lists are unordered sets, so this
+/// is one `push`.
 fn knowers_insert(list: &mut Vec<u32>, owner: u32) {
-    if let Err(pos) = list.binary_search(&owner) {
-        list.insert(pos, owner);
-    }
+    debug_assert!(!list.contains(&owner), "owner {owner} already a holder");
+    list.push(owner);
 }
 
+/// Forgets `owner` as a holder: one scan and a `swap_remove`, since holder
+/// order is free.
 fn knowers_remove(list: &mut Vec<u32>, owner: u32) {
-    if let Ok(pos) = list.binary_search(&owner) {
-        list.remove(pos);
+    if let Some(pos) = list.iter().position(|&o| o == owner) {
+        list.swap_remove(pos);
     }
 }
 
@@ -591,8 +591,10 @@ pub struct Topology {
     /// Configured per-bucket capacities, shared by every node.
     capacities: Vec<usize>,
     trie: AddressTrie,
-    /// `knowers[i]`: owners whose routing table currently lists node `i`
-    /// (kept sorted). Makes departures O(holders) instead of O(n). Empty
+    /// `knowers[i]`: owners whose routing table currently lists node `i`,
+    /// in no particular order: each holder's repair touches only its own
+    /// bucket, so the order a departure visits them in cannot change a
+    /// table. Makes departures O(holders) instead of O(n). Empty
     /// until the first membership change builds it
     /// ([`Topology::ensure_knowers`]): static runs never read it, and at
     /// 10⁵ nodes with `k = 20` it holds 26 M entries.
@@ -866,8 +868,10 @@ impl Topology {
     /// depth-`b + 1` prefix subtree of the address trie — one node of the
     /// departed node's trie path, found once for all holders. Each refill
     /// is then one trie descent (`refill_candidate`), so a departure costs
-    /// `O(bits + holders × (bits + k) log k)`, with the in-degree
-    /// `holders` typically a few dozen.
+    /// `O(bits + holders × (bits + k))`, with the in-degree `holders`
+    /// typically a few dozen. Holders are visited in `knowers` order,
+    /// which is free: each touches only its own bucket, and the trie does
+    /// not change during the loop.
     ///
     /// # Errors
     ///
@@ -984,7 +988,6 @@ impl Topology {
                     true
                 });
         }
-        knowers.sort_unstable();
         self.knowers[index] = knowers;
         Ok(())
     }
@@ -1003,8 +1006,9 @@ impl Topology {
     ///
     /// Every entry the bucket holds is a live leaf of that subtree, so the
     /// answer is one [`AddressTrie::nearest_live_excluding`] descent past
-    /// the bucket's sorted XOR distances to the owner (at most `k` values,
-    /// on the stack for realistic `k`): `O((bits + k) log k)`.
+    /// the bucket's XOR distances to the owner, in bucket order (at most
+    /// `k` values, on the stack for realistic `k`): `O(bits + k)` when the
+    /// descent never has to look at them, `O(bits × k)` at worst.
     fn refill_candidate(&self, owner: usize, bucket: usize, subtree: u32) -> Option<usize> {
         let owner_addr = self.addresses[owner];
         let ids = self.arena.bucket_entries(owner, bucket);
@@ -1016,7 +1020,6 @@ impl Topology {
             for (distance, &id) in held.iter_mut().zip(ids) {
                 *distance = self.addresses[id as usize].raw() ^ owner_addr.raw();
             }
-            held.sort_unstable();
             self.trie
                 .nearest_live_excluding(subtree, bucket as u32 + 1, owner_addr, held)
         };
@@ -1241,11 +1244,17 @@ impl Topology {
                 }
             }
         }
-        for list in &mut knowers_check {
-            list.sort_unstable();
-        }
-        if !self.knowers.is_empty() && knowers_check != self.knowers {
-            return Err("knowers reverse index out of sync with tables".into());
+        // Holder lists are unordered: compare sorted copies, which checks
+        // the same owners with the same multiplicity, so a duplicate fails.
+        if !self.knowers.is_empty() {
+            for (check, list) in knowers_check.iter_mut().zip(&self.knowers) {
+                check.sort_unstable();
+                let mut list = list.clone();
+                list.sort_unstable();
+                if *check != list {
+                    return Err("knowers reverse index out of sync with tables".into());
+                }
+            }
         }
         Ok(())
     }
@@ -1510,45 +1519,73 @@ impl AddressTrie {
 
     /// The live node under `subtree` (whose root sits at `depth`) closest
     /// in XOR distance to `target`, skipping the leaves whose distances to
-    /// `target` appear in `held` — which must be sorted ascending, and
-    /// every one of which must be a live leaf of `subtree`. `None` when
-    /// `held` covers every live leaf.
+    /// `target` appear in `held` — in any order, every one of them a live
+    /// leaf of `subtree`. `None` when `held` covers every live leaf.
+    /// `held` is scratch: the descent reorders and overwrites it.
     ///
     /// One descent: at each level the preferred (nearer) child is entered
-    /// only if it holds more live leaves than held distances. The held
-    /// leaves of a child are a contiguous run of the sorted slice, because
-    /// they share every higher distance bit, so one `partition_point`
-    /// splits them off: `O(bits × log |held|)` in all.
+    /// only if it holds more live leaves than held ones. The descent
+    /// carries `len`, an upper bound on the held leaves under the current
+    /// node, and looks at the held distances only when that bound is too
+    /// loose to decide: it then compacts `held` to the entries under the
+    /// current node (those matching the distance bits chosen so far) and
+    /// counts the ones on the preferred side, which makes `len` exact.
+    /// Most levels decide on the bound alone, so a descent costs
+    /// `O(bits + |held|)` typically and `O(bits × |held|)` at worst.
     fn nearest_live_excluding(
         &self,
         subtree: u32,
         depth: u32,
         target: OverlayAddress,
-        held: &[u64],
+        held: &mut [u64],
     ) -> Option<usize> {
         if self.subtree_live(subtree) as usize <= held.len() {
             return None;
         }
         let bits = self.space.bits();
-        let (mut current, mut held) = (subtree, held);
+        let mut current = subtree;
+        // `held[..end]` holds every held leaf under `current`; at most
+        // `len` of them are under it.
+        let (mut end, mut len) = (held.len(), held.len());
+        // The distance of the current node: its bits above the current
+        // level are the ones chosen so far (and every held leaf of
+        // `subtree` shares those above `depth`), the rest are don't-care.
+        let mut chosen = held.first().copied().unwrap_or(0);
         for depth in depth..bits {
             let bit = target.bit(depth);
             let (preferred, fallback) = (self.child(current, bit), self.child(current, !bit));
-            // Held leaves on the preferred side have distance bit `depth`
-            // clear; they sort first among leaves sharing the higher bits.
             let shift = bits - 1 - depth;
-            let (near, far) = held.split_at(held.partition_point(|&d| (d >> shift) & 1 == 0));
-            (current, held) =
-                if preferred != NIL && self.subtree_live(preferred) as usize > near.len() {
-                    (preferred, near)
-                } else {
-                    (fallback, far)
-                };
+            let take_preferred = if preferred == NIL {
+                false
+            } else if fallback == NIL || self.subtree_live(preferred) as usize > len {
+                // Every held leaf under `current` could be on the preferred
+                // side and it would still hold a free live leaf.
+                true
+            } else {
+                // Branch-free compaction. The shift is split in two since
+                // `shift + 1` is 64 at the root of a 64-bit space.
+                let (mut kept, mut near) = (0, 0);
+                for i in 0..end {
+                    let d = held[i];
+                    let under_current = (d ^ chosen) >> shift >> 1 == 0;
+                    held[kept] = d;
+                    kept += usize::from(under_current);
+                    // Held leaves on the preferred side have distance bit
+                    // `shift` clear.
+                    near += usize::from(under_current & ((d >> shift) & 1 == 0));
+                }
+                end = kept;
+                let nearer = self.subtree_live(preferred) as usize > near;
+                len = if nearer { near } else { kept - near };
+                nearer
+            };
+            current = if take_preferred { preferred } else { fallback };
+            chosen = (chosen & !(1 << shift)) | (u64::from(!take_preferred) << shift);
         }
         match &self.nodes[current as usize] {
             TrieNode::Leaf { node, live } => {
                 debug_assert!(
-                    *live && held.is_empty(),
+                    *live && !held[..end].contains(&chosen),
                     "descent must end on a free live leaf"
                 );
                 Some(*node as usize)
@@ -2030,6 +2067,137 @@ mod tests {
                 assert!(out.is_empty());
             }
         }
+    }
+
+    // ---- refill descent and holder index -------------------------------
+
+    proptest::proptest! {
+        /// The refill descent returns exactly the closest live leaf of a
+        /// subtree whose distance is not held, with the held distances in
+        /// any order: dense and sparse (up to 64-bit) spaces, any subtree
+        /// below the root, and held sets up to 40 long, past
+        /// `refill_candidate`'s 32-entry stack buffer.
+        #[test]
+        fn nearest_live_excluding_matches_brute_force(
+            bits in 2u32..=64,
+            nodes in 2usize..160,
+            depth in 1u32..=64,
+            alive_quarters in 0u32..=4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            let space = space(bits);
+            let depth = depth.min(bits);
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mask = space.max_raw();
+            let nodes = if bits < 64 { nodes.min(1 << bits) } else { nodes };
+            // Half the addresses are uniform; the other half copy a stored
+            // address's high bits, so subtrees at every depth hold several.
+            let (mut raws, mut seen) = (Vec::new(), HashSet::new());
+            while raws.len() < nodes {
+                let raw = if raws.is_empty() || rng.gen_bool(0.5) {
+                    rng.gen::<u64>() & mask
+                } else {
+                    let base: u64 = raws[rng.gen_range(0..raws.len())];
+                    let low = u64::MAX >> (64 - rng.gen_range(1..=bits));
+                    (base & !low) | (rng.gen::<u64>() & low)
+                };
+                if seen.insert(raw) {
+                    raws.push(raw);
+                }
+            }
+            let addresses: Vec<_> = raws.iter().map(|&raw| space.address(raw).unwrap()).collect();
+            let mut trie = AddressTrie::build(space, &addresses);
+            let live: Vec<bool> = (0..nodes).map(|_| rng.gen_range(0u32..4) < alive_quarters).collect();
+            for (addr, _) in addresses.iter().zip(&live).filter(|(_, &alive)| !alive) {
+                trie.set_live(&trie.path(*addr), false);
+            }
+            let anchor = addresses[rng.gen_range(0..nodes)];
+            let subtree = trie.prefix_subtree(anchor, depth).unwrap();
+            let target = if rng.gen_bool(0.5) {
+                space.address(rng.gen::<u64>() & mask).unwrap()
+            } else {
+                addresses[rng.gen_range(0..nodes)]
+            };
+            let prefix = |raw: u64| raw >> (bits - depth);
+            let mut members: Vec<usize> = (0..nodes)
+                .filter(|&i| live[i] && prefix(raws[i]) == prefix(anchor.raw()))
+                .collect();
+            members.shuffle(&mut rng);
+            let held_count = rng.gen_range(0..=members.len().min(40));
+            let (held, free) = members.split_at(held_count);
+            let expected = free.iter().copied().min_by_key(|&i| raws[i] ^ target.raw());
+            let mut held: Vec<u64> = held.iter().map(|&i| raws[i] ^ target.raw()).collect();
+            proptest::prop_assert_eq!(
+                trie.nearest_live_excluding(subtree, depth, target, &mut held),
+                expected
+            );
+        }
+    }
+
+    #[test]
+    fn holder_order_never_changes_the_tables() {
+        use rand::seq::SliceRandom;
+        for k in [4, 20] {
+            let mut built = dynamic_topology(300, k, 61);
+            built.ensure_knowers();
+            let mut rng = ChaCha12Rng::seed_from_u64(k as u64);
+            let mut reordered = built.clone();
+            let mut offline = Vec::new();
+            for step in 0..60 {
+                for (i, list) in reordered.knowers.iter_mut().enumerate() {
+                    if (i + step) % 2 == 0 {
+                        list.reverse();
+                    } else {
+                        list.shuffle(&mut rng);
+                    }
+                }
+                let node = if step % 3 == 2 {
+                    offline.swap_remove(rng.gen_range(0..offline.len()))
+                } else {
+                    let live: Vec<_> = built.live_ids().collect();
+                    let node = live[rng.gen_range(0..live.len())];
+                    offline.push(node);
+                    node
+                };
+                for t in [&mut built, &mut reordered] {
+                    if t.is_live(node) {
+                        t.remove_node(node).unwrap();
+                    } else {
+                        t.add_node(node).unwrap();
+                    }
+                }
+                assert!(
+                    built.tables().eq(reordered.tables()),
+                    "k = {k}, step {step}"
+                );
+            }
+            reordered.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_missing_extra_or_duplicate_holder() {
+        let mut t = dynamic_topology(100, 4, 67);
+        t.remove_node(NodeId(5)).unwrap();
+        let peer = (0..t.len()).find(|&i| t.knowers[i].len() >= 2).unwrap();
+        let stranger = (0..t.len() as u32)
+            .find(|&o| o as usize != peer && !t.knowers[peer].contains(&o))
+            .unwrap();
+        let with = |edit: &dyn Fn(&mut Vec<u32>)| {
+            let mut broken = t.clone();
+            edit(&mut broken.knowers[peer]);
+            broken.validate()
+        };
+        // Holder order is free ...
+        assert_eq!(with(&|list| list.reverse()), Ok(()));
+        // ... but the owners and their multiplicity are not.
+        assert!(
+            with(&|list| list.truncate(list.len() - 1)).is_err(),
+            "missing"
+        );
+        assert!(with(&|list| list.push(stranger)).is_err(), "extra");
+        assert!(with(&|list| list.push(list[0])).is_err(), "duplicate");
     }
 
     // ---- walk 2 on several threads -------------------------------------
