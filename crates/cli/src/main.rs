@@ -152,8 +152,8 @@ fn usage() -> String {
          \x20           earlier entries already cover (rewrites the corpus in place)\n\
          --time-budget  fuzz: stop mutating after SECS seconds (breaks reproducibility)\n\
          --addr      serve: listen address (default 127.0.0.1:7440; port 0 = any free port)\n\
-         --workers   serve: executor threads per scheduled batch (default 2; 0 = all cores);\n\
-         \x20           results are byte-identical for any worker count\n\
+         --workers   serve: worker threads, the most jobs that run at once (default 2;\n\
+         \x20           0 = all cores); results are byte-identical for any worker count\n\
          --cache-cap serve: finished jobs kept for /result and /stream, least recently\n\
          \x20           used evicted first (default 64; at least 1)\n\
          --queue-cap serve: bounded submit-queue capacity (default 256)\n\

@@ -19,14 +19,15 @@
 //!   [`Scheduler`]'s one job table keeps unfinished jobs and the
 //!   `cache_cap` most recently used finished ones, so memory is bounded
 //!   however many submits arrive.
-//! - **Determinism under concurrency.** The [`Scheduler`] drains its
-//!   bounded queue in batches onto the existing
-//!   [`simcore::Executor`](fairswap_core::Executor), whose stable
-//!   job-order merge keeps results independent of `--workers`.
+//! - **Determinism under concurrency.** The [`Scheduler`]'s `--workers`
+//!   worker threads each take the oldest job off its bounded queue as
+//!   soon as they are free. Every job derives all randomness from its
+//!   own spec, so neither start order nor worker count can change its
+//!   bytes.
 //!
 //! Module map: [`http`] speaks the wire protocol, [`job`] tracks one
 //! job's lifecycle and row log, [`scheduler`] owns the job table, the
-//! queue and worker fan-out, [`server`] binds the socket and routes
+//! queue and the worker threads, [`server`] binds the socket and routes
 //! endpoints, and [`client`] is the matching blocking client.
 
 pub mod client;

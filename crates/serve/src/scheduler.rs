@@ -1,20 +1,22 @@
-//! Job scheduling: one job table keyed by spec hash, and a bounded
-//! submit queue drained in batches onto the workspace's [`Executor`]
-//! worker pool.
+//! Job scheduling: one job table keyed by spec hash, and a bounded FIFO
+//! submit queue served by a fixed set of long-lived worker threads.
 //!
 //! A submit whose spec hash is already in the table joins that job; any
-//! other creates a job in the table and on the bounded queue; a single runner thread swaps the
-//! queue out and fans each batch over `Executor::new(workers)` — the same
-//! deterministic pool the experiment grids use, so `--workers N` cannot
-//! leak into results (every job derives all randomness from its spec
-//! seed). Between batches the runner sleeps on a condvar; closing the
-//! queue drains what is left and joins, which is what graceful shutdown
-//! rides on.
+//! other creates a job in the table and on the bounded queue. Each worker
+//! takes the oldest queued job as soon as it is free, so at most
+//! `workers` jobs run at once and no job waits for another to finish
+//! while a worker is idle. Jobs start in submission order, but neither
+//! that order nor the worker count can leak into results: every job
+//! derives all randomness from its own spec seed. An idle worker sleeps
+//! on a condvar; closing the queue lets the workers finish what is left
+//! and exit, and joining them is what graceful shutdown rides on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
-use fairswap_core::{run_summary_csv, Executor, SimSpec, SpecHash};
+use fairswap_core::{run_summary_csv, SimSpec, SpecHash};
 use serde::Serialize;
 
 use crate::job::{Job, JobResult, RowObserver};
@@ -22,7 +24,8 @@ use crate::job::{Job, JobResult, RowObserver};
 /// Scheduler sizing knobs (the `fairswap serve` flags).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerOptions {
-    /// Executor threads per batch (`0` = one per CPU core).
+    /// Worker threads, the most jobs that run at once (`0` = one per
+    /// CPU core).
     pub workers: usize,
     /// Maximum jobs waiting in the queue; submits beyond it are rejected
     /// with 503 rather than buffered unboundedly.
@@ -85,7 +88,7 @@ pub struct CacheStats {
 pub struct SchedulerStats {
     /// Jobs waiting in the queue.
     pub queued: usize,
-    /// Jobs in the batch currently running on the executor.
+    /// Jobs currently running on a worker (at most `workers`).
     pub running: usize,
     /// Jobs ever created, one per admitted miss (equals `cache.misses`).
     pub jobs: u64,
@@ -101,7 +104,7 @@ pub struct SchedulerStats {
 
 #[derive(Default)]
 struct Queue {
-    pending: Vec<Arc<Job>>,
+    pending: VecDeque<Arc<Job>>,
     running: usize,
     open: bool,
 }
@@ -179,27 +182,25 @@ impl Table {
 }
 
 struct Shared {
-    workers: usize,
     queue_cap: usize,
     queue: Mutex<Queue>,
     work: Condvar,
     table: Mutex<Table>,
 }
 
-/// The scheduler: owns the queue, the job table and the runner thread.
+/// The scheduler: owns the queue, the job table and the worker threads.
 /// Shared across connection handlers behind an `Arc`.
 pub struct Scheduler {
     shared: Arc<Shared>,
-    runner: Mutex<Option<std::thread::JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    /// Starts the runner thread with the given sizing. Both capacities
+    /// Starts the worker threads with the given sizing. Both capacities
     /// are clamped to at least 1: a finished job must stay addressable
     /// until its submitter has read it.
     pub fn start(options: SchedulerOptions) -> Self {
         let shared = Arc::new(Shared {
-            workers: options.workers,
             queue_cap: options.queue_cap.max(1),
             queue: Mutex::new(Queue {
                 open: true,
@@ -211,13 +212,19 @@ impl Scheduler {
                 ..Table::default()
             }),
         });
-        let runner = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_batches(&shared))
+        let workers = match options.workers {
+            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            n => n,
         };
+        let workers = (0..workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || serve_queue(&shared))
+            })
+            .collect();
         Self {
             shared,
-            runner: Mutex::new(Some(runner)),
+            workers: Mutex::new(workers),
         }
     }
 
@@ -268,7 +275,7 @@ impl Scheduler {
         }
         let job = Arc::new(Job::queued(hash, canonical));
         table.insert(Arc::clone(&job));
-        queue.pending.push(Arc::clone(&job));
+        queue.pending.push_back(Arc::clone(&job));
         self.shared.work.notify_one();
         Ok((job, false))
     }
@@ -283,52 +290,52 @@ impl Scheduler {
             .touch(hash)
     }
 
-    /// Current queue and job-table counters.
+    /// Current queue and job-table counters, one consistent snapshot:
+    /// both locks are held (table → queue, as in `admit`), so
+    /// `jobs == completed + failed + queued + running` at every read.
     pub fn stats(&self) -> SchedulerStats {
-        let (queued, running) = {
-            let queue = self.shared.queue.lock().expect("queue poisoned");
-            (queue.pending.len(), queue.running)
-        };
+        let table = self.shared.table.lock().expect("job table poisoned");
+        let queue = self.shared.queue.lock().expect("queue poisoned");
         SchedulerStats {
-            queued,
-            running,
-            ..self.shared.table.lock().expect("job table poisoned").stats
+            queued: queue.pending.len(),
+            running: queue.running,
+            ..table.stats
         }
     }
 
     /// Stops accepting work, finishes everything already queued, and
-    /// joins the runner thread. Idempotent.
+    /// joins the worker threads. Idempotent.
     pub fn drain(&self) {
         {
             let mut queue = self.shared.queue.lock().expect("queue poisoned");
             queue.open = false;
             self.shared.work.notify_all();
         }
-        if let Some(runner) = self.runner.lock().expect("runner poisoned").take() {
-            runner.join().expect("scheduler runner panicked");
+        let workers = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
+        for worker in workers {
+            worker.join().expect("scheduler worker panicked");
         }
     }
 }
 
-/// The runner loop: swap out the pending queue, fan the batch over the
-/// executor, repeat; exit once the queue is closed and empty.
-fn run_batches(shared: &Shared) {
-    let executor = Executor::new(shared.workers);
+/// One worker's loop: take the oldest queued job, run it, repeat; exit
+/// once the queue is closed and empty.
+fn serve_queue(shared: &Shared) {
     loop {
-        let batch = {
+        let job = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
-            while queue.pending.is_empty() && queue.open {
+            loop {
+                if let Some(job) = queue.pending.pop_front() {
+                    queue.running += 1;
+                    break job;
+                }
+                if !queue.open {
+                    return;
+                }
                 queue = shared.work.wait(queue).expect("queue poisoned");
             }
-            if queue.pending.is_empty() {
-                return;
-            }
-            let batch = std::mem::take(&mut queue.pending);
-            queue.running = batch.len();
-            batch
         };
-        executor.run(batch, |_, job| execute(shared, &job));
-        shared.queue.lock().expect("queue poisoned").running = 0;
+        execute(shared, &job);
     }
 }
 
@@ -337,13 +344,15 @@ fn execute(shared: &Shared, job: &Arc<Job>) {
     job.start();
     let outcome = run_job(job);
     job.rows.close();
-    // Retire before publishing: a waiter woken by `complete` or `fail`
-    // must already see this job in the counters.
-    shared
-        .table
-        .lock()
-        .expect("job table poisoned")
-        .retire(job.hash, outcome.is_ok());
+    // Retire and leave `running` in one critical section (table → queue),
+    // so no `stats` snapshot counts the job twice or not at all; and do it
+    // before publishing, so a waiter woken by `complete` or `fail` already
+    // sees this job in the counters.
+    {
+        let mut table = shared.table.lock().expect("job table poisoned");
+        table.retire(job.hash, outcome.is_ok());
+        shared.queue.lock().expect("queue poisoned").running -= 1;
+    }
     match outcome {
         Ok(result) => job.complete(result),
         Err(message) => job.fail(message),
@@ -432,6 +441,77 @@ mod tests {
         assert_eq!(stats.cache.misses, 1);
         assert_eq!(stats.cache.entries, 1);
         scheduler.drain();
+    }
+
+    #[test]
+    fn a_free_worker_takes_the_next_job_while_another_runs() {
+        let scheduler = scheduler();
+        let (blocker, _) = scheduler.admit(BLOCKER).unwrap();
+        while blocker.state() == JobState::Queued {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(blocker.state(), JobState::Running);
+        finish(&scheduler.submit(&small_spec(1)).unwrap());
+        assert_eq!(
+            blocker.state(),
+            JobState::Running,
+            "the second worker ran the small job without waiting for the blocker"
+        );
+        scheduler.drain();
+        assert_eq!(blocker.state(), JobState::Done);
+    }
+
+    #[test]
+    fn zero_workers_starts_at_least_one_worker() {
+        let scheduler = Scheduler::start(SchedulerOptions {
+            workers: 0,
+            queue_cap: 4,
+            cache_cap: 4,
+        });
+        finish(&scheduler.submit(&small_spec(1)).unwrap());
+        scheduler.drain();
+        let stats = scheduler.stats();
+        assert_eq!((stats.jobs, stats.completed), (1, 1));
+    }
+
+    #[test]
+    fn every_stats_snapshot_balances_the_job_counts() {
+        let scheduler = Scheduler::start(SchedulerOptions {
+            workers: 2,
+            queue_cap: 32,
+            cache_cap: 8,
+        });
+        let check = |stats: SchedulerStats| {
+            assert_eq!(stats.jobs, stats.cache.misses, "{stats:?}");
+            let in_flight = (stats.queued + stats.running) as u64;
+            assert_eq!(
+                stats.jobs,
+                stats.completed + stats.failed + in_flight,
+                "{stats:?}"
+            );
+            assert!(stats.running <= 2, "{stats:?}");
+        };
+        let mut snapshots = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for seed in 0..30 {
+                    scheduler.submit(&small_spec(seed)).unwrap();
+                }
+            });
+            loop {
+                let stats = scheduler.stats();
+                check(stats);
+                snapshots += 1;
+                if stats.completed + stats.failed == 30 {
+                    break;
+                }
+            }
+        });
+        assert!(snapshots > 1);
+        scheduler.drain();
+        let stats = scheduler.stats();
+        check(stats);
+        assert_eq!((stats.jobs, stats.completed), (30, 30));
     }
 
     #[test]

@@ -35,7 +35,8 @@ use crate::scheduler::{CacheStats, Scheduler, SchedulerOptions, SchedulerStats, 
 pub struct ServeOptions {
     /// Listen address, `host:port` (port 0 picks a free port).
     pub addr: String,
-    /// Executor threads per scheduled batch (`0` = one per core).
+    /// Worker threads, the most jobs that run at once (`0` = one per
+    /// core).
     pub workers: usize,
     /// Finished jobs kept addressable, least recently used evicted
     /// first (at least 1).

@@ -268,7 +268,7 @@ fn health_reports_the_daemons_resident_memory() {
 
 #[test]
 fn engine_crashing_economics_are_rejected_and_later_jobs_still_run() {
-    // Each of these used to pass `/submit` and then panic the runner
+    // Each of these used to pass `/submit` and then panic a scheduler
     // thread mid-run, wedging every later job and the shutdown.
     let crashing = [
         r#"{"topology": {"nodes": 80}, "workload": {"files": 8}, "economics": {"channel": {"payment_threshold": 0, "disconnect_threshold": 0, "refresh_rate": 0}}}"#,
