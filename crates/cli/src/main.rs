@@ -246,9 +246,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "--corpus" => opts.corpus = Some(PathBuf::from(arg)),
                     "--time-budget" => opts.time_budget = Some(value(flag, arg)?),
                     "--addr" => serve.addr = arg.clone(),
-                    "--workers" => serve.workers = value(flag, arg)?,
-                    "--cache-cap" => serve.cache_cap = value(flag, arg)?,
-                    "--queue-cap" => serve.queue_cap = value(flag, arg)?,
+                    "--workers" => serve.scheduler.workers = value(flag, arg)?,
+                    "--cache-cap" => serve.scheduler.cache_cap = value(flag, arg)?,
+                    "--queue-cap" => serve.scheduler.queue_cap = value(flag, arg)?,
                     "--out" => opts.out = PathBuf::from(arg),
                     _ => unreachable!(),
                 }
@@ -434,19 +434,22 @@ fn run_spec(opts: &Options, executor: &Executor, obs: &mut GridObservation) -> R
 
 /// `serve`: the HTTP daemon, until a client posts `/shutdown`.
 fn serve(opts: &Options, _: &Executor, _: &mut GridObservation) -> Result<(), String> {
-    let serve_opts = &opts.serve;
-    let server = fairswap_serve::Server::bind(serve_opts)
-        .map_err(|e| format!("binding {}: {e}", serve_opts.addr))?;
+    let server = fairswap_serve::Server::bind(&opts.serve)
+        .map_err(|e| format!("binding {}: {e}", opts.serve.addr))?;
     let bound = server
         .local_addr()
         .map_err(|e| format!("resolving listen address: {e}"))?;
+    let sizing = &opts.serve.scheduler;
     println!(
         "  listening on http://{bound} (workers={}, cache-cap={}, queue-cap={})",
-        serve_opts.workers, serve_opts.cache_cap, serve_opts.queue_cap
+        sizing.workers, sizing.cache_cap, sizing.queue_cap
     );
-    println!(
-        "  POST /submit | GET /status/<job> /result/<job> /stream/<job> /health | POST /shutdown"
-    );
+    for endpoint in fairswap_serve::ENDPOINTS {
+        println!(
+            "  {:<4} {:<13}  {}",
+            endpoint.method, endpoint.path, endpoint.doc
+        );
+    }
     let summary = server.run().map_err(|e| format!("serve: {e}"))?;
     println!(
         "  drained: {} jobs ({} completed, {} failed, {} rejected), cache hits={} misses={} evictions={}",
@@ -611,9 +614,11 @@ mod tests {
             time_budget: None,
             serve: fairswap_serve::ServeOptions {
                 addr: "127.0.0.1:0".into(),
-                workers: 1,
-                cache_cap: 4,
-                queue_cap: 16,
+                scheduler: fairswap_serve::SchedulerOptions {
+                    workers: 1,
+                    cache_cap: 4,
+                    queue_cap: 16,
+                },
             },
             out,
         }
@@ -645,6 +650,31 @@ mod tests {
         assert_eq!(opts.preset.bits, 20);
         assert!(opts.preset.nodes_set && opts.preset.files_set);
         assert_eq!(opts.out, PathBuf::from("/tmp/x"));
+    }
+
+    #[test]
+    fn parses_serve_flags() {
+        let opts = parse_args(&s(&[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "3",
+            "--cache-cap",
+            "5",
+            "--queue-cap",
+            "7",
+        ]))
+        .unwrap();
+        let want = fairswap_serve::ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            scheduler: fairswap_serve::SchedulerOptions {
+                workers: 3,
+                cache_cap: 5,
+                queue_cap: 7,
+            },
+        };
+        assert_eq!(opts.serve, want);
     }
 
     #[test]

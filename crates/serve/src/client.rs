@@ -11,7 +11,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::http::read_line;
+use crate::http::{header, invalid, read_body, read_headers, read_line};
 
 /// One parsed response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,34 +30,39 @@ impl Response {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// Extracts a string field from a flat JSON object body (the
+    /// The value of top-level field `key` of a JSON object body (the
     /// service's responses are all single-level objects).
+    fn json_field(&self, key: &str) -> Option<serde::Value> {
+        match serde_json::from_str(self.text().trim()).ok()? {
+            serde::Value::Object(fields) => fields
+                .into_iter()
+                .find(|(name, _)| name == key)
+                .map(|(_, value)| value),
+            _ => None,
+        }
+    }
+
+    /// Extracts a string field from a flat JSON object body.
     pub fn json_str(&self, key: &str) -> Option<String> {
-        let value: serde::Value = serde_json::from_str(self.text().trim()).ok()?;
-        let fields = value.as_object()?;
-        match fields.iter().find(|(name, _)| name == key)? {
-            (_, serde::Value::Str(s)) => Some(s.clone()),
+        match self.json_field(key)? {
+            serde::Value::Str(s) => Some(s),
             _ => None,
         }
     }
 
     /// Extracts an unsigned integer field from a flat JSON object body.
     pub fn json_u64(&self, key: &str) -> Option<u64> {
-        let value: serde::Value = serde_json::from_str(self.text().trim()).ok()?;
-        let fields = value.as_object()?;
-        match fields.iter().find(|(name, _)| name == key)? {
-            (_, serde::Value::UInt(n)) => Some(*n),
-            (_, serde::Value::Int(n)) if *n >= 0 => Some(*n as u64),
+        match self.json_field(key)? {
+            serde::Value::UInt(n) => Some(n),
+            serde::Value::Int(n) => u64::try_from(n).ok(),
             _ => None,
         }
     }
 
     /// Extracts a boolean field from a flat JSON object body.
     pub fn json_bool(&self, key: &str) -> Option<bool> {
-        let value: serde::Value = serde_json::from_str(self.text().trim()).ok()?;
-        let fields = value.as_object()?;
-        match fields.iter().find(|(name, _)| name == key)? {
-            (_, serde::Value::Bool(b)) => Some(*b),
+        match self.json_field(key)? {
+            serde::Value::Bool(b) => Some(b),
             _ => None,
         }
     }
@@ -103,36 +108,26 @@ impl Client {
     ///
     /// Propagates connect/read/write failures after the one retry.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
-        match self.request_once(method, path, body) {
-            Ok(response) => Ok(response),
-            Err(_) => {
-                // The server may have closed the pooled connection
-                // (idle timeout, Connection: close); one fresh attempt.
-                self.reader = None;
-                self.request_once(method, path, body)
-            }
-        }
+        self.request_once(method, path, body).or_else(|_| {
+            // The server may have closed the pooled connection
+            // (idle timeout, Connection: close); one fresh attempt.
+            self.reader = None;
+            self.request_once(method, path, body)
+        })
     }
 
     fn request_once(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
         let reader = self.connect()?;
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: fairswap\r\n");
-        if !body.is_empty() || method == "POST" {
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        }
-        head.push_str("\r\n");
-        {
-            let stream = reader.get_mut();
-            stream.write_all(head.as_bytes())?;
-            stream.write_all(body)?;
-            stream.flush()?;
-        }
+        let length = body.len();
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: fairswap\r\nContent-Length: {length}\r\n\r\n"
+        );
+        let stream = reader.get_mut();
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(body)?;
         let response = read_response(reader)?;
-        let closing = response
-            .headers
-            .iter()
-            .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
-        if closing {
+        let closing = header(&response.headers, "connection");
+        if closing.is_some_and(|v| v.eq_ignore_ascii_case("close")) {
             self.reader = None;
         }
         Ok(response)
@@ -146,43 +141,18 @@ impl Client {
 ///
 /// I/O failures and protocol violations surface as [`io::Error`].
 pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
-    let status_line = read_line(reader)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no response"))?;
+    let status_line = read_line(reader)?;
     let status = status_line
         .split_ascii_whitespace()
         .nth(1)
         .and_then(|code| code.parse::<u16>().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed status line: {status_line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF in headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
+        .ok_or_else(|| invalid(format!("malformed status line: {status_line:?}")))?;
+    let headers = read_headers(reader)?;
+    let encoding = header(&headers, "transfer-encoding");
+    let body = if encoding.is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
         read_chunked(reader)?
     } else {
-        let length = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        let mut body = vec![0u8; length];
-        reader.read_exact(&mut body)?;
-        body
+        read_body(reader, &headers)?
     };
     Ok(Response {
         status,
@@ -194,14 +164,9 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
 fn read_chunked<R: BufRead>(reader: &mut R) -> io::Result<Vec<u8>> {
     let mut body = Vec::new();
     loop {
-        let size_line = read_line(reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF in chunk size"))?;
-        let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad chunk size: {size_line:?}"),
-            )
-        })?;
+        let size_line = read_line(reader)?;
+        let size = usize::from_str_radix(size_line.trim(), 16)
+            .map_err(|_| invalid(format!("bad chunk size: {size_line:?}")))?;
         if size == 0 {
             // Trailing CRLF after the last-chunk marker.
             read_line(reader)?;
@@ -249,5 +214,13 @@ mod tests {
     fn malformed_responses_error() {
         assert!(read_response(&mut BufReader::new(&b""[..])).is_err());
         assert!(read_response(&mut BufReader::new(&b"HTTP/1.1 huh\r\n\r\n"[..])).is_err());
+        let colonless = b"HTTP/1.1 200 OK\r\nno-colon-here\r\n\r\n";
+        assert!(read_response(&mut BufReader::new(&colonless[..])).is_err());
+        // One header past MAX_HEADERS.
+        let crowded = format!("HTTP/1.1 200 OK\r\n{}\r\n", "X-Pad: 1\r\n".repeat(65));
+        assert!(read_response(&mut BufReader::new(crowded.as_bytes())).is_err());
+        // MAX_HEADERS itself still parses.
+        let full = format!("HTTP/1.1 200 OK\r\n{}\r\n", "X-Pad: 1\r\n".repeat(64));
+        assert!(read_response(&mut BufReader::new(full.as_bytes())).is_ok());
     }
 }

@@ -9,15 +9,15 @@
 //! Requests that exceed the hard limits below are rejected rather than
 //! buffered — the daemon is meant to sit under sustained load.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
-/// Upper bound on the request-line and any single header line, bytes.
+/// Upper bound on a start line or any single header line, bytes.
 pub const MAX_LINE: usize = 8 * 1024;
 
-/// Upper bound on the number of request headers.
+/// Upper bound on the number of headers in a request or response.
 pub const MAX_HEADERS: usize = 64;
 
-/// Upper bound on a request body (`SimSpec` documents are tiny).
+/// Upper bound on a `Content-Length` body (specs and summaries are tiny).
 pub const MAX_BODY: usize = 1024 * 1024;
 
 /// One parsed request.
@@ -36,10 +36,7 @@ pub struct Request {
 impl Request {
     /// First header value for `name` (lowercase), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Whether the client asked to drop the connection after this
@@ -50,39 +47,73 @@ impl Request {
     }
 }
 
-/// Reads one CRLF- (or bare-LF-) terminated line, enforcing [`MAX_LINE`].
-/// Returns `None` on a clean EOF before any byte.
-pub(crate) fn read_line<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
+/// An `InvalidData` error: the peer broke the protocol.
+pub(crate) fn invalid(message: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.to_string())
+}
+
+/// Reads one CRLF- (or bare-LF-) terminated line, enforcing [`MAX_LINE`];
+/// EOF before any byte is an `UnexpectedEof` error.
+pub(crate) fn read_line<R: BufRead>(reader: &mut R) -> io::Result<String> {
     let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
-            0 => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                break;
-            }
-            _ => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "header line too long",
-                    ));
-                }
-            }
-        }
+    // One byte past the bound tells a line of MAX_LINE bytes from a longer one.
+    let limit = MAX_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE {
+        return Err(invalid("header line too long"));
     }
     if line.last() == Some(&b'\r') {
         line.pop();
     }
-    String::from_utf8(line)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 header line"))
+    String::from_utf8(line).map_err(|_| invalid("non-UTF-8 header line"))
+}
+
+/// Reads a header block through its blank line, enforcing [`MAX_LINE`]
+/// and [`MAX_HEADERS`]; names are lowercased and values trimmed.
+pub(crate) fn read_headers<R: BufRead>(reader: &mut R) -> io::Result<Vec<(String, String)>> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(reader)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(invalid("too many headers"));
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| invalid(format!("malformed header: {line:?}")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+}
+
+/// First value of header `name` (lowercase) in a parsed block.
+pub(crate) fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Reads the `Content-Length` body after a header block (none without
+/// the header), enforcing [`MAX_BODY`].
+pub(crate) fn read_body<R: BufRead>(
+    reader: &mut R,
+    headers: &[(String, String)],
+) -> io::Result<Vec<u8>> {
+    let length = header(headers, "content-length").map_or(Ok(0), |v| {
+        v.parse().map_err(|_| invalid("bad content-length"))
+    })?;
+    if length > MAX_BODY {
+        return Err(invalid("body too large"));
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body)?;
+    Ok(body)
 }
 
 /// Parses one request off the connection. `Ok(None)` means the peer
@@ -94,64 +125,20 @@ pub(crate) fn read_line<R: BufRead>(reader: &mut R) -> io::Result<Option<String>
 /// [`MAX_LINE`] / [`MAX_HEADERS`] / [`MAX_BODY`] all surface as
 /// [`io::Error`]; the caller drops the connection.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let Some(request_line) = read_line(reader)? else {
+    if reader.fill_buf()?.is_empty() {
         return Ok(None);
-    };
+    }
+    let request_line = read_line(reader)?;
     let mut parts = request_line.split_ascii_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if parts.next().is_none() => (m, t, v),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line: {request_line:?}"),
-            ))
-        }
+        _ => return Err(invalid(format!("malformed request line: {request_line:?}"))),
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported protocol version: {version}"),
-        ));
+        return Err(invalid(format!("unsupported protocol version: {version}")));
     }
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside request headers")
-        })?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "too many headers",
-            ));
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed header: {line:?}"),
-            )
-        })?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let mut body = Vec::new();
-    let length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if length > MAX_BODY {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    if length > 0 {
-        body.resize(length, 0);
-        reader.read_exact(&mut body)?;
-    }
+    let headers = read_headers(reader)?;
+    let body = read_body(reader, &headers)?;
     Ok(Some(Request {
         method: method.to_string(),
         target: target.to_string(),

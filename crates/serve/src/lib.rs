@@ -41,4 +41,4 @@ pub use job::{
     stream_header, stream_row, Job, JobResult, JobState, RowLog, RowObserver, STREAM_COLUMNS,
 };
 pub use scheduler::{CacheStats, Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
-pub use server::{ServeOptions, ServeSummary, Server, ShutdownHandle};
+pub use server::{Endpoint, ServeOptions, ServeSummary, Server, ShutdownHandle, ENDPOINTS};

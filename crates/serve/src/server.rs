@@ -1,15 +1,11 @@
 //! The daemon: accept loop, request routing, and graceful drain.
 //!
-//! Endpoints (see `docs/SERVE.md` for the protocol contract):
-//!
-//! | Endpoint          | Method | Behavior |
-//! |-------------------|--------|----------|
-//! | `/submit`         | POST   | body = `SimSpec` JSON → job id (= spec hash); a known spec joins its existing job |
-//! | `/status/<job>`   | GET    | lifecycle state as JSON |
-//! | `/result/<job>`   | GET    | blocks until done, then the `run.csv` bytes |
-//! | `/stream/<job>`   | GET    | chunked per-epoch metric rows, live while the job runs |
-//! | `/health`         | GET    | queue/cache/job counters and the daemon's RSS as JSON |
-//! | `/shutdown`       | POST   | begin graceful drain; the accept loop exits once quiet |
+//! The endpoints are the rows of [`ENDPOINTS`], and `docs/SERVE.md` (the
+//! protocol contract) has one section per row, in the same order. A
+//! request is matched against that table once, at the edge: it either
+//! names one endpoint (and, on a `<job>` path, a parsed job id) or gets
+//! `404` for an unknown path or job and `405` for a known path with
+//! another method.
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive) and each runs on its
 //! own thread; the accept loop polls a nonblocking listener so it can
@@ -20,7 +16,7 @@
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use fairswap_core::SpecHash;
@@ -35,24 +31,15 @@ use crate::scheduler::{CacheStats, Scheduler, SchedulerOptions, SchedulerStats, 
 pub struct ServeOptions {
     /// Listen address, `host:port` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads, the most jobs that run at once (`0` = one per
-    /// core).
-    pub workers: usize,
-    /// Finished jobs kept addressable, least recently used evicted
-    /// first (at least 1).
-    pub cache_cap: usize,
-    /// Bounded submit-queue capacity.
-    pub queue_cap: usize,
+    /// Worker count and queue and job-table capacities.
+    pub scheduler: SchedulerOptions,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        let scheduler = SchedulerOptions::default();
         Self {
             addr: "127.0.0.1:7440".to_string(),
-            workers: scheduler.workers,
-            cache_cap: scheduler.cache_cap,
-            queue_cap: scheduler.queue_cap,
+            scheduler: SchedulerOptions::default(),
         }
     }
 }
@@ -96,14 +83,9 @@ impl Server {
     /// Propagates socket bind failures.
     pub fn bind(options: &ServeOptions) -> io::Result<Self> {
         let listener = TcpListener::bind(&options.addr)?;
-        let scheduler = Arc::new(Scheduler::start(SchedulerOptions {
-            workers: options.workers,
-            queue_cap: options.queue_cap,
-            cache_cap: options.cache_cap,
-        }));
         Ok(Self {
             listener,
-            scheduler,
+            scheduler: Arc::new(Scheduler::start(options.scheduler)),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -254,40 +236,15 @@ struct HealthBody {
     rss_kb: u64,
 }
 
-/// The process's resident set size in KiB: resident pages (the second
-/// field of `/proc/self/statm`) times the page size. One small read per
-/// call, so `/health` stays cheap to poll; 0 where the file is missing.
+/// The process's resident set size in KiB: the kernel's own `VmRSS`
+/// line of `/proc/self/status`, read on every call; 0 where it is missing.
 fn rss_kb() -> u64 {
-    let Ok(statm) = std::fs::read_to_string("/proc/self/statm") else {
-        return 0;
-    };
-    let pages: u64 = statm
-        .split_whitespace()
-        .nth(1)
-        .and_then(|field| field.parse().ok())
-        .unwrap_or(0);
-    pages * page_size() / 1024
-}
-
-/// The page size, read once from the auxiliary vector's `AT_PAGESZ`
-/// entry (`/proc/self/auxv`: native-endian word pairs); 4 KiB if that
-/// file is unreadable.
-fn page_size() -> u64 {
-    const AT_PAGESZ: usize = 6;
-    static PAGE_SIZE: OnceLock<u64> = OnceLock::new();
-    *PAGE_SIZE.get_or_init(|| {
-        const WORD: usize = std::mem::size_of::<usize>();
-        let word = |bytes: &[u8]| usize::from_ne_bytes(bytes.try_into().expect("one word"));
-        std::fs::read("/proc/self/auxv")
-            .ok()
-            .and_then(|auxv| {
-                auxv.chunks_exact(2 * WORD).find_map(|pair| {
-                    let (key, value) = pair.split_at(WORD);
-                    (word(key) == AT_PAGESZ).then(|| word(value) as u64)
-                })
-            })
-            .unwrap_or(4096)
-    })
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|kb| kb.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
 }
 
 /// The `/shutdown` acknowledgement.
@@ -321,7 +278,109 @@ fn write_json<W: Write>(
     write_response(writer, status, "application/json", line.as_bytes(), close)
 }
 
-/// Dispatches one request to its endpoint handler.
+/// What an endpoint does.
+#[derive(Debug, Clone, Copy)]
+enum Handler {
+    Submit,
+    Status,
+    Result,
+    Stream,
+    Health,
+    Shutdown,
+}
+
+/// One endpoint of the service.
+#[derive(Debug)]
+pub struct Endpoint {
+    /// The one method the endpoint accepts.
+    pub method: &'static str,
+    /// The path; a trailing `<job>` stands for whatever follows its prefix.
+    pub path: &'static str,
+    /// What the endpoint does, in one line.
+    pub doc: &'static str,
+    handler: Handler,
+}
+
+/// Every endpoint, in `docs/SERVE.md`'s order.
+pub const ENDPOINTS: &[Endpoint] = &[
+    Endpoint {
+        method: "POST",
+        path: "/submit",
+        doc: "body = SimSpec JSON -> job id (= spec hash); a known spec joins its existing job",
+        handler: Handler::Submit,
+    },
+    Endpoint {
+        method: "GET",
+        path: "/status/<job>",
+        doc: "lifecycle state as JSON",
+        handler: Handler::Status,
+    },
+    Endpoint {
+        method: "GET",
+        path: "/result/<job>",
+        doc: "blocks until done, then the run.csv bytes",
+        handler: Handler::Result,
+    },
+    Endpoint {
+        method: "GET",
+        path: "/stream/<job>",
+        doc: "chunked per-epoch metric rows, live while the job runs",
+        handler: Handler::Stream,
+    },
+    Endpoint {
+        method: "GET",
+        path: "/health",
+        doc: "queue/cache/job counters and the daemon's RSS as JSON",
+        handler: Handler::Health,
+    },
+    Endpoint {
+        method: "POST",
+        path: "/shutdown",
+        doc: "begin graceful drain; the accept loop exits once quiet",
+        handler: Handler::Shutdown,
+    },
+];
+
+/// A request's endpoint and, on a `<job>` path, the parsed job id.
+struct Route {
+    endpoint: &'static Endpoint,
+    job: Option<SpecHash>,
+}
+
+/// Why a request has no route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// 404: no endpoint has the path.
+    NoSuchEndpoint,
+    /// 404: the `<job>` segment is no retained job's id.
+    NoSuchJob,
+    /// 405: an endpoint has the path, but not the method.
+    MethodNotAllowed,
+}
+
+impl Route {
+    /// The path decides 404, then the method 405, then the job id 404.
+    fn parse(method: &str, target: &str) -> Result<Self, Refusal> {
+        let mut refusal = Refusal::NoSuchEndpoint;
+        for endpoint in ENDPOINTS {
+            let id = match endpoint.path.strip_suffix("<job>") {
+                Some(prefix) => target.strip_prefix(prefix).map(Some),
+                None => (endpoint.path == target).then_some(None),
+            };
+            let Some(id) = id else { continue };
+            if endpoint.method != method {
+                refusal = Refusal::MethodNotAllowed;
+                continue;
+            }
+            let job = id.map(str::parse::<SpecHash>).transpose();
+            let job = job.map_err(|_| Refusal::NoSuchJob)?;
+            return Ok(Self { endpoint, job });
+        }
+        Err(refusal)
+    }
+}
+
+/// Answers one request: its endpoint's handler, or its refusal.
 fn route<W: Write>(
     request: &Request,
     writer: &mut W,
@@ -329,8 +388,23 @@ fn route<W: Write>(
     shutdown: &AtomicBool,
     close: bool,
 ) -> io::Result<()> {
-    match (request.method.as_str(), request.target.as_str()) {
-        ("POST", "/submit") => {
+    let refuse = |writer: &mut W, refusal| {
+        let target = &request.target;
+        let (status, message) = match refusal {
+            Refusal::NoSuchEndpoint => (404, format!("no such endpoint: {target}")),
+            Refusal::NoSuchJob => (404, format!("no such job: {target}")),
+            Refusal::MethodNotAllowed => {
+                (405, format!("{target} does not support {}", request.method))
+            }
+        };
+        write_json(writer, status, &error(message), close)
+    };
+    let (handler, job) = match Route::parse(&request.method, &request.target) {
+        Ok(Route { endpoint, job }) => (endpoint.handler, job.and_then(|id| scheduler.job(id))),
+        Err(refusal) => return refuse(writer, refusal),
+    };
+    match (handler, job) {
+        (Handler::Submit, _) => {
             let Ok(body) = std::str::from_utf8(&request.body) else {
                 return write_json(writer, 400, &error("spec body is not UTF-8"), close);
             };
@@ -340,7 +414,23 @@ fn route<W: Write>(
                 Err(e) => write_json(writer, 503, &error(e), close),
             }
         }
-        ("GET", "/health") => {
+        (Handler::Status, Some(job)) => write_json(writer, 200, &JobBody::new(&job, false), close),
+        (Handler::Result, Some(job)) => {
+            let (status, message) = match job.wait_result(RESULT_TIMEOUT) {
+                Some(Ok(result)) => {
+                    return write_response(writer, 200, "text/csv", &result.csv, close)
+                }
+                Some(Err(message)) => (500, format!("job {} failed: {message}", job.hash)),
+                None => (503, format!("job {} still pending", job.hash)),
+            };
+            write_json(writer, status, &error(message), close)
+        }
+        (Handler::Stream, Some(job)) => stream_rows(writer, &job, close),
+        // A well-formed id whose job is evicted or never existed.
+        (Handler::Status | Handler::Result | Handler::Stream, None) => {
+            refuse(writer, Refusal::NoSuchJob)
+        }
+        (Handler::Health, _) => {
             let stats = scheduler.stats();
             let draining = shutdown.load(Ordering::Relaxed);
             let body = HealthBody {
@@ -356,58 +446,13 @@ fn route<W: Write>(
             };
             write_json(writer, 200, &body, close)
         }
-        ("POST", "/shutdown") => {
+        (Handler::Shutdown, _) => {
             let body = StatusBody { status: "draining" };
             write_json(writer, 200, &body, true)?;
             shutdown.store(true, Ordering::Relaxed);
             Ok(())
         }
-        ("GET", target) if target.starts_with("/status/") => match lookup(scheduler, target) {
-            Ok(job) => write_json(writer, 200, &JobBody::new(&job, false), close),
-            Err(body) => write_json(writer, 404, &body, close),
-        },
-        ("GET", target) if target.starts_with("/result/") => match lookup(scheduler, target) {
-            Ok(job) => match job.wait_result(RESULT_TIMEOUT) {
-                Some(Ok(result)) => write_response(writer, 200, "text/csv", &result.csv, close),
-                Some(Err(message)) => {
-                    let body = error(format!("job {} failed: {message}", job.hash));
-                    write_json(writer, 500, &body, close)
-                }
-                None => {
-                    let body = error(format!("job {} still pending", job.hash));
-                    write_json(writer, 503, &body, close)
-                }
-            },
-            Err(body) => write_json(writer, 404, &body, close),
-        },
-        ("GET", target) if target.starts_with("/stream/") => match lookup(scheduler, target) {
-            Ok(job) => stream_rows(writer, &job, close),
-            Err(body) => write_json(writer, 404, &body, close),
-        },
-        ("POST" | "GET", "/submit" | "/health" | "/shutdown") => {
-            let body = error(format!(
-                "{} does not support {}",
-                request.target, request.method
-            ));
-            write_json(writer, 405, &body, close)
-        }
-        _ => {
-            let body = error(format!("no such endpoint: {}", request.target));
-            write_json(writer, 404, &body, close)
-        }
     }
-}
-
-/// Resolves `/<endpoint>/<id>` to a retained job, or the 404 body
-/// (malformed ids and evicted jobs alike).
-fn lookup(scheduler: &Scheduler, target: &str) -> Result<Arc<Job>, ErrorBody> {
-    let (_, id) = target[1..]
-        .split_once('/')
-        .expect("routed targets have an id segment");
-    id.parse::<SpecHash>()
-        .ok()
-        .and_then(|hash| scheduler.job(hash))
-        .ok_or_else(|| error(format!("no such job: {target}")))
 }
 
 /// Streams the job's epoch rows as a chunked CSV: the pinned header
@@ -419,19 +464,63 @@ fn stream_rows<W: Write>(writer: &mut W, job: &Job, close: bool) -> io::Result<(
     let mut offset = 0;
     loop {
         let (rows, closed) = job.rows.wait_past(offset, POLL_TICK);
-        if !rows.is_empty() {
-            offset += rows.len();
-            let mut chunk = String::new();
-            for row in rows {
-                chunk.push_str(&row);
-                chunk.push('\n');
-            }
-            chunked.write_chunk(chunk.as_bytes())?;
-        }
+        offset += rows.len();
+        let chunk: String = rows.iter().flat_map(|row| [row, "\n"]).collect();
+        chunked.write_chunk(chunk.as_bytes())?;
         // `wait_past` reads the rows and the flag under one lock, so a
         // closed log has just handed over its last rows.
         if closed {
             return chunked.finish();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A route as `(path, job)`, or its refusal.
+    fn parse(method: &str, target: &str) -> Result<(&'static str, Option<String>), Refusal> {
+        Route::parse(method, target)
+            .map(|route| (route.endpoint.path, route.job.map(|id| id.to_string())))
+    }
+
+    #[test]
+    fn the_path_decides_404_then_the_method_405_then_the_id_404() {
+        const ID: &str = "62f0e9be5dc00c86";
+        for endpoint in ENDPOINTS {
+            let target = endpoint.path.replace("<job>", ID);
+            let job = endpoint.path.ends_with("<job>").then(|| ID.to_string());
+            assert_eq!(parse(endpoint.method, &target), Ok((endpoint.path, job)));
+            assert_eq!(parse("HEAD", &target), Err(Refusal::MethodNotAllowed));
+        }
+        for target in ["/nope", "/status", "/submit/", "/health?x=1"] {
+            assert_eq!(
+                parse("GET", target),
+                Err(Refusal::NoSuchEndpoint),
+                "{target}"
+            );
+        }
+        assert_eq!(parse("POST", "/status/a/b"), Err(Refusal::MethodNotAllowed));
+        for target in ["/status/", "/status/a/b", "/stream/62F0E9BE5DC00C86"] {
+            assert_eq!(parse("GET", target), Err(Refusal::NoSuchJob), "{target}");
+        }
+    }
+
+    #[test]
+    fn serve_md_documents_every_endpoint_in_table_order() {
+        // The endpoint sections of docs/SERVE.md: "### `METHOD /path`".
+        let documented: Vec<&str> = include_str!("../../../docs/SERVE.md")
+            .lines()
+            .filter_map(|line| line.strip_prefix("### `")?.strip_suffix('`'))
+            .collect();
+        let table: Vec<String> = ENDPOINTS
+            .iter()
+            .map(|endpoint| format!("{} {}", endpoint.method, endpoint.path))
+            .collect();
+        assert_eq!(
+            documented, table,
+            "docs/SERVE.md endpoint headings (left) vs ENDPOINTS (right)"
+        );
     }
 }

@@ -5,7 +5,7 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
 use fairswap_core::{run_summary_csv, SimSpec};
-use fairswap_serve::{ServeOptions, ServeSummary, Server, ShutdownHandle};
+use fairswap_serve::{SchedulerOptions, ServeOptions, ServeSummary, Server, ShutdownHandle};
 
 /// The batch path's answer for a spec document: parse, build, run, and
 /// serialize with the same `run_summary_csv` the CLI `run` command uses.
@@ -30,9 +30,11 @@ impl TestServer {
     pub fn start(workers: usize, cache_cap: usize) -> Self {
         let server = Server::bind(&ServeOptions {
             addr: "127.0.0.1:0".to_string(),
-            workers,
-            cache_cap,
-            ..ServeOptions::default()
+            scheduler: SchedulerOptions {
+                workers,
+                cache_cap,
+                ..SchedulerOptions::default()
+            },
         })
         .expect("binding test server");
         let addr = server.local_addr().expect("resolving test server address");

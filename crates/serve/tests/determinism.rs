@@ -6,7 +6,7 @@
 mod common;
 
 use common::{batch_csv, TestServer};
-use fairswap_serve::{stream_header, Client, STREAM_COLUMNS};
+use fairswap_serve::{stream_header, Client, ENDPOINTS, STREAM_COLUMNS};
 
 /// Three small, distinct specs. Formatting varies deliberately — jobs
 /// are keyed by the canonical JSON's hash, so whitespace must not matter.
@@ -223,11 +223,32 @@ fn invalid_and_unknown_requests_get_structured_errors() {
         assert_eq!(missing.status, 404, "{target}");
     }
 
-    let unknown = client.request("GET", "/nope", b"").expect("request");
-    assert_eq!(unknown.status, 404);
+    for (target, message) in [
+        ("/nope", "no such endpoint: /nope"),
+        ("/status", "no such endpoint: /status"),
+        ("/status/", "no such job: /status/"),
+        ("/status/a/b", "no such job: /status/a/b"),
+    ] {
+        let unknown = client.request("GET", target, b"").expect("request");
+        assert_eq!(unknown.status, 404, "{target}");
+        assert_eq!(unknown.json_str("error").as_deref(), Some(message));
+    }
 
-    let wrong_method = client.request("GET", "/submit", b"").expect("request");
-    assert_eq!(wrong_method.status, 405);
+    // Every endpoint path, with a well-formed id where it takes one,
+    // refuses every method but its own with 405. None of these run a
+    // handler, so the unknown id is never looked up.
+    for endpoint in ENDPOINTS {
+        let target = endpoint.path.replace("<job>", "0123456789abcdef");
+        for method in ["GET", "POST", "PUT", "DELETE"] {
+            if method == endpoint.method {
+                continue;
+            }
+            let refused = client.request(method, &target, b"").expect("request");
+            assert_eq!(refused.status, 405, "{method} {target}");
+            let message = format!("{target} does not support {method}");
+            assert_eq!(refused.json_str("error"), Some(message));
+        }
+    }
 
     let summary = server.stop();
     assert_eq!(summary.jobs, 0);
