@@ -341,22 +341,21 @@ fn run_command(opts: &Options) -> Result<(), String> {
         ..ObsOptions::default()
     });
 
+    if let Some(tool) = tool {
+        // A tool takes no preset scale, so its banner names none.
+        println!("== {}", tool.name);
+        (tool.run)(opts, &executor, &mut obs)?;
+    }
     let scale = opts.preset.scale;
-    let header = |command: &str| {
+    for preset in presets {
         println!(
-            "== {command} (nodes={}, files={}, seed={:#x}, threads={})",
+            "== {} (nodes={}, files={}, seed={:#x}, threads={})",
+            preset.name,
             scale.nodes,
             scale.files,
             scale.seed,
             executor.threads()
         );
-    };
-    if let Some(tool) = tool {
-        header(tool.name);
-        (tool.run)(opts, &executor, &mut obs)?;
-    }
-    for preset in presets {
-        header(preset.name);
         let output = (preset.run)(&opts.preset, &executor, &mut obs).map_err(|e| e.to_string())?;
         for line in &output.summary {
             println!("  {line}");

@@ -144,7 +144,9 @@ fn every_summary_matches_its_golden_fixture() {
 #[test]
 fn run_csv_matches_its_golden_fixture() {
     let demo = repo_root().join("tests/fixtures/demo_spec.json");
-    let (run, _) = run_into("run", &["run", "--config", demo.to_str().unwrap()]);
+    let (run, stdout) = run_into("run", &["run", "--config", demo.to_str().unwrap()]);
+    // A tool takes no preset scale, so its banner is its name alone.
+    assert_eq!(stdout.lines().next(), Some("== run"), "{stdout}");
     let fixture = std::fs::read_to_string(repo_root().join("tests/fixtures/cli/run.csv")).unwrap();
     assert_eq!(
         std::fs::read_to_string(run.join("run.csv")).unwrap(),

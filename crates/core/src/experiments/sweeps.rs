@@ -4,8 +4,7 @@
 //! `overhead.csv` is [`CsvTable::from_rows`](crate::CsvTable::from_rows) of
 //! [`OverheadRow`]s: the row's field order is the file's column order.
 
-use fairswap_kademlia::NodeId;
-use fairswap_obs::Phase;
+use fairswap_obs::{EventKind, Phase};
 use fairswap_simcore::Executor;
 use fairswap_storage::ChunkDelivery;
 use serde::{Deserialize, Serialize};
@@ -14,7 +13,7 @@ use crate::csv::CsvTable;
 use crate::error::CoreError;
 use crate::exec::{run_jobs_observed, run_jobs_observing};
 use crate::experiments::scale::ExperimentScale;
-use crate::obs::{EpochSnapshot, GridObservation, ObsCollector, RunInfo, StepObserver};
+use crate::obs::{EpochSnapshot, GridObservation, ObsCollector, StepObserver};
 use crate::spec::SimSpec;
 
 /// One `(timestep, f2_gini)` sample of the convergence trajectory.
@@ -83,33 +82,9 @@ impl StepObserver for GiniTrail {
         }
     }
 
-    fn on_start(&mut self, info: &RunInfo) {
+    fn on_event(&mut self, step: u64, kind: EventKind) {
         if let Some(c) = &mut self.collector {
-            c.on_start(info);
-        }
-    }
-
-    fn on_join(&mut self, step: u64, node: NodeId) {
-        if let Some(c) = &mut self.collector {
-            c.on_join(step, node);
-        }
-    }
-
-    fn on_leave(&mut self, step: u64, node: NodeId) {
-        if let Some(c) = &mut self.collector {
-            c.on_leave(step, node);
-        }
-    }
-
-    fn on_targeted(&mut self, step: u64, node: NodeId) {
-        if let Some(c) = &mut self.collector {
-            c.on_targeted(step, node);
-        }
-    }
-
-    fn on_repair(&mut self, step: u64, node: NodeId) {
-        if let Some(c) = &mut self.collector {
-            c.on_repair(step, node);
+            c.on_event(step, kind);
         }
     }
 
@@ -126,12 +101,6 @@ impl StepObserver for GiniTrail {
         });
         if let Some(c) = &mut self.collector {
             c.on_epoch(snapshot);
-        }
-    }
-
-    fn on_end(&mut self, step: u64, requests: u64, stuck: u64) {
-        if let Some(c) = &mut self.collector {
-            c.on_end(step, requests, stuck);
         }
     }
 }

@@ -19,7 +19,6 @@
 
 use std::time::Instant;
 
-use fairswap_kademlia::NodeId;
 use fairswap_obs::{
     write_jsonl, EventKind, EventRing, LogHistogram, MetricsFlush, Phase, PhaseTimes,
     ProgressMeter, TraceEvent, METRICS_CSV_HEADER,
@@ -33,17 +32,6 @@ use serde::{Deserialize, Serialize};
 /// churn run emits a few events per step plus one per epoch); runs that
 /// overflow it keep the newest events and say so in their summary line.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
-
-/// Static facts about a run, reported once at step 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunInfo {
-    /// Nodes in the overlay at build time.
-    pub nodes: u64,
-    /// Files (timesteps) the run will simulate.
-    pub files: u64,
-    /// Master seed.
-    pub seed: u64,
-}
 
 /// Cumulative counter snapshot taken once per epoch (and at the final
 /// step).
@@ -125,7 +113,11 @@ pub const EPOCH_GAUGES: [&str; 3] = ["regions_lost", "live", "f2_gini"];
 
 /// What the simulator tells an observer, in simulation order.
 ///
-/// All methods default to no-ops; [`ENABLED`](StepObserver::ENABLED) lets
+/// Lifecycle and membership events arrive as the trace's own
+/// [`EventKind`]s through [`on_event`](StepObserver::on_event), built once
+/// where they happen; only the per-chunk delivery (hot) and the per-epoch
+/// snapshot (the full counter set) have hooks of their own. All methods
+/// default to no-ops; [`ENABLED`](StepObserver::ENABLED) lets
 /// the simulator skip snapshot construction entirely for disabled
 /// observers, so the disabled path compiles down to the plain hot path.
 pub trait StepObserver {
@@ -150,30 +142,16 @@ pub trait StepObserver {
     /// [`StepObserver::profiling`] returns true).
     fn add_phase(&mut self, _phase: Phase, _nanos: u64) {}
 
-    /// The run is about to start.
-    fn on_start(&mut self, _info: &RunInfo) {}
-
-    /// A node joined through churn at `step`.
-    fn on_join(&mut self, _step: u64, _node: NodeId) {}
-
-    /// A node left through churn at `step`.
-    fn on_leave(&mut self, _step: u64, _node: NodeId) {}
-
-    /// A node was removed by the targeted-departure trigger at `step`.
-    fn on_targeted(&mut self, _step: u64, _node: NodeId) {}
-
-    /// `node`'s departure emptied its storage neighborhood (one lost
-    /// region).
-    fn on_repair(&mut self, _step: u64, _node: NodeId) {}
+    /// A lifecycle or membership event happened at `step`: the run's
+    /// `Start` (step 0) and `End`, and every churn `Join` and `Leave`,
+    /// `Targeted` removal and lost-region `Repair`, in simulation order.
+    fn on_event(&mut self, _step: u64, _kind: EventKind) {}
 
     /// One chunk delivery attempt finished at `step`.
     fn on_delivery(&mut self, _step: u64, _delivery: &ChunkDelivery) {}
 
     /// A per-epoch counter snapshot (stride `max(1, files / 32)` steps).
     fn on_epoch(&mut self, _snapshot: &EpochSnapshot) {}
-
-    /// The run finished at `step`; `requests`/`stuck` are final totals.
-    fn on_end(&mut self, _step: u64, _requests: u64, _stuck: u64) {}
 }
 
 /// The do-nothing observer: every hook is an empty inline function and
@@ -222,7 +200,9 @@ impl ObsOptions {
 
 /// The real observer: one per grid cell.
 ///
-/// Owns the cell's event ring, metrics rows and phase accumulator. The
+/// Owns the cell's event ring, metrics rows and phase accumulator. Every
+/// [`EventKind`] the engine reports goes into the ring as it is, and each
+/// epoch snapshot adds its metrics rows and an `Epoch` event. The
 /// executor layer moves finished collectors into a [`GridObservation`] in
 /// stable job order.
 pub struct ObsCollector {
@@ -273,17 +253,6 @@ impl ObsCollector {
     pub fn phases(&self) -> &PhaseTimes {
         &self.phases
     }
-
-    fn push(&mut self, step: u64, kind: EventKind) {
-        if self.opts.trace {
-            self.ring.push(TraceEvent {
-                grid: self.grid,
-                job: self.job,
-                step,
-                kind,
-            });
-        }
-    }
 }
 
 impl StepObserver for ObsCollector {
@@ -301,51 +270,15 @@ impl StepObserver for ObsCollector {
         self.phases.add(phase, nanos);
     }
 
-    fn on_start(&mut self, info: &RunInfo) {
-        self.push(
-            0,
-            EventKind::Start {
-                nodes: info.nodes,
-                files: info.files,
-                seed: info.seed,
-            },
-        );
-    }
-
-    fn on_join(&mut self, step: u64, node: NodeId) {
-        self.push(
-            step,
-            EventKind::Join {
-                node: node.0 as u64,
-            },
-        );
-    }
-
-    fn on_leave(&mut self, step: u64, node: NodeId) {
-        self.push(
-            step,
-            EventKind::Leave {
-                node: node.0 as u64,
-            },
-        );
-    }
-
-    fn on_targeted(&mut self, step: u64, node: NodeId) {
-        self.push(
-            step,
-            EventKind::Targeted {
-                node: node.0 as u64,
-            },
-        );
-    }
-
-    fn on_repair(&mut self, step: u64, node: NodeId) {
-        self.push(
-            step,
-            EventKind::Repair {
-                node: node.0 as u64,
-            },
-        );
+    fn on_event(&mut self, step: u64, kind: EventKind) {
+        if self.opts.trace {
+            self.ring.push(TraceEvent {
+                grid: self.grid,
+                job: self.job,
+                step,
+                kind,
+            });
+        }
     }
 
     fn on_delivery(&mut self, _step: u64, delivery: &ChunkDelivery) {
@@ -369,7 +302,7 @@ impl StepObserver for ObsCollector {
             }
             flush.histogram("route_hops", &self.route_hops);
         }
-        self.push(
+        self.on_event(
             snapshot.step,
             EventKind::Epoch {
                 epoch: snapshot.epoch,
@@ -379,10 +312,6 @@ impl StepObserver for ObsCollector {
                 f2_gini: snapshot.f2_gini,
             },
         );
-    }
-
-    fn on_end(&mut self, step: u64, requests: u64, stuck: u64) {
-        self.push(step, EventKind::End { requests, stuck });
     }
 }
 
@@ -541,14 +470,23 @@ mod tests {
             ..ObsOptions::default()
         };
         let mut c = ObsCollector::new(0, 2, opts);
-        c.on_start(&RunInfo {
-            nodes: 10,
-            files: 5,
-            seed: 7,
-        });
-        c.on_leave(3, NodeId(4));
-        c.on_join(4, NodeId(4));
-        c.on_end(5, 5, 0);
+        c.on_event(
+            0,
+            EventKind::Start {
+                nodes: 10,
+                files: 5,
+                seed: 7,
+            },
+        );
+        c.on_event(3, EventKind::Leave { node: 4 });
+        c.on_event(4, EventKind::Join { node: 4 });
+        c.on_event(
+            5,
+            EventKind::End {
+                requests: 5,
+                stuck: 0,
+            },
+        );
         let kinds: Vec<&str> = c.ring().iter().map(|e| e.kind.tag()).collect();
         assert_eq!(kinds, vec!["start", "leave", "join", "end"]);
         assert!(c.ring().iter().all(|e| e.job == 2));
@@ -561,7 +499,7 @@ mod tests {
             ..ObsOptions::default()
         };
         let mut c = ObsCollector::new(0, 0, opts);
-        c.on_leave(1, NodeId(0));
+        c.on_event(1, EventKind::Leave { node: 0 });
         c.on_epoch(&EpochSnapshot {
             epoch: 0,
             step: 1,

@@ -6,12 +6,13 @@ use fairswap_churn::{ChurnEvent, ChurnEventKind, ChurnPlan};
 use fairswap_fairness::gini;
 use fairswap_incentives::{BandwidthIncentive, FreeRiderSet, RewardState};
 use fairswap_kademlia::{HopHistogram, NodeId, Topology};
+use fairswap_obs::EventKind;
 use fairswap_simcore::rng::{domain, sub_rng, sub_seed};
 use fairswap_storage::{ChunkDelivery, DownloadSim};
 use fairswap_workload::Workload;
 
 use crate::config::SimConfig;
-use crate::obs::{EpochSnapshot, NullObserver, RunInfo, StepObserver};
+use crate::obs::{EpochSnapshot, NullObserver, StepObserver};
 use crate::report::{ChurnOutcome, ChurnSample, SimReport};
 use crate::scenario;
 
@@ -87,11 +88,14 @@ impl BandwidthSim {
         let bits = self.topology.space().bits();
         let total = self.config.files;
         if O::ENABLED {
-            obs.on_start(&RunInfo {
-                nodes: nodes as u64,
-                files: total,
-                seed: self.config.seed,
-            });
+            obs.on_event(
+                0,
+                EventKind::Start {
+                    nodes: nodes as u64,
+                    files: total,
+                    seed: self.config.seed,
+                },
+            );
         }
         // The scenario compiles against the freshly built (all-live)
         // topology: scripted membership events, any initially-offline
@@ -283,7 +287,8 @@ impl BandwidthSim {
         if O::ENABLED {
             let stats = download.stats();
             let requests: u64 = stats.requests_issued().iter().sum();
-            obs.on_end(total, requests, stats.stuck_requests());
+            let stuck = stats.stuck_requests();
+            obs.on_event(total, EventKind::End { requests, stuck });
         }
 
         // Regions still lost at run end surface in the time-to-repair
@@ -363,7 +368,12 @@ impl<O: StepObserver> Engine<'_, O> {
                         .as_mut()
                         .expect("membership events imply a churn outcome")
                         .joins += 1;
-                    self.obs.on_join(step, event.node);
+                    self.obs.on_event(
+                        step,
+                        EventKind::Join {
+                            node: event.node.0 as u64,
+                        },
+                    );
                     self.flips.push((event.node, true));
                 }
             }
@@ -403,15 +413,16 @@ impl<O: StepObserver> Engine<'_, O> {
         outcome.departure_settlements += self.books.state.settle_departed(node) as u64;
         let lost_region = self.download.note_departure(node, step);
         outcome.repair_events += u64::from(lost_region);
+        let id = node.0 as u64;
         if targeted {
             outcome.targeted_removals += 1;
-            self.obs.on_targeted(step, node);
+            self.obs.on_event(step, EventKind::Targeted { node: id });
         } else {
             outcome.leaves += 1;
-            self.obs.on_leave(step, node);
+            self.obs.on_event(step, EventKind::Leave { node: id });
         }
         if lost_region {
-            self.obs.on_repair(step, node);
+            self.obs.on_event(step, EventKind::Repair { node: id });
         }
         self.flips.push((node, false));
     }
@@ -838,6 +849,45 @@ mod tests {
             let report = spec.build().unwrap().run();
             let f2 = report.f2_income_gini();
             assert!((0.0..=1.0).contains(&f2), "{}: {f2}", mechanism.id());
+        }
+    }
+
+    #[test]
+    fn architecture_step_loop_table_names_engine_fns() {
+        // The "Engine code" column of docs/ARCHITECTURE.md's step-loop
+        // table: each cell is "loop body" or backticked names of this
+        // file's code, `Type::method` for a method.
+        let doc = include_str!("../../../docs/ARCHITECTURE.md");
+        let source = include_str!("sim.rs").split("#[cfg(test)]").next().unwrap();
+        let table = doc
+            .split("## The step loop")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("docs/ARCHITECTURE.md has a step-loop section");
+        let cells: Vec<&str> = table
+            .lines()
+            .filter(|line| line.starts_with('|'))
+            .skip(2) // the header and its separator
+            .map(|line| line.split('|').nth(3).expect("a four-column row").trim())
+            .collect();
+        assert!(!cells.is_empty(), "no step-loop table found");
+        for cell in cells {
+            if cell == "loop body" {
+                continue;
+            }
+            let names: Vec<&str> = cell.split('`').skip(1).step_by(2).collect();
+            assert!(
+                !names.is_empty(),
+                "{cell:?} is neither names nor \"loop body\""
+            );
+            for name in names {
+                let (owner, method) = name.rsplit_once("::").unwrap_or(("", name));
+                let is_fn = [format!("fn {method}("), format!("fn {method}<")]
+                    .iter()
+                    .any(|decl| source.contains(decl.as_str()));
+                let has_owner = owner.is_empty() || source.contains(&format!("impl {owner} {{"));
+                assert!(is_fn && has_owner, "`{name}` is no fn in sim.rs");
+            }
         }
     }
 }

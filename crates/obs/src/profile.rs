@@ -41,19 +41,8 @@ impl Phase {
         }
     }
 
-    /// Parses a phase from its [`Phase::id`] string.
-    pub fn from_id(id: &str) -> Option<Self> {
-        PHASES.into_iter().find(|p| p.id() == id)
-    }
-
     fn index(&self) -> usize {
-        match self {
-            Phase::TopologyBuild => 0,
-            Phase::SimSteps => 1,
-            Phase::Settlement => 2,
-            Phase::Fairness => 3,
-            Phase::CsvEmit => 4,
-        }
+        *self as usize
     }
 }
 
@@ -77,11 +66,6 @@ impl PhaseTimes {
     /// Accumulated nanoseconds for a phase.
     pub fn nanos(&self, phase: Phase) -> u64 {
         self.nanos[phase.index()]
-    }
-
-    /// Accumulated milliseconds for a phase.
-    pub fn millis(&self, phase: Phase) -> f64 {
-        self.nanos(phase) as f64 / 1e6
     }
 
     /// Total nanoseconds across all phases.
@@ -131,15 +115,6 @@ mod tests {
         assert_eq!(a.nanos(Phase::SimSteps), 160);
         assert_eq!(a.nanos(Phase::Settlement), 25);
         assert_eq!(a.total_nanos(), 185);
-        assert_eq!(a.millis(Phase::Settlement), 25.0 / 1e6);
-    }
-
-    #[test]
-    fn ids_round_trip() {
-        for phase in PHASES {
-            assert_eq!(Phase::from_id(phase.id()), Some(phase));
-        }
-        assert_eq!(Phase::from_id("mystery"), None);
     }
 
     #[test]

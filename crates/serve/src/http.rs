@@ -160,7 +160,18 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Content-Length` response and flushes.
+/// How one response goes out on its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reply {
+    /// Close the connection after this response.
+    pub close: bool,
+    /// The request was a `HEAD`: the reply is the status line and headers
+    /// only, since a client reads no body after a `HEAD`.
+    pub head: bool,
+}
+
+/// Writes a complete `Content-Length` response and flushes. A reply to a
+/// `HEAD` keeps the `Content-Length` of `body` but leaves the body out.
 ///
 /// # Errors
 ///
@@ -170,16 +181,18 @@ pub fn write_response<W: Write>(
     status: u16,
     content_type: &str,
     body: &[u8],
-    close: bool,
+    reply: Reply,
 ) -> io::Result<()> {
-    let connection = if close { "close" } else { "keep-alive" };
+    let connection = if reply.close { "close" } else { "keep-alive" };
     write!(
         writer,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
     )?;
-    writer.write_all(body)?;
+    if !reply.head {
+        writer.write_all(body)?;
+    }
     writer.flush()
 }
 
@@ -279,7 +292,11 @@ mod tests {
     #[test]
     fn response_and_chunked_wire_formats() {
         let mut out = Vec::new();
-        write_response(&mut out, 404, "text/plain", b"nope", true).unwrap();
+        let reply = Reply {
+            close: true,
+            head: false,
+        };
+        write_response(&mut out, 404, "text/plain", b"nope", reply).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("Content-Length: 4\r\n"));

@@ -22,7 +22,7 @@ use std::time::Duration;
 use fairswap_core::SpecHash;
 use serde::Serialize;
 
-use crate::http::{read_request, write_response, ChunkedWriter, Request};
+use crate::http::{read_request, write_response, ChunkedWriter, Reply, Request};
 use crate::job::{stream_header, Job};
 use crate::scheduler::{CacheStats, Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
 
@@ -187,13 +187,20 @@ fn handle_connection(
             Ok(Some(request)) => request,
             Ok(None) => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return write_json(&mut writer, 400, &error(e), true);
+                let reply = Reply {
+                    close: true,
+                    head: false,
+                };
+                return write_json(&mut writer, 400, &error(e), reply);
             }
             Err(e) => return Err(e),
         };
-        let close = request.wants_close() || shutdown.load(Ordering::Relaxed);
-        route(&request, &mut writer, scheduler, shutdown, close)?;
-        if close {
+        let reply = Reply {
+            close: request.wants_close() || shutdown.load(Ordering::Relaxed),
+            head: request.method == "HEAD",
+        };
+        route(&request, &mut writer, scheduler, shutdown, reply)?;
+        if reply.close {
             return Ok(());
         }
     }
@@ -271,11 +278,11 @@ fn write_json<W: Write>(
     writer: &mut W,
     status: u16,
     body: &impl Serialize,
-    close: bool,
+    reply: Reply,
 ) -> io::Result<()> {
     let mut line = serde_json::to_string(body).expect("reply bodies always serialize");
     line.push('\n');
-    write_response(writer, status, "application/json", line.as_bytes(), close)
+    write_response(writer, status, "application/json", line.as_bytes(), reply)
 }
 
 /// What an endpoint does.
@@ -386,7 +393,7 @@ fn route<W: Write>(
     writer: &mut W,
     scheduler: &Scheduler,
     shutdown: &AtomicBool,
-    close: bool,
+    reply: Reply,
 ) -> io::Result<()> {
     let refuse = |writer: &mut W, refusal| {
         let target = &request.target;
@@ -397,7 +404,7 @@ fn route<W: Write>(
                 (405, format!("{target} does not support {}", request.method))
             }
         };
-        write_json(writer, status, &error(message), close)
+        write_json(writer, status, &error(message), reply)
     };
     let (handler, job) = match Route::parse(&request.method, &request.target) {
         Ok(Route { endpoint, job }) => (endpoint.handler, job.and_then(|id| scheduler.job(id))),
@@ -406,26 +413,27 @@ fn route<W: Write>(
     match (handler, job) {
         (Handler::Submit, _) => {
             let Ok(body) = std::str::from_utf8(&request.body) else {
-                return write_json(writer, 400, &error("spec body is not UTF-8"), close);
+                return write_json(writer, 400, &error("spec body is not UTF-8"), reply);
             };
             match scheduler.admit(body) {
-                Ok((job, cached)) => write_json(writer, 200, &JobBody::new(&job, cached), close),
-                Err(e @ SubmitError::InvalidSpec(_)) => write_json(writer, 400, &error(e), close),
-                Err(e) => write_json(writer, 503, &error(e), close),
+                Ok((job, cached)) => write_json(writer, 200, &JobBody::new(&job, cached), reply),
+                Err(e @ SubmitError::InvalidSpec(_)) => write_json(writer, 400, &error(e), reply),
+                Err(e) => write_json(writer, 503, &error(e), reply),
             }
         }
-        (Handler::Status, Some(job)) => write_json(writer, 200, &JobBody::new(&job, false), close),
+        (Handler::Status, Some(job)) => write_json(writer, 200, &JobBody::new(&job, false), reply),
         (Handler::Result, Some(job)) => {
             let (status, message) = match job.wait_result(RESULT_TIMEOUT) {
                 Some(Ok(result)) => {
-                    return write_response(writer, 200, "text/csv", &result.csv, close)
+                    return write_response(writer, 200, "text/csv", &result.csv, reply)
                 }
                 Some(Err(message)) => (500, format!("job {} failed: {message}", job.hash)),
                 None => (503, format!("job {} still pending", job.hash)),
             };
-            write_json(writer, status, &error(message), close)
+            write_json(writer, status, &error(message), reply)
         }
-        (Handler::Stream, Some(job)) => stream_rows(writer, &job, close),
+        // No endpoint takes `HEAD`, so a stream never answers one.
+        (Handler::Stream, Some(job)) => stream_rows(writer, &job, reply.close),
         // A well-formed id whose job is evicted or never existed.
         (Handler::Status | Handler::Result | Handler::Stream, None) => {
             refuse(writer, Refusal::NoSuchJob)
@@ -444,11 +452,15 @@ fn route<W: Write>(
                 cache: stats.cache,
                 rss_kb: rss_kb(),
             };
-            write_json(writer, 200, &body, close)
+            write_json(writer, 200, &body, reply)
         }
         (Handler::Shutdown, _) => {
             let body = StatusBody { status: "draining" };
-            write_json(writer, 200, &body, true)?;
+            let reply = Reply {
+                close: true,
+                ..reply
+            };
+            write_json(writer, 200, &body, reply)?;
             shutdown.store(true, Ordering::Relaxed);
             Ok(())
         }
@@ -505,6 +517,46 @@ mod tests {
         for target in ["/status/", "/status/a/b", "/stream/62F0E9BE5DC00C86"] {
             assert_eq!(parse("GET", target), Err(Refusal::NoSuchJob), "{target}");
         }
+    }
+
+    #[test]
+    fn a_head_reply_has_no_body_so_the_next_reply_follows_it() {
+        use crate::http::{read_body, read_headers, read_line};
+        use std::io::{BufRead, Read};
+
+        let server = Server::bind(&ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let shutdown = server.shutdown_handle();
+        let daemon = std::thread::spawn(move || server.run());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(
+                b"HEAD /health HTTP/1.1\r\n\r\nGET /health HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        shutdown.shutdown();
+        daemon.join().unwrap().unwrap();
+
+        let mut reader = &raw[..];
+        assert_eq!(
+            read_line(&mut reader).unwrap(),
+            "HTTP/1.1 405 Method Not Allowed"
+        );
+        read_headers(&mut reader).unwrap();
+        assert_eq!(read_line(&mut reader).unwrap(), "HTTP/1.1 200 OK");
+        let headers = read_headers(&mut reader).unwrap();
+        let body = String::from_utf8(read_body(&mut reader, &headers).unwrap()).unwrap();
+        assert!(
+            serde_json::from_str::<serde::Value>(&body).is_ok(),
+            "{body}"
+        );
+        assert!(reader.fill_buf().unwrap().is_empty());
     }
 
     #[test]
