@@ -60,19 +60,39 @@ impl CsvTable {
         );
         let mut table = Self::new(columns.iter().copied());
         for row in rows {
-            let value = row.to_value();
-            let fields = value
-                .as_object()
-                .expect("a struct with named fields serializes to an object");
-            table.push_row(fields.iter().map(|(column, value)| match value {
+            table.push_row(Self::cells(row));
+        }
+        table
+    }
+
+    /// One row struct's cells, by the rules of [`CsvTable::from_rows`]
+    /// and unescaped; [`CsvTable::line`] joins them.
+    ///
+    /// # Panics
+    ///
+    /// As [`CsvTable::from_rows`].
+    pub fn cells<T: Serialize>(row: &T) -> Vec<String> {
+        let value = row.to_value();
+        let fields = value
+            .as_object()
+            .expect("a struct with named fields serializes to an object");
+        fields
+            .iter()
+            .map(|(column, value)| match value {
                 Value::Int(v) => v.to_string(),
                 Value::UInt(v) => v.to_string(),
                 Value::Float(v) => Self::fmt_float(*v),
                 Value::Str(s) => s.clone(),
                 other => panic!("column `{column}` is not a CSV scalar: {}", other.kind()),
-            }));
-        }
-        table
+            })
+            .collect()
+    }
+
+    /// One CSV line, without its newline: each field escaped, then
+    /// joined with commas.
+    pub fn line<S: AsRef<str>>(fields: &[S]) -> String {
+        let fields: Vec<String> = fields.iter().map(|f| Self::escape(f.as_ref())).collect();
+        fields.join(",")
     }
 
     /// Appends a row.
@@ -122,11 +142,8 @@ impl CsvTable {
     /// Renders the table as a CSV string (header + rows, `\n` separated).
     pub fn to_csv_string(&self) -> String {
         let mut out = String::new();
-        let header: Vec<String> = self.columns.iter().map(|c| Self::escape(c)).collect();
-        let _ = writeln!(out, "{}", header.join(","));
-        for row in &self.rows {
-            let fields: Vec<String> = row.iter().map(|f| Self::escape(f)).collect();
-            let _ = writeln!(out, "{}", fields.join(","));
+        for line in std::iter::once(&self.columns).chain(&self.rows) {
+            let _ = writeln!(out, "{}", Self::line(line));
         }
         out
     }

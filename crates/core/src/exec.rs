@@ -222,9 +222,9 @@ mod tests {
     #[test]
     fn job_accessors() {
         // A grid cell is its spec: it contributes one progress step per
-        // file, and the engine reads the flattened view of it.
+        // file.
         let job = SimSpec::paper_defaults();
         assert_eq!(total_steps(&[job.clone(), job.clone()]), 20_000);
-        assert_eq!(job.to_config().nodes, 1000);
+        assert_eq!(job.topology.nodes, 1000);
     }
 }

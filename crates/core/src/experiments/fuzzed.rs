@@ -179,7 +179,7 @@ pub fn run(executor: &Executor, obs: &mut GridObservation) -> Result<FuzzedExper
             let gini_k20 = reports[twin_slots[1]].f2_income_gini();
             FuzzedRow {
                 name: (*name).to_string(),
-                mechanism: spec.to_config().mechanism.id().to_string(),
+                mechanism: spec.economics.mechanism.id().to_string(),
                 gini_k4,
                 gini_k20,
                 inversion: gini_k20 - gini_k4,

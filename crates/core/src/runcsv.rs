@@ -77,7 +77,7 @@ mod tests {
         spec.topology.nodes = 80;
         spec.workload.files = 10;
         let report = spec.build().unwrap().run();
-        let csv = run_summary_csv(&spec.to_config(), &report);
+        let csv = run_summary_csv(report.config(), &report);
         assert_eq!(csv.len(), 1);
         let text = csv.to_csv_string();
         assert!(text.starts_with(

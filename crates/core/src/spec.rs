@@ -737,8 +737,8 @@ mod tests {
         assert!(json.contains(r#""max_retries":3"#), "{json}");
         let back = SimSpec::from_json(&json).unwrap();
         assert_eq!(back, spec);
-        assert_eq!(back.to_config().max_retries, 3);
-        assert_eq!(back.to_config().repair_source, RepairSource::Originator);
+        assert_eq!(back.policies.max_retries, 3);
+        assert_eq!(back.policies.repair_source, RepairSource::Originator);
         // Old documents without the new keys parse to the defaults.
         let old = SimSpec::from_json(
             r#"{ "policies": { "route": "Greedy", "cache": "None", "repair": "None" } }"#,

@@ -1,10 +1,12 @@
-//! Job records: lifecycle state, the finished result, and the row log
-//! that `/stream/<job>` tails live and replays once it is closed.
+//! Job records: one mutex over a job's stream rows and its outcome, so
+//! `/stream/<job>` ends exactly when the job is done or failed, and a
+//! finished job's rows are its replay.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use fairswap_core::{CsvTable, EpochSnapshot, SpecHash, StepObserver};
+use serde::Serialize;
 
 /// Lifecycle of a job, as reported by `/status/<job>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +34,6 @@ impl JobState {
 }
 
 /// The immutable outcome of a finished job — what `/result` answers.
-/// The stream rows stay in the job's [`RowLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobResult {
     /// The `run.csv` bytes — byte-identical to `fairswap run --config`
@@ -41,123 +42,88 @@ pub struct JobResult {
     pub csv: Vec<u8>,
 }
 
-/// Columns of the `/stream/<job>` per-epoch CSV — a digest of
-/// [`EpochSnapshot`] counters chosen to make live dashboards cheap. All
-/// counters are totals since run start, like the snapshots themselves.
-pub const STREAM_COLUMNS: [&str; 12] = [
-    "epoch",
-    "step",
-    "live",
-    "requests",
-    "delivered",
-    "stuck",
-    "capacity_blocked",
-    "detoured",
-    "forwarded",
-    "cache_hits",
-    "repair_events",
-    "f2_gini",
-];
+/// One row of the `/stream/<job>` per-epoch CSV — a digest of
+/// [`EpochSnapshot`] counters chosen to make live dashboards cheap. The
+/// field list is the stream's header; all counters are totals since run
+/// start, like the snapshots themselves.
+#[derive(Serialize)]
+pub struct StreamRow {
+    epoch: u64,
+    step: u64,
+    live: u64,
+    requests: u64,
+    delivered: u64,
+    stuck: u64,
+    capacity_blocked: u64,
+    detoured: u64,
+    forwarded: u64,
+    cache_hits: u64,
+    repair_events: u64,
+    f2_gini: f64,
+}
 
-/// Renders one stream row from an epoch snapshot. Deterministic: same
-/// spec, same rows, regardless of worker count or scheduling.
+/// Renders one stream row from an epoch snapshot, by the cell rules of
+/// every other CSV. Deterministic: same spec, same rows, regardless of
+/// worker count or scheduling.
 pub fn stream_row(s: &EpochSnapshot) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{}",
-        s.epoch,
-        s.step,
-        s.live,
-        s.requests,
-        s.delivered,
-        s.stuck,
-        s.capacity_blocked,
-        s.detoured,
-        s.forwarded,
-        s.cache_hits,
-        s.repair_events,
-        CsvTable::fmt_float(s.f2_gini),
-    )
+    let row = StreamRow {
+        epoch: s.epoch,
+        step: s.step,
+        live: s.live,
+        requests: s.requests,
+        delivered: s.delivered,
+        stuck: s.stuck,
+        capacity_blocked: s.capacity_blocked,
+        detoured: s.detoured,
+        forwarded: s.forwarded,
+        cache_hits: s.cache_hits,
+        repair_events: s.repair_events,
+        f2_gini: s.f2_gini,
+    };
+    CsvTable::line(&CsvTable::cells(&row))
 }
 
 /// The header line of the stream CSV.
 pub fn stream_header() -> String {
-    STREAM_COLUMNS.join(",")
-}
-
-/// An append-only log of stream rows with blocking tail semantics.
-///
-/// Workers push rows as the simulation emits epoch snapshots; any number
-/// of stream connections tail the log concurrently, each at its own
-/// offset. Closing the log wakes every tailer one final time; a closed
-/// log read from offset 0 replays the whole run.
-#[derive(Debug, Default)]
-pub struct RowLog {
-    state: Mutex<RowLogState>,
-    grew: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct RowLogState {
-    rows: Vec<String>,
-    closed: bool,
-}
-
-impl RowLog {
-    /// Appends one row and wakes tailers.
-    pub fn push(&self, row: String) {
-        let mut state = self.state.lock().expect("row log poisoned");
-        state.rows.push(row);
-        self.grew.notify_all();
-    }
-
-    /// Marks the log complete and wakes tailers.
-    pub fn close(&self) {
-        let mut state = self.state.lock().expect("row log poisoned");
-        state.closed = true;
-        self.grew.notify_all();
-    }
-
-    /// Rows past `offset`, blocking until the log grows beyond it or
-    /// closes. Returns the new rows plus whether the log is closed (the
-    /// tailer's termination signal once it has drained everything).
-    pub fn wait_past(&self, offset: usize, timeout: Duration) -> (Vec<String>, bool) {
-        let mut state = self.state.lock().expect("row log poisoned");
-        while state.rows.len() <= offset && !state.closed {
-            let (next, wait) = self
-                .grew
-                .wait_timeout(state, timeout)
-                .expect("row log poisoned");
-            state = next;
-            if wait.timed_out() {
-                break;
-            }
-        }
-        (
-            state.rows.get(offset..).unwrap_or(&[]).to_vec(),
-            state.closed,
-        )
-    }
+    CsvTable::line(StreamRow::field_names())
 }
 
 /// One job: the run of one distinct spec, shared between the HTTP
 /// handlers, the scheduler's job table and its workers.
+///
+/// Its stream rows and its outcome sit under one mutex with one condvar:
+/// a row append wakes stream tailers, and finishing wakes tailers and
+/// `/result` waiters alike. Any number of stream connections tail the
+/// rows concurrently, each at its own offset.
 #[derive(Debug)]
 pub struct Job {
     /// Canonical-JSON content hash of the spec — also the job's id.
     pub hash: SpecHash,
     /// The canonical serialized spec the workers execute.
     pub canonical: String,
-    /// Stream rows: live while the job runs, the replay once it is done.
-    pub rows: RowLog,
-    state: Mutex<JobProgress>,
-    finished: Condvar,
+    inner: Mutex<JobInner>,
+    changed: Condvar,
 }
 
 #[derive(Debug)]
-struct JobProgress {
-    state: JobState,
-    result: Option<Arc<JobResult>>,
-    error: Option<String>,
+struct JobInner {
+    /// Stream rows: live while the job runs, the replay once it is done.
+    rows: Vec<String>,
+    outcome: Outcome,
+}
+
+#[derive(Debug)]
+enum Outcome {
+    Queued,
+    Running,
+    Done(Arc<JobResult>),
+    Failed(String),
+}
+
+impl Outcome {
+    fn finished(&self) -> bool {
+        matches!(self, Outcome::Done(_) | Outcome::Failed(_))
+    }
 }
 
 impl Job {
@@ -166,99 +132,96 @@ impl Job {
         Self {
             hash,
             canonical,
-            rows: RowLog::default(),
-            state: Mutex::new(JobProgress {
-                state: JobState::Queued,
-                result: None,
-                error: None,
+            inner: Mutex::new(JobInner {
+                rows: Vec::new(),
+                outcome: Outcome::Queued,
             }),
-            finished: Condvar::new(),
+            changed: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, JobInner> {
+        self.inner.lock().expect("job poisoned")
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> JobState {
-        self.state.lock().expect("job state poisoned").state
-    }
-
-    /// The failure message, if the job failed.
-    pub fn error(&self) -> Option<String> {
-        self.state.lock().expect("job state poisoned").error.clone()
+        match self.lock().outcome {
+            Outcome::Queued => JobState::Queued,
+            Outcome::Running => JobState::Running,
+            Outcome::Done(_) => JobState::Done,
+            Outcome::Failed(_) => JobState::Failed,
+        }
     }
 
     /// Marks the job as picked up by a worker.
     pub fn start(&self) {
-        self.state.lock().expect("job state poisoned").state = JobState::Running;
+        self.lock().outcome = Outcome::Running;
     }
 
-    /// Records the finished result and wakes `/result` waiters.
-    pub fn complete(&self, result: Arc<JobResult>) {
-        let mut progress = self.state.lock().expect("job state poisoned");
-        progress.result = Some(result);
-        progress.state = JobState::Done;
-        self.finished.notify_all();
+    /// Appends one stream row and wakes tailers.
+    fn push_row(&self, row: String) {
+        self.lock().rows.push(row);
+        self.changed.notify_all();
     }
 
-    /// Records a failure and wakes `/result` waiters.
-    pub fn fail(&self, message: String) {
-        let mut progress = self.state.lock().expect("job state poisoned");
-        progress.error = Some(message);
-        progress.state = JobState::Failed;
-        self.finished.notify_all();
+    /// Records the job's result or failure, which also ends its stream,
+    /// and wakes every waiter.
+    pub fn finish(&self, outcome: Result<Arc<JobResult>, String>) {
+        self.lock().outcome = match outcome {
+            Ok(result) => Outcome::Done(result),
+            Err(message) => Outcome::Failed(message),
+        };
+        self.changed.notify_all();
     }
 
     /// Blocks until the job finishes (or `timeout` elapses) and returns
     /// the result, a failure message, or `None` on timeout.
     pub fn wait_result(&self, timeout: Duration) -> Option<Result<Arc<JobResult>, String>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut progress = self.state.lock().expect("job state poisoned");
-        loop {
-            match progress.state {
-                JobState::Done => {
-                    return Some(Ok(progress.result.clone().expect("done job has a result")))
-                }
-                JobState::Failed => {
-                    return Some(Err(progress
-                        .error
-                        .clone()
-                        .unwrap_or_else(|| "unknown failure".to_string())))
-                }
-                JobState::Queued | JobState::Running => {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let (next, _) = self
-                        .finished
-                        .wait_timeout(progress, deadline - now)
-                        .expect("job state poisoned");
-                    progress = next;
-                }
-            }
+        match &self
+            .wait_while(timeout, |inner| !inner.outcome.finished())
+            .outcome
+        {
+            Outcome::Queued | Outcome::Running => None,
+            Outcome::Done(result) => Some(Ok(Arc::clone(result))),
+            Outcome::Failed(message) => Some(Err(message.clone())),
         }
     }
-}
 
-/// The [`StepObserver`] a worker runs a job under: formats every epoch
-/// snapshot into one stream row. Observation is read-only (the core's
-/// non-perturbation invariant), so the produced report — and therefore
-/// the `/result` bytes — are identical to an unobserved batch run.
-pub struct RowObserver<'a> {
-    log: &'a RowLog,
-}
+    /// Rows past `offset`, blocking until there are some or the job
+    /// finishes (or `timeout` elapses). Returns the new rows plus whether
+    /// the job has finished — read under one lock, so a finished job has
+    /// just handed over its last rows.
+    pub fn wait_rows(&self, offset: usize, timeout: Duration) -> (Vec<String>, bool) {
+        let inner = self.wait_while(timeout, |inner| {
+            inner.rows.len() <= offset && !inner.outcome.finished()
+        });
+        let rows = inner.rows.get(offset..).unwrap_or(&[]).to_vec();
+        (rows, inner.outcome.finished())
+    }
 
-impl<'a> RowObserver<'a> {
-    /// Observes into `log`.
-    pub fn new(log: &'a RowLog) -> Self {
-        Self { log }
+    fn wait_while(
+        &self,
+        timeout: Duration,
+        waiting: impl FnMut(&mut JobInner) -> bool,
+    ) -> MutexGuard<'_, JobInner> {
+        let (inner, _) = self
+            .changed
+            .wait_timeout_while(self.lock(), timeout, waiting)
+            .expect("job poisoned");
+        inner
     }
 }
 
-impl StepObserver for RowObserver<'_> {
+/// A job observes its own run: every epoch snapshot becomes one stream
+/// row. Observation is read-only (the core's non-perturbation
+/// invariant), so the produced report — and therefore the `/result`
+/// bytes — are identical to an unobserved batch run.
+impl StepObserver for &Job {
     const ENABLED: bool = true;
 
     fn on_epoch(&mut self, snapshot: &EpochSnapshot) {
-        self.log.push(stream_row(snapshot));
+        self.push_row(stream_row(snapshot));
     }
 }
 
@@ -271,33 +234,54 @@ mod tests {
         SimSpec::paper_defaults().content_hash().unwrap()
     }
 
+    fn result() -> Arc<JobResult> {
+        Arc::new(JobResult {
+            csv: b"header\n1\n".to_vec(),
+        })
+    }
+
     #[test]
-    fn row_log_tails_across_threads_and_replays_when_closed() {
-        let log = Arc::new(RowLog::default());
+    fn rows_tail_across_threads_and_replay_once_the_job_finishes() {
+        let job = Arc::new(Job::queued(hash(), "{}".into()));
         let writer = {
-            let log = Arc::clone(&log);
+            let job = Arc::clone(&job);
             std::thread::spawn(move || {
+                job.start();
                 for i in 0..5 {
-                    log.push(format!("row-{i}"));
+                    job.push_row(format!("row-{i}"));
                 }
-                log.close();
+                job.finish(Ok(result()));
             })
         };
         let mut seen = Vec::new();
         loop {
-            let (rows, closed) = log.wait_past(seen.len(), Duration::from_secs(5));
+            let (rows, finished) = job.wait_rows(seen.len(), Duration::from_secs(5));
             seen.extend(rows);
-            if closed && seen.len() >= 5 {
+            if finished {
                 break;
             }
         }
         writer.join().unwrap();
         assert_eq!(seen, (0..5).map(|i| format!("row-{i}")).collect::<Vec<_>>());
 
-        // A closed log read again from the start replays every row.
-        let (rows, closed) = log.wait_past(0, Duration::from_millis(1));
-        assert!(closed);
+        // A finished job read again from the start replays every row.
+        let (rows, finished) = job.wait_rows(0, Duration::from_millis(1));
+        assert!(finished);
         assert_eq!(rows, seen);
+    }
+
+    #[test]
+    fn the_stream_ends_exactly_when_the_job_finishes() {
+        let job = Job::queued(hash(), "{}".into());
+        job.start();
+        job.push_row("row-0".into());
+        let (rows, finished) = job.wait_rows(0, Duration::from_millis(1));
+        assert_eq!((rows.len(), finished), (1, false));
+        assert_eq!(job.wait_rows(1, Duration::from_millis(1)), (vec![], false));
+        assert_eq!(job.state(), JobState::Running);
+        job.finish(Err("boom".into()));
+        assert_eq!(job.wait_rows(1, Duration::from_millis(1)), (vec![], true));
+        assert_eq!(job.state(), JobState::Failed);
     }
 
     #[test]
@@ -308,16 +292,13 @@ mod tests {
         assert!(job.wait_result(Duration::from_millis(5)).is_none());
         job.start();
         assert_eq!(job.state(), JobState::Running);
-        let result = Arc::new(JobResult {
-            csv: b"header\n1\n".to_vec(),
-        });
-        job.complete(Arc::clone(&result));
+        job.finish(Ok(result()));
         assert_eq!(job.state(), JobState::Done);
         let got = job.wait_result(Duration::from_secs(1)).unwrap().unwrap();
-        assert_eq!(got, result);
+        assert_eq!(got, result());
 
         let failed = Job::queued(hash(), "{}".into());
-        failed.fail("boom".into());
+        failed.finish(Err("boom".into()));
         assert_eq!(
             failed
                 .wait_result(Duration::from_secs(1))
@@ -325,7 +306,6 @@ mod tests {
                 .unwrap_err(),
             "boom"
         );
-        assert_eq!(failed.error().as_deref(), Some("boom"));
     }
 
     #[test]
@@ -340,9 +320,33 @@ mod tests {
             f2_gini: 0.25,
             ..EpochSnapshot::default()
         };
-        let row = stream_row(&snapshot);
-        assert_eq!(row.split(',').count(), STREAM_COLUMNS.len());
-        assert!(row.starts_with("2,64,100,640,600,40,"));
-        assert_eq!(stream_header().split(',').count(), STREAM_COLUMNS.len());
+        assert_eq!(
+            stream_row(&snapshot),
+            "2,64,100,640,600,40,0,0,0,0,0,0.250000"
+        );
+        assert_eq!(
+            stream_header(),
+            "epoch,step,live,requests,delivered,stuck,capacity_blocked,detoured,forwarded,\
+             cache_hits,repair_events,f2_gini"
+        );
+    }
+
+    #[test]
+    fn serve_md_lists_the_stream_columns() {
+        // The `/stream` section of docs/SERVE.md shows the header in a
+        // `csv` block.
+        let section = include_str!("../../../docs/SERVE.md")
+            .split("### `GET /stream/<job>`")
+            .nth(1)
+            .and_then(|rest| rest.split("\n### ").next())
+            .expect("docs/SERVE.md has a /stream section");
+        let documented = section
+            .split("```csv\n")
+            .nth(1)
+            .and_then(|block| block.lines().next());
+        assert_eq!(
+            documented,
+            Some(StreamRow::field_names().join(",").as_str())
+        );
     }
 }

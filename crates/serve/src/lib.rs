@@ -15,7 +15,7 @@
 //!   over the canonical JSON form, and that hash is the job id. A
 //!   re-submitted spec (however its JSON was formatted) joins its
 //!   existing job — queued, running or finished — instead of re-running,
-//!   and a finished job's closed row log is its `/stream` replay. The
+//!   and a finished job's stream rows are its `/stream` replay. The
 //!   [`Scheduler`]'s one job table keeps unfinished jobs and the
 //!   `cache_cap` most recently used finished ones, so memory is bounded
 //!   however many submits arrive.
@@ -25,10 +25,11 @@
 //!   own spec, so neither start order nor worker count can change its
 //!   bytes.
 //!
-//! Module map: [`http`] speaks the wire protocol, [`job`] tracks one
-//! job's lifecycle and row log, [`scheduler`] owns the job table, the
-//! queue and the worker threads, [`server`] binds the socket and routes
-//! endpoints, and [`client`] is the matching blocking client.
+//! Module map: [`http`] speaks the wire protocol, [`job`] keeps one
+//! job's stream rows and outcome under one lock, [`scheduler`] keeps the
+//! job table, the queue and the counters under one lock and runs the
+//! worker threads, [`server`] binds the socket and routes endpoints, and
+//! [`client`] is the matching blocking client.
 
 pub mod client;
 pub mod http;
@@ -37,8 +38,6 @@ pub mod scheduler;
 pub mod server;
 
 pub use client::{Client, Response};
-pub use job::{
-    stream_header, stream_row, Job, JobResult, JobState, RowLog, RowObserver, STREAM_COLUMNS,
-};
+pub use job::{stream_header, stream_row, Job, JobResult, JobState, StreamRow};
 pub use scheduler::{CacheStats, Scheduler, SchedulerOptions, SchedulerStats, SubmitError};
 pub use server::{Endpoint, ServeOptions, ServeSummary, Server, ShutdownHandle, ENDPOINTS};

@@ -1,5 +1,7 @@
-//! Job scheduling: one job table keyed by spec hash, and a bounded FIFO
-//! submit queue served by a fixed set of long-lived worker threads.
+//! Job scheduling: one plain state machine (`Core`: the job table keyed
+//! by spec hash, the bounded FIFO submit queue and the counters) under
+//! one mutex, fed by a fixed set of long-lived worker threads and by the
+//! connection threads.
 //!
 //! A submit whose spec hash is already in the table joins that job; any
 //! other creates a job in the table and on the bounded queue. Each worker
@@ -8,18 +10,18 @@
 //! while a worker is idle. Jobs start in submission order, but neither
 //! that order nor the worker count can leak into results: every job
 //! derives all randomness from its own spec seed. An idle worker sleeps
-//! on a condvar; closing the queue lets the workers finish what is left
-//! and exit, and joining them is what graceful shutdown rides on.
+//! on the one condvar; closing the core lets the workers finish what is
+//! left and exit, and joining them is what graceful shutdown rides on.
 
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use fairswap_core::{run_summary_csv, SimSpec, SpecHash};
+use fairswap_core::{run_summary_csv, CoreError, SimSpec, SpecHash};
 use serde::Serialize;
 
-use crate::job::{Job, JobResult, RowObserver};
+use crate::job::{Job, JobResult};
 
 /// Scheduler sizing knobs (the `fairswap serve` flags).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,97 +104,136 @@ pub struct SchedulerStats {
     pub cache: CacheStats,
 }
 
+/// The scheduler's whole state, a plain state machine that neither
+/// blocks nor spawns: every job it can answer for, keyed by spec hash
+/// (queued and running jobs always, finished ones LRU up to `cache_cap`),
+/// the FIFO queue and the counters. Recency is the order of submits,
+/// lookups and retirements, not a clock, so retention is reproducible
+/// run-for-run. [`Scheduler`] keeps it under its one mutex; the worker
+/// and connection threads only lock it and feed it.
 #[derive(Default)]
-struct Queue {
+struct Core {
+    queue_cap: usize,
+    cache_cap: usize,
+    jobs: HashMap<SpecHash, Arc<Job>>,
+    /// The finished jobs in `jobs`, least recently used first.
+    finished: VecDeque<SpecHash>,
     pending: VecDeque<Arc<Job>>,
-    running: usize,
     open: bool,
-}
-
-/// Every job the scheduler can answer for, keyed by spec hash: queued and
-/// running jobs always, finished ones LRU up to `cap`. Recency is a
-/// deterministic access stamp (a counter, not a clock), so retention is
-/// reproducible run-for-run.
-#[derive(Default)]
-struct Table {
-    cap: usize,
-    stamp: u64,
-    jobs: HashMap<SpecHash, Entry>,
-    /// Every counter except the queue gauges, which live on the queue.
+    /// Every counter but `queued` and `cache.entries`, which are the
+    /// lengths of `pending` and `finished`.
     stats: SchedulerStats,
+    /// The worker threads, handed to `drain` by `close` to be joined.
+    workers: Vec<JoinHandle<()>>,
 }
 
-struct Entry {
-    job: Arc<Job>,
-    stamp: u64,
-    finished: bool,
-}
-
-impl Table {
-    /// The job for `hash`, refreshing its recency.
-    fn touch(&mut self, hash: SpecHash) -> Option<Arc<Job>> {
-        self.stamp += 1;
-        let entry = self.jobs.get_mut(&hash)?;
-        entry.stamp = self.stamp;
-        Some(Arc::clone(&entry.job))
+impl Core {
+    /// An open core; both capacities are clamped to at least 1.
+    fn new(queue_cap: usize, cache_cap: usize) -> Self {
+        Self {
+            queue_cap: queue_cap.max(1),
+            cache_cap: cache_cap.max(1),
+            open: true,
+            ..Self::default()
+        }
     }
 
-    /// Adds a freshly created job.
-    fn insert(&mut self, job: Arc<Job>) {
-        self.stamp += 1;
+    /// The job for `hash`, refreshing its recency.
+    fn lookup(&mut self, hash: SpecHash) -> Option<Arc<Job>> {
+        let job = Arc::clone(self.jobs.get(&hash)?);
+        if let Some(at) = self.finished.iter().rposition(|&h| h == hash) {
+            self.finished.remove(at);
+            self.finished.push_back(hash);
+        }
+        Some(job)
+    }
+
+    /// A submit of the spec `hash` (canonical form `canonical`): a hit
+    /// joins the job in the table, in any state and even while draining
+    /// (`true`); a miss queues a new job (`false`).
+    fn admit(
+        &mut self,
+        hash: SpecHash,
+        canonical: String,
+    ) -> Result<(Arc<Job>, bool), SubmitError> {
+        if let Some(job) = self.lookup(hash) {
+            self.stats.cache.hits += 1;
+            return Ok((job, true));
+        }
+        if !self.open {
+            return Err(SubmitError::Draining);
+        }
+        if self.pending.len() >= self.queue_cap {
+            self.stats.rejected += 1;
+            return Err(SubmitError::QueueFull {
+                cap: self.queue_cap,
+            });
+        }
         self.stats.jobs += 1;
         self.stats.cache.misses += 1;
-        let entry = Entry {
-            job,
-            stamp: self.stamp,
-            finished: false,
-        };
-        self.jobs.insert(entry.job.hash, entry);
+        let job = Arc::new(Job::queued(hash, canonical));
+        self.jobs.insert(hash, Arc::clone(&job));
+        self.pending.push_back(Arc::clone(&job));
+        Ok((job, false))
     }
 
-    /// Counts a finished job and makes it the most recent retained one,
-    /// evicting the least-recently-used finished job beyond `cap`.
+    /// The oldest queued job, now counted as running.
+    fn take(&mut self) -> Option<Arc<Job>> {
+        let job = self.pending.pop_front()?;
+        self.stats.running += 1;
+        Some(job)
+    }
+
+    /// A running job finished: it leaves `running`, is counted as
+    /// completed or failed, and becomes the most recent retained job,
+    /// evicting the least recently used finished job beyond `cache_cap`.
     fn retire(&mut self, hash: SpecHash, succeeded: bool) {
+        self.stats.running -= 1;
         if succeeded {
             self.stats.completed += 1;
         } else {
             self.stats.failed += 1;
         }
-        self.stamp += 1;
-        let entry = self
-            .jobs
-            .get_mut(&hash)
-            .expect("unfinished jobs stay in the table");
-        entry.stamp = self.stamp;
-        entry.finished = true;
-        self.stats.cache.entries += 1;
-        if self.stats.cache.entries > self.cap {
-            let oldest = self
-                .jobs
-                .iter()
-                .filter(|(_, entry)| entry.finished)
-                .min_by_key(|(_, entry)| entry.stamp)
-                .map(|(&hash, _)| hash)
-                .expect("over capacity means a finished job is retained");
+        self.finished.push_back(hash);
+        if self.finished.len() > self.cache_cap {
+            let oldest = self.finished.pop_front().expect("over capacity");
             self.jobs.remove(&oldest);
-            self.stats.cache.entries -= 1;
             self.stats.cache.evictions += 1;
         }
+    }
+
+    /// Stops admitting new jobs (queued ones still run) and hands back
+    /// the worker threads to join; empty once closed.
+    fn close(&mut self) -> Vec<JoinHandle<()>> {
+        self.open = false;
+        std::mem::take(&mut self.workers)
+    }
+
+    /// Every counter, so `jobs == completed + failed + queued + running`.
+    fn stats(&self) -> SchedulerStats {
+        let mut stats = self.stats;
+        stats.queued = self.pending.len();
+        stats.cache.entries = self.finished.len();
+        stats
     }
 }
 
 struct Shared {
-    queue_cap: usize,
-    queue: Mutex<Queue>,
+    core: Mutex<Core>,
+    /// Signalled when a job is queued or the core closes.
     work: Condvar,
-    table: Mutex<Table>,
 }
 
-/// The scheduler: owns the queue, the job table and the worker threads.
+impl Shared {
+    fn core(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect("scheduler poisoned")
+    }
+}
+
+/// The scheduler: owns the job table, the queue and the worker threads.
 /// Shared across connection handlers behind an `Arc`.
 pub struct Scheduler {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Scheduler {
@@ -201,16 +242,8 @@ impl Scheduler {
     /// until its submitter has read it.
     pub fn start(options: SchedulerOptions) -> Self {
         let shared = Arc::new(Shared {
-            queue_cap: options.queue_cap.max(1),
-            queue: Mutex::new(Queue {
-                open: true,
-                ..Queue::default()
-            }),
+            core: Mutex::new(Core::new(options.queue_cap, options.cache_cap)),
             work: Condvar::new(),
-            table: Mutex::new(Table {
-                cap: options.cache_cap.max(1),
-                ..Table::default()
-            }),
         });
         let workers = match options.workers {
             0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
@@ -222,10 +255,8 @@ impl Scheduler {
                 std::thread::spawn(move || serve_queue(&shared))
             })
             .collect();
-        Self {
-            shared,
-            workers: Mutex::new(workers),
-        }
+        shared.core().workers = workers;
+        Self { shared }
     }
 
     /// Validates one spec document and returns its job: the existing one
@@ -244,129 +275,73 @@ impl Scheduler {
     /// [`Scheduler::submit`], also telling whether an existing job
     /// answered (`true`) or a new one was created (`false`).
     pub(crate) fn admit(&self, body: &str) -> Result<(Arc<Job>, bool), SubmitError> {
-        let spec = SimSpec::from_json(body).map_err(|e| SubmitError::InvalidSpec(e.to_string()))?;
-        spec.validate()
-            .map_err(|e| SubmitError::InvalidSpec(e.to_string()))?;
-        let canonical = spec
-            .to_json()
-            .map_err(|e| SubmitError::InvalidSpec(e.to_string()))?;
-        let hash = spec
-            .content_hash()
-            .map_err(|e| SubmitError::InvalidSpec(e.to_string()))?;
-
-        // Hold the table lock across lookup and admission so identical
-        // racing submits create one job, and the queue lock so they cannot
-        // overshoot its bound (lock order is table → queue; nothing nests
-        // them the other way).
-        let mut table = self.shared.table.lock().expect("job table poisoned");
-        if let Some(job) = table.touch(hash) {
-            table.stats.cache.hits += 1;
-            return Ok((job, true));
+        let invalid = |e: CoreError| SubmitError::InvalidSpec(e.to_string());
+        let spec = SimSpec::from_json(body).map_err(invalid)?;
+        spec.validate().map_err(invalid)?;
+        let canonical = spec.to_json().map_err(invalid)?;
+        let hash = spec.content_hash().map_err(invalid)?;
+        let (job, joined) = self.shared.core().admit(hash, canonical)?;
+        if !joined {
+            self.shared.work.notify_one();
         }
-        let mut queue = self.shared.queue.lock().expect("queue poisoned");
-        if !queue.open {
-            return Err(SubmitError::Draining);
-        }
-        if queue.pending.len() >= self.shared.queue_cap {
-            table.stats.rejected += 1;
-            return Err(SubmitError::QueueFull {
-                cap: self.shared.queue_cap,
-            });
-        }
-        let job = Arc::new(Job::queued(hash, canonical));
-        table.insert(Arc::clone(&job));
-        queue.pending.push_back(Arc::clone(&job));
-        self.shared.work.notify_one();
-        Ok((job, false))
+        Ok((job, joined))
     }
 
     /// Looks up a job by id (its spec hash), refreshing its recency.
     /// `None` once a finished job has been evicted.
     pub fn job(&self, hash: SpecHash) -> Option<Arc<Job>> {
-        self.shared
-            .table
-            .lock()
-            .expect("job table poisoned")
-            .touch(hash)
+        self.shared.core().lookup(hash)
     }
 
-    /// Current queue and job-table counters, one consistent snapshot:
-    /// both locks are held (table → queue, as in `admit`), so
+    /// Current queue and job-table counters, one snapshot of the core, so
     /// `jobs == completed + failed + queued + running` at every read.
     pub fn stats(&self) -> SchedulerStats {
-        let table = self.shared.table.lock().expect("job table poisoned");
-        let queue = self.shared.queue.lock().expect("queue poisoned");
-        SchedulerStats {
-            queued: queue.pending.len(),
-            running: queue.running,
-            ..table.stats
-        }
+        self.shared.core().stats()
     }
 
     /// Stops accepting work, finishes everything already queued, and
     /// joins the worker threads. Idempotent.
     pub fn drain(&self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("queue poisoned");
-            queue.open = false;
-            self.shared.work.notify_all();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
+        let workers = self.shared.core().close();
+        self.shared.work.notify_all();
         for worker in workers {
             worker.join().expect("scheduler worker panicked");
         }
     }
 }
 
-/// One worker's loop: take the oldest queued job, run it, repeat; exit
-/// once the queue is closed and empty.
+/// One worker's loop: take the oldest queued job, run it, retire it,
+/// repeat; exit once the core is closed and its queue is empty.
 fn serve_queue(shared: &Shared) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
+            let mut core = shared.core();
             loop {
-                if let Some(job) = queue.pending.pop_front() {
-                    queue.running += 1;
+                if let Some(job) = core.take() {
                     break job;
                 }
-                if !queue.open {
+                if !core.open {
                     return;
                 }
-                queue = shared.work.wait(queue).expect("queue poisoned");
+                core = shared.work.wait(core).expect("scheduler poisoned");
             }
         };
-        execute(shared, &job);
-    }
-}
-
-/// Runs one job end to end and publishes its outcome.
-fn execute(shared: &Shared, job: &Arc<Job>) {
-    job.start();
-    let outcome = run_job(job);
-    job.rows.close();
-    // Retire and leave `running` in one critical section (table → queue),
-    // so no `stats` snapshot counts the job twice or not at all; and do it
-    // before publishing, so a waiter woken by `complete` or `fail` already
-    // sees this job in the counters.
-    {
-        let mut table = shared.table.lock().expect("job table poisoned");
-        table.retire(job.hash, outcome.is_ok());
-        shared.queue.lock().expect("queue poisoned").running -= 1;
-    }
-    match outcome {
-        Ok(result) => job.complete(result),
-        Err(message) => job.fail(message),
+        job.start();
+        let outcome = run_job(&job);
+        // Retire before finishing, so a waiter woken by `finish` already
+        // sees this job in the counters.
+        shared.core().retire(job.hash, outcome.is_ok());
+        job.finish(outcome);
     }
 }
 
 /// Builds and runs the job's simulation under the row observer, then
 /// serializes through the same `run_summary_csv` path as the batch CLI —
 /// the byte-identity guarantee between `/result` and `fairswap run`.
-fn run_job(job: &Arc<Job>) -> Result<Arc<JobResult>, String> {
+fn run_job(job: &Job) -> Result<Arc<JobResult>, String> {
     let spec = SimSpec::from_json(&job.canonical).map_err(|e| e.to_string())?;
     let sim = spec.build().map_err(|e| e.to_string())?;
-    let mut observer = RowObserver::new(&job.rows);
-    let report = sim.run_observed(|_, _| {}, &mut observer);
+    let report = sim.run_observed(|_, _| {}, &mut &*job);
     let csv = run_summary_csv(report.config(), &report)
         .to_csv_string()
         .into_bytes();
@@ -377,6 +352,7 @@ fn run_job(job: &Arc<Job>) -> Result<Arc<JobResult>, String> {
 mod tests {
     use super::*;
     use crate::job::JobState;
+    use proptest::prelude::*;
     use std::time::Duration;
 
     fn small_spec(seed: u64) -> String {
@@ -421,17 +397,17 @@ mod tests {
             .expect("job finishes")
             .expect("job succeeds");
         assert!(result.csv.starts_with(b"nodes,bits,k,"));
-        let (rows, closed) = first.rows.wait_past(0, Duration::from_millis(1));
-        assert!(closed && !rows.is_empty());
+        let (rows, finished) = first.wait_rows(0, Duration::from_millis(1));
+        assert!(finished && !rows.is_empty());
 
         // Identical spec (even with different formatting) is answered by
-        // the same job, whose closed log replays the run's rows.
+        // the same job, which replays the run's rows.
         let spaced = small_spec(1).replace('{', "{ ");
         let (second, cached) = scheduler.admit(&spaced).unwrap();
         assert!(cached);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(second.state(), JobState::Done);
-        let (replay, _) = second.rows.wait_past(0, Duration::from_millis(1));
+        let (replay, _) = second.wait_rows(0, Duration::from_millis(1));
         assert_eq!(replay, rows);
 
         let stats = scheduler.stats();
@@ -665,5 +641,164 @@ mod tests {
         scheduler.drain();
         let stats = scheduler.stats();
         assert_eq!(stats.jobs, stats.completed + stats.failed);
+    }
+
+    /// The reference model of [`Core`]: the table as a `Vec` in LRU order
+    /// (least recent first) of `(hash, finished)`, the queue and the
+    /// running jobs as plain lists, and plain counters.
+    struct Model {
+        queue_cap: usize,
+        cache_cap: usize,
+        lru: Vec<(SpecHash, bool)>,
+        queue: VecDeque<SpecHash>,
+        running: Vec<SpecHash>,
+        open: bool,
+        stats: SchedulerStats,
+    }
+
+    impl Model {
+        fn touch(&mut self, hash: SpecHash) -> bool {
+            let Some(at) = self.lru.iter().position(|&(h, _)| h == hash) else {
+                return false;
+            };
+            let entry = self.lru.remove(at);
+            self.lru.push(entry);
+            true
+        }
+
+        /// `Ok(joined)` or the refusal.
+        fn admit(&mut self, hash: SpecHash) -> Result<bool, SubmitError> {
+            if self.touch(hash) {
+                self.stats.cache.hits += 1;
+                return Ok(true);
+            }
+            if !self.open {
+                return Err(SubmitError::Draining);
+            }
+            if self.queue.len() >= self.queue_cap {
+                self.stats.rejected += 1;
+                return Err(SubmitError::QueueFull {
+                    cap: self.queue_cap,
+                });
+            }
+            self.stats.jobs += 1;
+            self.stats.cache.misses += 1;
+            self.lru.push((hash, false));
+            self.queue.push_back(hash);
+            Ok(false)
+        }
+
+        fn retire(&mut self, hash: SpecHash, ok: bool) {
+            self.running.retain(|&h| h != hash);
+            if ok {
+                self.stats.completed += 1;
+            } else {
+                self.stats.failed += 1;
+            }
+            self.lru.retain(|&(h, _)| h != hash);
+            self.lru.push((hash, true));
+            if self.lru.iter().filter(|&&(_, finished)| finished).count() > self.cache_cap {
+                let oldest = self.lru.iter().position(|&(_, finished)| finished).unwrap();
+                self.lru.remove(oldest);
+                self.stats.cache.evictions += 1;
+            }
+        }
+
+        fn stats(&self) -> SchedulerStats {
+            let mut stats = self.stats;
+            stats.queued = self.queue.len();
+            stats.running = self.running.len();
+            stats.cache.entries = self.lru.iter().filter(|&&(_, finished)| finished).count();
+            stats
+        }
+    }
+
+    fn spec_hash(key: u64) -> SpecHash {
+        format!("{key:016x}").parse().unwrap()
+    }
+
+    proptest! {
+        /// Random sequences of submits, takes, retirements, lookups and a
+        /// close drive the core and the naive model in step. After every
+        /// input the counters, the `/health` equations, the table's LRU
+        /// order and both capacity bounds agree, and an identical hash
+        /// joins the one job created for it.
+        #[test]
+        fn core_matches_reference_model(
+            queue_cap in 0usize..5,
+            cache_cap in 0usize..5,
+            inputs in prop::collection::vec((0u8..6, 0u64..12, any::<bool>()), 0..200),
+        ) {
+            let mut core = Core::new(queue_cap, cache_cap);
+            let mut model = Model {
+                queue_cap: queue_cap.max(1),
+                cache_cap: cache_cap.max(1),
+                lru: Vec::new(),
+                queue: VecDeque::new(),
+                running: Vec::new(),
+                open: true,
+                stats: SchedulerStats::default(),
+            };
+            // The one job the core created for each hash still in the table.
+            let mut jobs: HashMap<SpecHash, Arc<Job>> = HashMap::new();
+            for (input, key, ok) in inputs {
+                let hash = spec_hash(key);
+                match input {
+                    0 | 1 => {
+                        let admitted = core.admit(hash, String::new());
+                        let expected = model.admit(hash);
+                        prop_assert_eq!(admitted.as_ref().map(|&(_, joined)| joined), expected.as_ref().copied());
+                        if let Ok((job, joined)) = admitted {
+                            prop_assert_eq!(job.hash, hash);
+                            if joined {
+                                prop_assert!(Arc::ptr_eq(&job, &jobs[&hash]), "a join gets the job in flight");
+                            } else {
+                                jobs.insert(hash, job);
+                            }
+                        }
+                    }
+                    2 => {
+                        let taken = core.take().map(|job| job.hash);
+                        let expected = model.queue.pop_front();
+                        model.running.extend(expected);
+                        prop_assert_eq!(taken, expected);
+                    }
+                    3 if !model.running.is_empty() => {
+                        let hash = model.running[key as usize % model.running.len()];
+                        core.retire(hash, ok);
+                        model.retire(hash, ok);
+                    }
+                    4 => {
+                        let found = core.lookup(hash);
+                        prop_assert_eq!(found.is_some(), model.touch(hash));
+                        if let Some(job) = found {
+                            prop_assert!(Arc::ptr_eq(&job, &jobs[&hash]));
+                        }
+                    }
+                    5 if key < 2 => {
+                        prop_assert!(core.close().is_empty());
+                        model.open = false;
+                    }
+                    _ => {}
+                }
+                jobs.retain(|hash, _| model.lru.iter().any(|(h, _)| h == hash));
+
+                let stats = core.stats();
+                prop_assert_eq!(stats, model.stats());
+                prop_assert_eq!(stats.jobs, stats.cache.misses);
+                let in_flight = (stats.queued + stats.running) as u64;
+                prop_assert_eq!(stats.jobs, stats.completed + stats.failed + in_flight);
+                prop_assert!(stats.queued <= model.queue_cap);
+                prop_assert!(stats.cache.entries <= model.cache_cap);
+                let mut held: Vec<SpecHash> = core.jobs.keys().copied().collect();
+                let mut expected: Vec<SpecHash> = model.lru.iter().map(|&(h, _)| h).collect();
+                held.sort_unstable();
+                expected.sort_unstable();
+                prop_assert_eq!(held, expected, "the table holds the model's jobs");
+                let finished: Vec<SpecHash> =
+                    model.lru.iter().filter(|&&(_, f)| f).map(|&(h, _)| h).collect();
+                prop_assert_eq!(Vec::from(core.finished.clone()), finished, "LRU order");
+            }
+        }
     }
 }

@@ -467,21 +467,19 @@ fn route<W: Write>(
     }
 }
 
-/// Streams the job's epoch rows as a chunked CSV: the pinned header
-/// first, then every row as it lands in the job's row log, terminating
-/// once the job finishes. A finished job replays its closed log.
+/// Streams the job's epoch rows as a chunked CSV: the header first, then
+/// every row as the job records it, ending exactly when the job is done
+/// or failed. A finished job replays its rows.
 fn stream_rows<W: Write>(writer: &mut W, job: &Job, close: bool) -> io::Result<()> {
     let mut chunked = ChunkedWriter::start(writer, "text/csv", close)?;
     chunked.write_chunk(format!("{}\n", stream_header()).as_bytes())?;
     let mut offset = 0;
     loop {
-        let (rows, closed) = job.rows.wait_past(offset, POLL_TICK);
+        let (rows, finished) = job.wait_rows(offset, POLL_TICK);
         offset += rows.len();
         let chunk: String = rows.iter().flat_map(|row| [row, "\n"]).collect();
         chunked.write_chunk(chunk.as_bytes())?;
-        // `wait_past` reads the rows and the flag under one lock, so a
-        // closed log has just handed over its last rows.
-        if closed {
+        if finished {
             return chunked.finish();
         }
     }

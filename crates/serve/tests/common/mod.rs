@@ -11,9 +11,8 @@ use fairswap_serve::{SchedulerOptions, ServeOptions, ServeSummary, Server, Shutd
 /// serialize with the same `run_summary_csv` the CLI `run` command uses.
 pub fn batch_csv(json: &str) -> Vec<u8> {
     let spec = SimSpec::from_json(json).expect("fixture spec parses");
-    let config = spec.to_config();
     let report = spec.build().expect("fixture spec builds").run();
-    run_summary_csv(&config, &report)
+    run_summary_csv(report.config(), &report)
         .to_csv_string()
         .into_bytes()
 }

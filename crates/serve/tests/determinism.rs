@@ -6,7 +6,8 @@
 mod common;
 
 use common::{batch_csv, TestServer};
-use fairswap_serve::{stream_header, Client, ENDPOINTS, STREAM_COLUMNS};
+use fairswap_serve::{stream_header, Client, StreamRow, ENDPOINTS};
+use serde::Serialize;
 
 /// Three small, distinct specs. Formatting varies deliberately — jobs
 /// are keyed by the canonical JSON's hash, so whitespace must not matter.
@@ -85,9 +86,9 @@ fn concurrent_clients_get_batch_identical_results() {
     assert!(text.contains("\"hits\":18"), "{text}");
     assert!(text.contains("\"misses\":3"), "{text}");
 
-    // Streaming: a resubmit names the original job, whose closed log
+    // Streaming: a resubmit names the original job, whose finished run
     // replays the same bytes on every read, and every row is a
-    // well-formed 12-column record.
+    // well-formed record as wide as `StreamRow`.
     let resubmit = probe
         .request("POST", "/submit", documents[0].as_bytes())
         .expect("submit");
@@ -106,7 +107,11 @@ fn concurrent_clients_get_batch_identical_results() {
     let mut last_epoch = 0u64;
     for line in lines {
         let fields: Vec<&str> = line.split(',').collect();
-        assert_eq!(fields.len(), STREAM_COLUMNS.len(), "corrupt row: {line}");
+        assert_eq!(
+            fields.len(),
+            StreamRow::field_names().len(),
+            "corrupt row: {line}"
+        );
         let epoch: u64 = fields[0].parse().expect("numeric epoch");
         assert!(epoch >= last_epoch, "epochs went backwards: {line}");
         last_epoch = epoch;
