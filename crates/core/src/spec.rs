@@ -138,6 +138,15 @@ pub struct PolicySpec {
 pub struct SpecHash(u64);
 
 impl SpecHash {
+    /// The hash of a spec's canonical JSON text, exactly as
+    /// [`SimSpec::to_json`] renders it: [`SimSpec::content_hash`] for a
+    /// caller that already holds that text, without serializing the spec
+    /// a second time. Other text (a document as submitted, say) hashes to
+    /// no spec's content hash in general.
+    pub fn of_canonical_json(canonical: &str) -> Self {
+        Self(fnv1a_64(canonical.as_bytes()))
+    }
+
     /// The raw 64-bit digest.
     pub fn as_u64(self) -> u64 {
         self.0
@@ -371,7 +380,7 @@ impl SimSpec {
     /// programmatically-built spec; documents parsed from JSON cannot
     /// carry them).
     pub fn content_hash(&self) -> Result<SpecHash, CoreError> {
-        Ok(SpecHash(fnv1a_64(self.to_json()?.as_bytes())))
+        Ok(SpecHash::of_canonical_json(&self.to_json()?))
     }
 }
 
@@ -804,6 +813,32 @@ mod tests {
             let text = std::fs::read_to_string(fixtures.join(file)).unwrap();
             let spec = SimSpec::from_json(&text).unwrap();
             assert_eq!(spec.content_hash().unwrap().to_string(), pinned, "{file}");
+        }
+    }
+
+    #[test]
+    fn hashing_the_canonical_text_is_the_content_hash() {
+        // The serve scheduler hashes the canonical text it already holds;
+        // that must be the job id `content_hash` gives the same spec.
+        let corpus =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/corpus");
+        let mut specs = vec![("paper_defaults".to_string(), SimSpec::paper_defaults())];
+        for entry in std::fs::read_dir(&corpus).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            specs.push((
+                path.display().to_string(),
+                SimSpec::from_json(&text).unwrap(),
+            ));
+        }
+        assert!(specs.len() > 6, "paper defaults and the six corpus seeds");
+        for (name, spec) in specs {
+            let canonical = spec.to_json().unwrap();
+            assert_eq!(
+                SpecHash::of_canonical_json(&canonical),
+                spec.content_hash().unwrap(),
+                "{name}"
+            );
         }
     }
 

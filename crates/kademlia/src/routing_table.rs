@@ -132,13 +132,6 @@ impl TableArena {
         self.spans[self.slot(node, bucket)].len as usize
     }
 
-    /// Slots reserved for a bucket (its maximum possible occupancy).
-    #[inline]
-    pub(crate) fn bucket_reserved(&self, node: usize, bucket: usize) -> usize {
-        let slot = self.slot(node, bucket);
-        (self.spans[slot + 1].offset - self.spans[slot].offset) as usize
-    }
-
     /// The occupied peer ids of one bucket.
     #[inline]
     pub(crate) fn bucket_entries(&self, node: usize, bucket: usize) -> &[u32] {
@@ -169,6 +162,44 @@ impl TableArena {
         self.ids[start + len] = peer;
         self.spans[slot].len += 1;
         true
+    }
+
+    /// Appends `peer` to the bucket, which the caller knows has room and
+    /// does not hold it: [`TableArena::insert`] without the scan, for a
+    /// refill, which follows a removal from the same bucket and picks a
+    /// peer the bucket does not hold (debug builds still check both).
+    pub(crate) fn push(&mut self, node: usize, bucket: usize, peer: u32) {
+        let slot = self.slot(node, bucket);
+        let span = self.spans[slot];
+        debug_assert!(
+            span.offset + span.len < self.spans[slot + 1].offset,
+            "no room for {peer}"
+        );
+        debug_assert!(!self.contains(node, bucket, peer), "{peer} already held");
+        self.ids[(span.offset + span.len) as usize] = peer;
+        self.spans[slot].len += 1;
+    }
+
+    /// Fills the bucket from `peers`, in order, as far as its reserved
+    /// slots go, replacing whatever it held: each peer is written straight
+    /// into its slot and the length is set once. `peers` must be distinct
+    /// peers at the bucket's proximity, and is read no further than the
+    /// reserved slots.
+    pub(crate) fn fill_bucket(
+        &mut self,
+        node: usize,
+        bucket: usize,
+        peers: impl Iterator<Item = u32>,
+    ) {
+        let slot = self.slot(node, bucket);
+        let start = self.spans[slot].offset as usize;
+        let end = self.spans[slot + 1].offset as usize;
+        let mut len = 0;
+        for (entry, peer) in self.ids[start..end].iter_mut().zip(peers) {
+            *entry = peer;
+            len += 1;
+        }
+        self.spans[slot].len = len;
     }
 
     /// Removes `peer` from the bucket, preserving the order of the

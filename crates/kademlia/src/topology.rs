@@ -304,7 +304,7 @@ impl TopologyBuilder {
             arena,
             capacities,
             trie,
-            knowers: Vec::new(),
+            knowers: Knowers::default(),
             sizing: self.sizing.clone(),
             seed: self.seed,
         })
@@ -532,42 +532,121 @@ impl TableSampler<'_> {
     }
 }
 
-/// Reverse index: for each node, which owners currently list it.
+/// Reverse index of the routing tables: for each node, the owners whose
+/// tables list it (its *holders*), in no particular order.
 ///
-/// Two passes: count in-degrees first so every per-node list is allocated
-/// exactly once — tens of millions of entries at large `N`, where growth
-/// reallocation used to dominate.
-fn build_knowers(arena: &TableArena, n: usize) -> Vec<Vec<u32>> {
-    let mut counts = vec![0u32; n];
-    for owner in 0..n {
-        for peer in arena.node_peers(owner) {
-            counts[peer as usize] += 1;
-        }
-    }
-    let mut knowers: Vec<Vec<u32>> = counts
-        .iter()
-        .map(|&c| Vec::with_capacity(c as usize))
-        .collect();
-    for owner in 0..n {
-        for peer in arena.node_peers(owner) {
-            knowers[peer as usize].push(owner as u32);
-        }
-    }
-    knowers
+/// Each entry is 4 bytes: the owner's index in the low `owner_bits` bits
+/// and, above them, the owner's departure count when the entry was made
+/// (its *stamp*, modulo the `32 - owner_bits` bits left over). An entry is
+/// *fresh* when its stamp equals the owner's current count, and the index
+/// keeps one invariant: an entry is fresh exactly when its owner lists the
+/// node. A departing owner's table is cleared whole, so one bump of its
+/// count ([`Knowers::depart`]) makes all of its entries stale at once,
+/// without visiting the lists that hold them. Stale entries stay where
+/// they are until [`Knowers::insert`] finds their list full; it drops them
+/// before the list would grow, so a list grows only when every entry is
+/// fresh, and it never holds more than twice the most fresh entries it
+/// has had since it was made, or 4. A count that would wrap, letting a
+/// stale stamp read as fresh again, rebuilds every list from the tables
+/// and zeroes every count instead.
+#[derive(Debug, Clone, Default)]
+struct Knowers {
+    /// `lists[i]`: a fresh entry for each owner that lists node `i`, among
+    /// stale entries of owners that listed it before they last left.
+    lists: Vec<Vec<u32>>,
+    /// `departures[o]`: owner `o`'s departure count since the last build,
+    /// the stamp of its fresh entries.
+    departures: Vec<u32>,
+    /// Low bits of an entry that hold the owner's index.
+    owner_bits: u32,
 }
 
-/// Records `owner` as a holder. Holder lists are unordered sets, so this
-/// is one `push`.
-fn knowers_insert(list: &mut Vec<u32>, owner: u32) {
-    debug_assert!(!list.contains(&owner), "owner {owner} already a holder");
-    list.push(owner);
-}
+impl Knowers {
+    /// The fewest bits that hold every node index of an `n`-node overlay,
+    /// which leaves the most bits to the stamps.
+    fn owner_bits_for(n: usize) -> u32 {
+        usize::BITS - n.saturating_sub(1).leading_zeros()
+    }
 
-/// Forgets `owner` as a holder: one scan and a `swap_remove`, since holder
-/// order is free.
-fn knowers_remove(list: &mut Vec<u32>, owner: u32) {
-    if let Some(pos) = list.iter().position(|&o| o == owner) {
-        list.swap_remove(pos);
+    /// The index of `arena`'s `n` tables, every count zero and every entry
+    /// fresh, with owner indices in the low `owner_bits` bits.
+    ///
+    /// Two passes: count in-degrees first so every list is allocated
+    /// exactly once — tens of millions of entries at large `N`, where
+    /// growth reallocation used to dominate.
+    fn build(arena: &TableArena, n: usize, owner_bits: u32) -> Self {
+        debug_assert!(owner_bits >= Self::owner_bits_for(n) && owner_bits <= u32::BITS);
+        let mut counts = vec![0u32; n];
+        for owner in 0..n {
+            for peer in arena.node_peers(owner) {
+                counts[peer as usize] += 1;
+            }
+        }
+        let mut lists: Vec<Vec<u32>> = counts
+            .iter()
+            .map(|&c| Vec::with_capacity(c as usize))
+            .collect();
+        for owner in 0..n {
+            for peer in arena.node_peers(owner) {
+                lists[peer as usize].push(owner as u32);
+            }
+        }
+        Self {
+            lists,
+            departures: vec![0; n],
+            owner_bits,
+        }
+    }
+
+    /// Whether the index is unbuilt.
+    fn is_empty(&self) -> bool {
+        self.lists.is_empty()
+    }
+
+    /// The fresh entry of `owner`: its index under its current count.
+    #[inline]
+    fn entry(&self, owner: usize) -> u32 {
+        ((u64::from(self.departures[owner]) << self.owner_bits) as u32) | owner as u32
+    }
+
+    /// The owner and the stamp of `entry`.
+    #[inline]
+    fn unpack(&self, entry: u32) -> (usize, u32) {
+        let entry = u64::from(entry);
+        let owner = entry & ((1 << self.owner_bits) - 1);
+        (owner as usize, (entry >> self.owner_bits) as u32)
+    }
+
+    /// The owner of `entry`, if the entry is fresh.
+    #[inline]
+    fn fresh_owner(&self, entry: u32) -> Option<usize> {
+        let (owner, stamp) = self.unpack(entry);
+        (self.departures[owner] == stamp).then_some(owner)
+    }
+
+    /// Records `owner` as a holder of `node`. A full list first drops its
+    /// stale entries, so the `Vec` grows only when all of them are fresh.
+    fn insert(&mut self, node: usize, owner: usize) {
+        let entry = self.entry(owner);
+        let mut list = std::mem::take(&mut self.lists[node]);
+        debug_assert!(!list.contains(&entry), "owner {owner} already a holder");
+        if list.len() == list.capacity() {
+            list.retain(|&held| self.fresh_owner(held).is_some());
+        }
+        list.push(entry);
+        self.lists[node] = list;
+    }
+
+    /// Makes every entry of `owner` stale: it has left, and `arena` holds
+    /// its cleared table. When its count would wrap, rebuilds the index
+    /// from `arena` instead, which holds no entry of it either.
+    fn depart(&mut self, owner: usize, arena: &TableArena) {
+        let wrap = (1u64 << (u32::BITS - self.owner_bits)) - 1;
+        if u64::from(self.departures[owner]) == wrap {
+            *self = Self::build(arena, self.lists.len(), self.owner_bits);
+        } else {
+            self.departures[owner] += 1;
+        }
     }
 }
 
@@ -591,14 +670,16 @@ pub struct Topology {
     /// Configured per-bucket capacities, shared by every node.
     capacities: Vec<usize>,
     trie: AddressTrie,
-    /// `knowers[i]`: owners whose routing table currently lists node `i`,
-    /// in no particular order: each holder's repair touches only its own
-    /// bucket, so the order a departure visits them in cannot change a
-    /// table. Makes departures O(holders) instead of O(n). Empty
-    /// until the first membership change builds it
-    /// ([`Topology::ensure_knowers`]): static runs never read it, and at
-    /// 10⁵ nodes with `k = 20` it holds 26 M entries.
-    knowers: Vec<Vec<u32>>,
+    /// The holders of each node: the owners whose routing tables list it,
+    /// as stamped 4-byte entries (see [`Knowers`]). An entry is fresh
+    /// exactly when its owner lists the node; stale entries are skipped
+    /// and dropped lazily. In no particular order: each holder's repair
+    /// touches only its own bucket, so the order a departure visits them
+    /// in cannot change a table. Makes departures O(holders) instead of
+    /// O(n). Empty, counts included, until the first membership change
+    /// builds it ([`Topology::ensure_knowers`]): static runs never read
+    /// it, and at 10⁵ nodes with `k = 20` it holds 26 M entries.
+    knowers: Knowers,
     sizing: BucketSizing,
     seed: u64,
 }
@@ -863,15 +944,25 @@ impl Topology {
     /// invariant (`len == min(capacity, live candidates)`, checked by
     /// [`Topology::validate`]) survives.
     ///
-    /// The `knowers` index names the holders, and a holder's refill
-    /// candidates for its bucket `b` are exactly the departed node's
-    /// depth-`b + 1` prefix subtree of the address trie — one node of the
-    /// departed node's trie path, found once for all holders. Each refill
-    /// is then one trie descent (`refill_candidate`), so a departure costs
-    /// `O(bits + holders × (bits + k))`, with the in-degree `holders`
-    /// typically a few dozen. Holders are visited in `knowers` order,
-    /// which is free: each touches only its own bucket, and the trie does
-    /// not change during the loop.
+    /// The `knowers` index names the holders: the fresh entries of the
+    /// departed node's list, an entry being fresh exactly when its owner
+    /// lists the node. Stale entries are skipped, and so is any holder
+    /// whose table turns out not to list the node, so the tables never
+    /// rest on the stamps alone. A holder's refill candidates for its
+    /// bucket `b` are exactly the departed node's depth-`b + 1` prefix
+    /// subtree of the address trie — one node of the departed node's trie
+    /// path, found once for all holders. Each refill is then one trie
+    /// descent (`refill_candidate`), which never picks a held peer, into a
+    /// bucket that has just lost an entry, so the replacement is appended
+    /// without a scan. A
+    /// departure costs `O(bits + holders × (bits + k))`, with the in-degree
+    /// `holders` typically a few dozen at `k = 4` and ~150 at `k = 20`.
+    /// Holders are visited in `knowers` order, which is free: each touches
+    /// only its own bucket, and the trie does not change during the loop.
+    ///
+    /// The departed node's own table is cleared, and one bump of its
+    /// departure count makes every holder entry it had elsewhere stale:
+    /// no other node's list is read.
     ///
     /// # Errors
     ///
@@ -900,27 +991,30 @@ impl Topology {
 
         // Drop the departed node from every table that listed it, refilling
         // the vacated bucket where candidates remain.
-        let holders = std::mem::take(&mut self.knowers[index]);
-        for owner in holders {
-            let owner = owner as usize;
+        let holders = std::mem::take(&mut self.knowers.lists[index]);
+        for entry in holders {
+            let Some(owner) = self.knowers.fresh_owner(entry) else {
+                continue;
+            };
             let bucket = self
                 .space
                 .proximity(self.addresses[owner], departed_addr)
                 .bucket_index();
             let removed = self.arena.remove(owner, bucket, index as u32);
-            debug_assert!(removed, "knowers index out of sync");
+            debug_assert!(removed, "a fresh holder entry's owner lists the node");
+            if !removed {
+                continue;
+            }
             if let Some(replacement) = self.refill_candidate(owner, bucket, path[bucket + 1]) {
-                let inserted = self.arena.insert(owner, bucket, replacement as u32);
-                debug_assert!(inserted, "refill candidate must fit");
-                knowers_insert(&mut self.knowers[replacement], owner as u32);
+                self.arena.push(owner, bucket, replacement as u32);
+                self.knowers.insert(replacement, owner);
             }
         }
 
-        // The departed node drops all of its own connections.
-        for peer in self.arena.node_peers(index) {
-            knowers_remove(&mut self.knowers[peer as usize], index as u32);
-        }
+        // The departed node drops all of its own connections, which makes
+        // its entries in its peers' lists stale.
         self.arena.clear_node(index);
+        self.knowers.depart(index, &self.arena);
         Ok(())
     }
 
@@ -939,7 +1033,10 @@ impl Topology {
     /// `capacity_b` live nodes before the join. So advertising the joiner
     /// reads one live count per bucket off its trie path and visits only
     /// the owners it inserts into — `O(bits + inserts)` — on top of the
-    /// `O(bits × k × bits)` fill of the joiner's own table.
+    /// `O(bits × k × bits)` fill of the joiner's own table, which writes
+    /// each bucket's nearest live peers straight into its arena slots. The
+    /// joiner's holder entries, in its peers' lists and in its own, carry
+    /// its current departure count, so they are fresh.
     ///
     /// # Errors
     ///
@@ -963,13 +1060,13 @@ impl Topology {
         // 1. Rebuild the joiner's own table from the live population.
         Self::fill_table_closest(&mut self.arena, &self.trie, &self.addresses, index, &path);
         for peer in self.arena.node_peers(index) {
-            knowers_insert(&mut self.knowers[peer as usize], index as u32);
+            self.knowers.insert(peer as usize, index);
         }
 
         // 2. Advertise the joiner to the owners with room for it. The
         //    joiner was offline, so no table listed it.
-        debug_assert!(self.knowers[index].is_empty());
-        let mut knowers = Vec::new();
+        debug_assert!(self.knowers.lists[index].is_empty());
+        let mut holders = Vec::new();
         for bucket in 0..self.space.bits() {
             let Some(owners) = self.trie.sibling_on_path(&path, joiner_addr, bucket) else {
                 continue;
@@ -979,16 +1076,13 @@ impl Topology {
             if candidates >= self.capacities[bucket as usize] {
                 continue;
             }
-            let arena = &mut self.arena;
-            self.trie
-                .visit_nearest_live(owners, bucket + 1, joiner_addr, &mut |owner: usize| {
-                    let inserted = arena.insert(owner, bucket as usize, index as u32);
-                    debug_assert!(inserted, "fullness invariant guarantees room");
-                    knowers.push(owner as u32);
-                    true
-                });
+            for owner in self.trie.nearest_live(owners, bucket + 1, joiner_addr) {
+                let inserted = self.arena.insert(owner, bucket as usize, index as u32);
+                debug_assert!(inserted, "fullness invariant guarantees room");
+                holders.push(self.knowers.entry(owner));
+            }
         }
-        self.knowers[index] = knowers;
+        self.knowers.lists[index] = holders;
         Ok(())
     }
 
@@ -996,7 +1090,8 @@ impl Topology {
     /// topology's first membership change.
     fn ensure_knowers(&mut self) {
         if self.knowers.is_empty() {
-            self.knowers = build_knowers(&self.arena, self.addresses.len());
+            let n = self.addresses.len();
+            self.knowers = Knowers::build(&self.arena, n, Knowers::owner_bits_for(n));
         }
     }
 
@@ -1040,10 +1135,11 @@ impl Topology {
     ///
     /// The candidates of bucket `b` live in one trie subtree (the owner's
     /// sibling at depth `b`, read off the owner's trie `path`), which is
-    /// walked in ascending XOR distance, so filling a whole table costs
-    /// `O(bits × k × bits)` instead of a full population scan. An
-    /// associated function over split borrows because it writes the arena
-    /// while walking the trie.
+    /// walked in ascending XOR distance straight into the bucket's
+    /// reserved arena slots, so filling a whole table costs
+    /// `O(bits × k × bits)` instead of a full population scan, with no
+    /// per-entry duplicate scan. An associated function over split borrows
+    /// because it writes the arena while walking the trie.
     fn fill_table_closest(
         arena: &mut TableArena,
         trie: &AddressTrie,
@@ -1059,16 +1155,8 @@ impl Topology {
             };
             // Reserved slots are min(capacity, all-time candidates), the
             // exact occupancy bound — live candidates can only be fewer.
-            let mut remaining = arena.bucket_reserved(owner, bucket as usize);
-            if remaining == 0 {
-                continue;
-            }
-            trie.visit_nearest_live(subtree, bucket + 1, owner_addr, &mut |peer: usize| {
-                let inserted = arena.insert(owner, bucket as usize, peer as u32);
-                debug_assert!(inserted, "candidate must fit its bucket");
-                remaining -= 1;
-                remaining > 0
-            });
+            let nearest = trie.nearest_live(subtree, bucket + 1, owner_addr);
+            arena.fill_bucket(owner, bucket as usize, nearest.map(|peer| peer as u32));
         }
     }
 
@@ -1086,12 +1174,11 @@ impl Topology {
         let Some(subtree) = self.trie.prefix_subtree(anchor, prefix_bits) else {
             return Vec::new();
         };
-        let mut nodes = Vec::new();
-        self.trie
-            .visit_nearest_live(subtree, prefix_bits, anchor, &mut |peer: usize| {
-                nodes.push(NodeId(peer));
-                true
-            });
+        let mut nodes: Vec<NodeId> = self
+            .trie
+            .nearest_live(subtree, prefix_bits, anchor)
+            .map(NodeId)
+            .collect();
         nodes.sort_unstable();
         nodes
     }
@@ -1103,16 +1190,11 @@ impl Topology {
     /// "the nodes responsible for (closest to) this popular address". A
     /// trie walk in exact distance order, `O(count × bits)`.
     pub fn closest_live_nodes(&self, target: OverlayAddress, count: usize) -> Vec<NodeId> {
-        let mut nodes = Vec::with_capacity(count);
-        if count == 0 {
-            return nodes;
-        }
         self.trie
-            .visit_nearest_live(0, 0, target, &mut |peer: usize| {
-                nodes.push(NodeId(peer));
-                nodes.len() < count
-            });
-        nodes
+            .nearest_live(0, 0, target)
+            .take(count)
+            .map(NodeId)
+            .collect()
     }
 
     /// The `count` live nodes with the highest scores, ranked descending
@@ -1169,7 +1251,7 @@ impl Topology {
         }
         // The copied reverse index is stale; the rebuilt topology's first
         // membership change rebuilds it.
-        rebuilt.knowers = Vec::new();
+        rebuilt.knowers = Knowers::default();
         rebuilt
     }
 
@@ -1180,7 +1262,10 @@ impl Topology {
     /// every entry is live and sits in the bucket matching its proximity
     /// order; no bucket exceeds its capacity; every bucket whose live
     /// candidate set is at least its capacity is full; the reverse
-    /// (`knowers`) index, once built, matches the tables.
+    /// (`knowers`) index, once built, matches the tables: its fresh
+    /// entries name exactly the owners that list each node, and no stale
+    /// entry carries a stamp its owner's count has not passed, so none can
+    /// read as fresh before the next rebuild.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = HashSet::new();
         for addr in &self.addresses {
@@ -1244,14 +1329,31 @@ impl Topology {
                 }
             }
         }
-        // Holder lists are unordered: compare sorted copies, which checks
-        // the same owners with the same multiplicity, so a duplicate fails.
-        if !self.knowers.is_empty() {
-            for (check, list) in knowers_check.iter_mut().zip(&self.knowers) {
+        // Holder lists are unordered: compare sorted copies of the fresh
+        // owners, which checks the same owners with the same multiplicity,
+        // so a duplicate fails.
+        let knowers = &self.knowers;
+        if !knowers.is_empty() {
+            let n = self.addresses.len();
+            if knowers.lists.len() != n || knowers.departures.len() != n {
+                return Err("knowers index sized for another overlay".into());
+            }
+            for (node, (check, list)) in knowers_check.iter_mut().zip(&knowers.lists).enumerate() {
+                let mut fresh = Vec::with_capacity(list.len());
+                for &entry in list {
+                    let (owner, stamp) = knowers.unpack(entry);
+                    if owner >= n || stamp > knowers.departures[owner] {
+                        return Err(format!(
+                            "node {node}: holder entry {entry:#x} names no past session"
+                        ));
+                    }
+                    if stamp == knowers.departures[owner] {
+                        fresh.push(owner as u32);
+                    }
+                }
                 check.sort_unstable();
-                let mut list = list.clone();
-                list.sort_unstable();
-                if *check != list {
+                fresh.sort_unstable();
+                if *check != fresh {
                     return Err("knowers reverse index out of sync with tables".into());
                 }
             }
@@ -1268,11 +1370,19 @@ impl Topology {
 /// maintenance queries that used to need population scans: the peers at
 /// proximity exactly `b` from an address are one subtree hanging off its
 /// root-to-leaf path ([`AddressTrie::path`]),
-/// [`AddressTrie::visit_nearest_live`] walks any subtree in ascending XOR
+/// [`AddressTrie::nearest_live`] walks any subtree in ascending XOR
 /// distance, and [`AddressTrie::nearest_live_excluding`] finds the closest
 /// live leaf outside a given set in one descent. Trie nodes are a compact
 /// 16-byte representation (`u32` child indices with a sentinel) so
 /// million-node tries stay cache- and memory-friendly.
+///
+/// Nodes are appended in insertion order, and an insert appends the nodes
+/// below the point where its address leaves the existing trie one per
+/// level, down to its leaf. So the node at index `i` and depth `d` always
+/// has a leaf at index `i + bits - d` beneath it: the leaf of the address
+/// whose insert made the node, its *maker leaf*
+/// ([`AddressTrie::maker_leaf`]). Below the densely filled top levels,
+/// most of a leaf's path is such a single-address chain.
 #[derive(Debug, Clone)]
 struct AddressTrie {
     space: AddressSpace,
@@ -1594,40 +1704,94 @@ impl AddressTrie {
         }
     }
 
-    /// Visits the live node indices stored under `subtree` (whose root sits
-    /// at `depth`) in ascending XOR distance from `target`, stopping as
-    /// soon as `visit` returns `false`.
+    /// The overlay node at the maker leaf of trie node `index` (whose root
+    /// sits at `depth`), if that leaf is live: then, for a subtree known
+    /// to hold one live leaf, it is that leaf, found without walking the
+    /// chain of single-child nodes down to it.
+    #[inline]
+    fn maker_leaf(&self, index: u32, depth: u32) -> Option<usize> {
+        match self.nodes[index as usize + (self.space.bits() - depth) as usize] {
+            TrieNode::Leaf { node, live: true } => Some(node as usize),
+            _ => None,
+        }
+    }
+
+    /// The live node indices stored under `subtree` (whose root sits at
+    /// `depth`), in ascending XOR distance from `target`.
     ///
     /// The preferred-bit-first descent enumerates leaves in exact distance
-    /// order, so "the closest live peer not in this set" and "the k closest
-    /// live peers" are both O(answer × bits) walks.
-    fn visit_nearest_live(
-        &self,
-        subtree: u32,
-        depth: u32,
-        target: OverlayAddress,
-        visit: &mut dyn FnMut(usize) -> bool,
-    ) -> bool {
-        match &self.nodes[subtree as usize] {
-            TrieNode::Leaf { node, live } => !*live || visit(*node as usize),
-            TrieNode::Branch { zero, one, live } => {
-                if *live == 0 {
-                    return true;
+    /// order, so "the k closest live peers" is an O(answer × bits) walk
+    /// that stops as soon as the caller stops pulling.
+    fn nearest_live(&self, subtree: u32, depth: u32, target: OverlayAddress) -> NearestLive<'_> {
+        let mut stack = [(NIL, 0); 65];
+        stack[0] = (subtree, depth);
+        NearestLive {
+            trie: self,
+            target,
+            stack,
+            len: 1,
+        }
+    }
+}
+
+/// The walk of [`AddressTrie::nearest_live`]: a depth-first descent that
+/// takes the child on `target`'s side of each branch first and keeps the
+/// other on an explicit stack. A descent enters only subtrees with a live
+/// leaf, so it always ends on one, and a subtree with exactly one whose
+/// maker leaf is live ends there at once ([`AddressTrie::maker_leaf`]),
+/// skipping the chain below it. A stacked subtree is checked only when it
+/// is popped, since a walk cut short never reads most of them. The
+/// stacked depths rise strictly from bottom to top, so the stack never
+/// outgrows the 64-bit space's 65 levels.
+struct NearestLive<'a> {
+    trie: &'a AddressTrie,
+    target: OverlayAddress,
+    /// Subtrees still to visit, each with the depth of its root, the
+    /// nearest on top.
+    stack: [(u32, u32); 65],
+    len: usize,
+}
+
+impl Iterator for NearestLive<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let trie = self.trie;
+        let (mut current, mut depth) = loop {
+            self.len = self.len.checked_sub(1)?;
+            let (subtree, depth) = self.stack[self.len];
+            if trie.subtree_live(subtree) > 0 {
+                break (subtree, depth);
+            }
+        };
+        loop {
+            match &trie.nodes[current as usize] {
+                TrieNode::Leaf { node, live } => {
+                    debug_assert!(*live, "the walk enters only live subtrees");
+                    return Some(*node as usize);
                 }
-                let (preferred, fallback) = if target.bit(depth) {
-                    (*one, *zero)
-                } else {
-                    (*zero, *one)
-                };
-                for child in [preferred, fallback] {
-                    if child != NIL
-                        && self.subtree_live(child) > 0
-                        && !self.visit_nearest_live(child, depth + 1, target, visit)
-                    {
-                        return false;
+                TrieNode::Branch { zero, one, live } => {
+                    if *live == 1 {
+                        if let Some(node) = trie.maker_leaf(current, depth) {
+                            return Some(node);
+                        }
                     }
+                    let (preferred, fallback) = if self.target.bit(depth) {
+                        (*one, *zero)
+                    } else {
+                        (*zero, *one)
+                    };
+                    depth += 1;
+                    current = if preferred != NIL && trie.subtree_live(preferred) > 0 {
+                        if fallback != NIL {
+                            self.stack[self.len] = (fallback, depth);
+                            self.len += 1;
+                        }
+                        preferred
+                    } else {
+                        fallback
+                    };
                 }
-                true
             }
         }
     }
@@ -2135,6 +2299,193 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// The nearest-first walk yields exactly the live leaves of its
+        /// subtree sorted by XOR distance to the target, cut wherever the
+        /// caller stops: any space up to 14 bits, any live set, any
+        /// subtree and depth (the whole trie and single leaves included),
+        /// any limit.
+        #[test]
+        fn nearest_live_walk_matches_brute_force(
+            bits in 1u32..=14,
+            nodes in 1usize..300,
+            depth in 0u32..=14,
+            alive_quarters in 0u32..=4,
+            limit in 0usize..320,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            let space = space(bits);
+            let depth = depth.min(bits);
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mut raws: Vec<u64> = (0..=space.max_raw()).collect();
+            raws.shuffle(&mut rng);
+            raws.truncate(nodes);
+            let addresses: Vec<_> = raws.iter().map(|&raw| space.address(raw).unwrap()).collect();
+            let mut trie = AddressTrie::build(space, &addresses);
+            let live: Vec<bool> = raws.iter().map(|_| rng.gen_range(0u32..4) < alive_quarters).collect();
+            for (addr, _) in addresses.iter().zip(&live).filter(|(_, &alive)| !alive) {
+                trie.set_live(&trie.path(*addr), false);
+            }
+            let anchor = addresses[rng.gen_range(0..addresses.len())];
+            let subtree = trie.prefix_subtree(anchor, depth).unwrap();
+            let target = space.address(rng.gen_range(0..=space.max_raw())).unwrap();
+            let shift = bits - depth;
+            let mut expected: Vec<usize> = (0..raws.len())
+                .filter(|&i| live[i] && raws[i] >> shift == anchor.raw() >> shift)
+                .collect();
+            expected.sort_by_key(|&i| raws[i] ^ target.raw());
+            expected.truncate(limit);
+            let walked: Vec<usize> = trie.nearest_live(subtree, depth, target).take(limit).collect();
+            proptest::prop_assert_eq!(walked, expected);
+        }
+    }
+
+    #[test]
+    fn every_trie_node_lies_above_its_maker_leaf() {
+        for (bits, nodes, seed) in [(1, 2, 1), (8, 200, 2), (16, 2_000, 3), (24, 3_000, 4)] {
+            let t = TopologyBuilder::new(space(bits))
+                .nodes(nodes)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let trie = &t.trie;
+            for addr in &t.addresses {
+                let path = trie.path(*addr);
+                for depth in 0..=bits {
+                    let index = path[depth as usize] as usize + (bits - depth) as usize;
+                    let TrieNode::Leaf { node, .. } = trie.nodes[index] else {
+                        panic!("{bits} bits: no leaf at the maker index of depth {depth}");
+                    };
+                    let shift = bits - depth;
+                    assert_eq!(
+                        t.addresses[node as usize].raw() >> shift,
+                        addr.raw() >> shift,
+                        "{bits} bits, depth {depth}: maker leaf outside the subtree"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every node's holders read off the tables: the owners that list it,
+    /// in ascending order.
+    fn holders_by_table(t: &Topology) -> Vec<Vec<u32>> {
+        let mut holders = vec![Vec::new(); t.len()];
+        for owner in 0..t.len() {
+            for peer in t.arena.node_peers(owner) {
+                holders[peer as usize].push(owner as u32);
+            }
+        }
+        holders
+    }
+
+    /// The owners of the fresh entries of `node`'s holder list, sorted.
+    fn fresh_holders(t: &Topology, node: usize) -> Vec<u32> {
+        let mut fresh: Vec<u32> = t.knowers.lists[node]
+            .iter()
+            .filter_map(|&entry| t.knowers.fresh_owner(entry))
+            .map(|owner| owner as u32)
+            .collect();
+        fresh.sort_unstable();
+        fresh
+    }
+
+    /// One random membership change: a departure of a random live node
+    /// (two in three, while more than half are live) or the return of a
+    /// random offline one. Returns the node that left, if one did.
+    fn churn_once(
+        t: &mut Topology,
+        rng: &mut ChaCha12Rng,
+        offline: &mut Vec<NodeId>,
+    ) -> Option<NodeId> {
+        if offline.is_empty() || (rng.gen_range(0..3) < 2 && t.live_count() > t.len() / 2) {
+            let live: Vec<NodeId> = t.live_ids().collect();
+            let node = live[rng.gen_range(0..live.len())];
+            t.remove_node(node).unwrap();
+            offline.push(node);
+            Some(node)
+        } else {
+            let node = offline.swap_remove(rng.gen_range(0..offline.len()));
+            t.add_node(node).unwrap();
+            None
+        }
+    }
+
+    #[test]
+    fn holder_lists_name_the_tables_and_stay_bounded() {
+        for k in [1, 4, 20] {
+            let mut t = dynamic_topology(300, k, 73);
+            let mut rng = ChaCha12Rng::seed_from_u64(k as u64);
+            let mut offline = Vec::new();
+            // The most fresh entries each list has held since it was made,
+            // from the in-degrees the first change builds the lists at. A
+            // list grows only when all its entries are fresh, so it never
+            // holds more than twice that many; departures turn entries
+            // stale without touching the lists, so the fresh count itself
+            // may fall far below the length in between.
+            let mut peak: Vec<usize> = holders_by_table(&t).iter().map(Vec::len).collect();
+            for step in 0..600 {
+                if let Some(node) = churn_once(&mut t, &mut rng, &mut offline) {
+                    peak[node.0] = 0;
+                }
+                let tables = holders_by_table(&t);
+                for (node, holders) in tables.iter().enumerate() {
+                    assert_eq!(
+                        &fresh_holders(&t, node),
+                        holders,
+                        "k = {k}, step {step}, node {node}"
+                    );
+                    peak[node] = peak[node].max(holders.len());
+                    let len = t.knowers.lists[node].len();
+                    assert!(
+                        len <= (2 * peak[node]).max(4),
+                        "k = {k}, step {step}, node {node}: {len} entries, at most {} fresh",
+                        peak[node]
+                    );
+                }
+            }
+            t.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_wrapping_departure_count_rebuilds_the_holder_lists() {
+        for k in [1, 4, 20] {
+            let mut plain = dynamic_topology(150, k, 79);
+            plain.ensure_knowers();
+            // One stamp bit: a node's count wraps at its second departure
+            // since the last rebuild, where the plain index's would wrap
+            // after 2^24.
+            let mut wrapping = plain.clone();
+            wrapping.knowers = Knowers::build(&wrapping.arena, wrapping.len(), u32::BITS - 1);
+            let mut rng = ChaCha12Rng::seed_from_u64(k as u64);
+            let mut offline = Vec::new();
+            let mut rebuilds = 0;
+            for step in 0..500 {
+                let counted: u32 = wrapping.knowers.departures.iter().sum();
+                let mut twin_rng = rng.clone();
+                let mut twin_offline = offline.clone();
+                let left = churn_once(&mut wrapping, &mut rng, &mut offline);
+                churn_once(&mut plain, &mut twin_rng, &mut twin_offline);
+                if left.is_some() && wrapping.knowers.departures.iter().sum::<u32>() < counted {
+                    rebuilds += 1;
+                    // A rebuild leaves no stale entry and every count zero.
+                    assert!(wrapping.knowers.departures.iter().all(|&c| c == 0));
+                    let tables = holders_by_table(&wrapping);
+                    for (list, holders) in wrapping.knowers.lists.iter().zip(&tables) {
+                        assert_eq!(list, holders, "k = {k}, step {step}");
+                    }
+                }
+                // The plain twin's tables are the ones the reference-model
+                // property pins.
+                assert!(wrapping.tables().eq(plain.tables()), "k = {k}, step {step}");
+                assert_eq!(wrapping.validate(), Ok(()), "k = {k}, step {step}");
+            }
+            assert!(rebuilds > 5, "k = {k}: {rebuilds} rebuilds");
+        }
+    }
+
     #[test]
     fn holder_order_never_changes_the_tables() {
         use rand::seq::SliceRandom;
@@ -2145,7 +2496,7 @@ mod tests {
             let mut reordered = built.clone();
             let mut offline = Vec::new();
             for step in 0..60 {
-                for (i, list) in reordered.knowers.iter_mut().enumerate() {
+                for (i, list) in reordered.knowers.lists.iter_mut().enumerate() {
                     if (i + step) % 2 == 0 {
                         list.reverse();
                     } else {
@@ -2180,24 +2531,60 @@ mod tests {
     fn validate_rejects_a_missing_extra_or_duplicate_holder() {
         let mut t = dynamic_topology(100, 4, 67);
         t.remove_node(NodeId(5)).unwrap();
-        let peer = (0..t.len()).find(|&i| t.knowers[i].len() >= 2).unwrap();
-        let stranger = (0..t.len() as u32)
-            .find(|&o| o as usize != peer && !t.knowers[peer].contains(&o))
+        t.remove_node(NodeId(8)).unwrap();
+        t.add_node(NodeId(8)).unwrap();
+        // A list with two fresh entries and a stale one (of node 5's or of
+        // node 8's first session).
+        let (peer, fresh_at, stale_at) = (0..t.len())
+            .find_map(|i| {
+                let list = &t.knowers.lists[i];
+                let fresh: Vec<usize> = (0..list.len())
+                    .filter(|&at| t.knowers.fresh_owner(list[at]).is_some())
+                    .collect();
+                let stale = (0..list.len()).find(|at| !fresh.contains(at))?;
+                (fresh.len() >= 2).then_some((i, fresh, stale))
+            })
+            .unwrap();
+        let entry = |owner: usize| t.knowers.entry(owner);
+        let stranger = (0..t.len())
+            .find(|&o| o != peer && !fresh_holders(&t, peer).contains(&(o as u32)))
             .unwrap();
         let with = |edit: &dyn Fn(&mut Vec<u32>)| {
             let mut broken = t.clone();
-            edit(&mut broken.knowers[peer]);
+            edit(&mut broken.knowers.lists[peer]);
             broken.validate()
         };
-        // Holder order is free ...
+        // Holder order is free, and so are stale entries ...
         assert_eq!(with(&|list| list.reverse()), Ok(()));
-        // ... but the owners and their multiplicity are not.
+        assert_eq!(
+            with(&|list| {
+                list.remove(stale_at);
+            }),
+            Ok(())
+        );
+        // ... but the fresh owners and their multiplicity are not.
         assert!(
-            with(&|list| list.truncate(list.len() - 1)).is_err(),
+            with(&|list| {
+                list.remove(fresh_at[0]);
+            })
+            .is_err(),
             "missing"
         );
-        assert!(with(&|list| list.push(stranger)).is_err(), "extra");
-        assert!(with(&|list| list.push(list[0])).is_err(), "duplicate");
+        assert!(with(&|list| list.push(entry(stranger))).is_err(), "extra");
+        let first = t.knowers.lists[peer][fresh_at[0]];
+        assert!(with(&|list| list.push(first)).is_err(), "duplicate");
+        // A stamp its owner's count has not reached, or an owner outside
+        // the overlay, names no session at all.
+        let (owner, stamp) = t.knowers.unpack(first);
+        let ahead = ((stamp + 1) << t.knowers.owner_bits) | owner as u32;
+        assert!(
+            with(&|list| list[stale_at] = ahead).is_err(),
+            "future stamp"
+        );
+        assert!(
+            with(&|list| list[stale_at] = t.len() as u32).is_err(),
+            "unknown owner"
+        );
     }
 
     // ---- walk 2 on several threads -------------------------------------

@@ -279,7 +279,7 @@ impl Scheduler {
         let spec = SimSpec::from_json(body).map_err(invalid)?;
         spec.validate().map_err(invalid)?;
         let canonical = spec.to_json().map_err(invalid)?;
-        let hash = spec.content_hash().map_err(invalid)?;
+        let hash = SpecHash::of_canonical_json(&canonical);
         let (job, joined) = self.shared.core().admit(hash, canonical)?;
         if !joined {
             self.shared.work.notify_one();
